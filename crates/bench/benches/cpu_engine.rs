@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use snp_bitmat::{CompareOp, CountMatrix, PackedPanels};
 use snp_cpu::blocking::{MR, NR};
-use snp_cpu::microkernel::{microkernel, microkernel_csa, microkernel_scalar, zero_tile};
+use snp_cpu::microkernel::{microkernel, microkernel_scalar, zero_tile};
 use snp_cpu::parallel::gamma_parallel_into_scheduled;
 use snp_cpu::{CpuBlocking, CpuEngine, ParallelSchedule};
 use snp_popgen::random_dense;
@@ -22,28 +22,15 @@ fn bench_microkernel(c: &mut Criterion) {
     let pa = PackedPanels::pack_all(&a, MR);
     let pb = PackedPanels::pack_all(&b, NR);
     g.throughput(Throughput::Elements((MR * NR * pa.k()) as u64));
-    // The three-way popcount ablation on identical panels: one popcount per
-    // word ("scalar"), the scalar Harley–Seal tree ("csa"), and the 4-lane
-    // wide tree ("simd" — the production `microkernel` dispatch, which is
-    // the wide path under the default `simd` feature).
+    // The popcount ablation on identical panels: one popcount per word
+    // ("scalar") against the production `microkernel` on the host's
+    // detected tier ("simd"; the id predates the tiers and is kept so the
+    // rows pair with earlier snapshots).
     for op in CompareOp::ALL {
         g.bench_function(BenchmarkId::new("simd", op), |bench| {
             bench.iter(|| {
                 let mut acc = zero_tile();
                 microkernel(
-                    op,
-                    pa.k(),
-                    black_box(pa.panel(0)),
-                    black_box(pb.panel(0)),
-                    &mut acc,
-                );
-                black_box(acc)
-            })
-        });
-        g.bench_function(BenchmarkId::new("csa", op), |bench| {
-            bench.iter(|| {
-                let mut acc = zero_tile();
-                microkernel_csa(
                     op,
                     pa.k(),
                     black_box(pa.panel(0)),

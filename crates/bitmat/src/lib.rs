@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 
 mod count;
-pub mod csa;
 mod matrix;
 mod ops;
 mod pack;

@@ -8,6 +8,7 @@ use snp_core::{
     compare_op, config_for, Algorithm, CpuModel, EngineError, EngineOptions, ExecMode, FaultPlan,
     FaultProfile, GpuEngine, KernelPlan, Lowering, MixtureStrategy, RecoverySummary,
 };
+use snp_cpu::microkernel::Tier;
 use snp_cpu::CpuEngine;
 use snp_gpu_model::config::ProblemShape;
 use snp_gpu_model::peak::peak;
@@ -624,6 +625,7 @@ fn cmd_cpu(args: &Args) -> Result<String, ArgError> {
         dt.as_secs_f64() * 1e3,
         word_ops as f64 / dt.as_secs_f64() / 1e9
     );
+    let _ = writeln!(out, "popcount tier: {}", Tier::detected());
     let model = CpuModel::ivy_bridge_workstation();
     let _ = writeln!(
         out,
@@ -1810,6 +1812,11 @@ mod tests {
         let out = run_line("cpu --snps 64 --samples 512").unwrap();
         assert!(out.contains("real CPU engine"));
         assert!(out.contains("wall time"));
+        let tier = out
+            .lines()
+            .find_map(|l| l.strip_prefix("popcount tier: "))
+            .expect("the report names the popcount tier");
+        assert!(["vpopcntq", "avx2", "portable"].contains(&tier), "{tier}");
     }
 
     #[test]

@@ -49,13 +49,21 @@ impl Default for CacheParams {
     }
 }
 
-/// The compile-time microkernel shape: 8 × 4 accumulators of `u32`.
+/// The compile-time microkernel shape: an 8 × 4 tile of `u32` accumulators.
 ///
 /// Eight A words against four B words yields 32 independent
 /// AND→POPCNT→ADD chains, enough to cover the 3-cycle POPCNT latency of the
-/// model CPU (Table I) several times over while fitting comfortably in 16
-/// architectural registers' worth of spill-free accumulation (the compiler
-/// keeps the 32 `u32` accumulators in 8 SIMD registers when vectorizing).
+/// model CPU (Table I) several times over. The registers they live in
+/// depend on the popcount tier ([`crate::microkernel::Tier`]):
+///
+/// * `vpopcntq`: the `MR` A words of a shared-dimension step fill one
+///   512-bit zmm register and each of the `NR` B words is broadcast to one.
+///   The tile is four zmm registers of u64 counts, one per B column with
+///   one lane per A row, added into the u32 tile once per call.
+/// * `avx2` and `portable`: the `NR` B words of a step are one
+///   [`crate::simd::W64x4`] (one ymm register under AVX2, two xmm registers
+///   on baseline x86-64). Each A word is splatted across it, and one 8-step
+///   Harley–Seal tree yields a row's four column counts.
 pub const MR: usize = 8;
 /// See [`MR`].
 pub const NR: usize = 4;

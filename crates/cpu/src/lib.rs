@@ -15,7 +15,8 @@
 //! * [`CpuEngine`] — algorithm-level API (LD, identity search, mixture
 //!   analysis);
 //! * [`CpuBlocking`] — cache-derived blocking parameters (Low et al. \[21\]);
-//! * [`microkernel`] — the architecture-specific inner kernel;
+//! * [`microkernel`] — the architecture-specific inner kernel, on the
+//!   host's fastest popcount instruction chosen at run time;
 //! * [`gemm`] / [`parallel`] — the sequential and multithreaded loop nests.
 
 #![warn(missing_docs)]
@@ -25,7 +26,6 @@ pub mod engine;
 pub mod gemm;
 pub mod microkernel;
 pub mod parallel;
-#[cfg(feature = "simd")]
 pub mod simd;
 pub mod symmetric;
 

@@ -7,39 +7,95 @@
 //! (word-major, produced by [`snp_bitmat::PackedPanels`]) so every access is
 //! unit-stride.
 //!
-//! Three paths compute the same counts bit-identically:
+//! [`microkernel`] is the production path. The release build targets
+//! baseline x86-64, where `count_ones()` lowers to a SWAR sequence, so the
+//! kernel picks its popcount instruction at run time, once per process
+//! ([`Tier::detected`]), from three tiers that compute bit-identical counts:
 //!
-//! * [`microkernel`] — the production path. With the `simd` feature (the
-//!   default) full [`CSA_BLOCK`]-deep slabs run the 4-lane wide Harley–Seal
-//!   tree of [`crate::simd`]: one [`crate::simd::W64x4`] vector carries the
-//!   `NR` B lanes of a shared-dimension step, so the tree reduces all four
-//!   γ columns at once and popcounts 4 wide counters instead of 32 scalar
-//!   ones. Without the feature it is the scalar CSA path.
-//! * [`microkernel_csa`] — the scalar Harley–Seal path
-//!   ([`snp_bitmat::csa::popcount8`]): 4 popcounts per 8 combined words
-//!   instead of 8. The correctness oracle for the SIMD lane, and the
-//!   ablation baseline.
-//! * [`microkernel_scalar`] — the original one-popcount-per-word loop, kept
-//!   public as the oracle the property tests compare the CSA paths against.
+//! * [`Tier::Vpopcntq`] — AVX-512 `VPOPCNTQ`. One zmm register holds the
+//!   `MR` A words of a shared-dimension step; each of the `NR` B words is
+//!   broadcast, combined with it by one `VPTERNLOGQ`, popcounted by one
+//!   `VPOPCNTQ` and added into its own u64 zmm accumulator. The four
+//!   accumulators are added into the u32 tile once per call.
+//! * [`Tier::Avx2`] — the 4-lane Harley–Seal tree of [`crate::simd`]
+//!   compiled with AVX2 enabled, so one [`W64x4`] is one ymm register.
+//! * [`Tier::Portable`] — the same tree as compiled for the build target;
+//!   the only tier on targets other than x86-64.
 //!
-//! The `k % CSA_BLOCK` remainder always falls back to the scalar loop.
+//! Both lane tiers run full [`CSA_BLOCK`]-deep slabs through the tree and
+//! the `k % CSA_BLOCK` remainder through the scalar loop.
+//!
+//! [`microkernel_scalar`], one `count_ones()` per combined word, is the
+//! oracle every tier is tested against through [`microkernel_tier`].
 
-use snp_bitmat::csa::popcount8;
+use std::sync::OnceLock;
+
 use snp_bitmat::CompareOp;
 
 use crate::blocking::{MR, NR};
-#[cfg(feature = "simd")]
 use crate::simd::{popcount8_lanes, W64x4};
 
-#[cfg(feature = "simd")]
 const _: () = assert!(NR == W64x4::LANES, "the SIMD lane width is the NR tile");
 
-/// Shared-dimension steps folded per CSA tree in [`microkernel`].
+/// Shared-dimension steps folded per Harley–Seal tree in the lane tiers.
 pub const CSA_BLOCK: usize = 8;
 
+/// The popcount instruction a [`microkernel`] call runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tier {
+    /// AVX-512 `VPOPCNTQ` (x86-64 with `avx512f` and `avx512vpopcntdq`).
+    Vpopcntq,
+    /// The [`W64x4`] lane compiled for AVX2 (x86-64 with `avx2`).
+    Avx2,
+    /// The [`W64x4`] lane compiled for the build target; runs everywhere.
+    Portable,
+}
+
+impl Tier {
+    /// Every tier, fastest first.
+    pub const ALL: [Tier; 3] = [Tier::Vpopcntq, Tier::Avx2, Tier::Portable];
+
+    /// The fastest tier this CPU supports; detected on the first call and
+    /// fixed for the rest of the process.
+    pub fn detected() -> Tier {
+        static DETECTED: OnceLock<Tier> = OnceLock::new();
+        *DETECTED.get_or_init(|| {
+            Tier::ALL
+                .into_iter()
+                .find(|t| t.available())
+                .expect("the portable tier is always available")
+        })
+    }
+
+    /// Whether this CPU can run the tier.
+    pub fn available(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Tier::Vpopcntq => {
+                is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vpopcntdq")
+            }
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => is_x86_feature_detected!("avx2"),
+            #[cfg(not(target_arch = "x86_64"))]
+            Tier::Vpopcntq | Tier::Avx2 => false,
+            Tier::Portable => true,
+        }
+    }
+}
+
+/// The short lower-case name `snpgpu cpu` reports.
+impl std::fmt::Display for Tier {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Tier::Vpopcntq => "vpopcntq",
+            Tier::Avx2 => "avx2",
+            Tier::Portable => "portable",
+        })
+    }
+}
+
 /// Computes `acc[i][j] += Σ_p popc(op(a_panel[p·MR + i], b_panel[p·NR + j]))`
-/// for `p` in `0..k`, using the fastest compiled-in popcount path for full
-/// 8-step blocks (wide SIMD with the `simd` feature, scalar CSA without).
+/// for `p` in `0..k`, on the [`Tier::detected`] popcount instruction.
 ///
 /// `a_panel` must hold `k × MR` words, `b_panel` `k × NR` words.
 #[inline]
@@ -50,54 +106,135 @@ pub fn microkernel(
     b_panel: &[u64],
     acc: &mut [[u32; NR]; MR],
 ) {
-    #[cfg(feature = "simd")]
-    return microkernel_simd(op, k, a_panel, b_panel, acc);
-    #[cfg(not(feature = "simd"))]
-    microkernel_csa(op, k, a_panel, b_panel, acc)
+    check_panels(k, a_panel, b_panel);
+    // SAFETY: `Tier::detected` returns only a tier this CPU supports.
+    unsafe { dispatch(Tier::detected(), op, k, a_panel, b_panel, acc) }
 }
 
-/// The scalar Harley–Seal CSA path: same contract and bit-identical results
-/// as [`microkernel`]; the oracle the SIMD lane is verified against, and the
-/// ablation baseline when benchmarking with `--no-default-features`.
-#[inline]
-pub fn microkernel_csa(
+/// [`microkernel`] on a chosen tier: the seam that lets tests run every
+/// tier the host supports against [`microkernel_scalar`].
+///
+/// Panics if the panels are too short for `k`, or if this CPU cannot run
+/// `tier`.
+pub fn microkernel_tier(
+    tier: Tier,
     op: CompareOp,
     k: usize,
     a_panel: &[u64],
     b_panel: &[u64],
     acc: &mut [[u32; NR]; MR],
 ) {
+    check_panels(k, a_panel, b_panel);
+    assert!(
+        tier.available(),
+        "popcount tier {tier} is not available on this CPU"
+    );
+    // SAFETY: the assert above checked that this CPU supports `tier`.
+    unsafe { dispatch(tier, op, k, a_panel, b_panel, acc) }
+}
+
+/// Runs one microkernel call on `tier`.
+///
+/// # Safety
+///
+/// This CPU must support `tier` ([`Tier::available`]).
+#[inline(always)]
+unsafe fn dispatch(
+    tier: Tier,
+    op: CompareOp,
+    k: usize,
+    a_panel: &[u64],
+    b_panel: &[u64],
+    acc: &mut [[u32; NR]; MR],
+) {
+    match tier {
+        // SAFETY: the caller guarantees `avx512f` and `avx512vpopcntdq`.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Vpopcntq => unsafe { vpopcntq(op, k, a_panel, b_panel, acc) },
+        // SAFETY: the caller guarantees `avx2`.
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => unsafe { lane_avx2(op, k, a_panel, b_panel, acc) },
+        _ => lane(op, k, a_panel, b_panel, acc),
+    }
+}
+
+/// The [`Tier::Vpopcntq`] kernel. Memory-safe for any panel lengths (it
+/// stops at the shorter panel); only the CPU features are its caller's to
+/// check.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vpopcntdq")]
+fn vpopcntq(op: CompareOp, k: usize, a_panel: &[u64], b_panel: &[u64], acc: &mut [[u32; NR]; MR]) {
+    // `VPTERNLOGQ` looks each result bit up in an 8-bit truth table indexed
+    // by its three operands' bits; with the first operand's table `A` and
+    // the second's `B`, each operator's table is that operator applied to
+    // them, and the third operand is ignored.
+    const A: i32 = 0xF0;
+    const B: i32 = 0xCC;
+    match op {
+        CompareOp::And => vpopcntq_steps::<{ A & B }>(k, a_panel, b_panel, acc),
+        CompareOp::Xor => vpopcntq_steps::<{ A ^ B }>(k, a_panel, b_panel, acc),
+        CompareOp::AndNot => vpopcntq_steps::<{ A & !B }>(k, a_panel, b_panel, acc),
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vpopcntdq")]
+fn vpopcntq_steps<const TABLE: i32>(
+    k: usize,
+    a_panel: &[u64],
+    b_panel: &[u64],
+    acc: &mut [[u32; NR]; MR],
+) {
+    use std::arch::x86_64::*;
+    const _: () = assert!(MR * 64 == 512, "one zmm register holds the MR A lanes");
+
+    let mut sums = [_mm512_setzero_si512(); NR];
+    let (a_steps, _) = a_panel.as_chunks::<MR>();
+    let (b_steps, _) = b_panel.as_chunks::<NR>();
+    for (a, b) in a_steps.iter().zip(b_steps).take(k) {
+        // SAFETY: `a` is MR = 8 readable u64 words, one zmm; the load is
+        // unaligned.
+        let av = unsafe { _mm512_loadu_si512(a.as_ptr().cast()) };
+        for (sum, &bj) in sums.iter_mut().zip(b) {
+            let w = _mm512_ternarylogic_epi64::<TABLE>(av, _mm512_set1_epi64(bj as i64), av);
+            *sum = _mm512_add_epi64(*sum, _mm512_popcnt_epi64(w));
+        }
+    }
+    for (j, sum) in sums.into_iter().enumerate() {
+        let mut lanes = [0u64; MR];
+        // SAFETY: `lanes` is MR = 8 writable u64 words, one zmm; the store
+        // is unaligned.
+        unsafe { _mm512_storeu_si512(lanes.as_mut_ptr().cast(), sum) };
+        for (row, count) in acc.iter_mut().zip(lanes) {
+            // A lane holds at most 64·k, which the u32 tile must hold anyway.
+            row[j] += count as u32;
+        }
+    }
+}
+
+/// The [`Tier::Avx2`] kernel: [`lane`] compiled with AVX2 enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn lane_avx2(op: CompareOp, k: usize, a_panel: &[u64], b_panel: &[u64], acc: &mut [[u32; NR]; MR]) {
+    lane(op, k, a_panel, b_panel, acc)
+}
+
+/// The [`Tier::Portable`] kernel: the Harley–Seal tree of [`crate::simd`]
+/// over `W64x4` vectors, one vector per shared-dimension step holding all
+/// `NR` B lanes. Inlined so [`lane_avx2`] recompiles it.
+#[inline(always)]
+fn lane(op: CompareOp, k: usize, a_panel: &[u64], b_panel: &[u64], acc: &mut [[u32; NR]; MR]) {
     // Monomorphize per operator so the combine compiles to a single
     // instruction (AND / XOR / ANDN) in the inner loop.
     match op {
-        CompareOp::And => csa_impl(k, a_panel, b_panel, acc, |a, b| a & b),
-        CompareOp::Xor => csa_impl(k, a_panel, b_panel, acc, |a, b| a ^ b),
-        CompareOp::AndNot => csa_impl(k, a_panel, b_panel, acc, |a, b| a & !b),
+        CompareOp::And => lane_impl(k, a_panel, b_panel, acc, |a, b| a & b),
+        CompareOp::Xor => lane_impl(k, a_panel, b_panel, acc, |a, b| a ^ b),
+        CompareOp::AndNot => lane_impl(k, a_panel, b_panel, acc, |a, b| a & !b),
     }
 }
 
-/// The wide 4-lane SIMD path: the Harley–Seal tree of [`crate::simd`] over
-/// `W64x4` vectors, one vector per shared-dimension step holding all `NR`
-/// B lanes. Bit-identical to [`microkernel_csa`].
-#[cfg(feature = "simd")]
-#[inline]
-pub fn microkernel_simd(
-    op: CompareOp,
-    k: usize,
-    a_panel: &[u64],
-    b_panel: &[u64],
-    acc: &mut [[u32; NR]; MR],
-) {
-    match op {
-        CompareOp::And => simd_impl(k, a_panel, b_panel, acc, |a, b| a & b),
-        CompareOp::Xor => simd_impl(k, a_panel, b_panel, acc, |a, b| a ^ b),
-        CompareOp::AndNot => simd_impl(k, a_panel, b_panel, acc, |a, b| a & !b),
-    }
-}
-
-#[cfg(feature = "simd")]
 #[inline(always)]
-fn simd_impl(
+fn lane_impl(
     k: usize,
     a_panel: &[u64],
     b_panel: &[u64],
@@ -106,7 +243,6 @@ fn simd_impl(
 ) {
     let combine_v =
         move |a: W64x4, b: W64x4| W64x4(std::array::from_fn(|l| combine(a.0[l], b.0[l])));
-    check_panels(k, a_panel, b_panel);
     let full = k - k % CSA_BLOCK;
     for p0 in (0..full).step_by(CSA_BLOCK) {
         let a: &[u64; CSA_BLOCK * MR] = a_panel[p0 * MR..(p0 + CSA_BLOCK) * MR].try_into().unwrap();
@@ -126,9 +262,10 @@ fn simd_impl(
     scalar_steps(full, k, a_panel, b_panel, acc, combine);
 }
 
-/// The pre-CSA microkernel: one `count_ones()` per combined word. Exact same
-/// contract and results as [`microkernel`]; kept as the reference oracle and
-/// for old-vs-new benchmarking.
+/// The one-popcount-per-word loop: one `count_ones()` per combined word.
+/// Exact same contract and results as [`microkernel`]; the reference
+/// oracle every [`Tier`] is tested against, and the `scalar` side of the
+/// `cpu/microkernel` Criterion comparison.
 #[inline]
 pub fn microkernel_scalar(
     op: CompareOp,
@@ -137,10 +274,11 @@ pub fn microkernel_scalar(
     b_panel: &[u64],
     acc: &mut [[u32; NR]; MR],
 ) {
+    check_panels(k, a_panel, b_panel);
     match op {
-        CompareOp::And => scalar_impl(k, a_panel, b_panel, acc, |a, b| a & b),
-        CompareOp::Xor => scalar_impl(k, a_panel, b_panel, acc, |a, b| a ^ b),
-        CompareOp::AndNot => scalar_impl(k, a_panel, b_panel, acc, |a, b| a & !b),
+        CompareOp::And => scalar_steps(0, k, a_panel, b_panel, acc, |a, b| a & b),
+        CompareOp::Xor => scalar_steps(0, k, a_panel, b_panel, acc, |a, b| a ^ b),
+        CompareOp::AndNot => scalar_steps(0, k, a_panel, b_panel, acc, |a, b| a & !b),
     }
 }
 
@@ -158,47 +296,6 @@ fn check_panels(k: usize, a_panel: &[u64], b_panel: &[u64]) {
         b_panel.len(),
         k * NR
     );
-}
-
-#[inline(always)]
-fn csa_impl(
-    k: usize,
-    a_panel: &[u64],
-    b_panel: &[u64],
-    acc: &mut [[u32; NR]; MR],
-    combine: impl Fn(u64, u64) -> u64 + Copy,
-) {
-    check_panels(k, a_panel, b_panel);
-    let full = k - k % CSA_BLOCK;
-    #[allow(clippy::needless_range_loop)] // explicit indices keep the unrolled tile obvious
-    for p0 in (0..full).step_by(CSA_BLOCK) {
-        // One CSA_BLOCK-deep slab of both panels; fixed-size views let the
-        // compiler unroll and hoist the loads out of the (i, j) tile loops.
-        let a: &[u64; CSA_BLOCK * MR] = a_panel[p0 * MR..(p0 + CSA_BLOCK) * MR].try_into().unwrap();
-        let b: &[u64; CSA_BLOCK * NR] = b_panel[p0 * NR..(p0 + CSA_BLOCK) * NR].try_into().unwrap();
-        for i in 0..MR {
-            for j in 0..NR {
-                let words: [u64; CSA_BLOCK] =
-                    std::array::from_fn(|p| combine(a[p * MR + i], b[p * NR + j]));
-                // u32 adds are associative, so block-summing via the CSA tree
-                // is bit-identical to the scalar per-word accumulation.
-                acc[i][j] += popcount8(&words);
-            }
-        }
-    }
-    scalar_steps(full, k, a_panel, b_panel, acc, combine);
-}
-
-#[inline(always)]
-fn scalar_impl(
-    k: usize,
-    a_panel: &[u64],
-    b_panel: &[u64],
-    acc: &mut [[u32; NR]; MR],
-    combine: impl Fn(u64, u64) -> u64 + Copy,
-) {
-    check_panels(k, a_panel, b_panel);
-    scalar_steps(0, k, a_panel, b_panel, acc, combine);
 }
 
 /// Scalar accumulation of shared-dimension steps `lo..hi` (panel bounds must
@@ -317,7 +414,7 @@ mod tests {
     }
 
     #[test]
-    fn csa_path_matches_scalar_oracle() {
+    fn production_path_matches_scalar_oracle() {
         // Every k regime: below one CSA block, exact multiples, and odd
         // remainders — for all three operators.
         for k_bits in [1usize, 63, 64, 65, 7 * 64, 8 * 64, 8 * 64 + 1, 13 * 64 + 17] {

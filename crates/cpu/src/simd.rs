@@ -1,4 +1,4 @@
-//! Portable 4-lane wide popcount for the CSA microkernel (`simd` feature).
+//! Portable 4-lane wide popcount for the microkernel's lane tiers.
 //!
 //! [`W64x4`] is an explicit `u64x4`-style vector: a `#[repr(align(32))]`
 //! wrapper over `[u64; 4]` whose lane-wise bit operations and SWAR popcount
@@ -10,9 +10,9 @@
 //! Harley–Seal tree of [`popcount8_lanes`] reduces all four γ columns at
 //! once.
 //!
-//! Everything is exact bit arithmetic; the scalar CSA path remains the
-//! correctness oracle (`microkernel_csa`), and the property tests pin the
-//! two bit-identical.
+//! Everything is exact bit arithmetic; the scalar one-popcount-per-word
+//! loop (`microkernel_scalar`) remains the correctness oracle, and the
+//! property tests pin every tier bit-identical to it.
 
 /// Four 64-bit lanes, aligned to the 256-bit vector width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,9 +110,10 @@ pub fn csa_v(s: W64x4, a: W64x4, b: W64x4) -> (W64x4, W64x4) {
     (u ^ b, (s & a) | (u & b))
 }
 
-/// Population count of 8 vectors, per lane: the same Harley–Seal tree as
-/// [`snp_bitmat::csa::popcount8`], run across all four lanes at once —
-/// 4 wide popcounts instead of 32 scalar ones.
+/// Population count of 8 vectors, per lane, through a Harley–Seal
+/// carry-save adder tree: the eight words of each lane are reduced
+/// bit-column-wise to weight-1/2/4/8 counters and only those are
+/// popcounted — 4 wide popcounts instead of 32 scalar ones.
 #[inline(always)]
 pub fn popcount8_lanes(w: &[W64x4; 8]) -> [u32; 4] {
     let (a1, c1) = half_v(w[0], w[1]);
@@ -168,16 +169,17 @@ mod tests {
     }
 
     #[test]
-    fn popcount8_lanes_matches_scalar_tree() {
+    fn popcount8_lanes_matches_count_ones() {
         let words: Vec<u64> = stream(23).take(8 * 4 * 50).collect();
         for chunk in words.chunks_exact(8 * 4) {
             let w: [W64x4; 8] = std::array::from_fn(|p| W64x4::load(&chunk[p * 4..]));
             let got = popcount8_lanes(&w);
             for (l, &g) in got.iter().enumerate() {
-                let lane: [u64; 8] = std::array::from_fn(|p| w[p].0[l]);
-                assert_eq!(g, snp_bitmat::csa::popcount8(&lane), "lane {l}");
+                let want: u32 = w.iter().map(|v| v.0[l].count_ones()).sum();
+                assert_eq!(g, want, "lane {l}");
             }
         }
+        assert_eq!(popcount8_lanes(&[W64x4::splat(u64::MAX); 8]), [8 * 64; 4]);
     }
 
     #[test]

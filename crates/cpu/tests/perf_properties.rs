@@ -1,8 +1,8 @@
 //! Property tests of the throughput-critical CPU paths.
 //!
-//! The CSA microkernel, the scalar oracle, and the bit-level reference must
-//! agree on arbitrary inputs (all three operators, every `k % CSA_BLOCK`
-//! remainder, padded panels), and both shape-aware parallel schedules must
+//! The production microkernel, the scalar oracle, and the bit-level
+//! reference must agree on arbitrary inputs (all three operators, every
+//! `k % CSA_BLOCK` remainder, padded panels), and both shape-aware parallel schedules must
 //! be bit-identical to the sequential loop nest on both the paper's problem
 //! shapes (square LD, wide FastID).
 
@@ -39,10 +39,11 @@ fn bitmat(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// CSA path == scalar oracle == reference, including padded panel lanes
-    /// (fewer logical rows than MR/NR) and every k remainder class.
+    /// Production path == scalar oracle == reference, including padded
+    /// panel lanes (fewer logical rows than MR/NR) and every k remainder
+    /// class.
     #[test]
-    fn csa_equals_scalar_equals_reference(
+    fn production_equals_scalar_equals_reference(
         rows_a in 1usize..=MR,
         rows_b in 1usize..=NR,
         k_bits in 1usize..1100,
@@ -63,7 +64,7 @@ proptest! {
         microkernel(op, pa.k(), pa.panel(0), pb.panel(0), &mut fast);
         let mut oracle = zero_tile();
         microkernel_scalar(op, pa.k(), pa.panel(0), pb.panel(0), &mut oracle);
-        prop_assert_eq!(fast, oracle, "CSA vs scalar, op {}, k_bits {}", op, k_bits);
+        prop_assert_eq!(fast, oracle, "production vs scalar, op {}, k_bits {}", op, k_bits);
         let want = reference_gamma(&a, &b, op);
         for (i, lane) in fast.iter().enumerate().take(rows_a) {
             for (j, &got) in lane.iter().enumerate().take(rows_b) {

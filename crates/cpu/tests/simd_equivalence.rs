@@ -1,54 +1,100 @@
-//! The SIMD, scalar-CSA, and one-popcount-per-word microkernel paths must be
-//! bit-identical on every operator, shape, and seed: the wide lane is a pure
-//! performance transformation.
+//! Every popcount tier this host supports must be bit-identical to the
+//! one-popcount-per-word oracle on every operator, shared-dimension length
+//! and bit pattern: the tiers are pure performance transformations.
 
 use proptest::prelude::*;
-use snp_bitmat::{BitMatrix, CompareOp, PackedPanels};
+use snp_bitmat::CompareOp;
 use snp_cpu::blocking::{MR, NR};
-use snp_cpu::microkernel::{microkernel, microkernel_csa, microkernel_scalar, zero_tile};
+use snp_cpu::microkernel::{microkernel, microkernel_scalar, microkernel_tier, zero_tile, Tier};
 
-fn random_panel(rows: usize, k_bits: usize, seed: u64) -> BitMatrix<u64> {
-    BitMatrix::<u64>::from_fn(rows, k_bits, |r, c| {
-        let x = (r as u64)
-            .wrapping_mul(0x9E3779B97F4A7C15)
-            .wrapping_add((c as u64).wrapping_mul(0xD1B54A32D192ED03))
-            .wrapping_add(seed);
-        (x ^ (x >> 31)).wrapping_mul(0xBF58476D1CE4E5B9) & 1 == 1
-    })
+/// SplitMix64 words; `fill` picks random, sparse, dense or all-ones bits.
+fn words(n: usize, seed: u64, fill: usize) -> Vec<u64> {
+    let mut x = seed;
+    let mut next = move || {
+        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    (0..n)
+        .map(|_| match fill {
+            0 => next(),
+            1 => next() & next() & next(),
+            2 => next() | next() | next(),
+            _ => u64::MAX,
+        })
+        .collect()
+}
+
+fn available_tiers() -> Vec<Tier> {
+    Tier::ALL.into_iter().filter(|t| t.available()).collect()
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Random shared-dimension lengths hit every k regime (below one CSA
-    /// block, multiples, odd remainders); every operator; random bits.
+    /// k from 0 to 24 words (0–1536 bits) covers every `k % 8` remainder of
+    /// the lane tiers' 8-step tree; the tile starts non-zero so the
+    /// accumulation is checked too.
     #[test]
-    fn all_microkernel_paths_agree(
-        k_bits in 1usize..1400,
+    fn every_available_tier_matches_the_scalar_oracle(
+        k in 0usize..=24,
         op_i in 0usize..3,
-        seed in 0u64..1u64 << 48,
+        seed in any::<u64>(),
+        fill in 0usize..4,
     ) {
         let op = CompareOp::ALL[op_i];
-        let a = random_panel(MR, k_bits, seed);
-        let b = random_panel(NR, k_bits, seed ^ 0xDEADBEEF);
-        let pa = PackedPanels::pack_all(&a, MR);
-        let pb = PackedPanels::pack_all(&b, NR);
+        let a = words(k * MR, seed, fill);
+        let b = words(k * NR, !seed, fill);
+        let start: [[u32; NR]; MR] =
+            std::array::from_fn(|i| std::array::from_fn(|j| (seed >> (i * NR + j)) as u32 & 0xFFFF));
 
-        let mut production = zero_tile();
-        microkernel(op, pa.k(), pa.panel(0), pb.panel(0), &mut production);
-        let mut csa = zero_tile();
-        microkernel_csa(op, pa.k(), pa.panel(0), pb.panel(0), &mut csa);
-        let mut scalar = zero_tile();
-        microkernel_scalar(op, pa.k(), pa.panel(0), pb.panel(0), &mut scalar);
-
-        prop_assert_eq!(csa, scalar, "csa vs scalar, op {}, k_bits {}", op, k_bits);
-        prop_assert_eq!(production, scalar, "production vs scalar, op {}, k_bits {}", op, k_bits);
-
-        #[cfg(feature = "simd")]
-        {
-            let mut simd = zero_tile();
-            snp_cpu::microkernel::microkernel_simd(op, pa.k(), pa.panel(0), pb.panel(0), &mut simd);
-            prop_assert_eq!(simd, scalar, "simd vs scalar, op {}, k_bits {}", op, k_bits);
+        let mut oracle = start;
+        microkernel_scalar(op, k, &a, &b, &mut oracle);
+        for tier in available_tiers() {
+            let mut got = start;
+            microkernel_tier(tier, op, k, &a, &b, &mut got);
+            prop_assert_eq!(got, oracle, "tier {}, op {}, k {} words", tier, op, k);
         }
+        let mut production = start;
+        microkernel(op, k, &a, &b, &mut production);
+        prop_assert_eq!(production, oracle, "production ({}), op {}", Tier::detected(), op);
     }
+}
+
+#[test]
+fn detected_tier_is_the_fastest_available() {
+    assert_eq!(Some(&Tier::detected()), available_tiers().first());
+    assert!(Tier::Portable.available());
+}
+
+fn short_a_panel(tier: Tier) {
+    let mut acc = zero_tile();
+    microkernel_tier(
+        tier,
+        CompareOp::And,
+        2,
+        &[0u64; MR],
+        &[0u64; 2 * NR],
+        &mut acc,
+    );
+}
+
+#[test]
+#[should_panic(expected = "A panel too short")]
+fn vpopcntq_rejects_a_short_a_panel() {
+    short_a_panel(Tier::Vpopcntq);
+}
+
+#[test]
+#[should_panic(expected = "A panel too short")]
+fn avx2_rejects_a_short_a_panel() {
+    short_a_panel(Tier::Avx2);
+}
+
+#[test]
+#[should_panic(expected = "A panel too short")]
+fn portable_rejects_a_short_a_panel() {
+    short_a_panel(Tier::Portable);
 }

@@ -7,12 +7,16 @@
 //! with `std::thread::scope` worker pools. Work items are distributed
 //! dynamically (an atomic cursor over the item list), so uneven chunk costs
 //! balance across threads just as with rayon's work stealing, only at chunk
-//! granularity. Panics inside tasks propagate to the caller, matching rayon.
+//! granularity. A panicking task stops the hand-out of further items, and
+//! the first panic resumes on the caller with its own payload once every
+//! worker has stopped, matching rayon.
 //!
 //! Swapping the real crate back in requires only a `Cargo.toml` change.
 
 #![warn(missing_docs)]
 
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -33,6 +37,11 @@ pub fn current_num_threads() -> usize {
 /// threads. Items are handed out through a shared cursor, so the assignment
 /// of items to threads is dynamic; `f` must therefore be safe to call
 /// concurrently from several threads.
+///
+/// A task's panic is caught on its worker: the cursor jumps past the end so
+/// no further items are handed out, and once the scope has joined, the
+/// first payload resumes on the caller. `std::thread::scope` would
+/// otherwise replace it with "a scoped thread panicked".
 fn run_parallel<T: Send, F: Fn(T) + Sync>(items: Vec<T>, f: F) {
     let threads = current_num_threads().min(items.len());
     if threads <= 1 {
@@ -43,9 +52,11 @@ fn run_parallel<T: Send, F: Fn(T) + Sync>(items: Vec<T>, f: F) {
     }
     let queue: Vec<Mutex<Option<T>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
     let cursor = AtomicUsize::new(0);
+    let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
     let f = &f;
     let queue = &queue;
     let cursor = &cursor;
+    let first_panic = &first_panic;
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(move || loop {
@@ -58,10 +69,23 @@ fn run_parallel<T: Send, F: Fn(T) + Sync>(items: Vec<T>, f: F) {
                     .unwrap_or_else(|e| e.into_inner())
                     .take()
                     .expect("each slot is taken exactly once");
-                f(item);
+                if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| f(item))) {
+                    // Relaxed: the cursor only stops the hand-out; the
+                    // payload travels through the mutex and the scope join.
+                    cursor.store(queue.len(), Ordering::Relaxed);
+                    first_panic
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .get_or_insert(payload);
+                    break;
+                }
             });
         }
     });
+    let payload = first_panic.lock().unwrap_or_else(|e| e.into_inner()).take();
+    if let Some(payload) = payload {
+        panic::resume_unwind(payload);
+    }
 }
 
 /// A finite, already-materialized parallel iterator (all adaptors collect
@@ -229,5 +253,22 @@ mod tests {
                 panic!("boom");
             }
         });
+    }
+
+    #[test]
+    fn a_task_panic_resumes_with_its_own_payload() {
+        let caught = std::panic::catch_unwind(|| {
+            let _: Vec<usize> = (0..64usize)
+                .into_par_iter()
+                .map(|i| {
+                    if i == 3 {
+                        std::panic::panic_any(i);
+                    }
+                    i
+                })
+                .collect();
+        })
+        .expect_err("the task's panic must reach the caller");
+        assert_eq!(caught.downcast_ref::<usize>(), Some(&3));
     }
 }
