@@ -4,9 +4,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use snp_bitmat::{CompareOp, CountMatrix, PackedPanels};
 use snp_cpu::blocking::{MR, NR};
-use snp_cpu::microkernel::{microkernel, microkernel_scalar, zero_tile};
-use snp_cpu::parallel::gamma_parallel_into_scheduled;
-use snp_cpu::{CpuBlocking, CpuEngine, ParallelSchedule};
+use snp_cpu::microkernel::{microkernel, microkernel_scalar, zero_tile, BView};
+use snp_cpu::parallel::gamma_parallel_into;
+use snp_cpu::{CpuBlocking, CpuEngine};
 use snp_popgen::random_dense;
 use std::hint::black_box;
 
@@ -47,7 +47,7 @@ fn bench_microkernel(c: &mut Criterion) {
                     op,
                     pa.k(),
                     black_box(pa.panel(0)),
-                    black_box(pb.panel(0)),
+                    BView::packed(black_box(pb.panel(0))),
                     &mut acc,
                 );
                 black_box(acc)
@@ -58,7 +58,7 @@ fn bench_microkernel(c: &mut Criterion) {
 }
 
 fn bench_schedules(c: &mut Criterion) {
-    // Row-block vs column-strip scheduling on the shape each was built for.
+    // The parallel tile schedule on the paper's two shapes.
     let mut g = c.benchmark_group("cpu/schedule");
     g.sample_size(10);
     let blocking = CpuBlocking::default_params();
@@ -76,22 +76,19 @@ fn bench_schedules(c: &mut Criterion) {
     ];
     for (name, a, b) in &cases {
         g.throughput(Throughput::Elements(word_ops(a.rows(), b.rows(), 1024)));
-        for schedule in [ParallelSchedule::RowBlocks, ParallelSchedule::ColumnStrips] {
-            g.bench_function(BenchmarkId::new(*name, format!("{schedule:?}")), |bench| {
-                bench.iter(|| {
-                    let mut cmat = CountMatrix::zeros(a.rows(), b.rows());
-                    gamma_parallel_into_scheduled(
-                        black_box(a),
-                        black_box(b),
-                        CompareOp::Xor,
-                        &blocking,
-                        &mut cmat,
-                        schedule,
-                    );
-                    black_box(cmat)
-                })
-            });
-        }
+        g.bench_function(*name, |bench| {
+            bench.iter(|| {
+                let mut cmat = CountMatrix::zeros(a.rows(), b.rows());
+                gamma_parallel_into(
+                    black_box(a),
+                    black_box(b),
+                    CompareOp::Xor,
+                    &blocking,
+                    &mut cmat,
+                );
+                black_box(cmat)
+            })
+        });
     }
     g.finish();
     // Scheduling behavior is aggregated process-wide in the metrics registry

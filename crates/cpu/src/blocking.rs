@@ -19,7 +19,7 @@ pub struct CpuBlocking {
     pub k_c: usize,
     /// A-block rows per cache block (Ã resident in L2).
     pub m_c: usize,
-    /// B-block columns per outermost block (B̃ resident in L3).
+    /// Widest tile of γ, in columns (its `n_c × k_c` B block: half of L3).
     pub n_c: usize,
 }
 
@@ -74,7 +74,7 @@ impl CpuBlocking {
     /// * `k_c`: the `m_r × k_c` A panel plus `n_r × k_c` B panel fill half
     ///   of L1;
     /// * `m_c`: the `m_c × k_c` packed Ã fills half of L2;
-    /// * `n_c`: the `n_c × k_c` packed B̃ fills half of L3.
+    /// * `n_c`: the `n_c × k_c` block of B a tile reads fills half of L3.
     pub fn from_caches(c: CacheParams) -> Self {
         let k_c = (c.l1_bytes / 2 / ((MR + NR) * c.word_bytes)).max(16);
         let m_c = (c.l2_bytes / 2 / (k_c * c.word_bytes))

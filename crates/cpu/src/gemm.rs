@@ -1,28 +1,31 @@
-//! The five-loop blocked popcount-GEMM (sequential core).
+//! The blocked popcount-GEMM loop nest, shared by every schedule.
 //!
 //! Loop structure after BLIS (paper Fig. 3), computing
 //! `γ (m × n) += A (m × K) ⋄ Bᵀ` where both inputs store one sequence per
-//! row over `K` packed words:
+//! row over `K` packed words. γ is cut into tiles, each one task of a
+//! schedule (sequential here, parallel in [`crate::parallel`]):
 //!
 //! ```text
-//! 5th loop:  jc over n in steps of n_c        (B̃ block fits L3)
-//! 4th loop:  pc over K in steps of k_c        (pack B̃: n_c × k_c, NR panels)
-//! 3rd loop:  ic over m in steps of m_c        (pack Ã: m_c × k_c, MR panels)
-//! 2nd loop:  jr over B̃ panels (n_r = NR)
-//! 1st loop:  ir over Ã panels (m_r = MR)
+//! tiles:       m_c rows × ≤ n_c NR-aligned columns of γ  (one task each)
+//! pc loop:     K in steps of k_c      (Ã: m_c × k_c blocks, packed once per run)
+//! ir loop:     the block's Ã panels (m_r = MR)
+//! jr loop:     the tile's NR-row panels of B                (read in place)
 //! microkernel: MR × NR popcount accumulation over k_c words
 //! ```
 //!
-//! Edge tiles are handled by the packers' zero padding; the writeback clips
-//! to the logical matrix. Accumulation across `pc` blocks happens directly
-//! in `γ`, so the routine *adds into* its output.
+//! B is never packed: the microkernel reads `NR` rows of the matrix where
+//! they are ([`BView::rows`]). Only the last `n % NR` rows, which do not
+//! fill a panel, go through a zero-padded [`PackedPanels`]. Edge panels of
+//! Ã are zero-padded by the packer, and the writeback clips to the tile.
+//! Each tile adds straight into its own row segments of `γ`, so the
+//! routines *add into* their output.
 
 use snp_bitmat::{BitMatrix, CompareOp, CountMatrix, PackedPanels};
 
 use crate::blocking::{CpuBlocking, MR, NR};
-use crate::microkernel::{microkernel, zero_tile};
+use crate::microkernel::{microkernel_view, zero_tile, BView};
 
-/// Adds `A ⋄ Bᵀ` into `c` using the blocked algorithm.
+/// Adds `A ⋄ Bᵀ` into `c` using the blocked algorithm on one thread.
 ///
 /// Panics if shapes disagree (`a`, `b` must share `words_per_row`; `c` must
 /// be `a.rows() × b.rows()`), or if `blocking` is invalid.
@@ -34,20 +37,9 @@ pub fn gamma_blocked_into(
     c: &mut CountMatrix,
 ) {
     check_shapes(a, b, c, blocking);
-    let (m, n, k_words) = (a.rows(), b.rows(), a.words_per_row());
-    let cols = c.cols();
-    for jc in (0..n).step_by(blocking.n_c) {
-        let n_blk = blocking.n_c.min(n - jc);
-        for pc in (0..k_words).step_by(blocking.k_c) {
-            let k_blk = blocking.k_c.min(k_words - pc);
-            let b_pack = PackedPanels::pack(b, jc, jc + n_blk, pc, pc + k_blk, NR);
-            for ic in (0..m).step_by(blocking.m_c) {
-                let m_blk = blocking.m_c.min(m - ic);
-                let a_pack = PackedPanels::pack(a, ic, ic + m_blk, pc, pc + k_blk, MR);
-                let rows = &mut c.as_mut_slice()[ic * cols..(ic + m_blk) * cols];
-                macro_kernel(op, &a_pack, &b_pack, rows, m_blk, cols, jc, n_blk);
-            }
-        }
+    let a_packs = pack_a(a, blocking);
+    for mut tile in tiles(c, blocking, 1, |_| 0) {
+        run_tile(op, &a_packs, b, &mut tile);
     }
 }
 
@@ -63,40 +55,116 @@ pub fn gamma_blocked(
     c
 }
 
-/// The macro-kernel: loops 1–2 over the packed panels, adding each
-/// microkernel tile into the (row-major) `c_rows` slice, which covers
-/// `m_blk` full rows of γ starting at block-local row 0; the block's columns
-/// start at `jc` and span `n_blk`.
-#[allow(clippy::too_many_arguments)] // mirrors the BLIS macro-kernel signature
-pub(crate) fn macro_kernel(
-    op: CompareOp,
-    a_pack: &PackedPanels<u64>,
-    b_pack: &PackedPanels<u64>,
-    c_rows: &mut [u32],
-    m_blk: usize,
-    cols: usize,
-    jc: usize,
-    n_blk: usize,
-) {
-    debug_assert_eq!(a_pack.k(), b_pack.k());
-    let k = a_pack.k();
-    for jp in 0..b_pack.panels() {
-        let j0 = jp * NR;
-        for ip in 0..a_pack.panels() {
-            let i0 = ip * MR;
-            let mut acc = zero_tile();
-            microkernel(op, k, a_pack.panel(ip), b_pack.panel(jp), &mut acc);
-            let i_max = MR.min(m_blk - i0.min(m_blk));
-            let j_max = NR.min(n_blk - j0.min(n_blk));
-            for (i, acc_row) in acc.iter().enumerate().take(i_max) {
-                let row = i0 + i;
-                let base = row * cols + jc + j0;
-                let out = &mut c_rows[base..base + j_max];
-                for (o, &v) in out.iter_mut().zip(acc_row.iter()) {
-                    *o += v;
-                }
+/// One tile of `γ`: columns `jc..jc + n_blk` of the rows of row block
+/// `blk` (rows `blk·m_c..`), held as one mutable segment per row.
+pub(crate) struct Tile<'c> {
+    pub(crate) blk: usize,
+    pub(crate) jc: usize,
+    pub(crate) n_blk: usize,
+    pub(crate) rows: Vec<&'c mut [u32]>,
+}
+
+/// Cuts `c` into tiles. Row block `blk` covers columns `first_col(blk)..n`,
+/// split into the fewest NR-aligned ranges of at most `n_c` columns, or
+/// into more where that gives fewer than `min_tiles` tiles overall. The
+/// ranges of one row block differ in width by at most `NR`.
+pub(crate) fn tiles<'c>(
+    c: &'c mut CountMatrix,
+    blocking: &CpuBlocking,
+    min_tiles: usize,
+    first_col: impl Fn(usize) -> usize,
+) -> Vec<Tile<'c>> {
+    let (m, n) = (c.rows(), c.cols());
+    let per_block = min_tiles.div_ceil(m.div_ceil(blocking.m_c).max(1));
+    let mut tiles = Vec::new();
+    let block_len = (blocking.m_c * n).max(1); // `chunks_mut` needs it non-zero
+    for (blk, block) in c.as_mut_slice().chunks_mut(block_len).enumerate() {
+        let lo = first_col(blk);
+        let panels = (n - lo).div_ceil(NR);
+        let splits = (n - lo).div_ceil(blocking.n_c).max(per_block).min(panels);
+        let first = tiles.len();
+        tiles.extend((0..splits).map(|t| {
+            let jc = lo + t * panels / splits * NR;
+            let end = (lo + (t + 1) * panels / splits * NR).min(n);
+            Tile {
+                blk,
+                jc,
+                n_blk: end - jc,
+                rows: Vec::with_capacity(blocking.m_c),
+            }
+        }));
+        for row in block.chunks_mut(n) {
+            let mut rest = &mut row[lo..];
+            for tile in &mut tiles[first..] {
+                let (seg, tail) = std::mem::take(&mut rest).split_at_mut(tile.n_blk);
+                tile.rows.push(seg);
+                rest = tail;
             }
         }
+    }
+    tiles
+}
+
+/// Packs Ã for a whole run, `pc`-major: entry `[p][blk]` is the
+/// `m_c × k_c` block of row block `blk` at `pc = p·k_c`, packed once and
+/// shared by every tile of that row block.
+pub(crate) fn pack_a(a: &BitMatrix<u64>, blocking: &CpuBlocking) -> Vec<Vec<PackedPanels<u64>>> {
+    let (m, k_words) = (a.rows(), a.words_per_row());
+    (0..k_words)
+        .step_by(blocking.k_c)
+        .map(|pc| {
+            let pk = (pc + blocking.k_c).min(k_words);
+            (0..m)
+                .step_by(blocking.m_c)
+                .map(|ic| PackedPanels::pack(a, ic, (ic + blocking.m_c).min(m), pc, pk, MR))
+                .collect()
+        })
+        .collect()
+}
+
+/// Adds one tile's share of `A ⋄ Bᵀ` into its row segments: loops 1–2
+/// for each `k_c` block, with the Ã panel loop outside the B panel loop.
+/// One `MR × k_c` Ã panel stays in L1 while B's `NR`-row panels stream
+/// past it in place, so each panel's `MR` row segments of γ are fetched
+/// once. A ragged last B panel is packed zero-padded first.
+pub(crate) fn run_tile(
+    op: CompareOp,
+    a_packs: &[Vec<PackedPanels<u64>>],
+    b: &BitMatrix<u64>,
+    tile: &mut Tile<'_>,
+) {
+    let (jc, n_blk) = (tile.jc, tile.n_blk);
+    let full = n_blk - n_blk % NR;
+    let mut pc = 0;
+    for blocks in a_packs {
+        let a_pack = &blocks[tile.blk];
+        let k = a_pack.k();
+        let tail =
+            (full < n_blk).then(|| PackedPanels::pack(b, jc + full, jc + n_blk, pc, pc + k, NR));
+        for (ip, segs) in tile.rows.chunks_mut(MR).enumerate() {
+            let a_panel = a_pack.panel(ip);
+            let mut add = |j0: usize, panel: BView<'_>| {
+                let mut acc = zero_tile();
+                microkernel_view(op, k, a_panel, panel, &mut acc);
+                for (row, acc_row) in segs.iter_mut().zip(&acc) {
+                    // A whole panel adds NR columns, the ragged last fewer.
+                    let out = match row.get_mut(j0..j0 + NR) {
+                        Some(out) => out,
+                        None => &mut row[j0..],
+                    };
+                    for (o, &v) in out.iter_mut().zip(acc_row) {
+                        *o += v;
+                    }
+                }
+            };
+            for j0 in (0..full).step_by(NR) {
+                add(j0, BView::rows(b, jc + j0, pc));
+            }
+            if let Some(t) = &tail {
+                add(full, BView::packed(t.panel(0)));
+            }
+        }
+        pc += k;
     }
 }
 
@@ -106,27 +174,10 @@ pub(crate) fn check_shapes(
     c: &CountMatrix,
     blocking: &CpuBlocking,
 ) {
-    assert_eq!(
-        a.words_per_row(),
-        b.words_per_row(),
-        "operands disagree on packed width: {} vs {}",
-        a.words_per_row(),
-        b.words_per_row()
-    );
-    assert_eq!(
-        c.rows(),
-        a.rows(),
-        "output rows {} != A rows {}",
-        c.rows(),
-        a.rows()
-    );
-    assert_eq!(
-        c.cols(),
-        b.rows(),
-        "output cols {} != B rows {}",
-        c.cols(),
-        b.rows()
-    );
+    let (wa, wb) = (a.words_per_row(), b.words_per_row());
+    assert_eq!(wa, wb, "operands disagree on packed width: {wa} vs {wb}");
+    let (shape, want) = ((c.rows(), c.cols()), (a.rows(), b.rows()));
+    assert_eq!(shape, want, "output must be A rows × B rows");
     let viol = blocking.violations();
     assert!(viol.is_empty(), "invalid blocking: {viol:?}");
 }

@@ -4,9 +4,8 @@
 //! builds on (Alachiotis et al. \[11\], paper §III): the BLIS five-loop
 //! blocked matrix multiplication with the floating-point microkernel
 //! replaced by the three-instruction popcount sequence
-//! `γ += POPC(a ⋄ b)` over packed 64-bit words. The second and third loops
-//! are parallelized across cores with rayon, mirroring \[11\]'s
-//! parallelization.
+//! `γ += POPC(a ⋄ b)` over 64-bit words. A is packed, B is read in place,
+//! and rayon runs tiles of γ, cut to fit any shape, across cores.
 //!
 //! This is both a real, runnable engine (benchmarked with Criterion in
 //! `snp-bench`) and the correctness oracle the simulated GPU kernels are
@@ -17,7 +16,8 @@
 //! * [`CpuBlocking`] — cache-derived blocking parameters (Low et al. \[21\]);
 //! * [`microkernel`] — the architecture-specific inner kernel, on the
 //!   host's fastest popcount instruction chosen at run time;
-//! * [`gemm`] / [`parallel`] — the sequential and multithreaded loop nests.
+//! * [`gemm`] / [`parallel`] — the tile loop nest, on one thread and on the
+//!   rayon pool.
 
 #![warn(missing_docs)]
 

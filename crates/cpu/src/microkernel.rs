@@ -3,9 +3,10 @@
 //! The entire architecture-specific part of the CPU engine, exactly as in
 //! \[11\]: an `MR × NR` block of `γ` accumulators updated along the shared
 //! dimension with the three-instruction sequence
-//! `γ += POPC(a ⋄ b)` (paper §III). The operands arrive as packed panels
-//! (word-major, produced by [`snp_bitmat::PackedPanels`]) so every access is
-//! unit-stride.
+//! `γ += POPC(a ⋄ b)` (paper §III). A arrives as a packed panel (word-major,
+//! produced by [`snp_bitmat::PackedPanels`]). B arrives as a strided
+//! [`BView`], so the loop nests can hand over `NR` rows of a
+//! [`BitMatrix`] where they already are, or a packed panel.
 //!
 //! [`microkernel`] is the production path. The release build targets
 //! baseline x86-64, where `count_ones()` lowers to a SWAR sequence, so the
@@ -14,23 +15,28 @@
 //!
 //! * [`Tier::Vpopcntq`] — AVX-512 `VPOPCNTQ`. One zmm register holds the
 //!   `MR` A words of a shared-dimension step; each of the `NR` B words is
-//!   broadcast, combined with it by one `VPTERNLOGQ`, popcounted by one
-//!   `VPOPCNTQ` and added into its own u64 zmm accumulator. The four
-//!   accumulators are added into the u32 tile once per call.
+//!   broadcast straight from the view, combined with it by one
+//!   `VPTERNLOGQ`, popcounted by one `VPOPCNTQ` and added into its own u64
+//!   zmm accumulator. The four accumulators are added into the u32 tile
+//!   once per call.
 //! * [`Tier::Avx2`] — the 4-lane Harley–Seal tree of [`crate::simd`]
 //!   compiled with AVX2 enabled, so one [`W64x4`] is one ymm register.
 //! * [`Tier::Portable`] — the same tree as compiled for the build target;
 //!   the only tier on targets other than x86-64.
 //!
-//! Both lane tiers run full [`CSA_BLOCK`]-deep slabs through the tree and
-//! the `k % CSA_BLOCK` remainder through the scalar loop.
+//! Both lane tiers copy each [`CSA_BLOCK`]-deep slab of the view into a
+//! local packed array, run it through the tree, and run the
+//! `k % CSA_BLOCK` remainder through the scalar loop.
 //!
-//! [`microkernel_scalar`], one `count_ones()` per combined word, is the
-//! oracle every tier is tested against through [`microkernel_tier`].
+//! Every entry point asserts that the operands cover `k` steps before it
+//! enters `unsafe`; the tiers then read B without per-word bounds checks.
+//! [`microkernel_scalar`], one `count_ones()` per combined word in safe
+//! code, is the oracle every tier is tested against through
+//! [`microkernel_tier`].
 
 use std::sync::OnceLock;
 
-use snp_bitmat::CompareOp;
+use snp_bitmat::{BitMatrix, CompareOp};
 
 use crate::blocking::{MR, NR};
 use crate::simd::{popcount8_lanes, W64x4};
@@ -94,8 +100,75 @@ impl std::fmt::Display for Tier {
     }
 }
 
+/// The `NR` rows of B one microkernel call reads: word `p` of row `j` is
+/// `words[j·row_stride + p·word_stride]`.
+///
+/// A packed panel is the view with strides 1 and `NR`
+/// ([`BView::packed`]); rows of a [`BitMatrix`] read in place have strides
+/// `words_per_row` and 1 ([`BView::rows`]). A view may be shorter than any
+/// `k`: each microkernel call asserts that it covers that call's `k` steps.
+#[derive(Debug, Clone, Copy)]
+pub struct BView<'a> {
+    words: &'a [u64],
+    row_stride: usize,
+    word_stride: usize,
+}
+
+impl<'a> BView<'a> {
+    /// The view of `words` with the given strides.
+    pub fn new(words: &'a [u64], row_stride: usize, word_stride: usize) -> Self {
+        BView {
+            words,
+            row_stride,
+            word_stride,
+        }
+    }
+
+    /// A packed panel: word `p` of row `j` at `panel[p·NR + j]`.
+    pub fn packed(panel: &'a [u64]) -> Self {
+        Self::new(panel, 1, NR)
+    }
+
+    /// Rows `row..row + NR` of `m` from word `word` on, read in place.
+    ///
+    /// Panics if `row` and `word` lie past the end of `m`.
+    pub fn rows(m: &'a BitMatrix<u64>, row: usize, word: usize) -> Self {
+        let wpr = m.words_per_row();
+        Self::new(&m.words()[row * wpr + word..], wpr, 1)
+    }
+
+    /// Whether word `k − 1` of row `NR − 1`, the last one `k` steps read,
+    /// lies inside the view (every view covers `k = 0`).
+    fn covers(&self, k: usize) -> bool {
+        k == 0
+            || (NR - 1)
+                .checked_mul(self.row_stride)
+                .zip((k - 1).checked_mul(self.word_stride))
+                .and_then(|(row, word)| row.checked_add(word))
+                .is_some_and(|last| last < self.words.len())
+    }
+
+    /// Word `p` of row `j`, without a bounds check.
+    ///
+    /// # Safety
+    ///
+    /// `j < NR`, and `self.covers(k)` for some `k > p`.
+    #[inline(always)]
+    unsafe fn get_unchecked(&self, j: usize, p: usize) -> u64 {
+        // SAFETY: with j ≤ NR − 1 and p ≤ k − 1, the index is at most the
+        // last word `covers(k)` found inside `words`, and computing that
+        // word did not overflow, so neither does this index.
+        unsafe {
+            *self
+                .words
+                .get_unchecked(j * self.row_stride + p * self.word_stride)
+        }
+    }
+}
+
 /// Computes `acc[i][j] += Σ_p popc(op(a_panel[p·MR + i], b_panel[p·NR + j]))`
-/// for `p` in `0..k`, on the [`Tier::detected`] popcount instruction.
+/// for `p` in `0..k`, on the [`Tier::detected`] popcount instruction: the
+/// packed-panel case of [`microkernel_view`].
 ///
 /// `a_panel` must hold `k × MR` words, `b_panel` `k × NR` words.
 #[inline]
@@ -106,83 +179,107 @@ pub fn microkernel(
     b_panel: &[u64],
     acc: &mut [[u32; NR]; MR],
 ) {
-    check_panels(k, a_panel, b_panel);
-    // SAFETY: `Tier::detected` returns only a tier this CPU supports.
-    unsafe { dispatch(Tier::detected(), op, k, a_panel, b_panel, acc) }
+    microkernel_view(op, k, a_panel, BView::packed(b_panel), acc)
 }
 
-/// [`microkernel`] on a chosen tier: the seam that lets tests run every
-/// tier the host supports against [`microkernel_scalar`].
+/// Computes `acc[i][j] += Σ_p popc(op(a_panel[p·MR + i], b(j, p)))` for `p`
+/// in `0..k`, where `b(j, p)` is word `p` of row `j` of the view, on the
+/// [`Tier::detected`] popcount instruction.
 ///
-/// Panics if the panels are too short for `k`, or if this CPU cannot run
+/// Panics if `a_panel` holds fewer than `k × MR` words or `b` does not
+/// cover `k` steps.
+#[inline]
+pub fn microkernel_view(
+    op: CompareOp,
+    k: usize,
+    a_panel: &[u64],
+    b: BView<'_>,
+    acc: &mut [[u32; NR]; MR],
+) {
+    check_operands(k, a_panel, &b);
+    // SAFETY: `Tier::detected` returns only a tier this CPU supports, and
+    // `check_operands` asserted that `b` covers `k` steps.
+    unsafe { dispatch(Tier::detected(), op, k, a_panel, b, acc) }
+}
+
+/// [`microkernel_view`] on a chosen tier: the seam that lets tests run
+/// every tier the host supports against [`microkernel_scalar`].
+///
+/// Panics if the operands are too short for `k`, or if this CPU cannot run
 /// `tier`.
 pub fn microkernel_tier(
     tier: Tier,
     op: CompareOp,
     k: usize,
     a_panel: &[u64],
-    b_panel: &[u64],
+    b: BView<'_>,
     acc: &mut [[u32; NR]; MR],
 ) {
-    check_panels(k, a_panel, b_panel);
+    check_operands(k, a_panel, &b);
     assert!(
         tier.available(),
         "popcount tier {tier} is not available on this CPU"
     );
-    // SAFETY: the assert above checked that this CPU supports `tier`.
-    unsafe { dispatch(tier, op, k, a_panel, b_panel, acc) }
+    // SAFETY: the asserts above checked that this CPU supports `tier` and
+    // that `b` covers `k` steps.
+    unsafe { dispatch(tier, op, k, a_panel, b, acc) }
 }
 
 /// Runs one microkernel call on `tier`.
 ///
 /// # Safety
 ///
-/// This CPU must support `tier` ([`Tier::available`]).
+/// This CPU must support `tier` ([`Tier::available`]), and `b` must cover
+/// `k` steps ([`BView::covers`]).
 #[inline(always)]
 unsafe fn dispatch(
     tier: Tier,
     op: CompareOp,
     k: usize,
     a_panel: &[u64],
-    b_panel: &[u64],
+    b: BView<'_>,
     acc: &mut [[u32; NR]; MR],
 ) {
     match tier {
-        // SAFETY: the caller guarantees `avx512f` and `avx512vpopcntdq`.
         #[cfg(target_arch = "x86_64")]
-        Tier::Vpopcntq => unsafe { vpopcntq(op, k, a_panel, b_panel, acc) },
-        // SAFETY: the caller guarantees `avx2`.
+        Tier::Vpopcntq => {
+            // `VPTERNLOGQ` looks each result bit up in an 8-bit truth table
+            // indexed by its three operands' bits; with the first operand's
+            // table `A` and the second's `B`, each operator's table is that
+            // operator applied to them, and the third operand is ignored.
+            const A: i32 = 0xF0;
+            const B: i32 = 0xCC;
+            let steps = match op {
+                CompareOp::And => vpopcntq::<{ A & B }>,
+                CompareOp::Xor => vpopcntq::<{ A ^ B }>,
+                CompareOp::AndNot => vpopcntq::<{ A & !B }>,
+            };
+            // SAFETY: the caller guarantees `avx512f`, `avx512vpopcntdq` and
+            // that `b` covers `k`.
+            unsafe { steps(k, a_panel, b, acc) }
+        }
+        // SAFETY: the caller guarantees `avx2` and that `b` covers `k`.
         #[cfg(target_arch = "x86_64")]
-        Tier::Avx2 => unsafe { lane_avx2(op, k, a_panel, b_panel, acc) },
-        _ => lane(op, k, a_panel, b_panel, acc),
+        Tier::Avx2 => unsafe { lane_avx2(op, k, a_panel, b, acc) },
+        // SAFETY: the caller guarantees that `b` covers `k`.
+        _ => unsafe { lane(op, k, a_panel, b, acc) },
     }
 }
 
-/// The [`Tier::Vpopcntq`] kernel. Memory-safe for any panel lengths (it
-/// stops at the shorter panel); only the CPU features are its caller's to
-/// check.
+/// The [`Tier::Vpopcntq`] kernel for the operator whose `VPTERNLOGQ` truth
+/// table is `TABLE`. It reads A through safe slices (stopping at the
+/// shorter of `k` and the panel).
+///
+/// # Safety
+///
+/// This CPU must support `avx512f` and `avx512vpopcntdq`, and `b` must
+/// cover `k` steps.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-fn vpopcntq(op: CompareOp, k: usize, a_panel: &[u64], b_panel: &[u64], acc: &mut [[u32; NR]; MR]) {
-    // `VPTERNLOGQ` looks each result bit up in an 8-bit truth table indexed
-    // by its three operands' bits; with the first operand's table `A` and
-    // the second's `B`, each operator's table is that operator applied to
-    // them, and the third operand is ignored.
-    const A: i32 = 0xF0;
-    const B: i32 = 0xCC;
-    match op {
-        CompareOp::And => vpopcntq_steps::<{ A & B }>(k, a_panel, b_panel, acc),
-        CompareOp::Xor => vpopcntq_steps::<{ A ^ B }>(k, a_panel, b_panel, acc),
-        CompareOp::AndNot => vpopcntq_steps::<{ A & !B }>(k, a_panel, b_panel, acc),
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vpopcntdq")]
-fn vpopcntq_steps<const TABLE: i32>(
+unsafe fn vpopcntq<const TABLE: i32>(
     k: usize,
     a_panel: &[u64],
-    b_panel: &[u64],
+    b: BView<'_>,
     acc: &mut [[u32; NR]; MR],
 ) {
     use std::arch::x86_64::*;
@@ -190,12 +287,14 @@ fn vpopcntq_steps<const TABLE: i32>(
 
     let mut sums = [_mm512_setzero_si512(); NR];
     let (a_steps, _) = a_panel.as_chunks::<MR>();
-    let (b_steps, _) = b_panel.as_chunks::<NR>();
-    for (a, b) in a_steps.iter().zip(b_steps).take(k) {
+    for (p, a) in a_steps.iter().enumerate().take(k) {
         // SAFETY: `a` is MR = 8 readable u64 words, one zmm; the load is
         // unaligned.
         let av = unsafe { _mm512_loadu_si512(a.as_ptr().cast()) };
-        for (sum, &bj) in sums.iter_mut().zip(b) {
+        for (j, sum) in sums.iter_mut().enumerate() {
+            // SAFETY: j < NR and p < k, and the caller guarantees that `b`
+            // covers `k` steps.
+            let bj = unsafe { b.get_unchecked(j, p) };
             let w = _mm512_ternarylogic_epi64::<TABLE>(av, _mm512_set1_epi64(bj as i64), av);
             *sum = _mm512_add_epi64(*sum, _mm512_popcnt_epi64(w));
         }
@@ -213,31 +312,51 @@ fn vpopcntq_steps<const TABLE: i32>(
 }
 
 /// The [`Tier::Avx2`] kernel: [`lane`] compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// This CPU must support `avx2`, and `b` must cover `k` steps.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn lane_avx2(op: CompareOp, k: usize, a_panel: &[u64], b_panel: &[u64], acc: &mut [[u32; NR]; MR]) {
-    lane(op, k, a_panel, b_panel, acc)
+unsafe fn lane_avx2(
+    op: CompareOp,
+    k: usize,
+    a_panel: &[u64],
+    b: BView<'_>,
+    acc: &mut [[u32; NR]; MR],
+) {
+    // SAFETY: the caller guarantees that `b` covers `k`.
+    unsafe { lane(op, k, a_panel, b, acc) }
 }
 
 /// The [`Tier::Portable`] kernel: the Harley–Seal tree of [`crate::simd`]
 /// over `W64x4` vectors, one vector per shared-dimension step holding all
 /// `NR` B lanes. Inlined so [`lane_avx2`] recompiles it.
+///
+/// # Safety
+///
+/// `b` must cover `k` steps.
 #[inline(always)]
-fn lane(op: CompareOp, k: usize, a_panel: &[u64], b_panel: &[u64], acc: &mut [[u32; NR]; MR]) {
+unsafe fn lane(op: CompareOp, k: usize, a_panel: &[u64], b: BView<'_>, acc: &mut [[u32; NR]; MR]) {
     // Monomorphize per operator so the combine compiles to a single
     // instruction (AND / XOR / ANDN) in the inner loop.
-    match op {
-        CompareOp::And => lane_impl(k, a_panel, b_panel, acc, |a, b| a & b),
-        CompareOp::Xor => lane_impl(k, a_panel, b_panel, acc, |a, b| a ^ b),
-        CompareOp::AndNot => lane_impl(k, a_panel, b_panel, acc, |a, b| a & !b),
+    // SAFETY: the caller guarantees that `b` covers `k`, and every arm
+    // passes `b` and `k` on unchanged.
+    unsafe {
+        match op {
+            CompareOp::And => lane_impl(k, a_panel, b, acc, |a, b| a & b),
+            CompareOp::Xor => lane_impl(k, a_panel, b, acc, |a, b| a ^ b),
+            CompareOp::AndNot => lane_impl(k, a_panel, b, acc, |a, b| a & !b),
+        }
     }
 }
 
+/// See [`lane`], whose safety contract this shares.
 #[inline(always)]
-fn lane_impl(
+unsafe fn lane_impl(
     k: usize,
     a_panel: &[u64],
-    b_panel: &[u64],
+    b: BView<'_>,
     acc: &mut [[u32; NR]; MR],
     combine: impl Fn(u64, u64) -> u64 + Copy,
 ) {
@@ -246,9 +365,18 @@ fn lane_impl(
     let full = k - k % CSA_BLOCK;
     for p0 in (0..full).step_by(CSA_BLOCK) {
         let a: &[u64; CSA_BLOCK * MR] = a_panel[p0 * MR..(p0 + CSA_BLOCK) * MR].try_into().unwrap();
-        let b: &[u64; CSA_BLOCK * NR] = b_panel[p0 * NR..(p0 + CSA_BLOCK) * NR].try_into().unwrap();
+        // Gather the slab into packed order, row by row, so that each step
+        // below is one vector load, as on a packed panel.
+        let mut slab = [0u64; CSA_BLOCK * NR];
+        for j in 0..NR {
+            for p in 0..CSA_BLOCK {
+                // SAFETY: j < NR and p0 + p < full ≤ k, and the caller
+                // guarantees that `b` covers `k` steps.
+                slab[p * NR + j] = unsafe { b.get_unchecked(j, p0 + p) };
+            }
+        }
         // One vector load per B step, reused across the MR rows.
-        let bv: [W64x4; CSA_BLOCK] = std::array::from_fn(|p| W64x4::load(&b[p * NR..]));
+        let bv: [W64x4; CSA_BLOCK] = std::array::from_fn(|p| W64x4::load(&slab[p * NR..]));
         #[allow(clippy::needless_range_loop)] // explicit row index keeps the tile obvious
         for i in 0..MR {
             let w: [W64x4; CSA_BLOCK] =
@@ -259,66 +387,58 @@ fn lane_impl(
             }
         }
     }
-    scalar_steps(full, k, a_panel, b_panel, acc, combine);
+    scalar_steps(full, k, a_panel, b, acc, combine);
 }
 
-/// The one-popcount-per-word loop: one `count_ones()` per combined word.
-/// Exact same contract and results as [`microkernel`]; the reference
-/// oracle every [`Tier`] is tested against, and the `scalar` side of the
-/// `cpu/microkernel` Criterion comparison.
+/// The one-popcount-per-word loop: one `count_ones()` per combined word,
+/// in safe code. Exact same contract and results as [`microkernel`]; the
+/// reference oracle every [`Tier`] is tested against, and the `scalar`
+/// side of the `cpu/microkernel` Criterion comparison.
 #[inline]
 pub fn microkernel_scalar(
     op: CompareOp,
     k: usize,
     a_panel: &[u64],
-    b_panel: &[u64],
+    b: BView<'_>,
     acc: &mut [[u32; NR]; MR],
 ) {
-    check_panels(k, a_panel, b_panel);
+    check_operands(k, a_panel, &b);
     match op {
-        CompareOp::And => scalar_steps(0, k, a_panel, b_panel, acc, |a, b| a & b),
-        CompareOp::Xor => scalar_steps(0, k, a_panel, b_panel, acc, |a, b| a ^ b),
-        CompareOp::AndNot => scalar_steps(0, k, a_panel, b_panel, acc, |a, b| a & !b),
+        CompareOp::And => scalar_steps(0, k, a_panel, b, acc, |a, b| a & b),
+        CompareOp::Xor => scalar_steps(0, k, a_panel, b, acc, |a, b| a ^ b),
+        CompareOp::AndNot => scalar_steps(0, k, a_panel, b, acc, |a, b| a & !b),
     }
 }
 
 #[inline(always)]
-fn check_panels(k: usize, a_panel: &[u64], b_panel: &[u64]) {
+fn check_operands(k: usize, a_panel: &[u64], b: &BView<'_>) {
     assert!(
         a_panel.len() >= k * MR,
         "A panel too short: {} < {}",
         a_panel.len(),
         k * MR
     );
-    assert!(
-        b_panel.len() >= k * NR,
-        "B panel too short: {} < {}",
-        b_panel.len(),
-        k * NR
-    );
+    assert!(b.covers(k), "B view too short for k = {k}");
 }
 
-/// Scalar accumulation of shared-dimension steps `lo..hi` (panel bounds must
-/// already be checked by the caller).
+/// Scalar accumulation of shared-dimension steps `lo..hi`, bounds-checked.
 #[inline(always)]
 fn scalar_steps(
     lo: usize,
     hi: usize,
     a_panel: &[u64],
-    b_panel: &[u64],
+    b: BView<'_>,
     acc: &mut [[u32; NR]; MR],
     combine: impl Fn(u64, u64) -> u64 + Copy,
 ) {
-    #[allow(clippy::needless_range_loop)]
     for p in lo..hi {
-        // Slices of the current shared-dimension step; fixed-size arrays let
-        // the compiler unroll and keep everything in registers.
+        // Fixed-size arrays of the current step let the compiler unroll
+        // and keep everything in registers.
         let a: &[u64; MR] = a_panel[p * MR..p * MR + MR].try_into().unwrap();
-        let b: &[u64; NR] = b_panel[p * NR..p * NR + NR].try_into().unwrap();
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..MR {
-            for j in 0..NR {
-                acc[i][j] += combine(a[i], b[j]).count_ones();
+        let bw: [u64; NR] = std::array::from_fn(|j| b.words[j * b.row_stride + p * b.word_stride]);
+        for (acc_row, &ai) in acc.iter_mut().zip(a) {
+            for (o, &bj) in acc_row.iter_mut().zip(&bw) {
+                *o += combine(ai, bj).count_ones();
             }
         }
     }
@@ -425,7 +545,13 @@ mod tests {
                 let mut fast = zero_tile();
                 microkernel(op, pa.k(), pa.panel(0), pb.panel(0), &mut fast);
                 let mut oracle = zero_tile();
-                microkernel_scalar(op, pa.k(), pa.panel(0), pb.panel(0), &mut oracle);
+                microkernel_scalar(
+                    op,
+                    pa.k(),
+                    pa.panel(0),
+                    BView::packed(pb.panel(0)),
+                    &mut oracle,
+                );
                 assert_eq!(fast, oracle, "op {op}, k_bits {k_bits}");
             }
         }
@@ -438,7 +564,13 @@ mod tests {
         let (pa, pb) = panels_of(&a, &b);
         for op in CompareOp::ALL {
             let mut acc = zero_tile();
-            microkernel_scalar(op, pa.k(), pa.panel(0), pb.panel(0), &mut acc);
+            microkernel_scalar(
+                op,
+                pa.k(),
+                pa.panel(0),
+                BView::packed(pb.panel(0)),
+                &mut acc,
+            );
             let expect = reference_gamma(&a, &b, op);
             for (i, acc_row) in acc.iter().enumerate() {
                 for (j, &got) in acc_row.iter().enumerate() {

@@ -1,35 +1,28 @@
-//! Multithreaded blocked popcount-GEMM with shape-aware scheduling.
+//! Multithreaded blocked popcount-GEMM on one tile schedule.
 //!
-//! \[11\] parallelizes the second and third loops around the microkernel.
-//! Splitting only the third (`ic`, row-block) loop works for square LD
-//! problems but degenerates for FastID-shaped ones — a handful of query
-//! rows against millions of database profiles yields a single `m_c` block
-//! and therefore a single task. This module therefore picks between two
-//! schedules by problem shape (or on request):
+//! \[11\] parallelizes the loops around the microkernel. Splitting only the
+//! `ic` (row-block) loop works for square LD problems but starves on
+//! FastID-shaped ones: a handful of query rows against millions of
+//! database profiles is a single `m_c` block, and therefore a single task.
+//! So every shape runs on one schedule, the [`crate::gemm`] loop nest with
+//! more tiles: γ is cut into tiles of `m_c` rows × NR-aligned columns, at
+//! least four per thread, so a square problem splits by rows and a wide
+//! one by columns. Ã is packed once per `pc` before the parallel region;
+//! each task then reads B in place and adds straight into its own row
+//! segments of γ. There is no per-task buffer and no writeback after the
+//! join.
 //!
-//! * [`ParallelSchedule::RowBlocks`] — the classic `ic` split. The `pc`
-//!   loop is outermost and every `m_c` block of `Ã` is packed **once per
-//!   `pc`** into a cache reused across all `jc` iterations (the seed packed
-//!   it once per `(jc, pc)`, re-packing the same words `n / n_c` times).
-//!   Each task owns a disjoint row range of `γ`.
-//! * [`ParallelSchedule::ColumnStrips`] — the `jc` split for wide problems.
-//!   `Ã` (small by assumption) is packed once per `pc` up front; each task
-//!   owns a disjoint **column** strip of `γ`, packs the `B̃` blocks of its
-//!   strip itself, and accumulates into a private `m × strip` buffer that
-//!   is added into `γ` after the join, keeping all writes disjoint without
-//!   synchronization.
-//!
-//! Both schedules produce results bit-identical to the sequential path:
-//! every `γ` cell is a sum of `u32` tile contributions, and integer
-//! addition is associative and commutative, so neither the loop order nor
-//! the task boundaries are observable in the output.
+//! The result is bit-identical to the sequential path: every `γ` cell is a
+//! sum of `u32` tile contributions, and integer addition is associative
+//! and commutative, so neither the loop order nor the task boundaries are
+//! observable in the output.
 
 use rayon::prelude::*;
-use snp_bitmat::{BitMatrix, CompareOp, CountMatrix, PackedPanels};
-use snp_trace::{LazyCounter, TimeDomain, Tracer, TrackId};
+use snp_bitmat::{BitMatrix, CompareOp, CountMatrix};
+use snp_trace::{LazyCounter, TimeDomain, Tracer};
 
-use crate::blocking::{CpuBlocking, MR, NR};
-use crate::gemm::{check_shapes, macro_kernel};
+use crate::blocking::CpuBlocking;
+use crate::gemm::{check_shapes, pack_a, run_tile, tiles};
 
 /// Registry name of the counter of parallel GEMM runs.
 pub const PARALLEL_RUNS_METRIC: &str = "cpu.parallel.runs";
@@ -42,35 +35,31 @@ static RUNS: LazyCounter = LazyCounter::new(PARALLEL_RUNS_METRIC);
 static TASKS: LazyCounter = LazyCounter::new(PARALLEL_TASKS_METRIC);
 static A_PACKS: LazyCounter = LazyCounter::new(PARALLEL_A_PACKS_METRIC);
 
-/// Which loop of the blocked GEMM is split across threads.
+/// Tiles per worker thread: enough that the dynamic hand-out evens out
+/// tiles of unequal cost.
+const TILES_PER_THREAD: usize = 4;
+
+/// How the parallel GEMM splits its work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParallelSchedule {
-    /// Pick by shape: [`ParallelSchedule::ColumnStrips`] when `m` fits in at
-    /// most two `m_c` blocks and the `n` dimension offers more tasks,
-    /// [`ParallelSchedule::RowBlocks`] otherwise.
+    /// The tile schedule: at least four tiles per thread, cut from the
+    /// problem's shape. It is the only schedule.
     Auto,
-    /// Split the third (`ic`) loop: tasks own disjoint row ranges of `γ`.
-    RowBlocks,
-    /// Split the fifth (`jc`) loop: tasks own disjoint column strips of `γ`.
-    ColumnStrips,
 }
 
 /// What the scheduler actually did — exposed so tests and benches can assert
 /// on parallelization behavior rather than only on timing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParallelStats {
-    /// The schedule that ran (never [`ParallelSchedule::Auto`]).
-    pub schedule: ParallelSchedule,
-    /// Number of independent parallel tasks per parallel region.
+    /// Number of independent parallel tasks (tiles of γ).
     pub tasks: usize,
-    /// Number of `Ã` block packs performed (cache effectiveness: without the
-    /// per-`pc` cache this would be multiplied by the number of `jc` steps).
+    /// Number of `Ã` block packs performed: one per `m_c` row block and
+    /// `k_c` step, however many tiles share it.
     pub a_packs: usize,
 }
 
-/// Parallel version of [`crate::gemm::gamma_blocked_into`] using the
-/// [`ParallelSchedule::Auto`] schedule. Produces results bit-identical to
-/// the sequential path.
+/// Parallel version of [`crate::gemm::gamma_blocked_into`]. Produces
+/// results bit-identical to the sequential path.
 pub fn gamma_parallel_into(
     a: &BitMatrix<u64>,
     b: &BitMatrix<u64>,
@@ -78,25 +67,20 @@ pub fn gamma_parallel_into(
     blocking: &CpuBlocking,
     c: &mut CountMatrix,
 ) {
-    let _ = gamma_parallel_into_scheduled(a, b, op, blocking, c, ParallelSchedule::Auto);
+    let _ = gamma_parallel_into_traced(
+        a,
+        b,
+        op,
+        blocking,
+        c,
+        ParallelSchedule::Auto,
+        &Tracer::disabled(),
+    );
 }
 
-/// Like [`gamma_parallel_into`] but with an explicit schedule; returns what
-/// was actually run.
-pub fn gamma_parallel_into_scheduled(
-    a: &BitMatrix<u64>,
-    b: &BitMatrix<u64>,
-    op: CompareOp,
-    blocking: &CpuBlocking,
-    c: &mut CountMatrix,
-    schedule: ParallelSchedule,
-) -> ParallelStats {
-    gamma_parallel_into_traced(a, b, op, blocking, c, schedule, &Tracer::disabled())
-}
-
-/// Like [`gamma_parallel_into_scheduled`] with per-task wall-clock spans
-/// recorded on `tracer` (a no-op for a disabled tracer). Every run also
-/// bumps the process-wide [`snp_trace::registry`] counters
+/// Like [`gamma_parallel_into`], returning what was run, with per-task
+/// wall-clock spans recorded on `tracer` (a no-op for a disabled tracer).
+/// Every run also bumps the process-wide [`snp_trace::registry`] counters
 /// [`PARALLEL_RUNS_METRIC`], [`PARALLEL_TASKS_METRIC`] and
 /// [`PARALLEL_A_PACKS_METRIC`], which supersede hand-plumbing
 /// [`ParallelStats`] out of call sites for aggregate reporting.
@@ -109,34 +93,36 @@ pub fn gamma_parallel_into_traced(
     schedule: ParallelSchedule,
     tracer: &Tracer,
 ) -> ParallelStats {
+    let ParallelSchedule::Auto = schedule;
     check_shapes(a, b, c, blocking);
-    let (m, n) = (a.rows(), b.rows());
-    let row_tasks = m.div_ceil(blocking.m_c);
-    let col_tasks = n.div_ceil(blocking.n_c);
-    let resolved = match schedule {
-        ParallelSchedule::Auto => {
-            if row_tasks <= 2 && col_tasks > row_tasks {
-                ParallelSchedule::ColumnStrips
-            } else {
-                ParallelSchedule::RowBlocks
-            }
-        }
-        explicit => explicit,
-    };
-    if m == 0 || n == 0 {
-        return ParallelStats {
-            schedule: resolved,
-            tasks: 0,
-            a_packs: 0,
-        };
+    if a.rows() == 0 || b.rows() == 0 {
+        return ParallelStats::default();
     }
     let track = tracer.track("cpu parallel", TimeDomain::Wall);
-    let run = tracer.begin_span(track, "run", run_name(resolved), tracer.wall_now_ns());
-    let stats = match resolved {
-        ParallelSchedule::RowBlocks => row_blocks(a, b, op, blocking, c, tracer, track),
-        ParallelSchedule::ColumnStrips => column_strips(a, b, op, blocking, c, tracer, track),
-        ParallelSchedule::Auto => unreachable!("resolved above"),
+    let run = tracer.begin_span(track, "run", "parallel gamma", tracer.wall_now_ns());
+    let a_packs = pack_a(a, blocking);
+    let tiles = tiles(c, blocking, min_tiles(), |_| 0);
+    let stats = ParallelStats {
+        tasks: tiles.len(),
+        a_packs: a_packs.iter().map(Vec::len).sum(),
     };
+    tiles.into_par_iter().for_each(|mut tile| {
+        let t0 = tracer.wall_now_ns();
+        run_tile(op, &a_packs, b, &mut tile);
+        if tracer.is_enabled() {
+            tracer.span_with(
+                track,
+                "task",
+                format!("tile {}@{}", tile.blk, tile.jc),
+                t0,
+                tracer.wall_now_ns(),
+                vec![
+                    ("rows", (tile.rows.len() as u64).into()),
+                    ("cols", (tile.n_blk as u64).into()),
+                ],
+            );
+        }
+    });
     tracer.end_span_with(
         run,
         tracer.wall_now_ns(),
@@ -151,12 +137,10 @@ pub fn gamma_parallel_into_traced(
     stats
 }
 
-fn run_name(schedule: ParallelSchedule) -> &'static str {
-    match schedule {
-        ParallelSchedule::RowBlocks => "parallel gamma (row blocks)",
-        ParallelSchedule::ColumnStrips => "parallel gamma (column strips)",
-        ParallelSchedule::Auto => "parallel gamma",
-    }
+/// The fewest tiles a parallel run cuts: [`TILES_PER_THREAD`] for each
+/// worker thread.
+pub(crate) fn min_tiles() -> usize {
+    TILES_PER_THREAD * rayon::current_num_threads()
 }
 
 /// Convenience wrapper allocating a fresh output.
@@ -171,160 +155,13 @@ pub fn gamma_parallel(
     c
 }
 
-/// `ic` split with the per-`pc` `Ã` cache: `pc` is the outermost loop so
-/// each `m_c × k_c` block of `Ã` is packed exactly once and reused across
-/// every `jc` iteration; tasks own disjoint `m_c`-row chunks of `γ`.
-fn row_blocks(
-    a: &BitMatrix<u64>,
-    b: &BitMatrix<u64>,
-    op: CompareOp,
-    blocking: &CpuBlocking,
-    c: &mut CountMatrix,
-    tracer: &Tracer,
-    track: TrackId,
-) -> ParallelStats {
-    let (m, n, k_words) = (a.rows(), b.rows(), a.words_per_row());
-    let cols = c.cols();
-    let mut a_packs_done = 0;
-    for pc in (0..k_words).step_by(blocking.k_c) {
-        let k_blk = blocking.k_c.min(k_words - pc);
-        let pack_start = tracer.wall_now_ns();
-        let a_packs: Vec<PackedPanels<u64>> = (0..m)
-            .step_by(blocking.m_c)
-            .map(|ic| {
-                let m_blk = blocking.m_c.min(m - ic);
-                PackedPanels::pack(a, ic, ic + m_blk, pc, pc + k_blk, MR)
-            })
-            .collect();
-        if tracer.is_enabled() {
-            tracer.span_with(
-                track,
-                "pack",
-                "pack A blocks",
-                pack_start,
-                tracer.wall_now_ns(),
-                vec![("blocks", (a_packs.len() as u64).into())],
-            );
-        }
-        a_packs_done += a_packs.len();
-        for jc in (0..n).step_by(blocking.n_c) {
-            let n_blk = blocking.n_c.min(n - jc);
-            let b_pack = PackedPanels::pack(b, jc, jc + n_blk, pc, pc + k_blk, NR);
-            c.as_mut_slice()
-                .par_chunks_mut(blocking.m_c * cols)
-                .enumerate()
-                .for_each(|(blk, rows)| {
-                    let ic = blk * blocking.m_c;
-                    let m_blk = blocking.m_c.min(m - ic);
-                    let t0 = tracer.wall_now_ns();
-                    macro_kernel(op, &a_packs[blk], &b_pack, rows, m_blk, cols, jc, n_blk);
-                    if tracer.is_enabled() {
-                        tracer.span_with(
-                            track,
-                            "task",
-                            format!("row block {blk}"),
-                            t0,
-                            tracer.wall_now_ns(),
-                            vec![("rows", (m_blk as u64).into()), ("jc", (jc as u64).into())],
-                        );
-                    }
-                });
-        }
-    }
-    ParallelStats {
-        schedule: ParallelSchedule::RowBlocks,
-        tasks: m.div_ceil(blocking.m_c),
-        a_packs: a_packs_done,
-    }
-}
-
-/// `jc` split for wide problems: all of `Ã` is packed once per `pc` up
-/// front (by assumption it fits a couple of `m_c` blocks), then each task
-/// processes one `n_c`-column strip of `γ` across **all** `pc` blocks into a
-/// private buffer, which is added into `γ` after the join. Tasks touch
-/// disjoint columns, so the final writeback is the only cross-strip step.
-fn column_strips(
-    a: &BitMatrix<u64>,
-    b: &BitMatrix<u64>,
-    op: CompareOp,
-    blocking: &CpuBlocking,
-    c: &mut CountMatrix,
-    tracer: &Tracer,
-    track: TrackId,
-) -> ParallelStats {
-    let (m, n, k_words) = (a.rows(), b.rows(), a.words_per_row());
-    let cols = c.cols();
-    // Per-pc Ã cache for the whole run: pc-major list of row-block packs.
-    let pc_steps: Vec<usize> = (0..k_words).step_by(blocking.k_c).collect();
-    let a_cache: Vec<Vec<PackedPanels<u64>>> = pc_steps
-        .iter()
-        .map(|&pc| {
-            let k_blk = blocking.k_c.min(k_words - pc);
-            (0..m)
-                .step_by(blocking.m_c)
-                .map(|ic| {
-                    let m_blk = blocking.m_c.min(m - ic);
-                    PackedPanels::pack(a, ic, ic + m_blk, pc, pc + k_blk, MR)
-                })
-                .collect()
-        })
-        .collect();
-    let a_packs_done: usize = a_cache.iter().map(Vec::len).sum();
-
-    let strips: Vec<usize> = (0..n).step_by(blocking.n_c).collect();
-    let tasks = strips.len();
-    let strip_results: Vec<(usize, usize, Vec<u32>)> = strips
-        .into_par_iter()
-        .map(|jc| {
-            let n_blk = blocking.n_c.min(n - jc);
-            let t0 = tracer.wall_now_ns();
-            let mut strip = vec![0u32; m * n_blk];
-            for (pi, &pc) in pc_steps.iter().enumerate() {
-                let k_blk = blocking.k_c.min(k_words - pc);
-                let b_pack = PackedPanels::pack(b, jc, jc + n_blk, pc, pc + k_blk, NR);
-                for (blk, a_pack) in a_cache[pi].iter().enumerate() {
-                    let ic = blk * blocking.m_c;
-                    let m_blk = blocking.m_c.min(m - ic);
-                    let rows = &mut strip[ic * n_blk..(ic + m_blk) * n_blk];
-                    macro_kernel(op, a_pack, &b_pack, rows, m_blk, n_blk, 0, n_blk);
-                }
-            }
-            if tracer.is_enabled() {
-                tracer.span_with(
-                    track,
-                    "task",
-                    format!("column strip @{jc}"),
-                    t0,
-                    tracer.wall_now_ns(),
-                    vec![("cols", (n_blk as u64).into())],
-                );
-            }
-            (jc, n_blk, strip)
-        })
-        .collect();
-
-    let out = c.as_mut_slice();
-    for (jc, n_blk, strip) in strip_results {
-        for r in 0..m {
-            let dst = &mut out[r * cols + jc..r * cols + jc + n_blk];
-            let src = &strip[r * n_blk..(r + 1) * n_blk];
-            for (o, &v) in dst.iter_mut().zip(src) {
-                *o += v;
-            }
-        }
-    }
-    ParallelStats {
-        schedule: ParallelSchedule::ColumnStrips,
-        tasks,
-        a_packs: a_packs_done,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blocking::{MR, NR};
     use crate::gemm::gamma_blocked;
     use snp_bitmat::reference_gamma;
+    use snp_trace::ArgValue;
 
     fn matrix(rows: usize, cols: usize, salt: usize) -> BitMatrix<u64> {
         BitMatrix::from_fn(rows, cols, |r, c| (r * 41 + c * 13 + salt) % 5 < 2)
@@ -338,6 +175,37 @@ mod tests {
             m_c: 2 * MR,
             n_c: 3 * NR,
         }
+    }
+
+    /// Runs the traced entry and returns its stats with each task span's
+    /// `(rows, cols)`.
+    fn traced(
+        a: &BitMatrix<u64>,
+        b: &BitMatrix<u64>,
+        blocking: &CpuBlocking,
+        c: &mut CountMatrix,
+    ) -> (ParallelStats, Vec<(u64, u64)>) {
+        let tracer = Tracer::enabled();
+        let stats = gamma_parallel_into_traced(
+            a,
+            b,
+            CompareOp::Xor,
+            blocking,
+            c,
+            ParallelSchedule::Auto,
+            &tracer,
+        );
+        let arg = |e: &snp_trace::TraceEvent, key| match e.args.iter().find(|(k, _)| *k == key) {
+            Some((_, ArgValue::U64(v))) => *v,
+            other => panic!("task span lacks {key}: {other:?}"),
+        };
+        let shapes = tracer
+            .snapshot()
+            .expect("tracer is enabled")
+            .events_in_cat("task")
+            .map(|e| (arg(e, "rows"), arg(e, "cols")))
+            .collect();
+        (stats, shapes)
     }
 
     #[test]
@@ -354,92 +222,94 @@ mod tests {
     }
 
     #[test]
-    fn both_schedules_match_sequential_on_every_shape() {
-        // Square-ish, wide (FastID-like), tall, and single-row shapes all
-        // must be bit-identical under either explicit schedule.
-        let shapes = [(3 * MR + 5, 5 * NR + 2), (5, 40 * NR), (60, 7), (1, 90)];
+    fn tile_schedule_matches_sequential_on_every_shape() {
+        // Square-ish, wide (FastID-like), tall, single-row and narrower
+        // than one panel: all bit-identical to the sequential loop nest.
+        let shapes = [
+            (3 * MR + 5, 5 * NR + 2),
+            (5, 40 * NR),
+            (60, 7),
+            (1, 90),
+            (9, NR - 1),
+        ];
         for (m, n) in shapes {
             let a = matrix(m, 450, m);
             let b = matrix(n, 450, n + 1);
             for op in CompareOp::ALL {
                 let seq = gamma_blocked(&a, &b, op, &blocking_small());
-                for schedule in [ParallelSchedule::RowBlocks, ParallelSchedule::ColumnStrips] {
-                    let mut got = CountMatrix::zeros(m, n);
-                    let stats = gamma_parallel_into_scheduled(
-                        &a,
-                        &b,
-                        op,
-                        &blocking_small(),
-                        &mut got,
-                        schedule,
-                    );
-                    assert_eq!(stats.schedule, schedule);
-                    assert_eq!(
-                        got.first_mismatch(&seq),
-                        None,
-                        "{schedule:?} vs sequential on {m}x{n}, op {op}"
-                    );
-                }
+                let par = gamma_parallel(&a, &b, op, &blocking_small());
+                assert_eq!(
+                    par.first_mismatch(&seq),
+                    None,
+                    "tiles vs sequential on {m}x{n}, op {op}"
+                );
             }
         }
     }
 
     #[test]
-    fn auto_picks_column_strips_for_fastid_shape() {
-        // 32 queries × many profiles: one m_c block but many n_c blocks.
+    fn fastid_shape_cuts_enough_tiles_of_near_equal_width() {
+        // 32 queries × many profiles: one m_c block, so the tiles are
+        // column ranges, at least one per thread and within NR of each
+        // other in width.
         let a = matrix(32, 320, 0);
-        let b = matrix(40 * NR, 320, 1);
+        let b = matrix(40 * NR + 3, 320, 1);
+        let blocking = CpuBlocking::default();
         let mut c = CountMatrix::zeros(a.rows(), b.rows());
-        let stats = gamma_parallel_into_scheduled(
-            &a,
-            &b,
-            CompareOp::Xor,
-            &blocking_small(),
-            &mut c,
-            ParallelSchedule::Auto,
+        let (stats, shapes) = traced(&a, &b, &blocking, &mut c);
+        assert!(
+            stats.tasks >= rayon::current_num_threads(),
+            "FastID shape must fan out, got {stats:?}"
         );
-        assert_eq!(stats.schedule, ParallelSchedule::ColumnStrips);
-        assert!(stats.tasks > 1, "FastID shape must fan out, got {stats:?}");
+        assert_eq!(shapes.len(), stats.tasks);
+        let widths: Vec<u64> = shapes
+            .iter()
+            .map(|&(rows, cols)| {
+                assert_eq!(rows, 32, "one row block");
+                cols
+            })
+            .collect();
+        let (lo, hi) = (widths.iter().min().unwrap(), widths.iter().max().unwrap());
+        assert!(hi - lo <= NR as u64, "widths {widths:?}");
+        assert_eq!(widths.iter().sum::<u64>(), b.rows() as u64);
         let want = reference_gamma(&a, &b, CompareOp::Xor);
         assert_eq!(c.first_mismatch(&want), None);
     }
 
     #[test]
-    fn auto_keeps_row_blocks_for_square_shape() {
-        let a = matrix(6 * MR, 256, 2);
-        let b = matrix(6 * NR, 256, 3);
+    fn square_shape_cuts_every_row_block_alike() {
+        // Many row blocks: each row block is cut into the same column
+        // ranges, and there are at least as many tiles as threads.
+        let a = matrix(12 * MR + 3, 256, 2);
+        let b = matrix(12 * NR, 256, 3);
+        let blocking = CpuBlocking {
+            n_c: 64 * NR,
+            ..blocking_small()
+        };
         let mut c = CountMatrix::zeros(a.rows(), b.rows());
-        let stats = gamma_parallel_into_scheduled(
-            &a,
-            &b,
-            CompareOp::And,
-            &blocking_small(),
-            &mut c,
-            ParallelSchedule::Auto,
-        );
-        assert_eq!(stats.schedule, ParallelSchedule::RowBlocks);
-        assert!(stats.tasks > 1);
+        let (stats, shapes) = traced(&a, &b, &blocking, &mut c);
+        let row_blocks = a.rows().div_ceil(blocking.m_c);
+        assert!(stats.tasks >= rayon::current_num_threads());
+        assert_eq!(stats.tasks % row_blocks, 0, "{stats:?}");
+        let rows: u64 = shapes.iter().map(|&(r, _)| r).sum();
+        let per_block = (stats.tasks / row_blocks) as u64;
+        assert_eq!(rows, a.rows() as u64 * per_block);
+        let want = reference_gamma(&a, &b, CompareOp::Xor);
+        assert_eq!(c.first_mismatch(&want), None);
     }
 
     #[test]
     fn a_pack_cache_packs_each_block_once_per_pc() {
-        // 2 m_c row blocks × 4 k_c blocks = 8 packs regardless of how many
-        // jc steps run (the seed implementation did row_blocks × jc_steps ×
-        // pc_steps packs).
+        // 2 m_c row blocks × 4 k_c blocks = 8 packs however many column
+        // tiles share each row block.
         let a = matrix(4 * MR, 64 * 12, 4);
         let b = matrix(9 * NR, 64 * 12, 5);
         let mut c = CountMatrix::zeros(a.rows(), b.rows());
-        let stats = gamma_parallel_into_scheduled(
-            &a,
-            &b,
-            CompareOp::And,
-            &blocking_small(),
-            &mut c,
-            ParallelSchedule::RowBlocks,
-        );
+        let (stats, _) = traced(&a, &b, &blocking_small(), &mut c);
         let pc_steps = 12usize.div_ceil(3);
         let row_blks = (4 * MR).div_ceil(2 * MR);
         assert_eq!(stats.a_packs, row_blks * pc_steps);
+        assert!(stats.tasks > row_blks, "{stats:?}");
     }
 
     #[test]
@@ -451,13 +321,14 @@ mod tests {
         let tasks0 = reg.counter(PARALLEL_TASKS_METRIC).get();
         let packs0 = reg.counter(PARALLEL_A_PACKS_METRIC).get();
         let mut c = CountMatrix::zeros(a.rows(), b.rows());
-        let stats = gamma_parallel_into_scheduled(
+        let stats = gamma_parallel_into_traced(
             &a,
             &b,
             CompareOp::Xor,
             &blocking_small(),
             &mut c,
-            ParallelSchedule::RowBlocks,
+            ParallelSchedule::Auto,
+            &Tracer::disabled(),
         );
         assert_eq!(reg.counter(PARALLEL_RUNS_METRIC).get(), runs0 + 1);
         assert_eq!(
@@ -482,7 +353,7 @@ mod tests {
             CompareOp::Xor,
             &blocking_small(),
             &mut c,
-            ParallelSchedule::ColumnStrips,
+            ParallelSchedule::Auto,
             &tracer,
         );
         let trace = tracer.snapshot().expect("tracer is enabled");
@@ -537,19 +408,12 @@ mod tests {
     }
 
     #[test]
-    fn column_strips_accumulates_into_existing_output() {
+    fn wide_tiles_accumulate_into_existing_output() {
         let a = matrix(8, 200, 8);
         let b = matrix(120, 200, 9);
         let mut c = CountMatrix::zeros(8, 120);
         for _ in 0..2 {
-            gamma_parallel_into_scheduled(
-                &a,
-                &b,
-                CompareOp::AndNot,
-                &blocking_small(),
-                &mut c,
-                ParallelSchedule::ColumnStrips,
-            );
+            gamma_parallel_into(&a, &b, CompareOp::AndNot, &blocking_small(), &mut c);
         }
         let want = reference_gamma(&a, &b, CompareOp::AndNot);
         for i in 0..8 {

@@ -3,15 +3,21 @@
 //! Linkage disequilibrium compares a panel against itself with a symmetric
 //! operator (`popc(a & b) = popc(b & a)`, likewise XOR), so only the upper
 //! triangle of `γ` needs computing — the classical SYRK-style saving over
-//! GEMM, worth up to 2× on large panels. Blocks entirely below the diagonal
-//! are skipped; straddling blocks are computed whole; a final mirror pass
-//! fills the strict lower triangle.
+//! GEMM, worth up to 2× on large panels. It runs on the parallel tile
+//! schedule with each row block cut off at its diagonal: the tiles of the
+//! rows `ic..ic + m_c` cover only columns `ic..m`. A blocked mirror pass
+//! then fills the cells left of each diagonal block from their transposes.
 
 use rayon::prelude::*;
-use snp_bitmat::{BitMatrix, CompareOp, CountMatrix, PackedPanels};
+use snp_bitmat::{BitMatrix, CompareOp, CountMatrix};
 
 use crate::blocking::{CpuBlocking, MR, NR};
-use crate::gemm::macro_kernel;
+use crate::gemm::{check_shapes, pack_a, run_tile, tiles};
+use crate::parallel::min_tiles;
+
+// A diagonal block starts on a row-block boundary, a multiple of `m_c` and
+// so of MR; starting the tile's columns there keeps its panels NR-aligned.
+const _: () = assert!(MR.is_multiple_of(NR));
 
 /// True when `op(a, b) == op(b, a)` for all words — the precondition for
 /// the triangular saving. AND and XOR are symmetric; AND-NOT is not.
@@ -19,10 +25,10 @@ pub fn op_is_symmetric(op: CompareOp) -> bool {
     matches!(op, CompareOp::And | CompareOp::Xor)
 }
 
-/// Self-comparison `γ = A ⋄ Aᵀ` computing only upper-triangle blocks, then
-/// mirroring. Results are identical to the full
-/// [`gamma_parallel`](crate::parallel::gamma_parallel) (tested), at roughly
-/// half the block work for large `m`.
+/// Self-comparison `γ = A ⋄ Aᵀ` computing only each row block's columns
+/// from its diagonal block on, then mirroring. Results are identical to
+/// the full [`gamma_parallel`](crate::parallel::gamma_parallel) (tested),
+/// at roughly half the block work for large `m`.
 ///
 /// Panics if `op` is not symmetric or `blocking` is invalid.
 pub fn gamma_self_symmetric(
@@ -34,49 +40,35 @@ pub fn gamma_self_symmetric(
         op_is_symmetric(op),
         "operator {op} is not symmetric; use the general engine for AND-NOT"
     );
-    let viol = blocking.violations();
-    assert!(viol.is_empty(), "invalid blocking: {viol:?}");
-    let m = a.rows();
-    let k_words = a.words_per_row();
-    let mut c = CountMatrix::zeros(m, m);
-    if m == 0 {
-        return c;
-    }
-    let cols = m;
-    for jc in (0..m).step_by(blocking.n_c) {
-        let n_blk = blocking.n_c.min(m - jc);
-        for pc in (0..k_words).step_by(blocking.k_c) {
-            let k_blk = blocking.k_c.min(k_words - pc);
-            let b_pack = PackedPanels::pack(a, jc, jc + n_blk, pc, pc + k_blk, NR);
-            // Parallel third loop over m_c row blocks, skipping blocks that
-            // lie entirely below this column block (row start beyond the
-            // block's last column).
-            c.as_mut_slice()
-                .par_chunks_mut(blocking.m_c * cols)
-                .enumerate()
-                .for_each(|(blk, rows)| {
-                    let ic = blk * blocking.m_c;
-                    if ic >= jc + n_blk {
-                        return; // strictly below the diagonal: mirrored later
-                    }
-                    let m_blk = blocking.m_c.min(m - ic);
-                    let a_pack = PackedPanels::pack(a, ic, ic + m_blk, pc, pc + k_blk, MR);
-                    macro_kernel(op, &a_pack, &b_pack, rows, m_blk, cols, jc, n_blk);
-                });
-        }
-    }
-    mirror_lower(&mut c);
+    let mut c = CountMatrix::zeros(a.rows(), a.rows());
+    check_shapes(a, a, &c, blocking);
+    let a_packs = pack_a(a, blocking);
+    tiles(&mut c, blocking, min_tiles(), |blk| blk * blocking.m_c)
+        .into_par_iter()
+        .for_each(|mut tile| run_tile(op, &a_packs, a, &mut tile));
+    mirror_lower(&mut c, blocking.m_c);
     c
 }
 
-/// Copies the strict upper triangle onto the strict lower triangle.
-fn mirror_lower(c: &mut CountMatrix) {
-    let n = c.rows();
-    debug_assert_eq!(n, c.cols());
-    for i in 1..n {
-        for j in 0..i {
-            let v = c.get(j, i);
-            c.set(i, j, v);
+/// Copies `γ[j][i]` into every cell `γ[i][j]` left of row `i`'s diagonal
+/// block (the cells the tiles skipped), in 64 × 64 blocks so that both
+/// sides of the copy stay in cache.
+fn mirror_lower(c: &mut CountMatrix, m_c: usize) {
+    const BLOCK: usize = 64;
+    let n = c.cols();
+    let g = c.as_mut_slice();
+    for i0 in (0..n).step_by(BLOCK) {
+        for j0 in (0..=i0).step_by(BLOCK) {
+            for i in i0..(i0 + BLOCK).min(n) {
+                let end = (j0 + BLOCK).min(i - i % m_c);
+                if j0 >= end {
+                    continue;
+                }
+                let (above, row) = g.split_at_mut(i * n);
+                for (j, out) in (j0..end).zip(&mut row[j0..end]) {
+                    *out = above[j * n + i];
+                }
+            }
         }
     }
 }
@@ -110,6 +102,20 @@ mod tests {
                 let full = gamma_parallel(&a, &a, op, &blocking_small());
                 assert_eq!(sym.first_mismatch(&full), None, "rows={rows} op={op}");
             }
+        }
+    }
+
+    #[test]
+    fn symmetric_matches_full_across_row_block_edges() {
+        // Around the default m_c = 96: one short block, exact multiples,
+        // one row over, and the LD panel's 1019 rows.
+        let blocking = CpuBlocking::default();
+        assert_eq!(blocking.m_c, 96);
+        for rows in [1usize, 7, 8, 95, 96, 97, 200, 1019] {
+            let a = matrix(rows, 200);
+            let sym = gamma_self_symmetric(&a, CompareOp::And, &blocking);
+            let full = gamma_parallel(&a, &a, CompareOp::And, &blocking);
+            assert_eq!(sym.first_mismatch(&full), None, "rows={rows}");
         }
     }
 

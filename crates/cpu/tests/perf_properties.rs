@@ -2,20 +2,21 @@
 //!
 //! The production microkernel, the scalar oracle, and the bit-level
 //! reference must agree on arbitrary inputs (all three operators, every
-//! `k % CSA_BLOCK` remainder, padded panels), and both shape-aware parallel schedules must
-//! be bit-identical to the sequential loop nest on both the paper's problem
-//! shapes (square LD, wide FastID).
+//! `k % CSA_BLOCK` remainder, padded panels), and the parallel tile
+//! schedule must be bit-identical to the sequential loop nest on both the
+//! paper's problem shapes (square LD, wide FastID) and on ragged ones.
 
 use proptest::prelude::*;
 use snp_bitmat::{reference_gamma, BitMatrix, CompareOp, CountMatrix, PackedPanels};
 use snp_cpu::blocking::{MR, NR};
 use snp_cpu::gemm::gamma_blocked_into;
-use snp_cpu::microkernel::{microkernel, microkernel_scalar, zero_tile};
-use snp_cpu::parallel::gamma_parallel_into_scheduled;
-use snp_cpu::{CpuBlocking, ParallelSchedule};
+use snp_cpu::microkernel::{microkernel, microkernel_scalar, zero_tile, BView};
+use snp_cpu::parallel::gamma_parallel_into;
+use snp_cpu::{gamma_parallel_into_traced, CpuBlocking, ParallelSchedule};
+use snp_trace::{ArgValue, Tracer};
 
 /// A blocking small enough that property-sized problems span several cache
-/// blocks in every dimension (forcing multi-task schedules).
+/// blocks in every dimension (forcing many tiles and several `k_c` steps).
 fn tiny_blocking() -> CpuBlocking {
     CpuBlocking {
         m_r: MR,
@@ -63,7 +64,7 @@ proptest! {
         let mut fast = zero_tile();
         microkernel(op, pa.k(), pa.panel(0), pb.panel(0), &mut fast);
         let mut oracle = zero_tile();
-        microkernel_scalar(op, pa.k(), pa.panel(0), pb.panel(0), &mut oracle);
+        microkernel_scalar(op, pa.k(), pa.panel(0), BView::packed(pb.panel(0)), &mut oracle);
         prop_assert_eq!(fast, oracle, "production vs scalar, op {}, k_bits {}", op, k_bits);
         let want = reference_gamma(&a, &b, op);
         for (i, lane) in fast.iter().enumerate().take(rows_a) {
@@ -73,52 +74,76 @@ proptest! {
         }
     }
 
-    /// Both explicit schedules and Auto match the sequential loop nest on
-    /// square (LD-like) problems.
+    /// The parallel tile schedule equals the sequential loop nest and the
+    /// reference on every shape class: m up to three row blocks, n ragged
+    /// against NR (n < NR included), several k_c blocks, all operators,
+    /// accumulating into a γ that already holds counts.
     #[test]
-    fn parallel_schedules_match_sequential_on_square(
-        a in bitmat(33usize..90, 300),
+    fn parallel_matches_blocked_and_reference(
+        m in 1usize..=3 * 2 * MR,
+        n in 1usize..=9 * NR + 3,
+        k_bits in 1usize..=64 * 7,
         op_idx in 0usize..3,
+        seed in any::<u32>(),
     ) {
         let op = CompareOp::ALL[op_idx];
+        let mix = |r: usize, c: usize, salt: u32| {
+            (r as u32).wrapping_mul(0x9E37_79B9) ^ (c as u32).wrapping_mul(0x85EB_CA6B) ^ salt
+        };
+        let a = BitMatrix::<u64>::from_fn(m, k_bits, |r, c| mix(r, c, seed) % 5 < 2);
+        let b = BitMatrix::<u64>::from_fn(n, k_bits, |r, c| mix(r, c, !seed) % 3 == 0);
+        let start: Vec<u32> = (0..m * n).map(|i| mix(i, 0, seed) % 1000).collect();
         let blocking = tiny_blocking();
-        let mut want = CountMatrix::zeros(a.rows(), a.rows());
-        gamma_blocked_into(&a, &a, op, &blocking, &mut want);
-        for schedule in [
-            ParallelSchedule::Auto,
-            ParallelSchedule::RowBlocks,
-            ParallelSchedule::ColumnStrips,
-        ] {
-            let mut got = CountMatrix::zeros(a.rows(), a.rows());
-            let stats = gamma_parallel_into_scheduled(&a, &a, op, &blocking, &mut got, schedule);
-            prop_assert_eq!(
-                got.first_mismatch(&want), None,
-                "{:?} diverged from sequential", stats.schedule
-            );
-            prop_assert!(stats.tasks >= 1);
+
+        let mut seq = CountMatrix::from_vec(m, n, start.clone());
+        gamma_blocked_into(&a, &b, op, &blocking, &mut seq);
+        let mut par = CountMatrix::from_vec(m, n, start.clone());
+        gamma_parallel_into(&a, &b, op, &blocking, &mut par);
+        prop_assert_eq!(par.first_mismatch(&seq), None, "parallel vs sequential, op {}", op);
+
+        let want = reference_gamma(&a, &b, op);
+        for i in 0..m {
+            for j in 0..n {
+                prop_assert_eq!(par.get(i, j), start[i * n + j] + want.get(i, j), "at ({}, {})", i, j);
+            }
         }
     }
 
-    /// FastID shapes (a handful of query rows against a wide database) must
-    /// resolve Auto to the column-strip schedule, actually fan out to more
-    /// than one task, and stay bit-identical to the sequential result.
+    /// A FastID shape (up to 32 query rows against a wide database) fans
+    /// out to at least one tile per thread, the tiles' widths differ by at
+    /// most NR, and the result is bit-identical to the sequential one.
     #[test]
-    fn fastid_shape_fans_out_column_strips(
+    fn fastid_shape_fans_out_near_equal_tiles(
         queries in bitmat(1usize..=32, 260),
         db_rows in 200usize..400,
         op_idx in 0usize..3,
     ) {
         let op = CompareOp::ALL[op_idx];
         let db = BitMatrix::<u64>::from_fn(db_rows, 260, |r, c| (r * 7 + c * 13) % 4 == 0);
-        let blocking = tiny_blocking();
+        let blocking = CpuBlocking::default();
         let mut want = CountMatrix::zeros(queries.rows(), db_rows);
         gamma_blocked_into(&queries, &db, op, &blocking, &mut want);
         let mut got = CountMatrix::zeros(queries.rows(), db_rows);
-        let stats = gamma_parallel_into_scheduled(
-            &queries, &db, op, &blocking, &mut got, ParallelSchedule::Auto,
+        let tracer = Tracer::enabled();
+        let stats = gamma_parallel_into_traced(
+            &queries, &db, op, &blocking, &mut got, ParallelSchedule::Auto, &tracer,
         );
-        prop_assert_eq!(stats.schedule, ParallelSchedule::ColumnStrips);
-        prop_assert!(stats.tasks > 1, "FastID shape must fan out, got {} task(s)", stats.tasks);
+        prop_assert!(
+            stats.tasks >= rayon::current_num_threads(),
+            "FastID shape must fan out, got {} task(s)", stats.tasks
+        );
+        let widths: Vec<u64> = tracer
+            .snapshot()
+            .expect("tracer is enabled")
+            .events_in_cat("task")
+            .map(|e| match e.args.iter().find(|(k, _)| *k == "cols") {
+                Some((_, ArgValue::U64(w))) => *w,
+                other => panic!("task span lacks cols: {other:?}"),
+            })
+            .collect();
+        prop_assert_eq!(widths.len(), stats.tasks);
+        let (lo, hi) = (*widths.iter().min().unwrap(), *widths.iter().max().unwrap());
+        prop_assert!(hi - lo <= NR as u64, "tile widths {:?}", widths);
         prop_assert_eq!(got.first_mismatch(&want), None);
     }
 }
