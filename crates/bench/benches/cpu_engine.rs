@@ -23,9 +23,10 @@ fn bench_microkernel(c: &mut Criterion) {
     let pb = PackedPanels::pack_all(&b, NR);
     g.throughput(Throughput::Elements((MR * NR * pa.k()) as u64));
     // The popcount ablation on identical panels: one popcount per word
-    // ("scalar") against the production `microkernel` on the host's
-    // detected tier ("simd"; the id predates the tiers and is kept so the
-    // rows pair with earlier snapshots).
+    // ("scalar") against `microkernel`, the one-panel case of the
+    // production panel run, on the host's detected tier ("simd"; the id
+    // predates the tiers and is kept so the rows pair with earlier
+    // snapshots).
     for op in CompareOp::ALL {
         g.bench_function(BenchmarkId::new("simd", op), |bench| {
             bench.iter(|| {

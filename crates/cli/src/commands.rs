@@ -606,6 +606,9 @@ fn cmd_mixture(args: &Args) -> Result<CmdReport, CliError> {
 fn cmd_cpu(args: &Args) -> Result<String, ArgError> {
     args.expect_only(&["snps", "samples", "seed"])?;
     let snps = args.get_parse("snps", 512usize)?;
+    if snps == 0 {
+        return Err(ArgError("--snps must be at least 1".into()));
+    }
     let samples = args.get_parse("samples", 4096usize)?;
     let seed = args.get_parse("seed", 42u64)?;
     let panel = snp_popgen::random_dense(snps, samples, seed);
@@ -1817,6 +1820,15 @@ mod tests {
             .find_map(|l| l.strip_prefix("popcount tier: "))
             .expect("the report names the popcount tier");
         assert!(["vpopcntq", "avx2", "portable"].contains(&tier), "{tier}");
+    }
+
+    #[test]
+    fn cpu_command_rejects_zero_snps() {
+        let err = run_line("cpu --snps 0").unwrap_err();
+        assert!(
+            err.to_string().contains("--snps must be at least 1"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -59,11 +59,14 @@ impl Default for CacheParams {
 /// * `vpopcntq`: the `MR` A words of a shared-dimension step fill one
 ///   512-bit zmm register and each of the `NR` B words is broadcast to one.
 ///   The tile is four zmm registers of u64 counts, one per B column with
-///   one lane per A row, added into the u32 tile once per call.
+///   one lane per A row. After a panel's `k` steps, four permutes turn
+///   them into `MR` rows of `NR` u32 counts, one 128-bit lane each, and
+///   each row is added into its γ row segment with one vector add.
 /// * `avx2` and `portable`: the `NR` B words of a step are one
 ///   [`crate::simd::W64x4`] (one ymm register under AVX2, two xmm registers
 ///   on baseline x86-64). Each A word is splatted across it, and one 8-step
-///   Harley–Seal tree yields a row's four column counts.
+///   Harley–Seal tree yields a row's four column counts into a u32 tile,
+///   which is added into γ once per panel.
 pub const MR: usize = 8;
 /// See [`MR`].
 pub const NR: usize = 4;
@@ -118,8 +121,10 @@ impl CpuBlocking {
                 self.n_c, self.n_r
             ));
         }
-        if self.k_c == 0 {
-            v.push("k_c must be positive".into());
+        for (name, value) in [("k_c", self.k_c), ("m_c", self.m_c), ("n_c", self.n_c)] {
+            if value == 0 {
+                v.push(format!("{name} must be positive"));
+            }
         }
         v
     }
@@ -177,5 +182,24 @@ mod tests {
             ..CpuBlocking::default()
         };
         assert!(!b2.violations().is_empty());
+        // Zero is a multiple of every register block, so these need their
+        // own checks: a zero m_c or n_c would reach the loop nest as a zero
+        // step.
+        for zero in [
+            CpuBlocking {
+                m_c: 0,
+                ..CpuBlocking::default()
+            },
+            CpuBlocking {
+                n_c: 0,
+                ..CpuBlocking::default()
+            },
+            CpuBlocking {
+                k_c: 0,
+                ..CpuBlocking::default()
+            },
+        ] {
+            assert_eq!(zero.violations().len(), 1, "{zero:?}");
+        }
     }
 }

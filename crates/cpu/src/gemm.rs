@@ -9,21 +9,23 @@
 //! tiles:       m_c rows × ≤ n_c NR-aligned columns of γ  (one task each)
 //! pc loop:     K in steps of k_c      (Ã: m_c × k_c blocks, packed once per run)
 //! ir loop:     the block's Ã panels (m_r = MR)
-//! jr loop:     the tile's NR-row panels of B                (read in place)
-//! microkernel: MR × NR popcount accumulation over k_c words
+//! panel run:   the tile's full NR-row panels of B   (read in place, one call)
+//!   jr loop:   MR × NR popcount sums over k_c words, added into γ's rows
 //! ```
 //!
-//! B is never packed: the microkernel reads `NR` rows of the matrix where
-//! they are ([`BView::rows`]). Only the last `n % NR` rows, which do not
-//! fill a panel, go through a zero-padded [`PackedPanels`]. Edge panels of
-//! Ã are zero-padded by the packer, and the writeback clips to the tile.
-//! Each tile adds straight into its own row segments of `γ`, so the
-//! routines *add into* their output.
+//! B is never packed: one [`microkernel_run`] per Ã panel and `k_c` block
+//! reads all of the tile's full `NR`-row panels where they are
+//! ([`BView::rows`]) and adds each panel's sums straight into the Ã
+//! panel's row segments of γ. Only the last `n % NR` rows, which do not
+//! fill a panel, go through a zero-padded [`PackedPanels`] and a tile,
+//! which is clipped to the segments. Edge panels of Ã are zero-padded by
+//! the packer, and the run drops their rows. Each tile adds straight into
+//! its own row segments of `γ`, so the routines *add into* their output.
 
 use snp_bitmat::{BitMatrix, CompareOp, CountMatrix, PackedPanels};
 
 use crate::blocking::{CpuBlocking, MR, NR};
-use crate::microkernel::{microkernel_view, zero_tile, BView};
+use crate::microkernel::{microkernel_run, microkernel_view, zero_tile, BView};
 
 /// Adds `A ⋄ Bᵀ` into `c` using the blocked algorithm on one thread.
 ///
@@ -125,8 +127,10 @@ pub(crate) fn pack_a(a: &BitMatrix<u64>, blocking: &CpuBlocking) -> Vec<Vec<Pack
 /// Adds one tile's share of `A ⋄ Bᵀ` into its row segments: loops 1–2
 /// for each `k_c` block, with the Ã panel loop outside the B panel loop.
 /// One `MR × k_c` Ã panel stays in L1 while B's `NR`-row panels stream
-/// past it in place, so each panel's `MR` row segments of γ are fetched
-/// once. A ragged last B panel is packed zero-padded first.
+/// past it in place, all of the tile's full panels in one
+/// [`microkernel_run`], which adds them straight into the Ã panel's row
+/// segments. A ragged last B panel is packed zero-padded first and goes
+/// through a tile.
 pub(crate) fn run_tile(
     op: CompareOp,
     a_packs: &[Vec<PackedPanels<u64>>],
@@ -143,25 +147,15 @@ pub(crate) fn run_tile(
             (full < n_blk).then(|| PackedPanels::pack(b, jc + full, jc + n_blk, pc, pc + k, NR));
         for (ip, segs) in tile.rows.chunks_mut(MR).enumerate() {
             let a_panel = a_pack.panel(ip);
-            let mut add = |j0: usize, panel: BView<'_>| {
+            microkernel_run(op, k, a_panel, BView::rows(b, jc, pc), full / NR, segs);
+            if let Some(t) = &tail {
                 let mut acc = zero_tile();
-                microkernel_view(op, k, a_panel, panel, &mut acc);
+                microkernel_view(op, k, a_panel, BView::packed(t.panel(0)), &mut acc);
                 for (row, acc_row) in segs.iter_mut().zip(&acc) {
-                    // A whole panel adds NR columns, the ragged last fewer.
-                    let out = match row.get_mut(j0..j0 + NR) {
-                        Some(out) => out,
-                        None => &mut row[j0..],
-                    };
-                    for (o, &v) in out.iter_mut().zip(acc_row) {
+                    for (o, &v) in row[full..].iter_mut().zip(acc_row) {
                         *o += v;
                     }
                 }
-            };
-            for j0 in (0..full).step_by(NR) {
-                add(j0, BView::rows(b, jc + j0, pc));
-            }
-            if let Some(t) = &tail {
-                add(full, BView::packed(t.panel(0)));
             }
         }
         pc += k;

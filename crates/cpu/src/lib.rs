@@ -5,7 +5,8 @@
 //! blocked matrix multiplication with the floating-point microkernel
 //! replaced by the three-instruction popcount sequence
 //! `γ += POPC(a ⋄ b)` over 64-bit words. A is packed, B is read in place,
-//! and rayon runs tiles of γ, cut to fit any shape, across cores.
+//! each Ã panel's sums go from registers straight into γ, and rayon runs
+//! tiles of γ, cut to fit any shape, across cores.
 //!
 //! This is both a real, runnable engine (benchmarked with Criterion in
 //! `snp-bench`) and the correctness oracle the simulated GPU kernels are
@@ -14,8 +15,9 @@
 //! * [`CpuEngine`] — algorithm-level API (LD, identity search, mixture
 //!   analysis);
 //! * [`CpuBlocking`] — cache-derived blocking parameters (Low et al. \[21\]);
-//! * [`microkernel`] — the architecture-specific inner kernel, on the
-//!   host's fastest popcount instruction chosen at run time;
+//! * [`microkernel`] — the architecture-specific inner kernel, one panel
+//!   run per Ã panel on the host's fastest popcount instruction, chosen at
+//!   run time;
 //! * [`gemm`] / [`parallel`] — the tile loop nest, on one thread and on the
 //!   rayon pool.
 

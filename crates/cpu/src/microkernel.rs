@@ -5,34 +5,41 @@
 //! dimension with the three-instruction sequence
 //! `γ += POPC(a ⋄ b)` (paper §III). A arrives as a packed panel (word-major,
 //! produced by [`snp_bitmat::PackedPanels`]). B arrives as a strided
-//! [`BView`], so the loop nests can hand over `NR` rows of a
-//! [`BitMatrix`] where they already are, or a packed panel.
+//! [`BView`], so the loop nests can hand over rows of a [`BitMatrix`]
+//! where they already are, or a packed panel.
 //!
-//! [`microkernel`] is the production path. The release build targets
-//! baseline x86-64, where `count_ones()` lowers to a SWAR sequence, so the
-//! kernel picks its popcount instruction at run time, once per process
+//! [`microkernel_run`] is the production path: one call is a *panel run*,
+//! one A panel against `panels` consecutive `NR`-row panels of B, adding
+//! each panel's `MR × NR` counts straight into the A panel's row segments
+//! of γ, as BLIS's kernel updates C from its registers. The release build
+//! targets baseline x86-64, where `count_ones()` lowers to a SWAR sequence,
+//! so the run picks its popcount instruction at run time, once per process
 //! ([`Tier::detected`]), from three tiers that compute bit-identical counts:
 //!
 //! * [`Tier::Vpopcntq`] — AVX-512 `VPOPCNTQ`. One zmm register holds the
 //!   `MR` A words of a shared-dimension step; each of the `NR` B words is
 //!   broadcast straight from the view, combined with it by one
 //!   `VPTERNLOGQ`, popcounted by one `VPOPCNTQ` and added into its own u64
-//!   zmm accumulator. The four accumulators are added into the u32 tile
-//!   once per call.
+//!   zmm accumulator. After the `k` steps of a panel, four permutes turn
+//!   the four accumulators into one 128-bit row of four u32 counts per A
+//!   row, and each row is added into γ with one vector load, add and store.
 //! * [`Tier::Avx2`] — the 4-lane Harley–Seal tree of [`crate::simd`]
 //!   compiled with AVX2 enabled, so one [`W64x4`] is one ymm register.
 //! * [`Tier::Portable`] — the same tree as compiled for the build target;
 //!   the only tier on targets other than x86-64.
 //!
-//! Both lane tiers copy each [`CSA_BLOCK`]-deep slab of the view into a
-//! local packed array, run it through the tree, and run the
-//! `k % CSA_BLOCK` remainder through the scalar loop.
+//! Both lane tiers copy each [`CSA_BLOCK`]-deep slab of a panel into a
+//! local packed array, run it through the tree, run the `k % CSA_BLOCK`
+//! remainder through the scalar loop, and add the panel's tile into γ.
 //!
-//! Every entry point asserts that the operands cover `k` steps before it
-//! enters `unsafe`; the tiers then read B without per-word bounds checks.
+//! Each tier has one body, and a run picks it once. [`microkernel`],
+//! [`microkernel_view`] and [`microkernel_tier`] are the one-panel case of
+//! the same run, with a `u32` tile standing in for γ. Every entry point
+//! asserts all of a run's bounds once, before it enters `unsafe`; the tiers
+//! then read B and write γ without per-word bounds checks.
 //! [`microkernel_scalar`], one `count_ones()` per combined word in safe
 //! code, is the oracle every tier is tested against through
-//! [`microkernel_tier`].
+//! [`microkernel_tier`] and [`microkernel_run_tier`].
 
 use std::sync::OnceLock;
 
@@ -46,7 +53,7 @@ const _: () = assert!(NR == W64x4::LANES, "the SIMD lane width is the NR tile");
 /// Shared-dimension steps folded per Harley–Seal tree in the lane tiers.
 pub const CSA_BLOCK: usize = 8;
 
-/// The popcount instruction a [`microkernel`] call runs on.
+/// The popcount instruction a [`microkernel_run`] call runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
     /// AVX-512 `VPOPCNTQ` (x86-64 with `avx512f` and `avx512vpopcntdq`).
@@ -100,13 +107,14 @@ impl std::fmt::Display for Tier {
     }
 }
 
-/// The `NR` rows of B one microkernel call reads: word `p` of row `j` is
-/// `words[j·row_stride + p·word_stride]`.
+/// The rows of B a microkernel call reads: word `p` of row `j` is
+/// `words[j·row_stride + p·word_stride]`. Panel `q` of a run is rows
+/// `q·NR..(q + 1)·NR`.
 ///
 /// A packed panel is the view with strides 1 and `NR`
 /// ([`BView::packed`]); rows of a [`BitMatrix`] read in place have strides
 /// `words_per_row` and 1 ([`BView::rows`]). A view may be shorter than any
-/// `k`: each microkernel call asserts that it covers that call's `k` steps.
+/// run: each call asserts that it covers that call's panels and `k` steps.
 #[derive(Debug, Clone, Copy)]
 pub struct BView<'a> {
     words: &'a [u64],
@@ -129,7 +137,7 @@ impl<'a> BView<'a> {
         Self::new(panel, 1, NR)
     }
 
-    /// Rows `row..row + NR` of `m` from word `word` on, read in place.
+    /// Rows `row..` of `m` from word `word` on, read in place.
     ///
     /// Panics if `row` and `word` lie past the end of `m`.
     pub fn rows(m: &'a BitMatrix<u64>, row: usize, word: usize) -> Self {
@@ -137,11 +145,16 @@ impl<'a> BView<'a> {
         Self::new(&m.words()[row * wpr + word..], wpr, 1)
     }
 
-    /// Whether word `k − 1` of row `NR − 1`, the last one `k` steps read,
-    /// lies inside the view (every view covers `k = 0`).
-    fn covers(&self, k: usize) -> bool {
-        k == 0
-            || (NR - 1)
+    /// Whether word `k − 1` of row `panels·NR − 1`, the last one a run of
+    /// `panels` panels over `k` steps reads, lies inside the view (every
+    /// view covers `k = 0` and `panels = 0`).
+    fn covers(&self, panels: usize, k: usize) -> bool {
+        let Some(rows) = panels.checked_mul(NR) else {
+            return false;
+        };
+        rows == 0
+            || k == 0
+            || (rows - 1)
                 .checked_mul(self.row_stride)
                 .zip((k - 1).checked_mul(self.word_stride))
                 .and_then(|(row, word)| row.checked_add(word))
@@ -152,18 +165,70 @@ impl<'a> BView<'a> {
     ///
     /// # Safety
     ///
-    /// `j < NR`, and `self.covers(k)` for some `k > p`.
+    /// `self.covers(panels, k)` for some `panels` and `k` with
+    /// `j < panels·NR` and `p < k`.
     #[inline(always)]
     unsafe fn get_unchecked(&self, j: usize, p: usize) -> u64 {
-        // SAFETY: with j ≤ NR − 1 and p ≤ k − 1, the index is at most the
-        // last word `covers(k)` found inside `words`, and computing that
-        // word did not overflow, so neither does this index.
+        // SAFETY: with j ≤ panels·NR − 1 and p ≤ k − 1, the index is at
+        // most the last word `covers(panels, k)` found inside `words`, and
+        // computing that word did not overflow, so neither does this index.
         unsafe {
             *self
                 .words
                 .get_unchecked(j * self.row_stride + p * self.word_stride)
         }
     }
+}
+
+/// The panel run, on the [`Tier::detected`] popcount instruction: for each
+/// panel `q < panels`, adds
+/// `Σ_p popc(op(a_panel[p·MR + i], b(q·NR + j, p)))` over `p` in `0..k`
+/// into `segs[i][q·NR + j]`, where `b(r, p)` is word `p` of row `r` of the
+/// view.
+///
+/// `segs` are the A panel's row segments of γ, at most `MR` of them; A
+/// rows past `segs.len()` (an edge panel's zero padding) are computed and
+/// dropped. Columns of a segment past `panels·NR` are left alone.
+///
+/// Panics if `a_panel` holds fewer than `k × MR` words, `b` does not cover
+/// `panels` panels of `k` steps, or `segs` holds more than `MR` segments or
+/// one shorter than `panels·NR`.
+#[inline]
+pub fn microkernel_run(
+    op: CompareOp,
+    k: usize,
+    a_panel: &[u64],
+    b: BView<'_>,
+    panels: usize,
+    segs: &mut [&mut [u32]],
+) {
+    check_operands(k, a_panel, &b, panels, segs);
+    // SAFETY: `Tier::detected` returns only a tier this CPU supports, and
+    // `check_operands` asserted the run's bounds.
+    unsafe { dispatch(Tier::detected(), op, k, a_panel, b, panels, segs) }
+}
+
+/// [`microkernel_run`] on a chosen tier: the seam that lets tests run
+/// every tier the host supports against [`microkernel_scalar`].
+///
+/// Panics like [`microkernel_run`], or if this CPU cannot run `tier`.
+pub fn microkernel_run_tier(
+    tier: Tier,
+    op: CompareOp,
+    k: usize,
+    a_panel: &[u64],
+    b: BView<'_>,
+    panels: usize,
+    segs: &mut [&mut [u32]],
+) {
+    check_operands(k, a_panel, &b, panels, segs);
+    assert!(
+        tier.available(),
+        "popcount tier {tier} is not available on this CPU"
+    );
+    // SAFETY: the asserts above checked that this CPU supports `tier` and
+    // the run's bounds.
+    unsafe { dispatch(tier, op, k, a_panel, b, panels, segs) }
 }
 
 /// Computes `acc[i][j] += Σ_p popc(op(a_panel[p·MR + i], b_panel[p·NR + j]))`
@@ -184,7 +249,7 @@ pub fn microkernel(
 
 /// Computes `acc[i][j] += Σ_p popc(op(a_panel[p·MR + i], b(j, p)))` for `p`
 /// in `0..k`, where `b(j, p)` is word `p` of row `j` of the view, on the
-/// [`Tier::detected`] popcount instruction.
+/// [`Tier::detected`] popcount instruction: the one-panel run into a tile.
 ///
 /// Panics if `a_panel` holds fewer than `k × MR` words or `b` does not
 /// cover `k` steps.
@@ -196,14 +261,12 @@ pub fn microkernel_view(
     b: BView<'_>,
     acc: &mut [[u32; NR]; MR],
 ) {
-    check_operands(k, a_panel, &b);
-    // SAFETY: `Tier::detected` returns only a tier this CPU supports, and
-    // `check_operands` asserted that `b` covers `k` steps.
-    unsafe { dispatch(Tier::detected(), op, k, a_panel, b, acc) }
+    let mut segs = acc.each_mut().map(|r| &mut r[..]);
+    microkernel_run(op, k, a_panel, b, 1, &mut segs)
 }
 
-/// [`microkernel_view`] on a chosen tier: the seam that lets tests run
-/// every tier the host supports against [`microkernel_scalar`].
+/// [`microkernel_view`] on a chosen tier: the one-panel case of
+/// [`microkernel_run_tier`].
 ///
 /// Panics if the operands are too short for `k`, or if this CPU cannot run
 /// `tier`.
@@ -215,22 +278,16 @@ pub fn microkernel_tier(
     b: BView<'_>,
     acc: &mut [[u32; NR]; MR],
 ) {
-    check_operands(k, a_panel, &b);
-    assert!(
-        tier.available(),
-        "popcount tier {tier} is not available on this CPU"
-    );
-    // SAFETY: the asserts above checked that this CPU supports `tier` and
-    // that `b` covers `k` steps.
-    unsafe { dispatch(tier, op, k, a_panel, b, acc) }
+    let mut segs = acc.each_mut().map(|r| &mut r[..]);
+    microkernel_run_tier(tier, op, k, a_panel, b, 1, &mut segs)
 }
 
-/// Runs one microkernel call on `tier`.
+/// Runs one panel run on `tier`.
 ///
 /// # Safety
 ///
-/// This CPU must support `tier` ([`Tier::available`]), and `b` must cover
-/// `k` steps ([`BView::covers`]).
+/// This CPU must support `tier` ([`Tier::available`]), and the operands
+/// must pass [`check_operands`].
 #[inline(always)]
 unsafe fn dispatch(
     tier: Tier,
@@ -238,7 +295,8 @@ unsafe fn dispatch(
     k: usize,
     a_panel: &[u64],
     b: BView<'_>,
-    acc: &mut [[u32; NR]; MR],
+    panels: usize,
+    segs: &mut [&mut [u32]],
 ) {
     match tier {
         #[cfg(target_arch = "x86_64")]
@@ -249,73 +307,116 @@ unsafe fn dispatch(
             // operator applied to them, and the third operand is ignored.
             const A: i32 = 0xF0;
             const B: i32 = 0xCC;
-            let steps = match op {
+            let run = match op {
                 CompareOp::And => vpopcntq::<{ A & B }>,
                 CompareOp::Xor => vpopcntq::<{ A ^ B }>,
                 CompareOp::AndNot => vpopcntq::<{ A & !B }>,
             };
             // SAFETY: the caller guarantees `avx512f`, `avx512vpopcntdq` and
-            // that `b` covers `k`.
-            unsafe { steps(k, a_panel, b, acc) }
+            // the run's bounds.
+            unsafe { run(k, a_panel, b, panels, segs) }
         }
-        // SAFETY: the caller guarantees `avx2` and that `b` covers `k`.
+        // SAFETY: the caller guarantees `avx2` and the run's bounds.
         #[cfg(target_arch = "x86_64")]
-        Tier::Avx2 => unsafe { lane_avx2(op, k, a_panel, b, acc) },
-        // SAFETY: the caller guarantees that `b` covers `k`.
-        _ => unsafe { lane(op, k, a_panel, b, acc) },
+        Tier::Avx2 => unsafe { lane_avx2(op, k, a_panel, b, panels, segs) },
+        // SAFETY: the caller guarantees the run's bounds.
+        _ => unsafe { lane(op, k, a_panel, b, panels, segs) },
     }
 }
 
-/// The [`Tier::Vpopcntq`] kernel for the operator whose `VPTERNLOGQ` truth
-/// table is `TABLE`. It reads A through safe slices (stopping at the
-/// shorter of `k` and the panel).
+/// The [`Tier::Vpopcntq`] run for the operator whose `VPTERNLOGQ` truth
+/// table is `TABLE`. It reads A through safe slices. Each panel's four u64 sums stay in zmm
+/// registers across the `k` loop and go into γ through [`add_sums`].
 ///
 /// # Safety
 ///
-/// This CPU must support `avx512f` and `avx512vpopcntdq`, and `b` must
-/// cover `k` steps.
+/// This CPU must support `avx512f` and `avx512vpopcntdq`, and the operands
+/// must pass [`check_operands`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vpopcntdq")]
 unsafe fn vpopcntq<const TABLE: i32>(
     k: usize,
     a_panel: &[u64],
     b: BView<'_>,
-    acc: &mut [[u32; NR]; MR],
+    panels: usize,
+    segs: &mut [&mut [u32]],
 ) {
     use std::arch::x86_64::*;
     const _: () = assert!(MR * 64 == 512, "one zmm register holds the MR A lanes");
 
-    let mut sums = [_mm512_setzero_si512(); NR];
-    let (a_steps, _) = a_panel.as_chunks::<MR>();
-    for (p, a) in a_steps.iter().enumerate().take(k) {
-        // SAFETY: `a` is MR = 8 readable u64 words, one zmm; the load is
-        // unaligned.
-        let av = unsafe { _mm512_loadu_si512(a.as_ptr().cast()) };
-        for (j, sum) in sums.iter_mut().enumerate() {
-            // SAFETY: j < NR and p < k, and the caller guarantees that `b`
-            // covers `k` steps.
-            let bj = unsafe { b.get_unchecked(j, p) };
-            let w = _mm512_ternarylogic_epi64::<TABLE>(av, _mm512_set1_epi64(bj as i64), av);
-            *sum = _mm512_add_epi64(*sum, _mm512_popcnt_epi64(w));
+    let a_steps = &a_panel.as_chunks::<MR>().0[..k];
+    for q in 0..panels {
+        let col = q * NR;
+        let mut sums = [_mm512_setzero_si512(); NR];
+        for (p, a) in a_steps.iter().enumerate() {
+            // SAFETY: `a` is MR = 8 readable u64 words, one zmm; the load is
+            // unaligned.
+            let av = unsafe { _mm512_loadu_si512(a.as_ptr().cast()) };
+            for (j, sum) in sums.iter_mut().enumerate() {
+                // SAFETY: col + j < panels·NR and p < k, and `check_operands`
+                // asserted that `b` covers `panels` panels of `k` steps.
+                let bj = unsafe { b.get_unchecked(col + j, p) };
+                let w = _mm512_ternarylogic_epi64::<TABLE>(av, _mm512_set1_epi64(bj as i64), av);
+                *sum = _mm512_add_epi64(*sum, _mm512_popcnt_epi64(w));
+            }
         }
+        // SAFETY: this function's own contract guarantees `avx512f`, and
+        // `check_operands` asserted that every segment holds
+        // panels·NR ≥ col + NR words.
+        unsafe { add_sums(sums, segs, col) }
     }
-    for (j, sum) in sums.into_iter().enumerate() {
-        let mut lanes = [0u64; MR];
-        // SAFETY: `lanes` is MR = 8 writable u64 words, one zmm; the store
-        // is unaligned.
-        unsafe { _mm512_storeu_si512(lanes.as_mut_ptr().cast(), sum) };
-        for (row, count) in acc.iter_mut().zip(lanes) {
-            // A lane holds at most 64·k, which the u32 tile must hold anyway.
-            row[j] += count as u32;
+}
+
+/// Adds one panel's sums into γ: `segs[i][col + j] += sums[j][i]`.
+///
+/// Lane `i` of `sums[j]` is the u64 count of A row `i` against B row `j`;
+/// its low dword is the count, since a u32 γ cell must hold it anyway. Two
+/// `vpermt2d` pair up the low dwords of columns 0–1 and 2–3 per row, two
+/// `vpermt2q` put each row's four dwords into one 128-bit lane, and each
+/// row segment then takes one 128-bit load, add and store.
+///
+/// # Safety
+///
+/// This CPU must support `avx512f`, and every segment must hold at least
+/// `col + NR` words.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn add_sums(sums: [std::arch::x86_64::__m512i; NR], segs: &mut [&mut [u32]], col: usize) {
+    use std::arch::x86_64::*;
+    const _: () = assert!(NR * 32 == 128, "one xmm register holds a row's NR counts");
+    let low_dwords = _mm512_setr_epi32(0, 16, 2, 18, 4, 20, 6, 22, 8, 24, 10, 26, 12, 28, 14, 30);
+    let c01 = _mm512_permutex2var_epi32(sums[0], low_dwords, sums[1]);
+    let c23 = _mm512_permutex2var_epi32(sums[2], low_dwords, sums[3]);
+    let rows_0_3 = _mm512_permutex2var_epi64(c01, _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11), c23);
+    let rows_4_7 =
+        _mm512_permutex2var_epi64(c01, _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15), c23);
+    let rows: [__m128i; MR] = [
+        _mm512_castsi512_si128(rows_0_3),
+        _mm512_extracti32x4_epi32::<1>(rows_0_3),
+        _mm512_extracti32x4_epi32::<2>(rows_0_3),
+        _mm512_extracti32x4_epi32::<3>(rows_0_3),
+        _mm512_castsi512_si128(rows_4_7),
+        _mm512_extracti32x4_epi32::<1>(rows_4_7),
+        _mm512_extracti32x4_epi32::<2>(rows_4_7),
+        _mm512_extracti32x4_epi32::<3>(rows_4_7),
+    ];
+    for (seg, row) in segs.iter_mut().zip(rows) {
+        // SAFETY: the caller guarantees that `seg` holds `col + NR` u32
+        // words, one unaligned 128-bit load and store from `col` on.
+        unsafe {
+            let out = seg.as_mut_ptr().add(col).cast::<__m128i>();
+            _mm_storeu_si128(out, _mm_add_epi32(_mm_loadu_si128(out), row));
         }
     }
 }
 
-/// The [`Tier::Avx2`] kernel: [`lane`] compiled with AVX2 enabled.
+/// The [`Tier::Avx2`] run: [`lane`] compiled with AVX2 enabled.
 ///
 /// # Safety
 ///
-/// This CPU must support `avx2`, and `b` must cover `k` steps.
+/// This CPU must support `avx2`, and the operands must pass
+/// [`check_operands`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn lane_avx2(
@@ -323,30 +424,38 @@ unsafe fn lane_avx2(
     k: usize,
     a_panel: &[u64],
     b: BView<'_>,
-    acc: &mut [[u32; NR]; MR],
+    panels: usize,
+    segs: &mut [&mut [u32]],
 ) {
-    // SAFETY: the caller guarantees that `b` covers `k`.
-    unsafe { lane(op, k, a_panel, b, acc) }
+    // SAFETY: the caller guarantees the run's bounds.
+    unsafe { lane(op, k, a_panel, b, panels, segs) }
 }
 
-/// The [`Tier::Portable`] kernel: the Harley–Seal tree of [`crate::simd`]
+/// The [`Tier::Portable`] run: the Harley–Seal tree of [`crate::simd`]
 /// over `W64x4` vectors, one vector per shared-dimension step holding all
 /// `NR` B lanes. Inlined so [`lane_avx2`] recompiles it.
 ///
 /// # Safety
 ///
-/// `b` must cover `k` steps.
+/// The operands must pass [`check_operands`].
 #[inline(always)]
-unsafe fn lane(op: CompareOp, k: usize, a_panel: &[u64], b: BView<'_>, acc: &mut [[u32; NR]; MR]) {
+unsafe fn lane(
+    op: CompareOp,
+    k: usize,
+    a_panel: &[u64],
+    b: BView<'_>,
+    panels: usize,
+    segs: &mut [&mut [u32]],
+) {
     // Monomorphize per operator so the combine compiles to a single
     // instruction (AND / XOR / ANDN) in the inner loop.
-    // SAFETY: the caller guarantees that `b` covers `k`, and every arm
-    // passes `b` and `k` on unchanged.
+    // SAFETY: the caller guarantees the run's bounds, and every arm passes
+    // the operands on unchanged.
     unsafe {
         match op {
-            CompareOp::And => lane_impl(k, a_panel, b, acc, |a, b| a & b),
-            CompareOp::Xor => lane_impl(k, a_panel, b, acc, |a, b| a ^ b),
-            CompareOp::AndNot => lane_impl(k, a_panel, b, acc, |a, b| a & !b),
+            CompareOp::And => lane_impl(k, a_panel, b, panels, segs, |a, b| a & b),
+            CompareOp::Xor => lane_impl(k, a_panel, b, panels, segs, |a, b| a ^ b),
+            CompareOp::AndNot => lane_impl(k, a_panel, b, panels, segs, |a, b| a & !b),
         }
     }
 }
@@ -357,42 +466,52 @@ unsafe fn lane_impl(
     k: usize,
     a_panel: &[u64],
     b: BView<'_>,
-    acc: &mut [[u32; NR]; MR],
+    panels: usize,
+    segs: &mut [&mut [u32]],
     combine: impl Fn(u64, u64) -> u64 + Copy,
 ) {
     let combine_v =
         move |a: W64x4, b: W64x4| W64x4(std::array::from_fn(|l| combine(a.0[l], b.0[l])));
     let full = k - k % CSA_BLOCK;
-    for p0 in (0..full).step_by(CSA_BLOCK) {
-        let a: &[u64; CSA_BLOCK * MR] = a_panel[p0 * MR..(p0 + CSA_BLOCK) * MR].try_into().unwrap();
-        // Gather the slab into packed order, row by row, so that each step
-        // below is one vector load, as on a packed panel.
-        let mut slab = [0u64; CSA_BLOCK * NR];
-        for j in 0..NR {
-            for p in 0..CSA_BLOCK {
-                // SAFETY: j < NR and p0 + p < full ≤ k, and the caller
-                // guarantees that `b` covers `k` steps.
-                slab[p * NR + j] = unsafe { b.get_unchecked(j, p0 + p) };
+    for q in 0..panels {
+        let col = q * NR;
+        let mut acc = zero_tile();
+        for p0 in (0..full).step_by(CSA_BLOCK) {
+            let a: &[u64; CSA_BLOCK * MR] =
+                a_panel[p0 * MR..(p0 + CSA_BLOCK) * MR].try_into().unwrap();
+            // Gather the slab into packed order, row by row, so that each
+            // step below is one vector load, as on a packed panel.
+            let mut slab = [0u64; CSA_BLOCK * NR];
+            for j in 0..NR {
+                for p in 0..CSA_BLOCK {
+                    // SAFETY: col + j < panels·NR and p0 + p < full ≤ k, and
+                    // the caller guarantees that `b` covers `panels` panels
+                    // of `k` steps.
+                    slab[p * NR + j] = unsafe { b.get_unchecked(col + j, p0 + p) };
+                }
+            }
+            // One vector load per B step, reused across the MR rows.
+            let bv: [W64x4; CSA_BLOCK] = std::array::from_fn(|p| W64x4::load(&slab[p * NR..]));
+            for (i, acc_row) in acc.iter_mut().enumerate() {
+                let w: [W64x4; CSA_BLOCK] =
+                    std::array::from_fn(|p| combine_v(W64x4::splat(a[p * MR + i]), bv[p]));
+                for (o, count) in acc_row.iter_mut().zip(popcount8_lanes(&w)) {
+                    *o += count;
+                }
             }
         }
-        // One vector load per B step, reused across the MR rows.
-        let bv: [W64x4; CSA_BLOCK] = std::array::from_fn(|p| W64x4::load(&slab[p * NR..]));
-        #[allow(clippy::needless_range_loop)] // explicit row index keeps the tile obvious
-        for i in 0..MR {
-            let w: [W64x4; CSA_BLOCK] =
-                std::array::from_fn(|p| combine_v(W64x4::splat(a[p * MR + i]), bv[p]));
-            let counts = popcount8_lanes(&w);
-            for j in 0..NR {
-                acc[i][j] += counts[j];
+        scalar_steps(full, k, a_panel, b, col, &mut acc, combine);
+        for (seg, acc_row) in segs.iter_mut().zip(&acc) {
+            for (o, &v) in seg[col..col + NR].iter_mut().zip(acc_row) {
+                *o += v;
             }
         }
     }
-    scalar_steps(full, k, a_panel, b, acc, combine);
 }
 
 /// The one-popcount-per-word loop: one `count_ones()` per combined word,
-/// in safe code. Exact same contract and results as [`microkernel`]; the
-/// reference oracle every [`Tier`] is tested against, and the `scalar`
+/// in safe code. Exact same contract and results as [`microkernel_view`];
+/// the reference oracle every [`Tier`] is tested against, and the `scalar`
 /// side of the `cpu/microkernel` Criterion comparison.
 #[inline]
 pub fn microkernel_scalar(
@@ -402,32 +521,49 @@ pub fn microkernel_scalar(
     b: BView<'_>,
     acc: &mut [[u32; NR]; MR],
 ) {
-    check_operands(k, a_panel, &b);
+    check_operands(k, a_panel, &b, 1, &[]);
     match op {
-        CompareOp::And => scalar_steps(0, k, a_panel, b, acc, |a, b| a & b),
-        CompareOp::Xor => scalar_steps(0, k, a_panel, b, acc, |a, b| a ^ b),
-        CompareOp::AndNot => scalar_steps(0, k, a_panel, b, acc, |a, b| a & !b),
+        CompareOp::And => scalar_steps(0, k, a_panel, b, 0, acc, |a, b| a & b),
+        CompareOp::Xor => scalar_steps(0, k, a_panel, b, 0, acc, |a, b| a ^ b),
+        CompareOp::AndNot => scalar_steps(0, k, a_panel, b, 0, acc, |a, b| a & !b),
     }
 }
 
+/// Asserts every bound a run relies on, before any `unsafe`: the A panel
+/// holds `k` steps, `b` covers `panels` panels of `k` steps, and `segs` is
+/// at most `MR` segments of at least `panels·NR` words each.
 #[inline(always)]
-fn check_operands(k: usize, a_panel: &[u64], b: &BView<'_>) {
+fn check_operands(k: usize, a_panel: &[u64], b: &BView<'_>, panels: usize, segs: &[&mut [u32]]) {
     assert!(
         a_panel.len() >= k * MR,
         "A panel too short: {} < {}",
         a_panel.len(),
         k * MR
     );
-    assert!(b.covers(k), "B view too short for k = {k}");
+    assert!(
+        b.covers(panels, k),
+        "B view too short for {panels} panel(s) of k = {k}"
+    );
+    assert!(
+        segs.len() <= MR,
+        "{} row segments for an A panel of MR = {MR} rows",
+        segs.len()
+    );
+    assert!(
+        segs.iter().all(|s| s.len() / NR >= panels),
+        "row segment shorter than {panels} panel(s) of NR = {NR} columns"
+    );
 }
 
-/// Scalar accumulation of shared-dimension steps `lo..hi`, bounds-checked.
+/// Scalar accumulation of shared-dimension steps `lo..hi` against view rows
+/// `row..row + NR`, bounds-checked.
 #[inline(always)]
 fn scalar_steps(
     lo: usize,
     hi: usize,
     a_panel: &[u64],
     b: BView<'_>,
+    row: usize,
     acc: &mut [[u32; NR]; MR],
     combine: impl Fn(u64, u64) -> u64 + Copy,
 ) {
@@ -435,7 +571,8 @@ fn scalar_steps(
         // Fixed-size arrays of the current step let the compiler unroll
         // and keep everything in registers.
         let a: &[u64; MR] = a_panel[p * MR..p * MR + MR].try_into().unwrap();
-        let bw: [u64; NR] = std::array::from_fn(|j| b.words[j * b.row_stride + p * b.word_stride]);
+        let bw: [u64; NR] =
+            std::array::from_fn(|j| b.words[(row + j) * b.row_stride + p * b.word_stride]);
         for (acc_row, &ai) in acc.iter_mut().zip(a) {
             for (o, &bj) in acc_row.iter_mut().zip(&bw) {
                 *o += combine(ai, bj).count_ones();

@@ -1,13 +1,15 @@
 //! Every popcount tier this host supports must be bit-identical to the
 //! one-popcount-per-word oracle on every operator, shared-dimension length
-//! and bit pattern, and on both B views (a packed panel and rows of a
-//! matrix read in place): the tiers are pure performance transformations.
+//! and bit pattern, on both B views (a packed panel and rows of a matrix
+//! read in place), and in a panel run that adds several B panels straight
+//! into γ: the tiers are pure performance transformations.
 
 use proptest::prelude::*;
 use snp_bitmat::{BitMatrix, CompareOp, PackedPanels};
 use snp_cpu::blocking::{MR, NR};
 use snp_cpu::microkernel::{
-    microkernel, microkernel_scalar, microkernel_tier, microkernel_view, zero_tile, BView, Tier,
+    microkernel, microkernel_run, microkernel_run_tier, microkernel_scalar, microkernel_tier,
+    microkernel_view, zero_tile, BView, Tier,
 };
 
 /// SplitMix64 words; `fill` picks random, sparse, dense or all-ones bits.
@@ -106,6 +108,64 @@ proptest! {
         microkernel_view(op, k, &a, view, &mut production);
         prop_assert_eq!(production, oracle, "production ({}), op {}", Tier::detected(), op);
     }
+
+    /// The panel run: 1–5 NR-row panels of a matrix read in place, from a
+    /// non-zero word offset at a row stride longer than k, added into
+    /// 1..=MR row segments of γ that already hold counts and run `slack`
+    /// columns past the last panel. Every tier must add what the oracle
+    /// counts panel by panel, and leave the slack columns alone.
+    #[test]
+    fn every_available_tier_runs_panels_like_the_scalar_oracle(
+        k in 0usize..=24,
+        panels in 1usize..=5,
+        n_segs in 1usize..=MR,
+        slack in 0usize..=2,
+        word_off in 1usize..=3,
+        extra in 1usize..=3,
+        row_off in 0usize..=2,
+        op_i in 0usize..3,
+        seed in any::<u64>(),
+        fill in 0usize..4,
+    ) {
+        let op = CompareOp::ALL[op_i];
+        let wpr = word_off + k + extra;
+        let rows = row_off + panels * NR + 1;
+        let m = BitMatrix::from_words(rows, wpr * 64, wpr, words(rows * wpr, !seed, fill));
+        let view = BView::rows(&m, row_off, word_off);
+        let a = words(k * MR, seed, fill);
+        let start: Vec<Vec<u32>> = (0..n_segs)
+            .map(|i| {
+                (0..panels * NR + slack)
+                    .map(|c| (seed >> ((i * 7 + c) % 48)) as u32 & 0xFFF)
+                    .collect()
+            })
+            .collect();
+
+        let mut oracle = start.clone();
+        for q in 0..panels {
+            let mut tile = zero_tile();
+            let panel = BView::rows(&m, row_off + q * NR, word_off);
+            microkernel_scalar(op, k, &a, panel, &mut tile);
+            for (seg, counts) in oracle.iter_mut().zip(&tile) {
+                for (o, &c) in seg[q * NR..(q + 1) * NR].iter_mut().zip(counts) {
+                    *o += c;
+                }
+            }
+        }
+        for tier in available_tiers() {
+            let mut got = start.clone();
+            let mut segs: Vec<&mut [u32]> = got.iter_mut().map(Vec::as_mut_slice).collect();
+            microkernel_run_tier(tier, op, k, &a, view, panels, &mut segs);
+            prop_assert_eq!(
+                &got, &oracle,
+                "tier {}, op {}, k {}, {} panel(s) into {} segment(s)", tier, op, k, panels, n_segs
+            );
+        }
+        let mut production = start.clone();
+        let mut segs: Vec<&mut [u32]> = production.iter_mut().map(Vec::as_mut_slice).collect();
+        microkernel_run(op, k, &a, view, panels, &mut segs);
+        prop_assert_eq!(&production, &oracle, "production ({}), op {}", Tier::detected(), op);
+    }
 }
 
 #[test]
@@ -177,6 +237,89 @@ fn portable_rejects_a_short_b_view() {
     short_b_view(Tier::Portable);
 }
 
+/// Two panels into two row segments, one of them a column short of
+/// 2·NR.
+fn short_row_segment(tier: Tier) {
+    let words = [0u64; 2 * NR * 3];
+    let (mut long, mut short) = ([0u32; 2 * NR], [0u32; 2 * NR - 1]);
+    microkernel_run_tier(
+        tier,
+        CompareOp::And,
+        3,
+        &[0u64; 3 * MR],
+        BView::new(&words, 3, 1),
+        2,
+        &mut [&mut long[..], &mut short[..]],
+    );
+}
+
+/// Three panels of a matrix whose last two rows hold only two of the third
+/// panel's NR rows.
+fn panels_past_the_matrix(tier: Tier) {
+    let m = BitMatrix::<u64>::zeros(2 * NR + 2, 64 * 3);
+    let mut gamma = [0u32; 3 * NR];
+    microkernel_run_tier(
+        tier,
+        CompareOp::Xor,
+        3,
+        &[0u64; 3 * MR],
+        BView::rows(&m, 0, 0),
+        3,
+        &mut [&mut gamma[..]],
+    );
+}
+
+#[test]
+#[should_panic(expected = "row segment shorter")]
+fn vpopcntq_rejects_a_short_row_segment() {
+    short_row_segment(Tier::Vpopcntq);
+}
+
+#[test]
+#[should_panic(expected = "row segment shorter")]
+fn avx2_rejects_a_short_row_segment() {
+    short_row_segment(Tier::Avx2);
+}
+
+#[test]
+#[should_panic(expected = "row segment shorter")]
+fn portable_rejects_a_short_row_segment() {
+    short_row_segment(Tier::Portable);
+}
+
+#[test]
+#[should_panic(expected = "B view too short")]
+fn vpopcntq_rejects_panels_past_the_matrix() {
+    panels_past_the_matrix(Tier::Vpopcntq);
+}
+
+#[test]
+#[should_panic(expected = "B view too short")]
+fn avx2_rejects_panels_past_the_matrix() {
+    panels_past_the_matrix(Tier::Avx2);
+}
+
+#[test]
+#[should_panic(expected = "B view too short")]
+fn portable_rejects_panels_past_the_matrix() {
+    panels_past_the_matrix(Tier::Portable);
+}
+
+#[test]
+#[should_panic(expected = "row segments for an A panel")]
+fn a_run_rejects_more_row_segments_than_mr() {
+    let mut rows = [[0u32; NR]; MR + 1];
+    let mut segs: Vec<&mut [u32]> = rows.iter_mut().map(|r| &mut r[..]).collect();
+    microkernel_run(
+        CompareOp::And,
+        1,
+        &[0u64; MR],
+        BView::packed(&[0u64; NR]),
+        1,
+        &mut segs,
+    );
+}
+
 #[test]
 fn a_view_exactly_long_enough_is_accepted() {
     // The boundary of the check above: (NR − 1)·10 + 3 words cover k = 3.
@@ -192,5 +335,29 @@ fn a_view_exactly_long_enough_is_accepted() {
             &mut acc,
         );
         assert_eq!(acc, [[3 * 64; NR]; MR], "tier {tier}");
+    }
+}
+
+#[test]
+fn panels_exactly_covering_the_matrix_are_accepted() {
+    // The boundary of `panels_past_the_matrix`: 3·NR rows hold three
+    // panels, and a run adds only its panels' columns.
+    let m = BitMatrix::<u64>::from_fn(3 * NR, 64 * 3, |_, _| true);
+    let a = [u64::MAX; 3 * MR];
+    for tier in available_tiers() {
+        let mut gamma = [[7u32; 3 * NR + 1]; 2];
+        let [first, second] = &mut gamma;
+        microkernel_run_tier(
+            tier,
+            CompareOp::And,
+            3,
+            &a,
+            BView::rows(&m, 0, 0),
+            3,
+            &mut [&mut first[..], &mut second[..]],
+        );
+        let mut want = [7 + 3 * 64; 3 * NR + 1];
+        want[3 * NR] = 7;
+        assert_eq!(gamma, [want; 2], "tier {tier}");
     }
 }

@@ -18,19 +18,23 @@
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Everything a `use rayon::prelude::*` caller expects.
 pub mod prelude {
     pub use crate::{IntoParallelIterator, ParallelIterator, ParallelSlice, ParallelSliceMut};
 }
 
-/// Number of worker threads a parallel operation may use (the machine's
-/// available parallelism; rayon's global-pool equivalent).
+/// Number of worker threads a parallel operation may use: the machine's
+/// available parallelism, read on the first call and fixed for the rest of
+/// the process, as rayon fixes its global pool's size when it builds it.
 pub fn current_num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Runs `items` through `f` on up to [`current_num_threads`] scoped worker
