@@ -1,6 +1,9 @@
-//! # snp-bench — benchmark harness
+//! # snp-bench — the paper's tables and figures
 //!
-//! One binary per paper table/figure (see DESIGN.md §4 for the index):
+//! One function per paper table/figure, each returning its report text
+//! (see DESIGN.md §4 for the index). Each has a one-line binary of the same
+//! name that prints it, and the committed `results/<name>.txt` holds its
+//! output byte for byte, pinned by the umbrella crate's golden test:
 //!
 //! | target | regenerates |
 //! |---|---|
@@ -12,14 +15,37 @@
 //! | `fig8_fastid` | Fig. 8 (FastID 32 queries vs >20M profiles) |
 //! | `fig9_andnot` | Fig. 9 (AND vs AND-NOT on one core) |
 //! | `microbench_table` | §V-C/V-D instrument readings (footnote 1) |
+//! | `ablation_report` | modeled ablations of the DESIGN.md §5 choices |
+//! | `extensions_report` | streaming top-k, multi-GPU sharding, memory analysis |
 //!
-//! plus Criterion benches over the *real* host engines (`cpu_engine`,
-//! `bitmat_ops`, `sim_engines`, `framework_end2end`, `ablations`).
+//! Every number is virtual (modeled) time, so each report is deterministic.
 
 use std::fmt::Display;
 
+mod ablation_report;
+mod extensions_report;
+mod fig5_ld_kernel;
+mod fig6_ld_end2end;
+mod fig7_scalability;
+mod fig8_fastid;
+mod fig9_andnot;
+mod microbench_table;
+mod table1_devices;
+mod table2_configs;
+
+pub use ablation_report::ablation_report;
+pub use extensions_report::extensions_report;
+pub use fig5_ld_kernel::fig5_ld_kernel;
+pub use fig6_ld_end2end::fig6_ld_end2end;
+pub use fig7_scalability::fig7_scalability;
+pub use fig8_fastid::fig8_fastid;
+pub use fig9_andnot::fig9_andnot;
+pub use microbench_table::microbench_table;
+pub use table1_devices::table1_devices;
+pub use table2_configs::table2_configs;
+
 /// Renders an aligned text table with a header row.
-pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let cols = headers.len();
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -54,7 +80,7 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Formats a float with engineering-style precision.
-pub fn eng(v: f64) -> String {
+pub(crate) fn eng(v: f64) -> String {
     if v == 0.0 {
         return "0".to_string();
     }
@@ -71,7 +97,7 @@ pub fn eng(v: f64) -> String {
 }
 
 /// Nanoseconds → human-readable duration.
-pub fn fmt_ns(ns: f64) -> String {
+pub(crate) fn fmt_ns(ns: f64) -> String {
     if ns >= 1e9 {
         format!("{:.2} s", ns / 1e9)
     } else if ns >= 1e6 {
@@ -83,9 +109,9 @@ pub fn fmt_ns(ns: f64) -> String {
     }
 }
 
-/// Prints a section banner.
-pub fn banner(title: impl Display) {
-    println!("\n=== {title} ===\n");
+/// Appends a section banner.
+pub(crate) fn banner(out: &mut String, title: impl Display) {
+    out.push_str(&format!("\n=== {title} ===\n\n"));
 }
 
 #[cfg(test)]

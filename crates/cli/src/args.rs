@@ -90,6 +90,16 @@ impl Args {
         }
     }
 
+    /// A size option (a count of SNPs, samples, profiles, queries, …) with a
+    /// default. Zero is rejected here, once for every command, because no
+    /// workload generator or tiler accepts an empty dimension.
+    pub fn get_size(&self, key: &str, default: usize) -> Result<usize, ArgError> {
+        match self.get_parse(key, default)? {
+            0 => Err(ArgError(format!("--{key} must be at least 1"))),
+            n => Ok(n),
+        }
+    }
+
     /// Errors on unknown option names (catches typos).
     pub fn expect_only(&self, allowed: &[&str]) -> Result<(), ArgError> {
         for key in self.options.keys() {

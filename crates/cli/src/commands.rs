@@ -305,13 +305,13 @@ fn cmd_config(args: &Args) -> Result<String, ArgError> {
     args.expect_only(&["device", "algorithm", "m", "n", "snps"])?;
     let dev = device_arg(args)?;
     let alg = algorithm_arg(args)?;
-    let m = args.get_parse("m", 10_000usize)?;
-    let n = args.get_parse("n", 10_000usize)?;
-    let snps = args.get_parse("snps", 10_000usize)?;
+    let m = args.get_size("m", 10_000)?;
+    let n = args.get_size("n", 10_000)?;
+    let snps = args.get_size("snps", 10_000)?;
     let shape = ProblemShape {
         m,
         n,
-        k_words: snps.div_ceil(32).max(1),
+        k_words: snps.div_ceil(32),
     };
     let cfg = config_for(&dev, alg, shape);
     let mut out = String::new();
@@ -426,8 +426,8 @@ fn cmd_ld(args: &Args) -> Result<CmdReport, CliError> {
         "fault-seed",
     ])?;
     let dev = device_arg(args)?;
-    let snps = args.get_parse("snps", 256usize)?;
-    let samples = args.get_parse("samples", 2048usize)?;
+    let snps = args.get_size("snps", 256)?;
+    let samples = args.get_size("samples", 2048)?;
     let seed = args.get_parse("seed", 42u64)?;
     let panel = generate_panel(
         &PanelConfig {
@@ -486,9 +486,9 @@ fn cmd_search(args: &Args) -> Result<CmdReport, CliError> {
         "fault-seed",
     ])?;
     let dev = device_arg(args)?;
-    let profiles = args.get_parse("profiles", 10_000usize)?;
-    let snps = args.get_parse("snps", 512usize)?;
-    let queries = args.get_parse("queries", 8usize)?;
+    let profiles = args.get_size("profiles", 10_000)?;
+    let snps = args.get_size("snps", 512)?;
+    let queries = args.get_size("queries", 8)?;
     let noise = args.get_parse("noise", 0.01f64)?;
     let seed = args.get_parse("seed", 42u64)?;
     let db = generate_database(
@@ -547,9 +547,9 @@ fn cmd_mixture(args: &Args) -> Result<CmdReport, CliError> {
         "fault-seed",
     ])?;
     let dev = device_arg(args)?;
-    let profiles = args.get_parse("profiles", 5_000usize)?;
-    let snps = args.get_parse("snps", 512usize)?;
-    let contributors = args.get_parse("contributors", 3usize)?;
+    let profiles = args.get_size("profiles", 5_000)?;
+    let snps = args.get_size("snps", 512)?;
+    let contributors = args.get_size("contributors", 3)?;
     let seed = args.get_parse("seed", 42u64)?;
     let db = generate_database(
         &DatabaseConfig {
@@ -605,11 +605,8 @@ fn cmd_mixture(args: &Args) -> Result<CmdReport, CliError> {
 
 fn cmd_cpu(args: &Args) -> Result<String, ArgError> {
     args.expect_only(&["snps", "samples", "seed"])?;
-    let snps = args.get_parse("snps", 512usize)?;
-    if snps == 0 {
-        return Err(ArgError("--snps must be at least 1".into()));
-    }
-    let samples = args.get_parse("samples", 4096usize)?;
+    let snps = args.get_size("snps", 512)?;
+    let samples = args.get_size("samples", 4096)?;
     let seed = args.get_parse("seed", 42u64)?;
     let panel = snp_popgen::random_dense(snps, samples, seed);
     let engine = CpuEngine::new();
@@ -675,8 +672,8 @@ fn cmd_trace(args: &Args) -> Result<String, ArgError> {
         .with_tracer(tracer.clone());
     let (label, timing, passes) = match algo {
         "ld" => {
-            let snps = args.get_parse("snps", 128usize)?;
-            let samples = args.get_parse("samples", 1024usize)?;
+            let snps = args.get_size("snps", 128)?;
+            let samples = args.get_size("samples", 1024)?;
             let panel = generate_panel(
                 &PanelConfig {
                     snps,
@@ -695,9 +692,9 @@ fn cmd_trace(args: &Args) -> Result<String, ArgError> {
             )
         }
         "fastid" | "search" => {
-            let profiles = args.get_parse("profiles", 2_000usize)?;
-            let snps = args.get_parse("snps", 256usize)?;
-            let queries = args.get_parse("queries", 4usize)?;
+            let profiles = args.get_size("profiles", 2_000)?;
+            let snps = args.get_size("snps", 256)?;
+            let queries = args.get_size("queries", 4)?;
             let db = generate_database(
                 &DatabaseConfig {
                     profiles,
@@ -717,9 +714,9 @@ fn cmd_trace(args: &Args) -> Result<String, ArgError> {
             )
         }
         "mixture" => {
-            let profiles = args.get_parse("profiles", 1_000usize)?;
-            let snps = args.get_parse("snps", 256usize)?;
-            let contributors = args.get_parse("contributors", 2usize)?;
+            let profiles = args.get_size("profiles", 1_000)?;
+            let snps = args.get_size("snps", 256)?;
+            let contributors = args.get_size("contributors", 2)?;
             let db = generate_database(
                 &DatabaseConfig {
                     profiles,
@@ -1158,13 +1155,13 @@ fn cmd_profile(args: &Args) -> Result<CmdReport, CliError> {
     args.expect_only(&["device", "m", "n", "snps", "json"])?;
     let algorithms = algorithm_selection(args.positional.as_deref().unwrap_or("all"))?;
     let devs = device_selection(args.get_or("device", "all"))?;
-    let m = args.get_parse("m", 2048usize)?;
-    let n = args.get_parse("n", 2048usize)?;
-    let snps = args.get_parse("snps", 8192usize)?;
+    let m = args.get_size("m", 2048)?;
+    let n = args.get_size("n", 2048)?;
+    let snps = args.get_size("snps", 8192)?;
     let shape = ProblemShape {
         m,
         n,
-        k_words: snps.div_ceil(32).max(1),
+        k_words: snps.div_ceil(32),
     };
 
     let mut out = String::new();
@@ -1375,7 +1372,7 @@ fn loadgen_admission(args: &Args, implied: bool) -> Result<snp_load::AdmissionCo
     }
     adm.deadline_slack = args.get_parse("deadline-slack", adm.deadline_slack)?;
     adm.shed_budget = args.get_parse("shed-budget", adm.shed_budget)?;
-    adm.queue_cap = args.get_parse("queue-cap", adm.queue_cap)?;
+    adm.queue_cap = args.get_size("queue-cap", adm.queue_cap)?;
     if adm.deadline_slack.is_nan() || adm.deadline_slack <= 0.0 {
         return Err(ArgError(format!(
             "--deadline-slack must be positive, got {}",
@@ -1387,9 +1384,6 @@ fn loadgen_admission(args: &Args, implied: bool) -> Result<snp_load::AdmissionCo
             "--shed-budget must be in [0, 1], got {}",
             adm.shed_budget
         )));
-    }
-    if adm.queue_cap == 0 {
-        return Err(ArgError("--queue-cap must be at least 1".into()));
     }
     Ok(adm)
 }
@@ -1411,15 +1405,12 @@ fn loadgen_config(args: &Args, default_queries: usize) -> Result<snp_load::LoadC
     })?;
     let mut cfg = snp_load::LoadConfig::new(dev, snp_load::templates_for(&algorithms));
     cfg.rate_qps = rate;
-    cfg.queries = args.get_parse("queries", default_queries)?;
+    cfg.queries = args.get_size("queries", default_queries)?;
     cfg.seed = args.get_parse("seed", 42u64)?;
     cfg.arrival = arrival;
     cfg.fault = loadgen_fault(args)?;
     cfg.slo = loadgen_slo(args)?;
-    cfg.flight_capacity = args.get_parse("flight-capacity", cfg.flight_capacity)?;
-    if cfg.flight_capacity == 0 {
-        return Err(ArgError("--flight-capacity must be at least 1".into()));
-    }
+    cfg.flight_capacity = args.get_size("flight-capacity", cfg.flight_capacity)?;
     cfg.anatomy = args.flag("anatomy");
     Ok(cfg)
 }
@@ -1823,12 +1814,33 @@ mod tests {
     }
 
     #[test]
-    fn cpu_command_rejects_zero_snps() {
-        let err = run_line("cpu --snps 0").unwrap_err();
-        assert!(
-            err.to_string().contains("--snps must be at least 1"),
-            "{err}"
-        );
+    fn zero_sizes_are_usage_errors_not_panics() {
+        for (line, key) in [
+            ("ld --snps 0", "snps"),
+            ("ld --samples 0", "samples"),
+            ("search --profiles 0", "profiles"),
+            ("search --queries 0", "queries"),
+            ("search --snps 0", "snps"),
+            ("mixture --profiles 0", "profiles"),
+            ("mixture --contributors 0", "contributors"),
+            ("mixture --snps 0", "snps"),
+            ("trace --algo ld --snps 0", "snps"),
+            ("trace --algo ld --samples 0", "samples"),
+            ("trace --algo fastid --profiles 0", "profiles"),
+            ("trace --algo fastid --queries 0", "queries"),
+            ("trace --algo fastid --snps 0", "snps"),
+            ("trace --algo mixture --profiles 0", "profiles"),
+            ("trace --algo mixture --contributors 0", "contributors"),
+            ("trace --algo mixture --snps 0", "snps"),
+            ("profile --m 0", "m"),
+            ("profile --n 0", "n"),
+            ("cpu --snps 0", "snps"),
+        ] {
+            let args = Args::parse(line.split_whitespace().map(str::to_string)).unwrap();
+            let err = run_full(&args).expect_err(line);
+            assert_eq!(err.exit, ExitCode::Error, "{line}");
+            assert_eq!(err.message, format!("--{key} must be at least 1"), "{line}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! \[11\]", i.e. the Xeon E5-2620 v2 workstation running the BLIS-based LD
 //! implementation at 80–90 % of its theoretical popcount peak. We model it
 //! the same way: time = word-ops ÷ (peak × efficiency). The *runnable* CPU
-//! engine (`snp-cpu`) exists separately and is benchmarked with Criterion on
+//! engine (`snp-cpu`) exists separately and is benchmarked by `perfbench` on
 //! the host machine; this model exists so GPU-vs-CPU comparisons use the
 //! paper's machine, not ours.
 

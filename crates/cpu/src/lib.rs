@@ -8,9 +8,9 @@
 //! each Ã panel's sums go from registers straight into γ, and rayon runs
 //! tiles of γ, cut to fit any shape, across cores.
 //!
-//! This is both a real, runnable engine (benchmarked with Criterion in
-//! `snp-bench`) and the correctness oracle the simulated GPU kernels are
-//! validated against at scale.
+//! This is both a real, runnable engine (benchmarked end to end and per
+//! layer by `perfbench`) and the correctness oracle the simulated GPU
+//! kernels are validated against at scale.
 //!
 //! * [`CpuEngine`] — algorithm-level API (LD, identity search, mixture
 //!   analysis);

@@ -511,8 +511,7 @@ unsafe fn lane_impl(
 
 /// The one-popcount-per-word loop: one `count_ones()` per combined word,
 /// in safe code. Exact same contract and results as [`microkernel_view`];
-/// the reference oracle every [`Tier`] is tested against, and the `scalar`
-/// side of the `cpu/microkernel` Criterion comparison.
+/// the reference oracle every [`Tier`] is tested against.
 #[inline]
 pub fn microkernel_scalar(
     op: CompareOp,

@@ -3,9 +3,8 @@
 //!
 //! The JSON is written by hand (the workspace is offline — no serde) with
 //! a fixed key order and fixed-precision floats, so a seeded run renders
-//! byte-identically everywhere: CI diffs the artifact, and
-//! `examples/check_bench.rs` gates the percentile entries against the
-//! committed baseline.
+//! byte-identically everywhere: the umbrella crate's golden test pins the
+//! seeded loadgen, overload-chaos and what-if reports under `results/`.
 
 use std::fmt::Write as _;
 
