@@ -36,7 +36,7 @@ const FLAG_KEYS: &[&str] = &["deep", "admission", "anatomy"];
 
 impl Args {
     /// Parses a token stream: `command --key value --key2 value2 …`.
-    /// Names in [`FLAG_KEYS`] are value-less boolean flags.
+    /// Names in `FLAG_KEYS` are value-less boolean flags.
     pub fn parse<I: IntoIterator<Item = String>>(tokens: I) -> Result<Args, ArgError> {
         let mut args = Args::default();
         let mut it = tokens.into_iter().peekable();
@@ -70,7 +70,7 @@ impl Args {
         self.options.get(key).map(String::as_str)
     }
 
-    /// Whether a boolean flag (a [`FLAG_KEYS`] name) was given.
+    /// Whether a boolean flag (a `FLAG_KEYS` name) was given.
     pub fn flag(&self, key: &str) -> bool {
         self.get(key) == Some("true")
     }

@@ -64,8 +64,8 @@ COMMANDS:
                                per-kernel hardware counters (FU utilization,
                                bank-conflict replays, achieved bandwidth,
                                occupancy), roofline classification, and the
-                               four-way analytic/macro/critpath/detailed
-                               drift table; any out-of-tolerance cell fails
+                               three-way analytic/static/detailed drift
+                               table; any out-of-tolerance cell fails
   loadgen   [ld|fastid|mixture|all] [--device D --rate Q --queries N --seed S
             --arrival poisson|bursty --mode run|sweep|chaos --slo-p50-ms X
             --slo-p99-ms X --error-budget F --fault-profile P --fault-at Q
@@ -536,6 +536,18 @@ fn cmd_search(args: &Args) -> Result<CmdReport, CliError> {
     Ok(finish_workload(out, run.recovery.as_ref()))
 }
 
+/// `--contributors`: each contributor is a distinct database profile, so
+/// there can be at most `profiles` of them.
+fn contributors_arg(args: &Args, default: usize, profiles: usize) -> Result<usize, ArgError> {
+    let contributors = args.get_size("contributors", default)?;
+    if contributors > profiles {
+        return Err(ArgError(format!(
+            "--contributors ({contributors}) must not exceed --profiles ({profiles})"
+        )));
+    }
+    Ok(contributors)
+}
+
 fn cmd_mixture(args: &Args) -> Result<CmdReport, CliError> {
     args.expect_only(&[
         "device",
@@ -549,7 +561,7 @@ fn cmd_mixture(args: &Args) -> Result<CmdReport, CliError> {
     let dev = device_arg(args)?;
     let profiles = args.get_size("profiles", 5_000)?;
     let snps = args.get_size("snps", 512)?;
-    let contributors = args.get_size("contributors", 3)?;
+    let contributors = contributors_arg(args, 3, profiles)?;
     let seed = args.get_parse("seed", 42u64)?;
     let db = generate_database(
         &DatabaseConfig {
@@ -716,7 +728,7 @@ fn cmd_trace(args: &Args) -> Result<String, ArgError> {
         "mixture" => {
             let profiles = args.get_size("profiles", 1_000)?;
             let snps = args.get_size("snps", 256)?;
-            let contributors = args.get_size("contributors", 2)?;
+            let contributors = contributors_arg(args, 2, profiles)?;
             let db = generate_database(
                 &DatabaseConfig {
                     profiles,
@@ -852,7 +864,7 @@ fn cmd_lint(args: &Args) -> Result<String, ArgError> {
                     ));
                 }
                 let df = snp_verify::Dataflow::analyze(&facts.program);
-                let cp = snp_verify::critical_path(dev, &facts.program);
+                let cp = snp_gpu_sim::critical_path(dev, &facts.program);
                 deep_json = format!(
                     ",\"deep\":{{\"max_live\":{},\"reg_count\":{},\"chain_cycles\":{},\
                      \"peak_pipe_issue_cycles\":{},\"lower_bound_cycles\":{},\
@@ -1107,9 +1119,9 @@ fn profile_cell_json(c: &snp_core::CellProfile) -> String {
             "\"compute_peak_word_ops_s\":{cpk:.1},\"memory_peak_bytes_s\":{mpk:.1},",
             "\"bound\":\"{bound}\"}},",
             "\"drift\":{{\"analytic_ns\":{an:.1},\"macro_ns\":{mn:.1},",
-            "\"critpath_ns\":{cn:.1},\"detailed_ns\":{dn:.1},",
+            "\"detailed_ns\":{dn:.1},",
             "\"analytic_vs_macro\":{avm:.6},\"macro_vs_detailed\":{mvd:.6},",
-            "\"analytic_vs_detailed\":{avd:.6},\"critpath_vs_detailed\":{cvd:.6},",
+            "\"analytic_vs_detailed\":{avd:.6},",
             "\"within_tolerance\":{within}}}}}"
         ),
         device = snp_verify::json_escape(&c.device),
@@ -1141,12 +1153,10 @@ fn profile_cell_json(c: &snp_core::CellProfile) -> String {
         bound = c.roofline.bound.label(),
         an = c.drift.analytic_ns,
         mn = c.drift.macro_ns,
-        cn = c.drift.critpath_ns,
         dn = c.drift.detailed_ns,
         avm = c.drift.analytic_vs_macro,
         mvd = c.drift.macro_vs_detailed,
         avd = c.drift.analytic_vs_detailed,
-        cvd = c.drift.critpath_vs_detailed,
         within = c.drift.within_tolerance(),
     )
 }
@@ -1230,22 +1240,18 @@ fn cmd_profile(args: &Args) -> Result<CmdReport, CliError> {
             let ok = cell.drift.within_tolerance();
             let _ = writeln!(
                 out,
-                "  drift: analytic {:.3} ms | macro {:.3} ms | critpath {:.3} ms | detailed {:.3} ms",
+                "  drift: analytic {:.3} ms | static {:.3} ms | detailed {:.3} ms",
                 cell.drift.analytic_ns / 1e6,
                 cell.drift.macro_ns / 1e6,
-                cell.drift.critpath_ns / 1e6,
                 cell.drift.detailed_ns / 1e6
             );
             let _ = writeln!(
                 out,
-                "         analytic~macro {:.1}% (tol {:.0}%), macro~detailed {:.2}% (tol {:.0}%), \
-                 critpath~detailed {:.2}% (tol {:.0}%)  {}",
+                "         analytic~static {:.1}% (tol {:.0}%), static~detailed {:.2}% (tol {:.0}%)  {}",
                 cell.drift.analytic_vs_macro * 100.0,
                 cell.drift.analytic_tolerance * 100.0,
                 cell.drift.macro_vs_detailed * 100.0,
                 cell.drift.engine_tolerance * 100.0,
-                cell.drift.critpath_vs_detailed * 100.0,
-                cell.drift.critpath_tolerance * 100.0,
                 if ok { "OK" } else { "DRIFT" }
             );
             if !ok {
@@ -1262,12 +1268,11 @@ fn cmd_profile(args: &Args) -> Result<CmdReport, CliError> {
     if let Some(path) = args.get("json") {
         let json = format!(
             "{{\"shape\":{{\"m\":{m},\"n\":{n},\"k_words\":{}}},\
-             \"tolerances\":{{\"analytic\":{},\"engine\":{},\"critpath\":{}}},\
+             \"tolerances\":{{\"analytic\":{},\"engine\":{}}},\
              \"cells\":[{}],\"drift_violations\":{violations}}}\n",
             shape.k_words,
             snp_core::ANALYTIC_DRIFT_TOLERANCE,
             snp_core::ENGINE_DRIFT_TOLERANCE,
-            snp_core::CRITPATH_DRIFT_TOLERANCE,
             cells.join(",")
         );
         std::fs::write(path, json)
@@ -1840,6 +1845,22 @@ mod tests {
             let err = run_full(&args).expect_err(line);
             assert_eq!(err.exit, ExitCode::Error, "{line}");
             assert_eq!(err.message, format!("--{key} must be at least 1"), "{line}");
+        }
+    }
+
+    #[test]
+    fn contributors_above_profiles_are_usage_errors_not_panics() {
+        for line in [
+            "mixture --profiles 2 --contributors 3",
+            "trace --algo mixture --profiles 2 --contributors 3",
+        ] {
+            let args = Args::parse(line.split_whitespace().map(str::to_string)).unwrap();
+            let err = run_full(&args).expect_err(line);
+            assert_eq!(err.exit, ExitCode::Error, "{line}");
+            assert_eq!(
+                err.message, "--contributors (3) must not exceed --profiles (2)",
+                "{line}"
+            );
         }
     }
 

@@ -52,7 +52,7 @@ pub struct EngineOptions {
     /// builds, off in release builds.
     pub verify: bool,
     /// Retry/checkpoint/fallback tunables. Inert unless a
-    /// [`FaultPlan`](snp_faults::FaultPlan) is armed on the engine via
+    /// [`FaultPlan`] is armed on the engine via
     /// [`GpuEngine::with_fault_plan`] — the fault-free fast path never
     /// consults them.
     pub recovery: RecoveryPolicy,

@@ -23,10 +23,9 @@ use snp_bitmat::CompareOp;
 use snp_gpu_model::{DeviceSpec, InstrClass, KernelConfig, MatrixUnitSpec};
 use snp_gpu_sim::host::KernelCost;
 use snp_gpu_sim::macro_engine::{
-    device_fingerprint, estimate_core_cycles, kernel_time, memoized_core_cycles, KernelTime,
-    Traffic,
+    device_fingerprint, kernel_time, memoized_core_cycles, KernelTime, Traffic,
 };
-use snp_gpu_sim::{Block, Instr, Program, Reg};
+use snp_gpu_sim::{critical_path, Block, Instr, Program, Reg};
 
 /// Per-thread-group geometry derived from a configuration (DESIGN.md §3;
 /// the quantities of paper §V-A).
@@ -362,7 +361,7 @@ pub fn tile_program_mma(
 /// [`tile_program`] and the group geometry are pure functions of
 /// `(dev, cfg, op, k_words)`, so this key is computable *without* building
 /// the program — on a cache hit [`KernelPlan::new`] skips both program
-/// construction and the analytic estimate. That is the hot path of
+/// construction and the critical-path walk. That is the hot path of
 /// configuration sweeps and multi-pass launches, where thousands of plans
 /// share a handful of distinct tile programs.
 fn plan_timing_key(
@@ -408,8 +407,8 @@ pub struct KernelPlan {
 
 impl KernelPlan {
     /// Plans a pass: distributes `tiles_m × tiles_n` tile jobs over the
-    /// configured core grid and estimates per-core cycles from the tile
-    /// program via the macro engine.
+    /// configured core grid and prices each job with the tile program's
+    /// static critical path ([`critical_path`]) at the configured occupancy.
     pub fn new(
         dev: &DeviceSpec,
         cfg: &KernelConfig,
@@ -454,7 +453,8 @@ impl KernelPlan {
         let per_job =
             memoized_core_cycles(plan_timing_key(dev, cfg, op, k_words, lowering), || {
                 let program = tile_program_with(dev, cfg, op, k_words, lowering);
-                estimate_core_cycles(dev, &program, geo.groups_per_core)
+                critical_path(dev, &program)
+                    .predicted_core_cycles(dev.n_clusters, geo.groups_per_core)
             });
         let kw = k_words as u64;
         let traffic = Traffic {
@@ -811,11 +811,49 @@ mod tests {
             after.hits > before.hits,
             "expected a cache hit: {before:?} -> {after:?}"
         );
-        // The memoized per-job estimate equals the unmemoized oracle.
+        // The memoized per-job cycles equal a fresh critical-path walk.
         let program = tile_program(&dev, &cfg, CompareOp::Xor, k);
-        let per_job = estimate_core_cycles(&dev, &program, p1.groups_per_core);
+        let per_job =
+            critical_path(&dev, &program).predicted_core_cycles(dev.n_clusters, p1.groups_per_core);
         assert_eq!(p1.core_cycles, per_job * p1.jobs_per_core as f64);
         assert_eq!(p2.core_cycles, per_job * p2.jobs_per_core as f64);
+    }
+
+    #[test]
+    fn plan_timing_key_separates_structures() {
+        let gtx = devices::gtx_980();
+        let cfg = ld_cfg(&gtx);
+        let (op, k, lowering) = (CompareOp::And, 64, Lowering::Scalar);
+        let base = plan_timing_key(&gtx, &cfg, op, k, lowering);
+        let same = plan_timing_key(&gtx, &ld_cfg(&gtx), op, k, lowering);
+        assert_eq!(base, same, "keys are deterministic");
+        let edited = |edit: fn(&mut KernelConfig)| {
+            let mut other = cfg;
+            edit(&mut other);
+            plan_timing_key(&gtx, &other, op, k, lowering)
+        };
+        let titan = devices::titan_v();
+        for (what, key) in [
+            ("device", plan_timing_key(&titan, &cfg, op, k, lowering)),
+            ("m_c", edited(|c| c.m_c += 1)),
+            ("m_r", edited(|c| c.m_r += 1)),
+            ("k_c", edited(|c| c.k_c += 1)),
+            ("n_r", edited(|c| c.n_r += 1)),
+            ("grid_m", edited(|c| c.grid_m += 1)),
+            ("grid_n", edited(|c| c.grid_n += 1)),
+            ("groups_per_cluster", edited(|c| c.groups_per_cluster += 1)),
+            (
+                "op",
+                plan_timing_key(&gtx, &cfg, CompareOp::Xor, k, lowering),
+            ),
+            ("k_words", plan_timing_key(&gtx, &cfg, op, k + 1, lowering)),
+            (
+                "lowering",
+                plan_timing_key(&gtx, &cfg, op, k, Lowering::Mma),
+            ),
+        ] {
+            assert_ne!(base, key, "{what} must be keyed");
+        }
     }
 
     #[test]

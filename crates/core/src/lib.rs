@@ -53,8 +53,7 @@ pub use kernel::{
 pub use multi::{dgx2_like, MultiGpuEngine, MultiRunReport};
 pub use profile::{
     profile_cell, relative_drift, BandwidthReport, CellProfile, DriftReport, FuUtilization,
-    Occupancy, Roofline, RooflineBound, ANALYTIC_DRIFT_TOLERANCE, CRITPATH_DRIFT_TOLERANCE,
-    ENGINE_DRIFT_TOLERANCE,
+    Occupancy, Roofline, RooflineBound, ANALYTIC_DRIFT_TOLERANCE, ENGINE_DRIFT_TOLERANCE,
 };
 pub use recovery::{QueueHealth, RecoveryPolicy, RecoverySummary};
 pub use snp_faults::{DeviceFault, FaultKind, FaultPlan, FaultProfile, FaultStats};

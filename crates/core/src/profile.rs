@@ -9,16 +9,15 @@
 //!   device's roofline — arithmetic intensity in word-ops per byte against
 //!   the compute peak (Eqs. 4–7, the dotted lines of Fig. 5) and the
 //!   effective DRAM bandwidth — and classified compute- or memory-bound.
-//! * **Model drift**: four independently produced times for the same
+//! * **Model drift**: three independently produced times for the same
 //!   launch are reconciled — the Eq. 4–7 *analytical* prediction from
-//!   `gpu-model`, the *macro-engine* estimate (static program structure),
-//!   the *critical-path* prediction from `snp-verify`'s V113 dataflow
-//!   analysis (latency-weighted dependence chains, DESIGN.md §14), and the
-//!   *detailed-engine* measurement (cycle-stepped simulation).
+//!   `gpu-model`, the *static* model the engine prices every launch with
+//!   (the tile program's latency-weighted critical path, DESIGN.md §14.3),
+//!   and the *detailed-engine* measurement (cycle-stepped simulation).
 //!   Pairs diverging beyond their tolerance ([`ANALYTIC_DRIFT_TOLERANCE`],
-//!   [`ENGINE_DRIFT_TOLERANCE`], [`CRITPATH_DRIFT_TOLERANCE`]) are flagged;
-//!   CI fails on any flagged cell, so the models cannot silently drift
-//!   apart as the codebase grows.
+//!   [`ENGINE_DRIFT_TOLERANCE`]) are flagged; the golden test fails on any
+//!   flagged cell, so the models cannot silently drift apart as the
+//!   codebase grows.
 //!
 //! Counter definitions, the roofline construction, and the tolerance
 //! rationale are documented in DESIGN.md §11.
@@ -57,24 +56,14 @@ pub mod metrics {
 /// flagging the known structural gap.
 pub const ANALYTIC_DRIFT_TOLERANCE: f64 = 0.45;
 
-/// Maximum tolerated relative divergence between the macro-engine estimate
-/// and the detailed-engine measurement of the same launch.
+/// Maximum tolerated relative divergence between the static critical-path
+/// model and the detailed-engine measurement of the same launch.
 ///
 /// These two model the same instruction stream, so they must agree tightly:
-/// measured divergence across the matrix is ≤ 0.05% (the macro engine's
-/// drain-latency approximation). 2% catches any real modeling drift.
+/// the static model omits only the detailed engine's drain and arbitration
+/// detail, and the measured divergence across the 12-cell matrix is at most
+/// 0.63%. 2% catches any real modeling drift.
 pub const ENGINE_DRIFT_TOLERANCE: f64 = 0.02;
-
-/// Maximum tolerated relative divergence between `snp-verify`'s static
-/// critical-path prediction (V113) and the detailed-engine measurement.
-///
-/// The critical-path leg models the same per-block `max(issue, chain)`
-/// structure as the macro engine but weights dependence edges with the full
-/// completion latency (bank-conflict replays included) and carries chains
-/// across trips and blocks; it omits the engines' drain/arbitration detail.
-/// Measured across the 12-cell matrix the divergence is under 2%; 5%
-/// catches real drift without flagging the structural approximation.
-pub const CRITPATH_DRIFT_TOLERANCE: f64 = 0.05;
 
 /// Cycle budget for the detailed-engine drift leg. One tile job at the
 /// profiling shapes runs well under a million cycles; the budget only
@@ -183,11 +172,9 @@ pub struct DriftReport {
     /// Eq. 4–7 analytical prediction: word-ops at the peak rate of the
     /// active cores, floored by the bandwidth bound.
     pub analytic_ns: f64,
-    /// Macro-engine estimate from static program structure.
+    /// The static model's time: the plan's own memoized critical-path
+    /// cycles ([`KernelPlan::core_cycles`]), floored by the bandwidth bound.
     pub macro_ns: f64,
-    /// `snp-verify` V113 static critical-path prediction (latency-weighted
-    /// dependence chains vs per-pipe issue, per block).
-    pub critpath_ns: f64,
     /// Detailed-engine measurement (cycle-stepped tile job × jobs).
     pub detailed_ns: f64,
     /// `relative_drift(analytic, macro)`, judged against
@@ -199,31 +186,23 @@ pub struct DriftReport {
     /// `relative_drift(analytic, detailed)`, judged against
     /// [`ANALYTIC_DRIFT_TOLERANCE`].
     pub analytic_vs_detailed: f64,
-    /// `relative_drift(critpath, detailed)`, judged against
-    /// [`CRITPATH_DRIFT_TOLERANCE`].
-    pub critpath_vs_detailed: f64,
     /// Tolerance applied to the analytic-vs-engine pairs.
     pub analytic_tolerance: f64,
     /// Tolerance applied to the macro-vs-detailed pair.
     pub engine_tolerance: f64,
-    /// Tolerance applied to the critpath-vs-detailed pair.
-    pub critpath_tolerance: f64,
 }
 
 impl DriftReport {
-    fn new(analytic_ns: f64, macro_ns: f64, critpath_ns: f64, detailed_ns: f64) -> DriftReport {
+    fn new(analytic_ns: f64, macro_ns: f64, detailed_ns: f64) -> DriftReport {
         DriftReport {
             analytic_ns,
             macro_ns,
-            critpath_ns,
             detailed_ns,
             analytic_vs_macro: relative_drift(analytic_ns, macro_ns),
             macro_vs_detailed: relative_drift(macro_ns, detailed_ns),
             analytic_vs_detailed: relative_drift(analytic_ns, detailed_ns),
-            critpath_vs_detailed: relative_drift(critpath_ns, detailed_ns),
             analytic_tolerance: ANALYTIC_DRIFT_TOLERANCE,
             engine_tolerance: ENGINE_DRIFT_TOLERANCE,
-            critpath_tolerance: CRITPATH_DRIFT_TOLERANCE,
         }
     }
 
@@ -232,7 +211,6 @@ impl DriftReport {
         self.analytic_vs_macro
             .max(self.macro_vs_detailed)
             .max(self.analytic_vs_detailed)
-            .max(self.critpath_vs_detailed)
     }
 
     /// Whether every pair agrees within its tolerance.
@@ -240,7 +218,6 @@ impl DriftReport {
         self.analytic_vs_macro <= self.analytic_tolerance
             && self.analytic_vs_detailed <= self.analytic_tolerance
             && self.macro_vs_detailed <= self.engine_tolerance
-            && self.critpath_vs_detailed <= self.critpath_tolerance
     }
 }
 
@@ -383,15 +360,7 @@ pub fn profile_cell(
     let det_compute_ns =
         dev.cycles_to_ns(det.cycles as f64 * plan.jobs_per_core as f64) / t.scaling_efficiency;
     let detailed_ns = det_compute_ns.max(memory_ns);
-    // Critical-path leg: snp-verify's V113 per-block max(issue, chain)
-    // prediction at the configured occupancy, scaled exactly like the
-    // detailed leg so the comparison isolates the static model.
-    let cp = snp_verify::critical_path(dev, &prog);
-    let cp_cycles = cp.predicted_core_cycles(dev.n_clusters, geo.groups_per_core);
-    let critpath_ns = (dev.cycles_to_ns(cp_cycles * plan.jobs_per_core as f64)
-        / t.scaling_efficiency)
-        .max(memory_ns);
-    let drift = DriftReport::new(analytic_ns, macro_ns, critpath_ns, detailed_ns);
+    let drift = DriftReport::new(analytic_ns, macro_ns, detailed_ns);
 
     metrics::CELLS.add(1);
     if !drift.within_tolerance() {
@@ -470,7 +439,7 @@ mod tests {
     }
 
     #[test]
-    fn bottleneck_pipeline_is_nearly_saturated() {
+    fn bottleneck_fu_is_nearly_saturated() {
         // The whole point of the paper's configuration model: the chosen
         // config keeps the bottleneck FU busy. The bottleneck pipeline's
         // utilization must dominate and approach 1.

@@ -191,6 +191,7 @@ fn pinned_counters_for_hand_computed_kernel() {
     // the detailed engine's measured counters.
     let gpu = Gpu::new(dev.clone());
     let q = gpu.create_queue();
+    let out = gpu.create_virtual_buffer(1024).unwrap();
     let cost = KernelCost::Detailed {
         program: prog,
         groups_per_core: 1,
@@ -200,7 +201,9 @@ fn pinned_counters_for_hand_computed_kernel() {
             write_bytes: 4096,
         },
     };
-    let ev = gpu.enqueue_kernel_timed(q, &cost, &[]).unwrap();
+    let ev = gpu
+        .enqueue_kernel_timed_on(q, &cost, &[], out, &[])
+        .unwrap();
     gpu.finish_all();
     let p = gpu.kernel_profile(ev).expect("kernel event has a profile");
     assert_eq!(p.total_instrs, Some(31));

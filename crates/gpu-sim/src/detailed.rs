@@ -15,8 +15,8 @@
 //! A single-group dependent chain therefore measures `L_fn` directly (the
 //! §V-C methodology) and `N_cl × L_fn` resident groups saturate pipeline
 //! throughput (§V-D). The engine is used by the microbenchmarks and to
-//! cross-validate the macro engine on small kernels; full-size launches are
-//! timed analytically.
+//! cross-validate the static critical-path model on small kernels;
+//! full-size launches are timed statically.
 
 use snp_gpu_model::{DeviceSpec, InstrClass};
 

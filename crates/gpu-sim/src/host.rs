@@ -21,7 +21,7 @@ use std::cell::RefCell;
 
 use snp_faults::{checksum_words, DeviceFault, FaultOp, FaultPlan, FaultStats, Injection};
 use snp_gpu_model::DeviceSpec;
-use snp_trace::{ArgValue, TimeDomain, Tracer, TrackId};
+use snp_trace::{TimeDomain, Tracer, TrackId};
 
 use crate::detailed::simulate_core;
 use crate::isa::Program;
@@ -90,7 +90,8 @@ impl EventProfile {
 /// How a kernel's duration is modeled.
 #[derive(Debug, Clone)]
 pub enum KernelCost {
-    /// Cycles per core were computed analytically (macro engine).
+    /// Cycles per core were computed statically (typically the tile
+    /// program's critical path, [`crate::critical_path`]).
     Analytic {
         /// Cycles one core spends (all active cores do equal work).
         core_cycles: f64,
@@ -193,9 +194,6 @@ pub enum CommandKind {
     Read,
     /// Kernel launch (functional or timing-only).
     Kernel,
-    /// Legacy timing-only transfer with no buffer identity
-    /// ([`Gpu::enqueue_virtual_transfer`]); invisible to hazard analysis.
-    UntaggedTransfer,
 }
 
 /// A half-open word range `[lo, hi)` of one device buffer touched by a
@@ -289,6 +287,99 @@ struct State {
     detailed_cycle_budget: u64,
     faults: Option<FaultPlan>,
     cost_scale: CostScale,
+}
+
+const VALIDATED: &str = "buffer validated before scheduling";
+
+impl State {
+    /// The live slot behind `buf`; `backed` further demands host words (a
+    /// functional command cannot touch a virtual buffer).
+    fn slot(&self, buf: BufferId, backed: bool) -> Result<&BufferSlot, SimError> {
+        let slot = self
+            .buffers
+            .get(buf.0)
+            .and_then(Option::as_ref)
+            .ok_or(SimError::InvalidHandle("buffer"))?;
+        if backed && slot.words.is_none() {
+            return Err(SimError::InvalidHandle("buffer (virtual)"));
+        }
+        Ok(slot)
+    }
+
+    /// Validates the `words`-word range of `buf` at `offset` that a transfer
+    /// touches.
+    fn range(
+        &self,
+        buf: BufferId,
+        offset: usize,
+        words: usize,
+        backed: bool,
+        what: &'static str,
+    ) -> Result<BufferRange, SimError> {
+        let len = self.slot(buf, backed)?.len_words;
+        match offset.checked_add(words) {
+            Some(hi) if hi <= len => Ok(BufferRange {
+                buffer: buf,
+                lo: offset,
+                hi,
+            }),
+            _ => Err(SimError::OutOfRange { what }),
+        }
+    }
+
+    /// The whole-buffer ranges a kernel reads and writes; an output that
+    /// aliases an input is rejected.
+    fn kernel_ranges(
+        &self,
+        reads: &[BufferId],
+        write: BufferId,
+        backed: bool,
+    ) -> Result<(Vec<BufferRange>, Vec<BufferRange>), SimError> {
+        if reads.contains(&write) {
+            return Err(SimError::InvalidHandle("buffer (aliases kernel output)"));
+        }
+        let whole = |buf: BufferId| {
+            self.slot(buf, backed).map(|s| BufferRange {
+                buffer: buf,
+                lo: 0,
+                hi: s.len_words,
+            })
+        };
+        let writes = vec![whole(write)?];
+        let reads = reads.iter().map(|&r| whole(r)).collect::<Result<_, _>>()?;
+        Ok((reads, writes))
+    }
+
+    fn words(&self, buf: BufferId) -> &[u32] {
+        self.buffers[buf.0]
+            .as_ref()
+            .and_then(|b| b.words.as_deref())
+            .expect(VALIDATED)
+    }
+
+    fn words_mut(&mut self, buf: BufferId) -> &mut [u32] {
+        self.buffers[buf.0]
+            .as_mut()
+            .and_then(|b| b.words.as_deref_mut())
+            .expect(VALIDATED)
+    }
+}
+
+/// What a command asks of the device: a transfer of `bytes` on the link, or
+/// a kernel priced by its cost on the compute engine.
+#[derive(Clone, Copy)]
+enum Work<'a> {
+    Write { bytes: u64 },
+    Read { bytes: u64, corruptible: bool },
+    Kernel(&'a KernelCost),
+}
+
+/// A command [`Gpu::schedule`] accepted: its event, when it ends, and what
+/// the fault plan did to it.
+struct Scheduled {
+    event: EventId,
+    end: u64,
+    effect: FaultEffect,
 }
 
 /// What an injected fault does to the command currently being enqueued
@@ -555,30 +646,7 @@ impl Gpu {
     /// Allocates a device buffer of `words` 32-bit words, enforcing the
     /// Table I max-allocation and global-memory limits.
     pub fn create_buffer(&self, words: usize) -> Result<BufferId, SimError> {
-        let bytes = words as u64 * 4;
-        if bytes > self.spec.max_alloc_bytes {
-            return Err(SimError::AllocTooLarge {
-                requested: bytes,
-                limit: self.spec.max_alloc_bytes,
-            });
-        }
-        let mut st = self.state.borrow_mut();
-        let available = self
-            .spec
-            .global_mem_bytes
-            .saturating_sub(st.allocated_bytes);
-        if bytes > available {
-            return Err(SimError::OutOfDeviceMemory {
-                requested: bytes,
-                available,
-            });
-        }
-        st.allocated_bytes += bytes;
-        st.buffers.push(Some(BufferSlot {
-            words: Some(vec![0u32; words]),
-            len_words: words,
-        }));
-        Ok(BufferId(st.buffers.len() - 1))
+        self.allocate(words, true)
     }
 
     /// Allocates a *virtual* buffer: device capacity and limits are
@@ -586,6 +654,10 @@ impl Gpu {
     /// memory backs the contents. Used by timing-only runs at database
     /// scale (e.g. Fig. 8's >20M-profile sweeps).
     pub fn create_virtual_buffer(&self, words: usize) -> Result<BufferId, SimError> {
+        self.allocate(words, false)
+    }
+
+    fn allocate(&self, words: usize, backed: bool) -> Result<BufferId, SimError> {
         let bytes = words as u64 * 4;
         if bytes > self.spec.max_alloc_bytes {
             return Err(SimError::AllocTooLarge {
@@ -606,7 +678,7 @@ impl Gpu {
         }
         st.allocated_bytes += bytes;
         st.buffers.push(Some(BufferSlot {
-            words: None,
+            words: backed.then(|| vec![0u32; words]),
             len_words: words,
         }));
         Ok(BufferId(st.buffers.len() - 1))
@@ -630,76 +702,11 @@ impl Gpu {
 
     /// Size of a buffer in words.
     pub fn buffer_words(&self, id: BufferId) -> Result<usize, SimError> {
-        let st = self.state.borrow();
-        st.buffers
-            .get(id.0)
-            .and_then(|s| s.as_ref())
-            .map(|b| b.len_words)
-            .ok_or(SimError::InvalidHandle("buffer"))
-    }
-
-    fn resolve_deps(st: &State, deps: &[EventId]) -> Result<u64, SimError> {
-        let mut t = 0u64;
-        for d in deps {
-            let e = st.events.get(d.0).ok_or(SimError::InvalidHandle("event"))?;
-            t = t.max(e.profile.end_ns);
-        }
-        Ok(t)
-    }
-
-    /// Finalizes a command: updates queue state, stores the profiling
-    /// record and the command-log entry, and (when tracing) emits the
-    /// command's span on its queue's track. `args` is only evaluated when
-    /// the tracer is enabled, keeping the disabled path allocation-free.
-    #[allow(clippy::too_many_arguments)]
-    fn record_event(
-        &self,
-        st: &mut State,
-        queue: QueueId,
-        start: u64,
-        end: u64,
-        queued: u64,
-        cat: &'static str,
-        name: &'static str,
-        args: impl FnOnce() -> Vec<(&'static str, ArgValue)>,
-        kind: CommandKind,
-        deps: &[EventId],
-        reads: Vec<BufferRange>,
-        writes: Vec<BufferRange>,
-    ) -> EventId {
-        st.queues[queue.0].last_end_ns = end;
-        if self.tracer.is_enabled() {
-            let mut args = args();
-            args.push(("queued_ns", queued.into()));
-            self.tracer
-                .span_with(st.queues[queue.0].track, cat, name, start, end, args);
-        }
-        let profile = EventProfile {
-            queued_ns: queued,
-            submit_ns: queued,
-            start_ns: start,
-            end_ns: end,
-        };
-        st.events.push(EventRecord { profile });
-        st.profiled.push(false);
-        let event = EventId(st.events.len() - 1);
-        st.log.push(CommandRecord {
-            kind,
-            queue,
-            event,
-            deps: deps.to_vec(),
-            reads,
-            writes,
-            profile,
-        });
-        event
+        Ok(self.state.borrow().slot(id, false)?.len_words)
     }
 
     /// Prices `cost` on this device and captures the launch's
-    /// hardware-counter profile. The one shared implementation keeps the
-    /// three kernel-enqueue entry points (functional, timed, timed-on)
-    /// timing-identical — a property the engine's timing-only mode depends
-    /// on.
+    /// hardware-counter profile.
     fn kernel_cost_time(
         &self,
         st: &State,
@@ -749,6 +756,104 @@ impl Gpu {
         }
     }
 
+    /// The one scheduling path of every `enqueue_*` entry point.
+    ///
+    /// It first validates the command: the queue handle, then (through
+    /// `check`, which returns the buffer ranges the command reads and
+    /// writes) every buffer handle and range, then the wait-list's events
+    /// and, for a kernel, its cost. Only a valid command consults the fault
+    /// plan, occupies the link (transfers) or the compute engine (kernels)
+    /// from `max(host clock, queue tail, engine free, dependencies)`, and is
+    /// logged and traced — a rejected command leaves no trace on the
+    /// timeline, the command log or the fault plan. The caller applies the
+    /// command's functional effect afterwards.
+    fn schedule(
+        &self,
+        st: &mut State,
+        queue: QueueId,
+        name: &'static str,
+        work: Work<'_>,
+        deps: &[EventId],
+        check: impl FnOnce(&State) -> Result<(Vec<BufferRange>, Vec<BufferRange>), SimError>,
+    ) -> Result<Scheduled, SimError> {
+        if queue.0 >= st.queues.len() {
+            return Err(SimError::InvalidHandle("queue"));
+        }
+        let (reads, writes) = check(st)?;
+        let mut dep_end = 0u64;
+        for d in deps {
+            let e = st.events.get(d.0).ok_or(SimError::InvalidHandle("event"))?;
+            dep_end = dep_end.max(e.profile.end_ns);
+        }
+        let (kind, op, corruptible, bytes) = match work {
+            Work::Write { bytes } => (CommandKind::Write, FaultOp::Write, false, bytes),
+            Work::Read { bytes, corruptible } => {
+                (CommandKind::Read, FaultOp::Read, corruptible, bytes)
+            }
+            Work::Kernel(_) => (CommandKind::Kernel, FaultOp::Kernel, false, 0),
+        };
+        let (duration, kernel_profile) = match work {
+            Work::Kernel(cost) => {
+                let (kt, profile) = self.kernel_cost_time(st, cost)?;
+                (
+                    st.cost_scale.kernel_ns(kt.total_ns.ceil() as u64),
+                    Some(profile),
+                )
+            }
+            _ => (
+                st.cost_scale
+                    .transfer_ns(self.spec.transfer.transfer_ns(bytes)),
+                None,
+            ),
+        };
+        let effect = Self::consult_faults(st, op, corruptible)?;
+
+        let queued = st.host_now_ns;
+        let engine_free = match kind {
+            CommandKind::Kernel => &mut st.compute_free_ns,
+            _ => &mut st.link_free_ns,
+        };
+        let start = queued
+            .max(*engine_free)
+            .max(st.queues[queue.0].last_end_ns)
+            .max(dep_end);
+        let end = start + duration + effect.stall_ns();
+        *engine_free = end;
+        st.queues[queue.0].last_end_ns = end;
+
+        if self.tracer.is_enabled() {
+            let (cat, mut args) = match kind {
+                CommandKind::Kernel => ("kernel", Vec::new()),
+                _ => ("transfer", vec![("bytes", bytes.into())]),
+            };
+            args.push(("queued_ns", queued.into()));
+            self.tracer
+                .span_with(st.queues[queue.0].track, cat, name, start, end, args);
+        }
+        let profile = EventProfile {
+            queued_ns: queued,
+            submit_ns: queued,
+            start_ns: start,
+            end_ns: end,
+        };
+        st.events.push(EventRecord { profile });
+        st.profiled.push(false);
+        let event = EventId(st.events.len() - 1);
+        st.log.push(CommandRecord {
+            kind,
+            queue,
+            event,
+            deps: deps.to_vec(),
+            reads,
+            writes,
+            profile,
+        });
+        if let Some(p) = kernel_profile {
+            st.kernel_profiles.push((event.0, p));
+        }
+        Ok(Scheduled { event, end, effect })
+    }
+
     /// Enqueues a host→device write of `data` into `buf` at `word_offset`.
     /// Functional copy happens with enqueue-order semantics; timing follows
     /// queue order, event deps, and link availability.
@@ -761,55 +866,15 @@ impl Gpu {
         deps: &[EventId],
     ) -> Result<EventId, SimError> {
         let mut st = self.state.borrow_mut();
-        if queue.0 >= st.queues.len() {
-            return Err(SimError::InvalidHandle("queue"));
-        }
-        let effect = Self::consult_faults(&mut st, FaultOp::Write, false)?;
-        let dep_end = Self::resolve_deps(&st, deps)?;
-        let queued = st.host_now_ns;
-        let start = queued
-            .max(st.queues[queue.0].last_end_ns)
-            .max(st.link_free_ns)
-            .max(dep_end);
         let bytes = data.len() as u64 * 4;
-        let end = start
-            + st.cost_scale
-                .transfer_ns(self.spec.transfer.transfer_ns(bytes))
-            + effect.stall_ns();
-        st.link_free_ns = end;
-        {
-            let slot = st
-                .buffers
-                .get_mut(buf.0)
-                .and_then(|s| s.as_mut())
-                .ok_or(SimError::InvalidHandle("buffer"))?;
-            let storage = slot
-                .words
-                .as_mut()
-                .ok_or(SimError::InvalidHandle("buffer (virtual)"))?;
-            let range = storage
-                .get_mut(word_offset..word_offset + data.len())
-                .ok_or(SimError::OutOfRange { what: "write" })?;
-            range.copy_from_slice(data);
-        }
-        Ok(self.record_event(
-            &mut st,
-            queue,
-            start,
-            end,
-            queued,
-            "transfer",
-            "write",
-            || vec![("bytes", bytes.into())],
-            CommandKind::Write,
-            deps,
-            Vec::new(),
-            vec![BufferRange {
-                buffer: buf,
-                lo: word_offset,
-                hi: word_offset + data.len(),
-            }],
-        ))
+        let done = self.schedule(&mut st, queue, "write", Work::Write { bytes }, deps, |st| {
+            Ok((
+                Vec::new(),
+                vec![st.range(buf, word_offset, data.len(), true, "write")?],
+            ))
+        })?;
+        st.words_mut(buf)[word_offset..word_offset + data.len()].copy_from_slice(data);
+        Ok(done.event)
     }
 
     /// Enqueues a device→host read from `buf` at `word_offset` into `out`.
@@ -825,38 +890,18 @@ impl Gpu {
         blocking: bool,
     ) -> Result<EventId, SimError> {
         let mut st = self.state.borrow_mut();
-        if queue.0 >= st.queues.len() {
-            return Err(SimError::InvalidHandle("queue"));
-        }
-        let effect = Self::consult_faults(&mut st, FaultOp::Read, true)?;
-        let dep_end = Self::resolve_deps(&st, deps)?;
-        let queued = st.host_now_ns;
-        let start = queued
-            .max(st.queues[queue.0].last_end_ns)
-            .max(st.link_free_ns)
-            .max(dep_end);
-        let bytes = out.len() as u64 * 4;
-        let end = start
-            + st.cost_scale
-                .transfer_ns(self.spec.transfer.transfer_ns(bytes))
-            + effect.stall_ns();
-        st.link_free_ns = end;
-        {
-            let slot = st
-                .buffers
-                .get(buf.0)
-                .and_then(|s| s.as_ref())
-                .ok_or(SimError::InvalidHandle("buffer"))?;
-            let storage = slot
-                .words
-                .as_ref()
-                .ok_or(SimError::InvalidHandle("buffer (virtual)"))?;
-            let range = storage
-                .get(word_offset..word_offset + out.len())
-                .ok_or(SimError::OutOfRange { what: "read" })?;
-            out.copy_from_slice(range);
-        }
-        if let FaultEffect::Corrupt(entropy) = effect {
+        let work = Work::Read {
+            bytes: out.len() as u64 * 4,
+            corruptible: true,
+        };
+        let done = self.schedule(&mut st, queue, "read", work, deps, |st| {
+            Ok((
+                vec![st.range(buf, word_offset, out.len(), true, "read")?],
+                Vec::new(),
+            ))
+        })?;
+        out.copy_from_slice(&st.words(buf)[word_offset..word_offset + out.len()]);
+        if let FaultEffect::Corrupt(entropy) = done.effect {
             // The ECC-escape: the host receives the words with one bit
             // flipped, with no error from the runtime. Detection is the
             // caller's job (checksum the readback — DESIGN.md §10.3).
@@ -867,26 +912,9 @@ impl Gpu {
             }
         }
         if blocking {
-            st.host_now_ns = st.host_now_ns.max(end);
+            st.host_now_ns = st.host_now_ns.max(done.end);
         }
-        Ok(self.record_event(
-            &mut st,
-            queue,
-            start,
-            end,
-            queued,
-            "transfer",
-            "read",
-            || vec![("bytes", bytes.into())],
-            CommandKind::Read,
-            deps,
-            vec![BufferRange {
-                buffer: buf,
-                lo: word_offset,
-                hi: word_offset + out.len(),
-            }],
-            Vec::new(),
-        ))
+        Ok(done.event)
     }
 
     /// Enqueues a device-side checksum of `words` words of `buf` at
@@ -894,11 +922,11 @@ impl Gpu {
     ///
     /// Models a tiny reduction kernel folded into the readback path: the
     /// FNV-1a checksum is computed over the *device* copy of the words, so
-    /// comparing it against [`checksum_words`](snp_faults::checksum_words)
-    /// of the host copy detects corruption introduced on the link
-    /// (DESIGN.md §10.3). The transfer is so short it is modeled as immune
-    /// to bit corruption itself, but it still times out or stalls like any
-    /// other read. Virtual buffers have no words to sum and are rejected.
+    /// comparing it against [`checksum_words`] of the host copy detects
+    /// corruption introduced on the link (DESIGN.md §10.3). The transfer is
+    /// so short it is modeled as immune to bit corruption itself, but it
+    /// still times out or stalls like any other read. Virtual buffers have
+    /// no words to sum and are rejected.
     pub fn enqueue_checksum_read(
         &self,
         queue: QueueId,
@@ -908,55 +936,19 @@ impl Gpu {
         deps: &[EventId],
     ) -> Result<(u64, EventId), SimError> {
         let mut st = self.state.borrow_mut();
-        if queue.0 >= st.queues.len() {
-            return Err(SimError::InvalidHandle("queue"));
-        }
-        let effect = Self::consult_faults(&mut st, FaultOp::Read, false)?;
-        let dep_end = Self::resolve_deps(&st, deps)?;
-        let queued = st.host_now_ns;
-        let start = queued
-            .max(st.queues[queue.0].last_end_ns)
-            .max(st.link_free_ns)
-            .max(dep_end);
-        let end = start
-            + st.cost_scale.transfer_ns(self.spec.transfer.transfer_ns(8))
-            + effect.stall_ns();
-        st.link_free_ns = end;
-        let sum = {
-            let slot = st
-                .buffers
-                .get(buf.0)
-                .and_then(|s| s.as_ref())
-                .ok_or(SimError::InvalidHandle("buffer"))?;
-            let storage = slot
-                .words
-                .as_ref()
-                .ok_or(SimError::InvalidHandle("buffer (virtual)"))?;
-            let range = storage
-                .get(word_offset..word_offset + words)
-                .ok_or(SimError::OutOfRange { what: "checksum" })?;
-            checksum_words(range)
+        let work = Work::Read {
+            bytes: 8,
+            corruptible: false,
         };
-        st.host_now_ns = st.host_now_ns.max(end);
-        let ev = self.record_event(
-            &mut st,
-            queue,
-            start,
-            end,
-            queued,
-            "transfer",
-            "checksum",
-            || vec![("bytes", 8u64.into())],
-            CommandKind::Read,
-            deps,
-            vec![BufferRange {
-                buffer: buf,
-                lo: word_offset,
-                hi: word_offset + words,
-            }],
-            Vec::new(),
-        );
-        Ok((sum, ev))
+        let done = self.schedule(&mut st, queue, "checksum", work, deps, |st| {
+            Ok((
+                vec![st.range(buf, word_offset, words, true, "checksum")?],
+                Vec::new(),
+            ))
+        })?;
+        let sum = checksum_words(&st.words(buf)[word_offset..word_offset + words]);
+        st.host_now_ns = st.host_now_ns.max(done.end);
+        Ok((sum, done.event))
     }
 
     /// Enqueues a kernel that reads `reads` buffers and updates `write`.
@@ -978,127 +970,24 @@ impl Gpu {
         F: FnOnce(&[&[u32]], &mut [u32]),
     {
         let mut st = self.state.borrow_mut();
-        if queue.0 >= st.queues.len() {
-            return Err(SimError::InvalidHandle("queue"));
-        }
-        let effect = Self::consult_faults(&mut st, FaultOp::Kernel, false)?;
-        let dep_end = Self::resolve_deps(&st, deps)?;
-        let queued = st.host_now_ns;
-        let start = queued
-            .max(st.queues[queue.0].last_end_ns)
-            .max(st.compute_free_ns)
-            .max(dep_end);
-
-        let (kt, prof) = self.kernel_cost_time(&st, cost)?;
-        let end = start + st.cost_scale.kernel_ns(kt.total_ns.ceil() as u64) + effect.stall_ns();
-        st.compute_free_ns = end;
-
-        // Functional execution: temporarily move the write buffer out so the
-        // read borrows and the mutable borrow cannot alias.
-        for r in reads {
-            if *r == write {
-                return Err(SimError::InvalidHandle("buffer (aliases kernel output)"));
-            }
-        }
-        let mut wbuf = match st.buffers.get_mut(write.0).and_then(|s| s.take()) {
-            Some(b) => b,
-            None => return Err(SimError::InvalidHandle("buffer")),
-        };
-        if wbuf.words.is_none() {
-            st.buffers[write.0] = Some(wbuf);
-            return Err(SimError::InvalidHandle("buffer (virtual)"));
-        }
+        let done = self.schedule(&mut st, queue, "kernel", Work::Kernel(cost), deps, |st| {
+            st.kernel_ranges(reads, write, true)
+        })?;
+        // Move the write buffer out so the read borrows and the mutable
+        // borrow cannot alias.
+        let mut out = st.buffers[write.0].take().expect(VALIDATED);
         {
-            let mut read_slices: Vec<&[u32]> = Vec::with_capacity(reads.len());
-            for r in reads {
-                match st
-                    .buffers
-                    .get(r.0)
-                    .and_then(|s| s.as_ref())
-                    .and_then(|b| b.words.as_deref())
-                {
-                    Some(w) => read_slices.push(w),
-                    None => {
-                        // Restore before erroring.
-                        st.buffers[write.0] = Some(wbuf);
-                        return Err(SimError::InvalidHandle("buffer"));
-                    }
-                }
-            }
-            func(&read_slices, wbuf.words.as_mut().expect("checked above"));
+            let read_slices: Vec<&[u32]> = reads.iter().map(|&r| st.words(r)).collect();
+            func(&read_slices, out.words.as_deref_mut().expect(VALIDATED));
         }
-        st.buffers[write.0] = Some(wbuf);
-        let buf_range = |st: &State, id: BufferId| BufferRange {
-            buffer: id,
-            lo: 0,
-            hi: st.buffers[id.0].as_ref().map_or(0, |b| b.len_words),
-        };
-        let read_ranges: Vec<BufferRange> = reads.iter().map(|&r| buf_range(&st, r)).collect();
-        let write_range = buf_range(&st, write);
-        let ev = self.record_event(
-            &mut st,
-            queue,
-            start,
-            end,
-            queued,
-            "kernel",
-            "kernel",
-            Vec::new,
-            CommandKind::Kernel,
-            deps,
-            read_ranges,
-            vec![write_range],
-        );
-        st.kernel_profiles.push((ev.0, prof));
-        Ok(ev)
+        st.buffers[write.0] = Some(out);
+        Ok(done.event)
     }
 
-    /// Enqueues a *timing-only* host↔device transfer of `bytes` (either
-    /// direction): occupies the link and yields an event, but moves no data.
-    /// Pairs with virtual buffers for database-scale timing runs.
-    pub fn enqueue_virtual_transfer(
-        &self,
-        queue: QueueId,
-        bytes: u64,
-        deps: &[EventId],
-    ) -> Result<EventId, SimError> {
-        let mut st = self.state.borrow_mut();
-        if queue.0 >= st.queues.len() {
-            return Err(SimError::InvalidHandle("queue"));
-        }
-        let effect = Self::consult_faults(&mut st, FaultOp::Write, false)?;
-        let dep_end = Self::resolve_deps(&st, deps)?;
-        let queued = st.host_now_ns;
-        let start = queued
-            .max(st.queues[queue.0].last_end_ns)
-            .max(st.link_free_ns)
-            .max(dep_end);
-        let end = start
-            + st.cost_scale
-                .transfer_ns(self.spec.transfer.transfer_ns(bytes))
-            + effect.stall_ns();
-        st.link_free_ns = end;
-        Ok(self.record_event(
-            &mut st,
-            queue,
-            start,
-            end,
-            queued,
-            "transfer",
-            "transfer",
-            || vec![("bytes", bytes.into())],
-            CommandKind::UntaggedTransfer,
-            deps,
-            Vec::new(),
-            Vec::new(),
-        ))
-    }
-
-    /// Enqueues a *timing-only* host→device write of `words` words into the
-    /// virtual buffer `buf` at `word_offset`: identical timing to
-    /// [`enqueue_virtual_transfer`](Self::enqueue_virtual_transfer) with
-    /// `bytes = words * 4`, but tagged with the buffer range it logically
-    /// writes so the command log stays analyzable.
+    /// Enqueues a *timing-only* host→device write of `words` words into
+    /// `buf` (typically virtual) at `word_offset`: it occupies the link
+    /// exactly like an [`enqueue_write`](Self::enqueue_write) of as many
+    /// words and is logged with the range it writes, but moves no data.
     pub fn enqueue_virtual_write(
         &self,
         queue: QueueId,
@@ -1108,45 +997,16 @@ impl Gpu {
         deps: &[EventId],
     ) -> Result<EventId, SimError> {
         let mut st = self.state.borrow_mut();
-        if queue.0 >= st.queues.len() {
-            return Err(SimError::InvalidHandle("queue"));
-        }
-        Self::check_virtual_range(&st, buf, word_offset, words)?;
-        let effect = Self::consult_faults(&mut st, FaultOp::Write, false)?;
-        let dep_end = Self::resolve_deps(&st, deps)?;
-        let queued = st.host_now_ns;
-        let start = queued
-            .max(st.queues[queue.0].last_end_ns)
-            .max(st.link_free_ns)
-            .max(dep_end);
         let bytes = words as u64 * 4;
-        let end = start
-            + st.cost_scale
-                .transfer_ns(self.spec.transfer.transfer_ns(bytes))
-            + effect.stall_ns();
-        st.link_free_ns = end;
-        Ok(self.record_event(
-            &mut st,
-            queue,
-            start,
-            end,
-            queued,
-            "transfer",
-            "write",
-            || vec![("bytes", bytes.into())],
-            CommandKind::Write,
-            deps,
-            Vec::new(),
-            vec![BufferRange {
-                buffer: buf,
-                lo: word_offset,
-                hi: word_offset + words,
-            }],
-        ))
+        let done = self.schedule(&mut st, queue, "write", Work::Write { bytes }, deps, |st| {
+            let range = st.range(buf, word_offset, words, false, "virtual transfer")?;
+            Ok((Vec::new(), vec![range]))
+        })?;
+        Ok(done.event)
     }
 
-    /// Enqueues a *timing-only* device→host read of `words` words from the
-    /// virtual buffer `buf` at `word_offset` — the tagged counterpart of
+    /// Enqueues a *timing-only* device→host read of `words` words from
+    /// `buf` at `word_offset` — the counterpart of
     /// [`enqueue_virtual_write`](Self::enqueue_virtual_write).
     pub fn enqueue_virtual_read(
         &self,
@@ -1157,106 +1017,21 @@ impl Gpu {
         deps: &[EventId],
     ) -> Result<EventId, SimError> {
         let mut st = self.state.borrow_mut();
-        if queue.0 >= st.queues.len() {
-            return Err(SimError::InvalidHandle("queue"));
-        }
-        Self::check_virtual_range(&st, buf, word_offset, words)?;
-        let effect = Self::consult_faults(&mut st, FaultOp::Read, false)?;
-        let dep_end = Self::resolve_deps(&st, deps)?;
-        let queued = st.host_now_ns;
-        let start = queued
-            .max(st.queues[queue.0].last_end_ns)
-            .max(st.link_free_ns)
-            .max(dep_end);
-        let bytes = words as u64 * 4;
-        let end = start
-            + st.cost_scale
-                .transfer_ns(self.spec.transfer.transfer_ns(bytes))
-            + effect.stall_ns();
-        st.link_free_ns = end;
-        Ok(self.record_event(
-            &mut st,
-            queue,
-            start,
-            end,
-            queued,
-            "transfer",
-            "read",
-            || vec![("bytes", bytes.into())],
-            CommandKind::Read,
-            deps,
-            vec![BufferRange {
-                buffer: buf,
-                lo: word_offset,
-                hi: word_offset + words,
-            }],
-            Vec::new(),
-        ))
-    }
-
-    fn check_virtual_range(
-        st: &State,
-        buf: BufferId,
-        word_offset: usize,
-        words: usize,
-    ) -> Result<(), SimError> {
-        let slot = st
-            .buffers
-            .get(buf.0)
-            .and_then(|s| s.as_ref())
-            .ok_or(SimError::InvalidHandle("buffer"))?;
-        if word_offset + words > slot.len_words {
-            return Err(SimError::OutOfRange {
-                what: "virtual transfer",
-            });
-        }
-        Ok(())
-    }
-
-    /// Enqueues a *timing-only* kernel: occupies the compute engine per
-    /// `cost` but executes no functional body.
-    pub fn enqueue_kernel_timed(
-        &self,
-        queue: QueueId,
-        cost: &KernelCost,
-        deps: &[EventId],
-    ) -> Result<EventId, SimError> {
-        let mut st = self.state.borrow_mut();
-        if queue.0 >= st.queues.len() {
-            return Err(SimError::InvalidHandle("queue"));
-        }
-        let effect = Self::consult_faults(&mut st, FaultOp::Kernel, false)?;
-        let dep_end = Self::resolve_deps(&st, deps)?;
-        let queued = st.host_now_ns;
-        let start = queued
-            .max(st.queues[queue.0].last_end_ns)
-            .max(st.compute_free_ns)
-            .max(dep_end);
-        let (kt, prof) = self.kernel_cost_time(&st, cost)?;
-        let end = start + st.cost_scale.kernel_ns(kt.total_ns.ceil() as u64) + effect.stall_ns();
-        st.compute_free_ns = end;
-        let ev = self.record_event(
-            &mut st,
-            queue,
-            start,
-            end,
-            queued,
-            "kernel",
-            "kernel",
-            Vec::new,
-            CommandKind::Kernel,
-            deps,
-            Vec::new(),
-            Vec::new(),
-        );
-        st.kernel_profiles.push((ev.0, prof));
-        Ok(ev)
+        let work = Work::Read {
+            bytes: words as u64 * 4,
+            corruptible: false,
+        };
+        let done = self.schedule(&mut st, queue, "read", work, deps, |st| {
+            let range = st.range(buf, word_offset, words, false, "virtual transfer")?;
+            Ok((vec![range], Vec::new()))
+        })?;
+        Ok(done.event)
     }
 
     /// Enqueues a *timing-only* kernel tagged with the buffers it logically
     /// reads and writes, so the command log can be race-checked. Timing is
-    /// identical to [`enqueue_kernel_timed`](Self::enqueue_kernel_timed);
-    /// the buffers (typically virtual) are not touched.
+    /// identical to [`enqueue_kernel`](Self::enqueue_kernel); the buffers
+    /// (typically virtual) are not touched.
     pub fn enqueue_kernel_timed_on(
         &self,
         queue: QueueId,
@@ -1266,57 +1041,10 @@ impl Gpu {
         deps: &[EventId],
     ) -> Result<EventId, SimError> {
         let mut st = self.state.borrow_mut();
-        if queue.0 >= st.queues.len() {
-            return Err(SimError::InvalidHandle("queue"));
-        }
-        let effect = Self::consult_faults(&mut st, FaultOp::Kernel, false)?;
-        for r in reads {
-            if *r == write {
-                return Err(SimError::InvalidHandle("buffer (aliases kernel output)"));
-            }
-        }
-        let buf_range = |st: &State, id: BufferId| -> Result<BufferRange, SimError> {
-            let slot = st
-                .buffers
-                .get(id.0)
-                .and_then(|s| s.as_ref())
-                .ok_or(SimError::InvalidHandle("buffer"))?;
-            Ok(BufferRange {
-                buffer: id,
-                lo: 0,
-                hi: slot.len_words,
-            })
-        };
-        let mut read_ranges = Vec::with_capacity(reads.len());
-        for r in reads {
-            read_ranges.push(buf_range(&st, *r)?);
-        }
-        let write_range = buf_range(&st, write)?;
-        let dep_end = Self::resolve_deps(&st, deps)?;
-        let queued = st.host_now_ns;
-        let start = queued
-            .max(st.queues[queue.0].last_end_ns)
-            .max(st.compute_free_ns)
-            .max(dep_end);
-        let (kt, prof) = self.kernel_cost_time(&st, cost)?;
-        let end = start + st.cost_scale.kernel_ns(kt.total_ns.ceil() as u64) + effect.stall_ns();
-        st.compute_free_ns = end;
-        let ev = self.record_event(
-            &mut st,
-            queue,
-            start,
-            end,
-            queued,
-            "kernel",
-            "kernel",
-            Vec::new,
-            CommandKind::Kernel,
-            deps,
-            read_ranges,
-            vec![write_range],
-        );
-        st.kernel_profiles.push((ev.0, prof));
-        Ok(ev)
+        let done = self.schedule(&mut st, queue, "kernel", Work::Kernel(cost), deps, |st| {
+            st.kernel_ranges(reads, write, false)
+        })?;
+        Ok(done.event)
     }
 
     /// Blocks the host until every command on `queue` has finished
@@ -1392,6 +1120,7 @@ impl Gpu {
 mod tests {
     use super::*;
     use snp_gpu_model::devices;
+    use snp_trace::ArgValue;
 
     fn small_gpu() -> Gpu {
         Gpu::new(devices::gtx_980())
@@ -1726,51 +1455,6 @@ mod tests {
     }
 
     #[test]
-    fn tagged_virtual_commands_match_untagged_timing() {
-        let tagged = small_gpu();
-        let untagged = small_gpu();
-        let words = 1usize << 16;
-
-        let qt = tagged.create_queue();
-        let b = tagged.create_virtual_buffer(words).unwrap();
-        let c = tagged.create_virtual_buffer(words).unwrap();
-        let e1 = tagged.enqueue_virtual_write(qt, b, 0, words, &[]).unwrap();
-        let cost = KernelCost::Analytic {
-            core_cycles: 50_000.0,
-            active_cores: 16,
-            traffic: Traffic::default(),
-        };
-        let e2 = tagged
-            .enqueue_kernel_timed_on(qt, &cost, &[b], c, &[e1])
-            .unwrap();
-        let e3 = tagged.enqueue_virtual_read(qt, c, 0, words, &[e2]).unwrap();
-
-        let qu = untagged.create_queue();
-        let u1 = untagged
-            .enqueue_virtual_transfer(qu, words as u64 * 4, &[])
-            .unwrap();
-        let u2 = untagged.enqueue_kernel_timed(qu, &cost, &[u1]).unwrap();
-        let u3 = untagged
-            .enqueue_virtual_transfer(qu, words as u64 * 4, &[u2])
-            .unwrap();
-
-        for (t, u) in [(e1, u1), (e2, u2), (e3, u3)] {
-            let pt = tagged.event_profile(t).unwrap();
-            let pu = untagged.event_profile(u).unwrap();
-            assert_eq!(pt.start_ns, pu.start_ns);
-            assert_eq!(pt.end_ns, pu.end_ns);
-        }
-
-        // The tagged stream carries buffer sets; the untagged one does not.
-        let log = tagged.command_log();
-        assert_eq!(log.commands[e2.index()].reads.len(), 1);
-        assert_eq!(log.commands[e2.index()].writes.len(), 1);
-        let ulog = untagged.command_log();
-        assert_eq!(ulog.commands[u2.index()].kind, CommandKind::Kernel);
-        assert!(ulog.commands[u2.index()].reads.is_empty());
-    }
-
-    #[test]
     fn tagged_virtual_commands_validate_handles_and_ranges() {
         let g = small_gpu();
         let q = g.create_queue();
@@ -1792,6 +1476,75 @@ mod tests {
             g.enqueue_kernel_timed_on(q, &cost, &[b], b, &[]),
             Err(SimError::InvalidHandle(_))
         ));
+    }
+
+    type Enqueue = fn(&Gpu, QueueId, BufferId, BufferId) -> Result<EventId, SimError>;
+
+    #[test]
+    fn rejected_commands_leave_no_trace_on_any_entry_point() {
+        use snp_faults::{FaultKind, FaultPlan, FaultProfile};
+        const WORDS: usize = 1 << 20; // 4 MiB
+        fn cost() -> KernelCost {
+            KernelCost::Analytic {
+                core_cycles: 1e6,
+                active_cores: 80,
+                traffic: Traffic::default(),
+            }
+        }
+        // One rejected command per entry point: an out-of-range transfer
+        // or a kernel whose output aliases its input. `buf` is backed,
+        // `vbuf` virtual, both WORDS long.
+        let rejected: [(&str, Enqueue); 7] = [
+            ("enqueue_write", |g, q, buf, _| {
+                g.enqueue_write(q, buf, 1, &vec![0; WORDS], &[])
+            }),
+            ("enqueue_read", |g, q, buf, _| {
+                g.enqueue_read(q, buf, 1, &mut vec![0; WORDS], &[], true)
+            }),
+            ("enqueue_checksum_read", |g, q, buf, _| {
+                g.enqueue_checksum_read(q, buf, 1, WORDS, &[])
+                    .map(|(_, ev)| ev)
+            }),
+            ("enqueue_kernel", |g, q, buf, _| {
+                g.enqueue_kernel(q, &cost(), &[buf], buf, &[], |_, _| {})
+            }),
+            ("enqueue_virtual_write", |g, q, _, vbuf| {
+                g.enqueue_virtual_write(q, vbuf, 1, WORDS, &[])
+            }),
+            ("enqueue_virtual_read", |g, q, _, vbuf| {
+                g.enqueue_virtual_read(q, vbuf, 1, WORDS, &[])
+            }),
+            ("enqueue_kernel_timed_on", |g, q, _, vbuf| {
+                g.enqueue_kernel_timed_on(q, &cost(), &[vbuf], vbuf, &[])
+            }),
+        ];
+        // A fresh device whose first scheduled command stalls, optionally
+        // sent one rejected command, then probed with a valid write (link)
+        // and a valid kernel (compute engine) on a second queue.
+        let probe = |reject: Option<Enqueue>| {
+            let g = Gpu::new(devices::titan_v());
+            let stall = FaultProfile {
+                stall_ns: 1_000,
+                ..FaultProfile::none()
+            };
+            g.set_fault_plan(FaultPlan::new(1, stall).inject_at(0, FaultKind::QueueStall));
+            let (q, q2) = (g.create_queue(), g.create_queue());
+            let buf = g.create_buffer(WORDS).unwrap();
+            let vbuf = g.create_virtual_buffer(WORDS).unwrap();
+            let out = g.create_buffer(1).unwrap();
+            if let Some(enqueue) = reject {
+                assert!(enqueue(&g, q, buf, vbuf).is_err());
+            }
+            let now = g.now_ns();
+            let w = g.enqueue_write(q2, buf, 0, &vec![0; WORDS], &[]).unwrap();
+            let k = g.enqueue_kernel(q2, &cost(), &[buf], out, &[], |_, _| {});
+            let profiles = [w, k.unwrap()].map(|ev| g.event_profile(ev).unwrap());
+            (now, profiles, g.command_log().commands.len())
+        };
+        let clean = probe(None);
+        for (name, enqueue) in rejected {
+            assert_eq!(probe(Some(enqueue)), clean, "{name}");
+        }
     }
 
     #[test]

@@ -6,17 +6,18 @@
 //! analytical result in the paper is expressed against. See DESIGN.md §1
 //! for why this substitution preserves the evaluated behaviour.
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! * [`isa`] — a timing ISA: instructions carry a pipeline class, register
 //!   dependencies and a bank-conflict degree; programs are loop nests.
 //! * [`detailed`] — a cycle-stepped engine for one compute core
 //!   (scoreboarded thread groups, pipeline issue/latency, bank-conflict
 //!   serialization). Powers the §V-C/V-D microbenchmarks and validates the
-//!   macro engine.
-//! * [`macro_engine`] — analytic timing from static program structure
-//!   (issue-bound vs latency-bound per block, bandwidth bound, core-scaling
-//!   efficiency) for full-size launches.
+//!   static model.
+//! * [`macro_engine`] — the one static timing model for full-size launches:
+//!   a latency-weighted critical-path walk of the program
+//!   ([`critical_path`]; issue-bound vs latency-bound per block), then the
+//!   bandwidth bound and core-scaling efficiency.
 //! * [`host`] — an OpenCL-like host API: devices with allocation limits,
 //!   in-order queues, events with profiling timestamps, link/compute
 //!   resource serialization (which is what makes double buffering overlap),
@@ -56,9 +57,9 @@ pub use host::{
 };
 pub use isa::{Block, Instr, Program, Reg};
 pub use macro_engine::{
-    bottleneck_pipeline, device_fingerprint, estimate_core_cycles, estimate_core_cycles_memo,
-    kernel_time, memoized_core_cycles, pipeline_issue_cycles, reset_timing_cache,
-    timing_cache_stats, timing_key, KernelTime, TimingCacheStats, Traffic,
+    critical_path, device_fingerprint, kernel_time, memoized_core_cycles, pipeline_issue_cycles,
+    supports_program, timing_cache_stats, BlockPath, CritPath, KernelTime, TimingCacheStats,
+    Traffic,
 };
 pub use profile::{program_counters, KernelProfile, ProfileEngine, ProgramCounters};
 pub use snp_faults::{

@@ -8,7 +8,7 @@
 //! keeps them, as a [`KernelProfile`] attached to each kernel event by the
 //! host API ([`crate::host::Gpu::kernel_profile`]).
 //!
-//! The macro engine prices a launch from static program structure, so its
+//! The static model prices a launch from program structure, so its
 //! counters ([`ProgramCounters`]) are exact static sums; the detailed
 //! engine's counters come from the cycle-stepped run itself
 //! (`DetailedResult::pipeline_busy`). Roofline classification and
@@ -23,7 +23,8 @@ use crate::macro_engine::{pipeline_issue_cycles, KernelTime, Traffic};
 /// Which engine timed the launch this profile describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProfileEngine {
-    /// The analytic macro engine ([`crate::macro_engine`]).
+    /// The static model ([`crate::macro_engine`]), or cycles the caller
+    /// priced itself.
     Analytic,
     /// The cycle-stepped detailed engine ([`crate::detailed`]).
     Detailed,
@@ -82,7 +83,7 @@ impl KernelProfile {
 }
 
 /// Static per-launch counters recovered from a kernel's [`Program`] — the
-/// macro-engine analogue of what the detailed engine measures. All values
+/// static-model analogue of what the detailed engine measures. All values
 /// are per thread group over the whole program; scale by resident groups
 /// for per-core totals.
 #[derive(Debug, Clone, PartialEq)]

@@ -9,8 +9,8 @@
 //! loads in Perfetto — with one extra top-level `"flightRecorder"` object
 //! carrying the trigger reason and the failing query's context.
 //!
-//! Feeding the recorder is pull-based: callers [`absorb`]
-//! (`FlightRecorder::absorb`) whole [`Trace`] snapshots (e.g. one per
+//! Feeding the recorder is pull-based: callers
+//! [`absorb`](FlightRecorder::absorb) whole [`Trace`] snapshots (e.g. one per
 //! query), optionally shifting their timestamps onto a global clock. Tracks
 //! are deduplicated by name and domain, so per-query traces recorded on
 //! identically-named tracks collapse onto shared lanes. The same remapping

@@ -8,7 +8,7 @@
 //!   track declares its [`TimeDomain`] and the exporters keep the domains
 //!   separated. A disabled tracer (the default everywhere) turns every
 //!   recording call into a branch-and-return no-op.
-//! * **Metrics** — a process-wide [`registry`](metrics::registry) of named
+//! * **Metrics** — a process-wide [`registry`] of named
 //!   [`Counter`]s and [`Gauge`]s. Hot paths use [`LazyCounter`] statics so
 //!   an increment costs one relaxed atomic add after first touch.
 //!

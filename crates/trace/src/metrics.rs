@@ -3,7 +3,8 @@
 //! Hot paths keep their cost at one atomic add: a [`LazyCounter`] resolves
 //! its registry entry once (through a `OnceLock`) and then increments a
 //! plain `AtomicU64`. Registration interns by name, so every subsystem that
-//! names the same metric shares one cell, and [`snapshot`] renders the whole
+//! names the same metric shares one cell, and
+//! [`snapshot`](MetricsRegistry::snapshot) renders the whole
 //! process state under stable, dot-separated metric names (the scheme is
 //! documented in DESIGN.md §8).
 

@@ -1,186 +1,22 @@
-//! Latency-weighted static critical path and cross-lowering consistency
-//! (DESIGN.md §14).
+//! Static critical-path and cross-lowering rules (DESIGN.md §14).
 //!
-//! [`critical_path`] abstractly interprets a program against a device's
-//! timing: every register starts available at cycle 0 (the engines'
-//! implicit zero-initialization), and each instruction's result becomes
-//! available `completion_cycles(class, ways)` after its latest source —
-//! exactly the per-instruction delta the detailed engine charges, but with
-//! all structural hazards (pipe occupancy, scheduler width) relaxed. The
-//! resulting chain length, combined with the per-pipeline issue totals and
-//! the dynamic instruction count, is a *provable lower bound* on the
-//! detailed engine's cycles for a single-group launch:
-//!
-//! * the chain relaxation can only start instructions earlier, never later;
-//! * a pipeline serving `c` issue cycles of work is busy ≥ `c` cycles;
-//! * one group issues at most one instruction per cycle.
-//!
-//! Rule **V113** checks a plan's declared analytic cost against that bound
-//! and reports which blocks are latency-bound (`chain > issue`); the same
-//! structure also yields a macro-style multi-group prediction that
-//! `snpgpu profile` reconciles against the detailed simulation as a fourth
-//! drift column. Rule **V114** cross-checks the scalar and matrix-unit
-//! lowerings of one plan: same executed word-ops (up to one trip of
-//! fragment padding per k-loop) and the same memory-traffic class counts.
+//! The critical-path walk itself is the simulator's one static timing model
+//! ([`snp_gpu_sim::critical_path`]): the engine prices every tile job with
+//! [`predicted_core_cycles`](snp_gpu_sim::CritPath::predicted_core_cycles),
+//! and its single-group
+//! [`lower_bound_cycles`](snp_gpu_sim::CritPath::lower_bound_cycles) is
+//! provably no larger than the detailed engine's measurement. Rule **V113**
+//! checks a plan's declared analytic cost against that bound and reports
+//! which blocks are latency-bound (`chain > issue`). Rule **V114**
+//! cross-checks the scalar and matrix-unit lowerings of one plan: same
+//! executed word-ops (up to one trip of fragment padding per k-loop) and the
+//! same memory-traffic class counts.
 
 use crate::diag::{Diagnostic, Report, Severity};
 use crate::lint::PlanFacts;
 use snp_gpu_model::{DeviceSpec, InstrClass};
 use snp_gpu_sim::isa::Program;
-use snp_gpu_sim::macro_engine::issue_cycles_per_trip;
-
-/// Past this many trips the chain walk stops iterating and extrapolates
-/// linearly from the per-trip steady-state delta (exact once two
-/// consecutive trips advance register availability identically).
-const EXACT_TRIPS: u32 = 4096;
-
-/// Critical-path facts of one executing block.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockPath {
-    /// Block index in the program.
-    pub block: usize,
-    /// Trips the block executes.
-    pub trips: u32,
-    /// Issue cycles one group places on the block's busiest pipeline over
-    /// all trips (the block's issue bound at one resident group).
-    pub issue_bound: u64,
-    /// Cycles the global dependence chain advances across the block
-    /// (latency-weighted, loop-carried edges included).
-    pub chain_span: u64,
-}
-
-impl BlockPath {
-    /// Whether the block is latency-bound at one resident group: its
-    /// dependence chain outweighs its busiest pipeline's issue work.
-    pub fn latency_bound(&self) -> bool {
-        self.chain_span > self.issue_bound
-    }
-}
-
-/// The static critical path of a program on a device.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CritPath {
-    /// Per executing block, in program order.
-    pub per_block: Vec<BlockPath>,
-    /// Length of the longest latency-weighted dependence chain through the
-    /// whole program (loop-carried and cross-block edges included).
-    pub chain_cycles: u64,
-    /// Per-pipeline issue cycles one group places over the whole program.
-    pub pipe_issue_cycles: Vec<u64>,
-    /// Dynamic instructions per group (one group issues at most one per
-    /// cycle, so this too lower-bounds the runtime).
-    pub dynamic_instrs: u64,
-}
-
-impl CritPath {
-    /// The provable single-group lower bound:
-    /// `max(chain, busiest pipe, dynamic instructions)`.
-    pub fn lower_bound_cycles(&self) -> u64 {
-        self.chain_cycles
-            .max(self.pipe_issue_cycles.iter().copied().max().unwrap_or(0))
-            .max(self.dynamic_instrs)
-    }
-
-    /// Macro-style core-cycle prediction at `groups` resident groups on a
-    /// device with `n_clusters` pipeline clusters: per block, the issue
-    /// bound scales with groups sharing each cluster's pipelines while the
-    /// dependence chain does not (extra groups hide latency, they do not
-    /// shorten chains), and the block takes whichever bound is larger.
-    pub fn predicted_core_cycles(&self, n_clusters: u32, groups: u32) -> f64 {
-        let clusters = n_clusters.min(groups).max(1) as f64;
-        let gpc = groups.max(1) as f64 / clusters;
-        self.per_block
-            .iter()
-            .map(|b| (gpc * b.issue_bound as f64).max(b.chain_span as f64))
-            .sum()
-    }
-}
-
-/// Computes the latency-weighted critical path of `prog` on `dev`.
-///
-/// Panics if the program issues a class `dev` has no pipeline for (gate on
-/// [`supports_program`] first; the V107 lint owns that diagnostic).
-pub fn critical_path(dev: &DeviceSpec, prog: &Program) -> CritPath {
-    let n_regs = prog.reg_count();
-    let mut avail = vec![0u64; n_regs];
-    let mut chain_end = 0u64;
-    let mut per_block = Vec::new();
-    let mut pipe_totals = vec![0u64; dev.pipelines.len()];
-
-    for (bi, block) in prog.blocks.iter().enumerate() {
-        if !block.executes() {
-            continue;
-        }
-        let block_start = chain_end;
-        let per_trip = issue_cycles_per_trip(dev, block);
-        for (pipe, &c) in per_trip.iter().enumerate() {
-            pipe_totals[pipe] += c * block.trips as u64;
-        }
-
-        let mut trip = 0u32;
-        let mut prev_state: Option<(Vec<u64>, u64)> = None;
-        let mut prev_delta: Option<(Vec<u64>, u64)> = None;
-        while trip < block.trips {
-            for instr in &block.instrs {
-                let start = instr
-                    .srcs
-                    .iter()
-                    .map(|&s| avail[s as usize])
-                    .max()
-                    .unwrap_or(0);
-                let done = start + dev.completion_cycles(instr.class, instr.conflict_ways);
-                if let Some(d) = instr.dst {
-                    avail[d as usize] = done;
-                }
-                chain_end = chain_end.max(done);
-            }
-            trip += 1;
-            if block.trips <= EXACT_TRIPS {
-                continue;
-            }
-            // Steady-state extrapolation for very long loops: once two
-            // consecutive trips advance every register by the same delta,
-            // the remaining trips are that delta repeated.
-            let (pa, pe) = prev_state.take().unwrap_or_else(|| (vec![0; n_regs], 0));
-            let delta: Vec<u64> = avail.iter().zip(&pa).map(|(a, p)| a - p).collect();
-            let delta_end = chain_end - pe;
-            let steady = prev_delta
-                .as_ref()
-                .is_some_and(|(pd, pde)| *pd == delta && *pde == delta_end);
-            if steady || trip == EXACT_TRIPS {
-                let rem = (block.trips - trip) as u64;
-                for (a, d) in avail.iter_mut().zip(&delta) {
-                    *a += d * rem;
-                }
-                chain_end += delta_end * rem;
-                break;
-            }
-            prev_delta = Some((delta, delta_end));
-            prev_state = Some((avail.clone(), chain_end));
-        }
-
-        per_block.push(BlockPath {
-            block: bi,
-            trips: block.trips,
-            issue_bound: per_trip.iter().copied().max().unwrap_or(0) * block.trips as u64,
-            chain_span: chain_end - block_start,
-        });
-    }
-
-    CritPath {
-        per_block,
-        chain_cycles: chain_end,
-        pipe_issue_cycles: pipe_totals,
-        dynamic_instrs: prog.dynamic_instrs(),
-    }
-}
-
-/// Whether `dev` has a pipeline for every class `prog` issues — the
-/// precondition for [`critical_path`] (V107 reports the violation).
-pub fn supports_program(dev: &DeviceSpec, prog: &Program) -> bool {
-    prog.iter_instrs()
-        .all(|(_, _, i)| dev.pipeline_index_for(i.class).is_some())
-}
+use snp_gpu_sim::{critical_path, supports_program};
 
 /// Rule **V113-CRITPATH**: the declared analytic cost must not undercut the
 /// static critical-path lower bound for a single tile job, and the
@@ -405,7 +241,6 @@ mod tests {
     use super::*;
     use snp_gpu_model::{devices, WordOpKind};
     use snp_gpu_sim::isa::{Block, Instr};
-    use snp_gpu_sim::simulate_core;
 
     fn facts(program: Program, core_cycles: f64) -> PlanFacts {
         PlanFacts {
@@ -419,130 +254,16 @@ mod tests {
         }
     }
 
-    /// The pinned GTX 980 kernel of `profiler_counters.rs`. Hand-computed
-    /// (DESIGN.md §14): ld.global completes at 28; the 2-way shared load
-    /// adds max(24 + 4, 8) = 28 → 56; popc +6 → 62; the first add +6 → 68;
-    /// each further trip's add chains +6 → 68 + 9·6 = 122. Issue totals
-    /// [10, 0, 40, 84] peak at 84, dynamic instrs 31 → bound 122.
-    fn pinned_gtx_kernel() -> Program {
-        Program::new(vec![
-            Block::once(vec![Instr::load_global(0, &[])]),
-            Block::looped(
-                10,
-                vec![
-                    Instr::load_shared(1, &[0], 2),
-                    Instr::arith(InstrClass::Popc, 2, &[1]),
-                    Instr::arith(InstrClass::IntAdd, 3, &[3, 2]),
-                ],
-            ),
-        ])
-    }
-
-    /// The pinned TC100 MMA kernel of `mma_plan.rs`. Hand-computed:
-    /// ld.global 28; ld.shared +24 → 52; first mma +8 → 60, nine more
-    /// carried mma +8 each → 132; the add chains +4 → 136. Issue totals
-    /// [20, 0, 0, 44, 40] peak at 44, dynamic instrs 31 → bound 136.
-    fn pinned_mma_kernel() -> Program {
-        Program::new(vec![
-            Block::once(vec![Instr::load_global(0, &[])]),
-            Block::looped(
-                10,
-                vec![
-                    Instr::load_shared(1, &[0], 1),
-                    Instr::arith(InstrClass::Mma, 2, &[1, 0, 2]),
-                    Instr::arith(InstrClass::IntAdd, 3, &[3, 2]),
-                ],
-            ),
-        ])
-    }
-
-    #[test]
-    fn pinned_gtx_kernel_critical_path() {
-        let dev = devices::gtx_980();
-        let cp = critical_path(&dev, &pinned_gtx_kernel());
-        assert_eq!(cp.chain_cycles, 122);
-        assert_eq!(cp.pipe_issue_cycles, vec![10, 0, 40, 84]);
-        assert_eq!(cp.dynamic_instrs, 31);
-        assert_eq!(cp.lower_bound_cycles(), 122);
-        // once-block span: the load's completion (28); the loop carries the
-        // rest (122 − 28 = 94) and is latency-bound (94 > 84).
-        assert_eq!(cp.per_block[0].chain_span, 28);
-        assert_eq!(cp.per_block[1].chain_span, 94);
-        assert!(cp.per_block[1].latency_bound());
-    }
-
-    #[test]
-    fn pinned_mma_kernel_critical_path() {
-        let dev = devices::tc100();
-        let cp = critical_path(&dev, &pinned_mma_kernel());
-        assert_eq!(cp.chain_cycles, 136);
-        assert_eq!(cp.pipe_issue_cycles, vec![20, 0, 0, 44, 40]);
-        assert_eq!(cp.lower_bound_cycles(), 136);
-    }
-
-    #[test]
-    fn lower_bound_never_exceeds_detailed_measurement() {
-        for prog in [pinned_gtx_kernel(), pinned_mma_kernel()] {
-            for dev in devices::all_gpus() {
-                if !supports_program(&dev, &prog) {
-                    continue;
-                }
-                let cp = critical_path(&dev, &prog);
-                let det = simulate_core(&dev, &prog, 1, 1_000_000).unwrap();
-                assert!(
-                    cp.lower_bound_cycles() <= det.cycles,
-                    "{}: bound {} > measured {}",
-                    dev.name,
-                    cp.lower_bound_cycles(),
-                    det.cycles,
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn long_loop_extrapolation_matches_exact_iteration() {
-        let dev = devices::gtx_980();
-        // Same body, one trip count below the cap and one far above: the
-        // extrapolated chain must equal the closed form of the exact walk
-        // (per-trip delta 6 from the dependent add).
-        let body = vec![
-            Instr::load_shared(1, &[0], 1),
-            Instr::arith(InstrClass::Popc, 2, &[1]),
-            Instr::arith(InstrClass::IntAdd, 3, &[3, 2]),
-        ];
-        let short = Program::new(vec![Block::looped(EXACT_TRIPS, body.clone())]);
-        let long = Program::new(vec![Block::looped(EXACT_TRIPS * 4, body)]);
-        let cs = critical_path(&dev, &short);
-        let cl = critical_path(&dev, &long);
-        let per_trip = (cs.chain_cycles
-            - critical_path(
-                &dev,
-                &Program::new(vec![Block::looped(
-                    EXACT_TRIPS - 1,
-                    vec![
-                        Instr::load_shared(1, &[0], 1),
-                        Instr::arith(InstrClass::Popc, 2, &[1]),
-                        Instr::arith(InstrClass::IntAdd, 3, &[3, 2]),
-                    ],
-                )]),
-            )
-            .chain_cycles) as u64;
-        assert_eq!(
-            cl.chain_cycles,
-            cs.chain_cycles + per_trip * (EXACT_TRIPS as u64 * 3),
-        );
-    }
-
     #[test]
     fn undercut_cost_is_an_error_and_honest_cost_is_not() {
         let dev = devices::gtx_980();
-        let prog = pinned_gtx_kernel();
-        let low = lint_critpath(&dev, &facts(prog.clone(), 100.0));
+        let prog = Program::dependent_chain(InstrClass::Popc, 16, 100);
+        let bound = critical_path(&dev, &prog).lower_bound_cycles() as f64;
+        let low = lint_critpath(&dev, &facts(prog.clone(), bound * 0.9));
         let d = low.with_code("V113-CRITPATH").next().unwrap();
         assert_eq!(d.severity, Severity::Error);
         assert!(low.has_errors());
-        let ok = lint_critpath(&dev, &facts(prog, 130.0));
+        let ok = lint_critpath(&dev, &facts(prog, bound));
         assert!(!ok.has_errors(), "{}", ok.render_text("t"));
         // The Info summary is always present for a non-empty program.
         assert_eq!(ok.with_code("V113-CRITPATH").count(), 1);

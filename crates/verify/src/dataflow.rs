@@ -1,6 +1,6 @@
 //! Trip-sensitive dataflow over the timing ISA (DESIGN.md §14).
 //!
-//! The [`Program`](snp_gpu_sim::isa::Program) block/trips structure is a
+//! The [`Program`] block/trips structure is a
 //! straight-line sequence of counted loops, which makes classical dataflow
 //! *exact* rather than fixed-point-approximate: every block executes once,
 //! in order, and a looped body repeats verbatim. The analyses here interpret

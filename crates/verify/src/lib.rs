@@ -19,8 +19,9 @@
 //!   reaching definitions with loop-carried edges, first-trip
 //!   read-before-write (`V110`), dead writes (`V111`), live-range register
 //!   pressure and the occupancy headroom renaming would unlock (`V112`),
-//!   a latency-weighted static critical-path lower bound reconciled
-//!   against the declared analytic cost (`V113`), and scalar-vs-MMA
+//!   the lower bound of the engine's own critical-path model
+//!   ([`snp_gpu_sim::critical_path`]) reconciled against the declared
+//!   analytic cost (`V113`), and scalar-vs-MMA
 //!   cross-lowering consistency ([`lint_cross_lowering`], `V114`).
 //!
 //! All return a [`Report`] of coded [`Diagnostic`]s; [`VerifyError`] wraps
@@ -52,7 +53,7 @@ pub mod diag;
 pub mod lint;
 pub mod race;
 
-pub use critpath::{critical_path, lint_critpath, lint_cross_lowering, supports_program, CritPath};
+pub use critpath::{lint_critpath, lint_cross_lowering};
 pub use dataflow::{lint_dataflow, Dataflow, RegPressure};
 pub use diag::{json_escape, Diagnostic, Report, Severity, VerifyError};
 pub use lint::{lint_kernel, lint_kernel_deep, PlanFacts};

@@ -34,7 +34,6 @@ fn kind_name(kind: CommandKind) -> &'static str {
         CommandKind::Write => "write",
         CommandKind::Read => "read",
         CommandKind::Kernel => "kernel",
-        CommandKind::UntaggedTransfer => "transfer",
     }
 }
 

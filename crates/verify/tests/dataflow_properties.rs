@@ -8,8 +8,7 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 use snp_gpu_model::{devices, InstrClass};
 use snp_gpu_sim::isa::{Block, Instr, Program, Reg};
-use snp_gpu_sim::simulate_core;
-use snp_verify::critpath::{critical_path, supports_program};
+use snp_gpu_sim::{critical_path, simulate_core, supports_program};
 use snp_verify::dataflow::{reach, Dataflow, ReachingDef};
 
 const N_REGS: u64 = 10;

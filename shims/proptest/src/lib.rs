@@ -2,8 +2,9 @@
 //!
 //! The build environment cannot fetch crates.io dependencies, so this crate
 //! implements the subset of proptest this workspace's property tests use:
-//! the [`Strategy`] trait with `prop_map`/`prop_flat_map`, range and tuple
-//! strategies, `any::<T>()`, `prop::collection::vec`, [`ProptestConfig`],
+//! the [`Strategy`](strategy::Strategy) trait with `prop_map`/`prop_flat_map`,
+//! range and tuple strategies, `any::<T>()`, `prop::collection::vec`,
+//! [`ProptestConfig`](test_runner::ProptestConfig),
 //! and the `proptest!`/`prop_assert!`/`prop_assert_eq!` macros.
 //!
 //! Differences from real proptest, deliberately accepted:
@@ -25,7 +26,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use rand::RngExt;
 
-    /// Size specifications accepted by [`vec`]: an exact length or a range.
+    /// Size specifications accepted by [`vec()`]: an exact length or a range.
     pub trait SizeRange: Clone {
         /// Picks a concrete length.
         fn pick(&self, rng: &mut TestRng) -> usize;

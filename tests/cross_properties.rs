@@ -89,31 +89,6 @@ proptest! {
         prop_assert_eq!(cfg.k_c, dev.shared_mem_bytes as usize / (4 * 32));
     }
 
-    /// Memoized tile timing is exactly the unmemoized estimate, and repeat
-    /// estimates of the same structure are answered from the cache.
-    #[test]
-    fn memoized_timing_matches_unmemoized(
-        dev_idx in 0usize..3,
-        depth in 1usize..32,
-        trips in 1u32..5_000,
-        groups in 1u32..33,
-    ) {
-        use snp_repro::gpu_sim::{
-            estimate_core_cycles, estimate_core_cycles_memo, timing_cache_stats, Program,
-        };
-        use snp_repro::gpu_model::InstrClass;
-        let dev = devices::all_gpus().swap_remove(dev_idx);
-        let prog = Program::dependent_chain(InstrClass::Popc, depth, trips);
-        let want = estimate_core_cycles(&dev, &prog, groups);
-        let miss = estimate_core_cycles_memo(&dev, &prog, groups);
-        let before = timing_cache_stats();
-        let hit = estimate_core_cycles_memo(&dev, &prog, groups);
-        let after = timing_cache_stats();
-        prop_assert_eq!(miss, want);
-        prop_assert_eq!(hit, want);
-        prop_assert!(after.hits > before.hits, "{:?} -> {:?}", before, after);
-    }
-
     /// Timing monotonicity: more work never takes less modeled time.
     #[test]
     fn end_to_end_monotone_in_problem_size(rows in 16usize..128) {

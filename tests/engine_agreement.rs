@@ -1,14 +1,14 @@
-//! Timing-engine cross-validation: the macro (analytic) engine must agree
-//! with the cycle-stepped detailed engine on the *actual SNP kernel
+//! Timing-engine cross-validation: the static critical-path model must
+//! agree with the cycle-stepped detailed engine on the *actual SNP kernel
 //! programs* the framework emits — not just on microbenchmark loops. This
-//! is the evidence that the analytic numbers behind Figs. 5–9 reflect the
+//! is the evidence that the static numbers behind Figs. 5–9 reflect the
 //! modeled microarchitecture rather than an unrelated formula.
 
 use snp_repro::bitmat::CompareOp;
 use snp_repro::core::{config_for, group_geometry, tile_program, Algorithm};
 use snp_repro::gpu_model::config::ProblemShape;
 use snp_repro::gpu_model::devices;
-use snp_repro::gpu_sim::{estimate_core_cycles, simulate_core};
+use snp_repro::gpu_sim::{critical_path, simulate_core};
 
 fn agreement_for(dev: &snp_repro::gpu_model::DeviceSpec, op: CompareOp, k_words: usize) -> f64 {
     let cfg = config_for(
@@ -25,8 +25,8 @@ fn agreement_for(dev: &snp_repro::gpu_model::DeviceSpec, op: CompareOp, k_words:
     let detailed = simulate_core(dev, &prog, groups, 500_000_000)
         .unwrap()
         .cycles as f64;
-    let analytic = estimate_core_cycles(dev, &prog, groups);
-    (analytic - detailed).abs() / detailed
+    let predicted = critical_path(dev, &prog).predicted_core_cycles(dev.n_clusters, groups);
+    (predicted - detailed).abs() / detailed
 }
 
 #[test]
@@ -36,7 +36,7 @@ fn macro_engine_matches_detailed_on_kernel_programs() {
             let rel = agreement_for(&dev, op, 64);
             assert!(
                 rel < 0.10,
-                "{} / {op}: macro vs detailed relative error {rel:.3}",
+                "{} / {op}: static vs detailed relative error {rel:.3}",
                 dev.name
             );
         }
@@ -57,7 +57,7 @@ fn agreement_improves_with_longer_k() {
 #[test]
 fn detailed_engine_confirms_fig9_instruction_mix_effect() {
     // The AND vs AND-NOT gap measured by the *detailed* engine (not the
-    // analytic path that produced Fig. 9) shows the same mechanism.
+    // static model that produced Fig. 9) shows the same mechanism.
     let vega = devices::vega_64();
     let cfg = config_for(
         &vega,
