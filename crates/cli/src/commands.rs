@@ -623,7 +623,7 @@ fn cmd_cpu(args: &Args) -> Result<String, ArgError> {
     let panel = snp_popgen::random_dense(snps, samples, seed);
     let engine = CpuEngine::new();
     let t0 = std::time::Instant::now();
-    let gamma = engine.ld_self_symmetric(&panel);
+    let gamma = engine.ld_self(&panel);
     let dt = t0.elapsed();
     let word_ops = snps * snps * panel.words_per_row();
     let mut out = String::new();
@@ -633,7 +633,7 @@ fn cmd_cpu(args: &Args) -> Result<String, ArgError> {
     );
     let _ = writeln!(
         out,
-        "wall time {:.1} ms, {:.2} G word64-ops/s (symmetric path)",
+        "wall time {:.1} ms, {:.2} G word64-ops/s as a full GEMM (upper triangle computed, mirrored)",
         dt.as_secs_f64() * 1e3,
         word_ops as f64 / dt.as_secs_f64() / 1e9
     );
@@ -645,7 +645,6 @@ fn cmd_cpu(args: &Args) -> Result<String, ArgError> {
         model.time_ns_for_bits(WordOpKind::And, snps, snps, samples) / 1e6
     );
     let _ = writeln!(out, "γ[0][0] = {} (self count)", gamma.get(0, 0));
-    let _ = BitMatrix::<u64>::zeros(0, 0); // keep the type in the public surface
     Ok(out)
 }
 

@@ -6,8 +6,17 @@ use snp_bitmat::{BitMatrix, CompareOp, CountMatrix};
 use crate::blocking::CpuBlocking;
 use crate::gemm::gamma_blocked_into;
 use crate::parallel::gamma_parallel_into;
+use crate::symmetric::gamma_self_symmetric;
 
 /// A configured CPU comparison engine.
+///
+/// [`gamma`](Self::gamma), [`identity_search`](Self::identity_search) and
+/// [`mixture_analysis`](Self::mixture_analysis) run the blocked GEMM over
+/// every tile of `γ`. [`ld_self`](Self::ld_self) compares a panel with
+/// itself, so it runs the same tiles over the upper triangle only, each
+/// tile also writing its transpose. A [`new`](Self::new) engine runs the
+/// tiles on the rayon pool, a [`sequential`](Self::sequential) one on the
+/// calling thread; the results are bit-identical.
 ///
 /// ```
 /// use snp_cpu::CpuEngine;
@@ -42,7 +51,8 @@ impl CpuEngine {
     }
 
     /// Single-threaded engine (useful for reproducible profiling and as the
-    /// per-core baseline).
+    /// per-core baseline): every entry runs its tiles, one per
+    /// `m_c × n_c` block, on the calling thread.
     pub fn sequential() -> Self {
         CpuEngine {
             blocking: CpuBlocking::default(),
@@ -97,16 +107,14 @@ impl CpuEngine {
     /// Linkage disequilibrium: AND self-comparison of an SNP panel
     /// (paper Eq. 1). The result feeds `snp_popgen::ld_stats`-style
     /// post-processing.
+    ///
+    /// `γ` is symmetric, so this computes only each row block's columns
+    /// from its diagonal block on, and the tile that computes a column
+    /// also writes its transpose below the diagonal
+    /// ([`gamma_self_symmetric`]): the SYRK-style saving, identical
+    /// results to [`gamma`](Self::gamma) at roughly half the block work.
     pub fn ld_self(&self, panel: &BitMatrix<u64>) -> CountMatrix {
-        self.gamma(panel, panel, CompareOp::And)
-    }
-
-    /// Linkage disequilibrium exploiting symmetry: computes only the upper
-    /// triangle of `γ` and mirrors it — identical results to
-    /// [`ld_self`](Self::ld_self) at roughly half the block work for large
-    /// panels (the SYRK-style saving).
-    pub fn ld_self_symmetric(&self, panel: &BitMatrix<u64>) -> CountMatrix {
-        crate::symmetric::gamma_self_symmetric(panel, CompareOp::And, &self.blocking)
+        gamma_self_symmetric(panel, CompareOp::And, &self.blocking, self.parallel)
     }
 
     /// FastID identity search: XOR of queries against a database

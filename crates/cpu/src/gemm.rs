@@ -21,6 +21,11 @@
 //! which is clipped to the segments. Edge panels of Ã are zero-padded by
 //! the packer, and the run drops their rows. Each tile adds straight into
 //! its own row segments of `γ`, so the routines *add into* their output.
+//!
+//! A symmetric self-comparison ([`crate::symmetric`]) runs the same tiles
+//! over the upper triangle: row block `ic` covers columns `ic..m`, and
+//! each tile also owns the lower-triangle pieces that mirror its columns
+//! past the diagonal block, which it fills once its sums are final.
 
 use snp_bitmat::{BitMatrix, CompareOp, CountMatrix, PackedPanels};
 
@@ -40,7 +45,7 @@ pub fn gamma_blocked_into(
 ) {
     check_shapes(a, b, c, blocking);
     let a_packs = pack_a(a, blocking);
-    for mut tile in tiles(c, blocking, 1, |_| 0) {
+    for mut tile in tiles(c, blocking, 1, false) {
         run_tile(op, &a_packs, b, &mut tile);
     }
 }
@@ -58,33 +63,45 @@ pub fn gamma_blocked(
 }
 
 /// One tile of `γ`: columns `jc..jc + n_blk` of the rows of row block
-/// `blk` (rows `blk·m_c..`), held as one mutable segment per row.
+/// `blk` (rows `blk·m_c..`), held as one mutable segment per row. A tile
+/// of a symmetric run also owns `mirror`: for each of its last
+/// `mirror.len()` columns `j`, the segment `γ[j][blk·m_c..]` of the lower
+/// triangle that holds the column's transpose.
 pub(crate) struct Tile<'c> {
     pub(crate) blk: usize,
     pub(crate) jc: usize,
     pub(crate) n_blk: usize,
     pub(crate) rows: Vec<&'c mut [u32]>,
+    pub(crate) mirror: Vec<&'c mut [u32]>,
 }
 
-/// Cuts `c` into tiles. Row block `blk` covers columns `first_col(blk)..n`,
-/// split into the fewest NR-aligned ranges of at most `n_c` columns, or
-/// into more where that gives fewer than `min_tiles` tiles overall. The
-/// ranges of one row block differ in width by at most `NR`.
+/// Cuts `c` into tiles. Each row block is split into the fewest NR-aligned
+/// column ranges of at most `n_c` columns, or into more where that gives
+/// fewer than `min_tiles` tiles overall. The ranges of one row block
+/// differ in width by at most `NR`.
+///
+/// A row block covers columns `0..n`, or with `symmetric` (a square `c`
+/// holding a self-comparison) only `blk·m_c..n`, from its diagonal block
+/// on. Row `j`'s cells left of its diagonal block are then cut into `m_c`
+/// wide pieces, one per earlier row block, each handed to the tile of
+/// that block whose columns hold `j`.
 pub(crate) fn tiles<'c>(
     c: &'c mut CountMatrix,
     blocking: &CpuBlocking,
     min_tiles: usize,
-    first_col: impl Fn(usize) -> usize,
+    symmetric: bool,
 ) -> Vec<Tile<'c>> {
-    let (m, n) = (c.rows(), c.cols());
-    let per_block = min_tiles.div_ceil(m.div_ceil(blocking.m_c).max(1));
+    let (m, n, m_c) = (c.rows(), c.cols(), blocking.m_c);
+    let per_block = min_tiles.div_ceil(m.div_ceil(m_c).max(1));
     let mut tiles = Vec::new();
-    let block_len = (blocking.m_c * n).max(1); // `chunks_mut` needs it non-zero
+    let mut firsts = Vec::new(); // each row block's first tile
+    let block_len = (m_c * n).max(1); // `chunks_mut` needs it non-zero
     for (blk, block) in c.as_mut_slice().chunks_mut(block_len).enumerate() {
-        let lo = first_col(blk);
+        let lo = if symmetric { blk * m_c } else { 0 };
         let panels = (n - lo).div_ceil(NR);
         let splits = (n - lo).div_ceil(blocking.n_c).max(per_block).min(panels);
         let first = tiles.len();
+        firsts.push(first);
         tiles.extend((0..splits).map(|t| {
             let jc = lo + t * panels / splits * NR;
             let end = (lo + (t + 1) * panels / splits * NR).min(n);
@@ -92,11 +109,18 @@ pub(crate) fn tiles<'c>(
                 blk,
                 jc,
                 n_blk: end - jc,
-                rows: Vec::with_capacity(blocking.m_c),
+                rows: Vec::with_capacity(m_c),
+                mirror: Vec::new(),
             }
         }));
-        for row in block.chunks_mut(n) {
-            let mut rest = &mut row[lo..];
+        for (r, row) in block.chunks_mut(n).enumerate() {
+            let j = blk * m_c + r;
+            let (lower, mut rest) = row.split_at_mut(lo);
+            for (b, piece) in lower.chunks_mut(m_c).enumerate() {
+                let owners = &mut tiles[firsts[b]..firsts[b + 1]];
+                let t = owners.partition_point(|t| t.jc + t.n_blk <= j);
+                owners[t].mirror.push(piece);
+            }
             for tile in &mut tiles[first..] {
                 let (seg, tail) = std::mem::take(&mut rest).split_at_mut(tile.n_blk);
                 tile.rows.push(seg);
@@ -130,7 +154,8 @@ pub(crate) fn pack_a(a: &BitMatrix<u64>, blocking: &CpuBlocking) -> Vec<Vec<Pack
 /// past it in place, all of the tile's full panels in one
 /// [`microkernel_run`], which adds them straight into the Ã panel's row
 /// segments. A ragged last B panel is packed zero-padded first and goes
-/// through a tile.
+/// through a tile. Then the tile copies its finished columns into its
+/// mirror pieces, so a symmetric run must start from a zeroed `γ`.
 pub(crate) fn run_tile(
     op: CompareOp,
     a_packs: &[Vec<PackedPanels<u64>>],
@@ -159,6 +184,12 @@ pub(crate) fn run_tile(
             }
         }
         pc += k;
+    }
+    let first = n_blk - tile.mirror.len();
+    for (col, piece) in (first..).zip(&mut tile.mirror) {
+        for (out, row) in piece.iter_mut().zip(&tile.rows) {
+            *out = row[col];
+        }
     }
 }
 
@@ -251,6 +282,30 @@ mod tests {
         let got = gamma_blocked(&a, &b, CompareOp::AndNot, &blocking_small());
         let want = reference_gamma(&a, &b, CompareOp::AndNot);
         assert_eq!(got.first_mismatch(&want), None);
+    }
+
+    #[test]
+    fn symmetric_tiles_own_every_cell_once() {
+        // Upper-triangle segments and mirror pieces together cover γ, each
+        // cell once, and one tile per m_c × n_c block is cut when one tile
+        // is enough.
+        let blocking = blocking_small();
+        for m in [1usize, NR - 1, 2 * MR, 2 * MR + 1, 10 * MR - 1, 10 * MR + 3] {
+            let mut c = CountMatrix::zeros(m, m);
+            let cut = tiles(&mut c, &blocking, 1, true);
+            let blocks: usize = (0..m)
+                .step_by(blocking.m_c)
+                .map(|ic| (m - ic).div_ceil(blocking.n_c))
+                .sum();
+            assert_eq!(cut.len(), blocks, "m={m}");
+            for mut tile in cut {
+                assert!(tile.mirror.iter().all(|p| p.len() == tile.rows.len()));
+                for seg in tile.rows.iter_mut().chain(&mut tile.mirror) {
+                    seg.iter_mut().for_each(|v| *v += 1);
+                }
+            }
+            assert!(c.as_slice().iter().all(|&v| v == 1), "m={m}");
+        }
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! replaced by the three-instruction popcount sequence
 //! `γ += POPC(a ⋄ b)` over 64-bit words. A is packed, B is read in place,
 //! each Ã panel's sums go from registers straight into γ, and rayon runs
-//! tiles of γ, cut to fit any shape, across cores.
+//! tiles of γ, cut to fit any shape, across cores. LD compares a panel
+//! with itself, so its γ is symmetric: its tiles cover only the upper
+//! triangle, and the tile that computes a block also writes the block's
+//! transpose below the diagonal.
 //!
 //! This is both a real, runnable engine (benchmarked end to end and per
 //! layer by `perfbench`) and the correctness oracle the simulated GPU
@@ -19,7 +22,9 @@
 //!   run per Ã panel on the host's fastest popcount instruction, chosen at
 //!   run time;
 //! * [`gemm`] / [`parallel`] — the tile loop nest, on one thread and on the
-//!   rayon pool.
+//!   rayon pool;
+//! * [`symmetric`] — the same tiles over the upper triangle of a
+//!   self-comparison, each also writing its mirror (the LD path).
 
 #![warn(missing_docs)]
 

@@ -101,7 +101,7 @@ pub fn gamma_parallel_into_traced(
     let track = tracer.track("cpu parallel", TimeDomain::Wall);
     let run = tracer.begin_span(track, "run", "parallel gamma", tracer.wall_now_ns());
     let a_packs = pack_a(a, blocking);
-    let tiles = tiles(c, blocking, min_tiles(), |_| 0);
+    let tiles = tiles(c, blocking, min_tiles(), false);
     let stats = ParallelStats {
         tasks: tiles.len(),
         a_packs: a_packs.iter().map(Vec::len).sum(),

@@ -3,10 +3,20 @@
 //! Linkage disequilibrium compares a panel against itself with a symmetric
 //! operator (`popc(a & b) = popc(b & a)`, likewise XOR), so only the upper
 //! triangle of `γ` needs computing — the classical SYRK-style saving over
-//! GEMM, worth up to 2× on large panels. It runs on the parallel tile
-//! schedule with each row block cut off at its diagonal: the tiles of the
-//! rows `ic..ic + m_c` cover only columns `ic..m`. A blocked mirror pass
-//! then fills the cells left of each diagonal block from their transposes.
+//! GEMM, worth up to 2× on large panels. It runs on the [`crate::gemm`]
+//! tile schedule with each row block cut off at its diagonal: the tiles of
+//! the rows `ic..ic + m_c` cover only columns `ic..m`. The tile that
+//! computes a column `j` past its diagonal block also writes the column's
+//! transpose `γ[j][ic..ic + m_c]`, in the same task, so there is no second
+//! pass over `γ`.
+//!
+//! The mirror is all transposed accesses, so its order matters. A γ row
+//! of a 1024-SNP panel is 4 KiB, each on its own page. A tile writes one
+//! mirror piece at a time, contiguously, reading the column down its own
+//! rows, which its sums have just left in cache. Writing row by row
+//! instead sends consecutive stores to different pieces, each on another
+//! page, and misses the TLB: on a 1019-SNP panel that order cost ~0.8 ms
+//! where this one costs ~0.2 ms (2-vCPU AVX-512 host, EXPERIMENTS.md).
 
 use rayon::prelude::*;
 use snp_bitmat::{BitMatrix, CompareOp, CountMatrix};
@@ -26,15 +36,21 @@ pub fn op_is_symmetric(op: CompareOp) -> bool {
 }
 
 /// Self-comparison `γ = A ⋄ Aᵀ` computing only each row block's columns
-/// from its diagonal block on, then mirroring. Results are identical to
-/// the full [`gamma_parallel`](crate::parallel::gamma_parallel) (tested),
-/// at roughly half the block work for large `m`.
+/// from its diagonal block on, each tile also writing the transpose of its
+/// columns below the diagonal. Results are identical to the full
+/// [`gamma_parallel`](crate::parallel::gamma_parallel) (tested), at
+/// roughly half the block work for large `m`.
+///
+/// With `parallel`, the tiles run on the rayon pool, at least four per
+/// thread; without, one tile per `m_c × n_c` block runs after another on
+/// the calling thread.
 ///
 /// Panics if `op` is not symmetric or `blocking` is invalid.
 pub fn gamma_self_symmetric(
     a: &BitMatrix<u64>,
     op: CompareOp,
     blocking: &CpuBlocking,
+    parallel: bool,
 ) -> CountMatrix {
     assert!(
         op_is_symmetric(op),
@@ -43,34 +59,16 @@ pub fn gamma_self_symmetric(
     let mut c = CountMatrix::zeros(a.rows(), a.rows());
     check_shapes(a, a, &c, blocking);
     let a_packs = pack_a(a, blocking);
-    tiles(&mut c, blocking, min_tiles(), |blk| blk * blocking.m_c)
-        .into_par_iter()
-        .for_each(|mut tile| run_tile(op, &a_packs, a, &mut tile));
-    mirror_lower(&mut c, blocking.m_c);
-    c
-}
-
-/// Copies `γ[j][i]` into every cell `γ[i][j]` left of row `i`'s diagonal
-/// block (the cells the tiles skipped), in 64 × 64 blocks so that both
-/// sides of the copy stay in cache.
-fn mirror_lower(c: &mut CountMatrix, m_c: usize) {
-    const BLOCK: usize = 64;
-    let n = c.cols();
-    let g = c.as_mut_slice();
-    for i0 in (0..n).step_by(BLOCK) {
-        for j0 in (0..=i0).step_by(BLOCK) {
-            for i in i0..(i0 + BLOCK).min(n) {
-                let end = (j0 + BLOCK).min(i - i % m_c);
-                if j0 >= end {
-                    continue;
-                }
-                let (above, row) = g.split_at_mut(i * n);
-                for (j, out) in (j0..end).zip(&mut row[j0..end]) {
-                    *out = above[j * n + i];
-                }
-            }
+    if parallel {
+        tiles(&mut c, blocking, min_tiles(), true)
+            .into_par_iter()
+            .for_each(|mut tile| run_tile(op, &a_packs, a, &mut tile));
+    } else {
+        for mut tile in tiles(&mut c, blocking, 1, true) {
+            run_tile(op, &a_packs, a, &mut tile);
         }
     }
+    c
 }
 
 #[cfg(test)]
@@ -98,9 +96,12 @@ mod tests {
         for rows in [1usize, 7, MR, 3 * MR + 5, 100] {
             let a = matrix(rows, 300);
             for op in [CompareOp::And, CompareOp::Xor] {
-                let sym = gamma_self_symmetric(&a, op, &blocking_small());
                 let full = gamma_parallel(&a, &a, op, &blocking_small());
-                assert_eq!(sym.first_mismatch(&full), None, "rows={rows} op={op}");
+                for parallel in [true, false] {
+                    let sym = gamma_self_symmetric(&a, op, &blocking_small(), parallel);
+                    let at = format!("rows={rows} op={op} parallel={parallel}");
+                    assert_eq!(sym.first_mismatch(&full), None, "{at}");
+                }
             }
         }
     }
@@ -113,16 +114,19 @@ mod tests {
         assert_eq!(blocking.m_c, 96);
         for rows in [1usize, 7, 8, 95, 96, 97, 200, 1019] {
             let a = matrix(rows, 200);
-            let sym = gamma_self_symmetric(&a, CompareOp::And, &blocking);
             let full = gamma_parallel(&a, &a, CompareOp::And, &blocking);
-            assert_eq!(sym.first_mismatch(&full), None, "rows={rows}");
+            for parallel in [true, false] {
+                let sym = gamma_self_symmetric(&a, CompareOp::And, &blocking, parallel);
+                let at = format!("rows={rows} parallel={parallel}");
+                assert_eq!(sym.first_mismatch(&full), None, "{at}");
+            }
         }
     }
 
     #[test]
     fn symmetric_matches_reference_with_default_blocking() {
         let a = matrix(90, 777);
-        let sym = gamma_self_symmetric(&a, CompareOp::And, &CpuBlocking::default());
+        let sym = gamma_self_symmetric(&a, CompareOp::And, &CpuBlocking::default(), true);
         let want = reference_gamma_self(&a, CompareOp::And);
         assert_eq!(sym.first_mismatch(&want), None);
     }
@@ -130,7 +134,7 @@ mod tests {
     #[test]
     fn result_is_exactly_symmetric() {
         let a = matrix(64, 256);
-        let c = gamma_self_symmetric(&a, CompareOp::Xor, &blocking_small());
+        let c = gamma_self_symmetric(&a, CompareOp::Xor, &blocking_small(), true);
         for i in 0..64 {
             for j in 0..64 {
                 assert_eq!(c.get(i, j), c.get(j, i));
@@ -142,13 +146,13 @@ mod tests {
     #[should_panic(expected = "not symmetric")]
     fn andnot_rejected() {
         let a = matrix(8, 64);
-        let _ = gamma_self_symmetric(&a, CompareOp::AndNot, &blocking_small());
+        let _ = gamma_self_symmetric(&a, CompareOp::AndNot, &blocking_small(), true);
     }
 
     #[test]
     fn empty_matrix_ok() {
         let a = BitMatrix::<u64>::zeros(0, 0);
-        let c = gamma_self_symmetric(&a, CompareOp::And, &CpuBlocking::default());
+        let c = gamma_self_symmetric(&a, CompareOp::And, &CpuBlocking::default(), true);
         assert_eq!((c.rows(), c.cols()), (0, 0));
     }
 

@@ -2,17 +2,22 @@
 //!
 //! The production microkernel, the scalar oracle, and the bit-level
 //! reference must agree on arbitrary inputs (all three operators, every
-//! `k % CSA_BLOCK` remainder, padded panels), and the parallel tile
+//! `k % CSA_BLOCK` remainder, padded panels), the parallel tile
 //! schedule must be bit-identical to the sequential loop nest on both the
-//! paper's problem shapes (square LD, wide FastID) and on ragged ones.
+//! paper's problem shapes (square LD, wide FastID) and on ragged ones, and
+//! the symmetric LD path must equal the reference self-comparison.
 
 use proptest::prelude::*;
-use snp_bitmat::{reference_gamma, BitMatrix, CompareOp, CountMatrix, PackedPanels};
+use snp_bitmat::{
+    reference_gamma, reference_gamma_self, BitMatrix, CompareOp, CountMatrix, PackedPanels,
+};
 use snp_cpu::blocking::{MR, NR};
 use snp_cpu::gemm::gamma_blocked_into;
 use snp_cpu::microkernel::{microkernel, microkernel_scalar, zero_tile, BView};
 use snp_cpu::parallel::gamma_parallel_into;
-use snp_cpu::{gamma_parallel_into_traced, CpuBlocking, ParallelSchedule};
+use snp_cpu::{
+    gamma_parallel_into_traced, gamma_self_symmetric, CpuBlocking, CpuEngine, ParallelSchedule,
+};
 use snp_trace::{ArgValue, Tracer};
 
 /// A blocking small enough that property-sized problems span several cache
@@ -145,5 +150,43 @@ proptest! {
         let (lo, hi) = (*widths.iter().min().unwrap(), *widths.iter().max().unwrap());
         prop_assert!(hi - lo <= NR as u64, "tile widths {:?}", widths);
         prop_assert_eq!(got.first_mismatch(&want), None);
+    }
+
+    /// `ld_self` on the parallel and the sequential engine equals the
+    /// reference AND self-comparison, and so does XOR through
+    /// `gamma_self_symmetric` on both schedules with tiles that straddle
+    /// the diagonal block's edge. m runs from empty to five row blocks of
+    /// m_c = 2·MR: each case takes `blocks · m_c` plus every offset in
+    /// {0, 1, NR − 1, NR + 1, m_c − 1}, so m % m_c ∈ {0, 1, m_c − 1} and
+    /// m % NR ≠ 0 come up in every case, and `blocks = 0` gives m < NR; k
+    /// spans up to five k_c blocks.
+    #[test]
+    fn ld_self_matches_reference_on_both_schedules(
+        blocks in 0usize..=5,
+        k_bits in 1usize..=64 * 9,
+        seed in any::<u32>(),
+    ) {
+        let m_c = tiny_blocking().m_c;
+        let mix = |r: usize, c: usize| {
+            (r as u32).wrapping_mul(0x9E37_79B9) ^ (c as u32).wrapping_mul(0x85EB_CA6B) ^ seed
+        };
+        let straddling = CpuBlocking { k_c: 3, n_c: 3 * NR, ..tiny_blocking() };
+        for off in [0, 1, NR - 1, NR + 1, m_c - 1] {
+            let m = blocks * m_c + off;
+            if m > 5 * m_c {
+                continue;
+            }
+            let a = BitMatrix::<u64>::from_fn(m, k_bits, |r, c| mix(r, c) % 5 < 2);
+            let want = reference_gamma_self(&a, CompareOp::And);
+            for engine in [CpuEngine::new(), CpuEngine::sequential()] {
+                let got = engine.with_blocking(tiny_blocking()).ld_self(&a);
+                prop_assert_eq!(got.first_mismatch(&want), None, "m {}, k_bits {}", m, k_bits);
+            }
+            let want = reference_gamma_self(&a, CompareOp::Xor);
+            for parallel in [true, false] {
+                let got = gamma_self_symmetric(&a, CompareOp::Xor, &straddling, parallel);
+                prop_assert_eq!(got.first_mismatch(&want), None, "XOR, m {}, k_bits {}", m, k_bits);
+            }
+        }
     }
 }

@@ -30,7 +30,9 @@ fn main() {
     );
 
     // The whole LD computation is one AND-popcount GEMM of the panel with
-    // itself (paper Eq. 1) — here on the multithreaded BLIS CPU engine.
+    // itself (paper Eq. 1) — here on the multithreaded BLIS CPU engine,
+    // which computes the symmetric γ's upper triangle and mirrors it. The
+    // rate below counts the full GEMM's word-ops.
     let engine = CpuEngine::new();
     let t0 = std::time::Instant::now();
     let gamma = engine.ld_self(&panel.matrix);
