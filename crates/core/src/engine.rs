@@ -6,6 +6,13 @@
 //! over the pass plan, and read results back — with double buffering so
 //! data transfer and host packing overlap computation.
 //!
+//! One tile-pass loop runs that pipeline for every entry point. The entry
+//! point picks its *sink*, what happens to each chunk's `γ` block:
+//! [`GpuEngine::compare`] scatters it into the full matrix, and
+//! [`GpuEngine::identity_search_topk`] reduces it to each query's best `k`
+//! on the device. An armed [`FaultPlan`] picks the *schedule*: pipelined
+//! without one, checkpointed and recovering with one (DESIGN.md §10.2).
+//!
 //! Two execution modes:
 //!
 //! * [`ExecMode::Full`] — buffers hold real words, kernels compute bit-exact
@@ -19,15 +26,16 @@ use snp_cpu::CpuEngine;
 use snp_faults::{checksum_words, DeviceFault, FaultKind, FaultOp, FaultPlan};
 use snp_gpu_model::config::{Algorithm, ProblemShape};
 use snp_gpu_model::{DeviceSpec, KernelConfig};
-use snp_gpu_sim::host::{BufferId, CostScale, EventId, Gpu, QueueId, SimError};
+use snp_gpu_sim::host::{BufferId, CostScale, EventId, Gpu, KernelCost, QueueId, SimError};
 use snp_gpu_sim::{timing_cache_stats, KernelProfile};
 use snp_trace::{TimeDomain, Tracer};
 
 use crate::autoconf::{compare_op, config_for, word_op_kind, MixtureStrategy};
 use crate::cpu_model::CpuModel;
-use crate::kernel::{execute_gamma, execute_gamma_mma, KernelPlan, Lowering};
+use crate::kernel::{execute_gamma, lowering_for, KernelPlan, Lowering};
 use crate::recovery::{metrics, QueueHealth, RecoveryPolicy, RecoverySummary};
-use crate::tiling::{plan_passes, PlanError, TilePlan};
+use crate::streaming::{merge_topk, reduction_cost, topk_of_row, Match, TopKReport};
+use crate::tiling::{plan_passes, Chunk, PlanError, TilePlan};
 
 /// Whether kernels execute functionally or timing-only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -276,34 +284,6 @@ pub fn device_words_into(m: &BitMatrix<u64>, lo: usize, hi: usize, out: &mut Vec
     }
 }
 
-/// Profiles each kernel event, feeds its duration into the
-/// `sim.profile.kernel_chunk_ns` histogram, and returns the summed kernel
-/// time — the per-chunk distribution behind the [`Timing::kernel_ns`] total.
-pub(crate) fn record_kernel_chunks(gpu: &Gpu, kernel_events: &[EventId]) -> u64 {
-    let mut total = 0u64;
-    for &e in kernel_events {
-        let d = gpu.event_profile(e).map(|p| p.duration_ns()).unwrap_or(0);
-        crate::profile::metrics::KERNEL_CHUNK_NS.record(d);
-        total += d;
-    }
-    total
-}
-
-/// Collects the per-launch hardware-counter profiles of `kernel_events`
-/// when profiling is enabled (`None` otherwise, costing nothing).
-fn collect_kernel_profiles(
-    enabled: bool,
-    gpu: &Gpu,
-    kernel_events: &[EventId],
-) -> Option<Vec<KernelProfile>> {
-    enabled.then(|| {
-        kernel_events
-            .iter()
-            .filter_map(|&e| gpu.kernel_profile(e))
-            .collect()
-    })
-}
-
 /// The portable SNP-comparison engine over a simulated device.
 #[derive(Debug, Clone)]
 pub struct GpuEngine {
@@ -332,9 +312,9 @@ impl GpuEngine {
 
     /// Arms deterministic fault injection: every run consults a fresh clone
     /// of `plan` (so repeated runs replay identical fault sequences) and
-    /// routes through the recovering pipeline — sequential, checksum-
-    /// verified, chunk-checkpointed (DESIGN.md §10). Without a plan, runs
-    /// take the pipelined fast path and no recovery machinery executes.
+    /// takes the recovering schedule — sequential, checksum-verified,
+    /// chunk-checkpointed (DESIGN.md §10). Without a plan, runs take the
+    /// pipelined schedule and no recovery machinery executes.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
@@ -404,7 +384,6 @@ impl GpuEngine {
             b.words_per_row(),
             "operands disagree on packed width"
         );
-        let op = compare_op(algorithm, self.options.mixture);
         // Pre-negation happens "in advance" on the stored database
         // (paper §II-C), so it is not charged to the run.
         let b_owned;
@@ -416,215 +395,243 @@ impl GpuEngine {
         } else {
             b
         };
-        let k_words = 2 * a.words_per_row();
         let (m, n) = (a.rows(), b_eff.rows());
-        let shape = ProblemShape { m, n, k_words };
-        let cfg = config_for(&self.spec, algorithm, shape);
-        let plan = plan_passes(&self.spec, &cfg, m, n, k_words, self.options.double_buffer)?;
-        self.run_plan(a, b_eff, op, &cfg, &plan, algorithm)
+        let shape = ProblemShape {
+            m,
+            n,
+            k_words: 2 * a.words_per_row(),
+        };
+        let gamma = (self.options.mode == ExecMode::Full).then(|| CountMatrix::zeros(m, n));
+        self.drive(a, b_eff, shape, algorithm, Sink::Gamma(gamma))
+            .map(|(run, _)| run)
     }
 
-    fn run_plan(
+    /// FastID identity search returning only the best `k` database matches
+    /// per query. Identical candidate sets to a full
+    /// [`identity_search`](Self::identity_search) followed by host-side
+    /// selection (tested), at a fraction of the readback traffic.
+    pub fn identity_search_topk(
+        &self,
+        queries: &BitMatrix<u64>,
+        database: &BitMatrix<u64>,
+        k: usize,
+    ) -> Result<TopKReport, EngineError> {
+        assert!(k >= 1, "k must be at least 1");
+        assert_eq!(
+            queries.words_per_row(),
+            database.words_per_row(),
+            "packed width mismatch"
+        );
+        let (m, n) = (queries.rows(), database.rows());
+        let shape = ProblemShape {
+            m,
+            n,
+            k_words: 2 * queries.words_per_row(),
+        };
+        let sink = Sink::TopK {
+            k,
+            lists: (self.options.mode == ExecMode::Full).then(|| vec![Vec::new(); m]),
+            readback_bytes: 0,
+        };
+        match self.drive(queries, database, shape, Algorithm::IdentitySearch, sink)? {
+            (
+                run,
+                Sink::TopK {
+                    lists,
+                    readback_bytes,
+                    ..
+                },
+            ) => Ok(TopKReport {
+                matches: lists,
+                timing: run.timing,
+                passes: run.passes,
+                full_readback_bytes: (m * n * 4) as u64,
+                topk_readback_bytes: readback_bytes,
+                recovery: run.recovery,
+            }),
+            (_, Sink::Gamma(_)) => unreachable!("`drive` returns the sink it was given"),
+        }
+    }
+
+    /// Runs the full command stream for `shape` in timing-only mode without
+    /// materializing operands — the entry point for linting and sweeping
+    /// database-scale problems whose bit matrices would not fit host RAM.
+    pub fn run_shape(
+        &self,
+        shape: ProblemShape,
+        algorithm: Algorithm,
+    ) -> Result<RunReport, EngineError> {
+        let mut eng = self.clone();
+        eng.options.mode = ExecMode::TimingOnly;
+        // Timing-only never touches operand words, so empty placeholders
+        // stand in for the matrices.
+        let empty = BitMatrix::zeros(0, 0);
+        eng.drive(&empty, &empty, shape, algorithm, Sink::Gamma(None))
+            .map(|(run, _)| run)
+    }
+
+    /// The tile-pass loop behind every entry point: plans the passes for
+    /// `shape`, runs the plan's m × n chunk loop once in m-major order and
+    /// hands each chunk's `γ` block to `sink`. Without a fault plan the
+    /// chunks are software-pipelined over paired slots (§VI-A-1). With one
+    /// they run one at a time — one slot, the scalar lowering, bounded
+    /// retry, checksum-verified readback — and a device loss resumes from
+    /// the last verified chunk on the CPU (DESIGN.md §10.2). The report
+    /// carries the gamma sink's matrix; the sink comes back for the rest.
+    fn drive(
         &self,
         a: &BitMatrix<u64>,
         b: &BitMatrix<u64>,
-        op: CompareOp,
-        cfg: &KernelConfig,
-        plan: &TilePlan,
+        shape: ProblemShape,
         algorithm: Algorithm,
-    ) -> Result<RunReport, EngineError> {
-        if let Some(fault_plan) = &self.faults {
-            return self.run_plan_recovering(a, b, op, cfg, plan, algorithm, fault_plan.clone());
-        }
-        let full = self.options.mode == ExecMode::Full;
+        sink: Sink,
+    ) -> Result<(RunReport, Sink), EngineError> {
+        let op = compare_op(algorithm, self.options.mixture);
+        let cfg = config_for(&self.spec, algorithm, shape);
+        // A recovering run allocates one B/C slot, so it plans for one.
+        let double_buffer = self.options.double_buffer && self.faults.is_none();
+        let plan = plan_passes(
+            &self.spec,
+            &cfg,
+            shape.m,
+            shape.n,
+            shape.k_words,
+            double_buffer,
+        )?;
         let gpu = Gpu::with_tracer(self.spec.clone(), self.tracer.clone());
         gpu.set_cost_scale(self.options.cost_scale);
+        let recovering = self.faults.as_ref().map(|faults| {
+            gpu.set_fault_plan(faults.clone());
+            Recovering {
+                policy: self.options.recovery,
+                summary: RecoverySummary {
+                    total_chunks: plan.passes(),
+                    ..Default::default()
+                },
+                health: Default::default(),
+            }
+        });
         let init_ns = gpu.now_ns();
         let run_track = self.tracer.track("engine", TimeDomain::Virtual);
-        let run_span =
-            self.tracer
-                .begin_span(run_track, "run", format!("run: {}", algorithm.name()), 0);
+        let name = match sink {
+            Sink::Gamma(_) => algorithm.name(),
+            Sink::TopK { .. } => "streaming top-k",
+        };
+        let run_span = self
+            .tracer
+            .begin_span(run_track, "run", format!("run: {name}"), 0);
         let cache_before = timing_cache_stats();
-        let q_xfer = gpu.create_queue_labeled("transfer");
-        let q_comp = gpu.create_queue_labeled("compute");
+        let queues = LANES.map(|label| gpu.create_queue_labeled(label));
+
+        let dev = Device {
+            gpu,
+            full: self.options.mode == ExecMode::Full,
+        };
         let copies = if plan.double_buffered { 2 } else { 1 };
-        let k = plan.k_words;
-
-        let mk_buf = |words: usize| -> Result<BufferId, EngineError> {
-            Ok(if full {
-                gpu.create_buffer(words)?
-            } else {
-                gpu.create_virtual_buffer(words)?
-            })
+        let slots = |words: usize| -> Result<Vec<BufferId>, SimError> {
+            (0..copies).map(|_| dev.buffer(words)).collect()
         };
-        let a_buf = mk_buf(plan.a_buffer_words().max(1))?;
-        let b_bufs: Vec<BufferId> = (0..copies)
-            .map(|_| mk_buf(plan.b_buffer_words().max(1)))
-            .collect::<Result<_, _>>()?;
-        let c_bufs: Vec<BufferId> = (0..copies)
-            .map(|_| mk_buf(plan.c_buffer_words().max(1)))
-            .collect::<Result<_, _>>()?;
-
-        let mut gamma = if full {
-            Some(CountMatrix::zeros(a.rows(), b.rows()))
+        let a_buf = dev.buffer(plan.a_buffer_words())?;
+        let b_bufs = slots(plan.b_buffer_words())?;
+        let c_bufs = slots(plan.c_buffer_words())?;
+        // The top-k sink's winners: `k` (profile, differences) pairs for
+        // each query of the largest m-chunk.
+        let t_bufs = match sink {
+            Sink::TopK { k, .. } => slots(plan.a_buffer_words() / plan.k_words * k * 2)?,
+            Sink::Gamma(_) => Vec::new(),
+        };
+        let lowering = if recovering.is_some() {
+            // Re-executed chunks must not depend on a faulting matrix unit;
+            // the scalar program is the bit-exact oracle on every device.
+            Lowering::Scalar
         } else {
-            None
+            lowering_for(&self.spec, &cfg)
         };
-        // Pooled host-side staging: one allocation per stream (A words,
-        // B words, γ readback), reused across every tile iteration rather
-        // than allocated per pass. Multi-pass runs issue hundreds of
-        // chunk transfers; without pooling each one pays a fresh
-        // allocate/free of up to `max_alloc_bytes`.
-        let mut a_stage: Vec<u32> = Vec::new();
-        let mut b_stage: Vec<u32> = Vec::new();
-        let mut c_stage: Vec<u32> = Vec::new();
-        let mut pack_ns = 0u64;
-        let mut kernel_events: Vec<EventId> = Vec::new();
-        let mut in_events: Vec<EventId> = Vec::new();
-        let mut out_events: Vec<EventId> = Vec::new();
-        let mut last_kernel_on_slot: Vec<Option<EventId>> = vec![None; copies];
-        let mut last_read_on_slot: Vec<Option<EventId>> = vec![None; copies];
-        let mut word_ops: u128 = 0;
-        let mut kernel_cycles_ns = 0f64;
-
-        // Stages and enqueues the B chunk at index `i`. Borrows it needs
-        // mutably are threaded as parameters so calls interleave with the
-        // rest of the loop body.
-        let stage_and_write_b = |i: usize,
-                                 b_stage: &mut Vec<u32>,
-                                 pack_ns: &mut u64,
-                                 last_kernel_on_slot: &[Option<EventId>]|
-         -> Result<EventId, EngineError> {
-            let nc = &plan.n_chunks[i];
-            let slot = i % copies;
-            let b_bytes = (nc.len() * k * 4) as u64;
-            *pack_ns += self.spec.transfer.pack_ns(b_bytes);
-            gpu.host_pack(b_bytes);
-            // The B buffer may still feed an in-flight kernel.
-            let mut deps: Vec<EventId> = Vec::new();
-            if let Some(ev) = last_kernel_on_slot[slot] {
-                deps.push(ev);
-            }
-            Ok(if full {
-                device_words_into(b, nc.lo, nc.hi, b_stage);
-                gpu.enqueue_write(q_xfer, b_bufs[slot], 0, b_stage, &deps)?
-            } else {
-                gpu.enqueue_virtual_write(q_xfer, b_bufs[slot], 0, nc.len() * k, &deps)?
-            })
+        let mut pass = Pass {
+            spec: &self.spec,
+            dev,
+            lanes: Lanes { queues, recovering },
+            sink,
+            a,
+            b,
+            op,
+            cfg,
+            plan,
+            lowering,
+            drop_b_dep: self
+                .faults
+                .as_ref()
+                .is_some_and(|f| f.profile().drop_kernel_b_dep),
+            a_buf,
+            b_bufs,
+            c_bufs,
+            t_bufs,
+            up: Vec::new(),
+            down: Vec::new(),
+            pack_ns: 0,
+            word_ops: 0,
+            kernel_events: Vec::new(),
+            in_events: Vec::new(),
+            out_events: Vec::new(),
+            ev_a: None,
+            ev_b: None,
+            last_kernel: vec![None; copies],
+            last_read: vec![None; copies],
         };
 
-        for mc in &plan.m_chunks {
-            // Stage the A chunk.
-            let a_bytes = (mc.len() * k * 4) as u64;
-            pack_ns += self.spec.transfer.pack_ns(a_bytes);
-            gpu.host_pack(a_bytes);
-            let ev_a = if full {
-                device_words_into(a, mc.lo, mc.hi, &mut a_stage);
-                gpu.enqueue_write(q_xfer, a_buf, 0, &a_stage, &[])?
-            } else {
-                gpu.enqueue_virtual_write(q_xfer, a_buf, 0, mc.len() * k, &[])?
-            };
-            in_events.push(ev_a);
-            if plan.n_chunks.is_empty() {
-                continue;
-            }
-
-            // Software-pipelined B uploads: chunk i+1 is packed and enqueued
-            // *before* chunk i's readback, so with paired slots its only
-            // dependency is the kernel of i−1 and the upload overlaps the
-            // kernel of i on the link/compute resources (§VI-A-1's double
-            // buffering). With a single slot the dependency chain collapses
-            // back to fully serial timing. Functionally the early write is
-            // safe in both cases: kernels execute at enqueue, so chunk i has
-            // already consumed its input words.
-            let mut ev_b_pending =
-                stage_and_write_b(0, &mut b_stage, &mut pack_ns, &last_kernel_on_slot)?;
-            for (i, nc) in plan.n_chunks.iter().enumerate() {
-                let slot = i % copies;
-                let ev_b = ev_b_pending;
-                in_events.push(ev_b);
-
-                let kplan = KernelPlan::new(&self.spec, cfg, op, mc.len(), nc.len(), k);
-                word_ops += kplan.word_ops;
-                kernel_cycles_ns += kplan.time(&self.spec).total_ns;
-                let mut kdeps = vec![ev_a, ev_b];
-                if let Some(ev) = last_read_on_slot[slot] {
-                    // The C staging buffer must drain before being rewritten.
-                    kdeps.push(ev);
+        let n_chunks = pass.plan.n_chunks.len();
+        let mut fallback_ns = 0;
+        for ci in 0..pass.plan.passes() {
+            if let Err(e) = pass.chunk(ci / n_chunks, ci % n_chunks) {
+                // A device loss keeps the checkpointed prefix; any other
+                // error aborts the run.
+                if !e
+                    .device_fault()
+                    .is_some_and(|f| f.kind == FaultKind::DeviceLoss)
+                {
+                    return Err(e);
                 }
-                let ev_k = if full {
-                    let (m_len, n_len) = (mc.len(), nc.len());
-                    // The functional executor follows the plan's lowering:
-                    // matrix-unit fragment order on devices that have one,
-                    // the scalar row order otherwise (results are identical).
-                    let frag = match (kplan.lowering, self.spec.matrix_unit) {
-                        (Lowering::Mma, Some(mu)) => Some(mu),
-                        _ => None,
-                    };
-                    gpu.enqueue_kernel(
-                        q_comp,
-                        &kplan.cost(),
-                        &[a_buf, b_bufs[slot]],
-                        c_bufs[slot],
-                        &kdeps,
-                        |reads, out| match frag {
-                            Some(mu) => {
-                                execute_gamma_mma(&mu, op, reads[0], reads[1], out, m_len, n_len, k)
-                            }
-                            None => execute_gamma(op, reads[0], reads[1], out, m_len, n_len, k),
-                        },
-                    )?
-                } else {
-                    gpu.enqueue_kernel_timed_on(
-                        q_comp,
-                        &kplan.cost(),
-                        &[a_buf, b_bufs[slot]],
-                        c_bufs[slot],
-                        &kdeps,
-                    )?
-                };
-                kernel_events.push(ev_k);
-                last_kernel_on_slot[slot] = Some(ev_k);
-
-                // Prefetch the next B chunk while this kernel occupies the
-                // compute engine.
-                if i + 1 < plan.n_chunks.len() {
-                    ev_b_pending =
-                        stage_and_write_b(i + 1, &mut b_stage, &mut pack_ns, &last_kernel_on_slot)?;
-                }
-
-                // Read the C chunk back.
-                let ev_r = if full {
-                    c_stage.resize(mc.len() * nc.len(), 0);
-                    let ev =
-                        gpu.enqueue_read(q_xfer, c_bufs[slot], 0, &mut c_stage, &[ev_k], false)?;
-                    let g = gamma.as_mut().expect("full mode");
-                    for (ri, row) in c_stage.chunks_exact(nc.len()).enumerate() {
-                        g.row_mut(mc.lo + ri)[nc.lo..nc.hi].copy_from_slice(row);
-                    }
-                    ev
-                } else {
-                    gpu.enqueue_virtual_read(q_xfer, c_bufs[slot], 0, mc.len() * nc.len(), &[ev_k])?
-                };
-                out_events.push(ev_r);
-                last_read_on_slot[slot] = Some(ev_r);
+                fallback_ns = pass.fall_back(ci, e)?;
+                break;
             }
         }
-        gpu.finish_all();
 
-        let sum = |evs: &[EventId]| -> u64 {
-            evs.iter()
-                .map(|&e| gpu.event_profile(e).map(|p| p.duration_ns()).unwrap_or(0))
-                .sum()
-        };
-        let kernel_ns = record_kernel_chunks(&gpu, &kernel_events);
+        let Pass {
+            dev: Device { gpu, .. },
+            lanes,
+            mut sink,
+            plan,
+            pack_ns,
+            word_ops,
+            kernel_events,
+            in_events,
+            out_events,
+            ..
+        } = pass;
+        gpu.finish_all();
+        let recovery = lanes.recovering.map(|Recovering { mut summary, .. }| {
+            summary.injected = gpu.fault_stats();
+            summary.stalls_absorbed = summary.injected.queue_stalls;
+            summary
+        });
+        let duration = |&e: &EventId| gpu.event_profile(e).map(|p| p.duration_ns()).unwrap_or(0);
+        // Each chunk's kernel time also feeds `sim.profile.kernel_chunk_ns`,
+        // the distribution behind the `kernel_ns` total.
+        let kernel_ns = kernel_events
+            .iter()
+            .map(|e| {
+                let d = duration(e);
+                crate::profile::metrics::KERNEL_CHUNK_NS.record(d);
+                d
+            })
+            .sum();
         let timing = Timing {
             init_ns,
             pack_ns,
             kernel_ns,
-            transfer_in_ns: sum(&in_events),
-            transfer_out_ns: sum(&out_events),
-            recovery_ns: 0,
+            transfer_in_ns: in_events.iter().map(duration).sum(),
+            transfer_out_ns: out_events.iter().map(duration).sum(),
+            recovery_ns: recovery.as_ref().map_or(0, |s| s.backoff_ns) + fallback_ns,
             end_to_end_ns: gpu.now_ns(),
         };
         debug_assert!(
@@ -632,14 +639,15 @@ impl GpuEngine {
             "timing reconciliation failed: {} ({timing:?})",
             timing.validate().unwrap_err()
         );
-        // Static verification of the finished command stream. The `sum`
-        // calls above profiled every event, so events consumed only for
+        // Static verification of the finished command stream. The timing
+        // sums above profiled every event, so events consumed only for
         // timing do not show up as dead. Hazards (missing ordering edges)
-        // abort the run; warnings and infos ride along on the report.
+        // abort the run, recovered and partial streams included; warnings
+        // and infos ride along on the report.
         let verify_report = if self.options.verify {
             let report = snp_verify::verify_command_log(&gpu.command_log());
             if report.has_errors() {
-                return Err(EngineError::Device(snp_gpu_sim::SimError::Hazard(
+                return Err(EngineError::Device(SimError::Hazard(
                     report.render_text("command stream"),
                 )));
             }
@@ -648,16 +656,21 @@ impl GpuEngine {
             None
         };
         if self.tracer.is_enabled() {
-            self.tracer.end_span_with(
-                run_span,
-                timing.end_to_end_ns,
-                vec![
-                    ("passes", kernel_events.len().into()),
-                    ("word_ops", (word_ops as u64).into()),
-                    ("device", self.spec.name.as_str().into()),
-                    ("double_buffered", u64::from(plan.double_buffered).into()),
-                ],
-            );
+            let mut args = vec![
+                ("passes", kernel_events.len().into()),
+                ("word_ops", (word_ops as u64).into()),
+                ("device", self.spec.name.as_str().into()),
+                ("double_buffered", u64::from(plan.double_buffered).into()),
+            ];
+            if let Some(s) = &recovery {
+                args.extend([
+                    ("retries", s.retries.into()),
+                    ("corruption_detected", s.corruption_detected.into()),
+                    ("device_lost", u64::from(s.device_lost).into()),
+                ]);
+            }
+            self.tracer
+                .end_span_with(run_span, timing.end_to_end_ns, args);
             let cache_after = timing_cache_stats();
             for (name, before, after) in [
                 ("sim.timing_cache.hits", cache_before.hits, cache_after.hits),
@@ -684,54 +697,239 @@ impl GpuEngine {
                 }
             }
         }
-        let kernel_profiles = collect_kernel_profiles(self.options.profile, &gpu, &kernel_events);
-        let _ = kernel_cycles_ns; // retained for future per-pass reporting
-        Ok(RunReport {
+        let kernel_profiles = self.options.profile.then(|| {
+            kernel_events
+                .iter()
+                .filter_map(|&e| gpu.kernel_profile(e))
+                .collect()
+        });
+        let gamma = match &mut sink {
+            Sink::Gamma(gamma) => gamma.take(),
+            Sink::TopK { .. } => None,
+        };
+        let run = RunReport {
             gamma,
             timing,
             word_ops,
             passes: kernel_events.len(),
-            config: *cfg,
+            config: cfg,
             kernel_word_ops_per_sec: word_ops as f64 / (kernel_ns.max(1) as f64 * 1e-9),
             verify_report,
-            recovery: None,
+            recovery,
             kernel_profiles,
-        })
+        };
+        Ok((run, sink))
+    }
+}
+
+/// Where the tile-pass loop sends each chunk's `γ` block; the entry point
+/// picks it. Its results stay `None` in timing-only mode.
+enum Sink {
+    /// Scatter each block into the full `γ`.
+    Gamma(Option<CountMatrix>),
+    /// Reduce each block to every query's `k` best on the device, read back
+    /// only the winners and merge them per query.
+    TopK {
+        k: usize,
+        lists: Option<Vec<Vec<Match>>>,
+        readback_bytes: u64,
+    },
+}
+
+impl Sink {
+    /// Takes one chunk's `γ` block, row by row (a CPU-fallback chunk, or
+    /// the gamma sink's readback).
+    fn absorb_rows<'r>(&mut self, mc: Chunk, nc: Chunk, rows: impl Iterator<Item = &'r [u32]>) {
+        match self {
+            Sink::Gamma(Some(g)) => {
+                for (r, row) in rows.enumerate() {
+                    g.row_mut(mc.lo + r)[nc.lo..nc.hi].copy_from_slice(row);
+                }
+            }
+            Sink::TopK {
+                k,
+                lists: Some(lists),
+                ..
+            } => {
+                for (r, row) in rows.enumerate() {
+                    merge_topk(&mut lists[mc.lo + r], topk_of_row(row, nc.lo, *k), *k);
+                }
+            }
+            _ => {}
+        }
     }
 
-    /// One enqueue under the bounded-retry policy: transient faults
-    /// (transfer timeout, kernel launch failure) are retried with
-    /// exponential virtual-time backoff charged to the host clock; repeated
-    /// failures trip the per-queue circuit breaker, which quarantines the
-    /// queue and enqueues on a fresh replacement. Non-transient errors
-    /// (device loss, hazards, planning bugs) surface immediately.
-    pub(crate) fn attempt_with_retry<T>(
+    /// Takes one chunk's device readback: the `γ` block itself, or each
+    /// query's winners as `(profile, differences)` pairs.
+    fn absorb_readback(&mut self, mc: Chunk, nc: Chunk, words: &[u32]) {
+        match self {
+            Sink::Gamma(_) => self.absorb_rows(mc, nc, words.chunks_exact(nc.len())),
+            Sink::TopK {
+                k,
+                lists: Some(lists),
+                ..
+            } => {
+                for (r, pairs) in words.chunks_exact(2 * *k).enumerate() {
+                    let winners =
+                        pairs
+                            .chunks_exact(2)
+                            .filter(|p| p[0] != u32::MAX)
+                            .map(|p| Match {
+                                profile: p[0] as usize,
+                                differences: p[1],
+                            });
+                    merge_topk(&mut lists[mc.lo + r], winners, *k);
+                }
+            }
+            Sink::TopK { lists: None, .. } => {}
+        }
+    }
+}
+
+/// The top-k reduction kernel's functional body: each of the `m` rows of
+/// the `n`-column `γ` block keeps its `k` best as `(profile, differences)`
+/// pairs, padded with `u32::MAX` sentinels.
+fn reduce_topk(gamma: &[u32], out: &mut [u32], m: usize, n: usize, base: usize, k: usize) {
+    for (row, pairs) in gamma
+        .chunks_exact(n)
+        .zip(out.chunks_exact_mut(2 * k))
+        .take(m)
+    {
+        pairs.fill(u32::MAX);
+        for (pair, best) in pairs.chunks_exact_mut(2).zip(topk_of_row(row, base, k)) {
+            pair[0] = best.profile as u32;
+            pair[1] = best.differences;
+        }
+    }
+}
+
+/// The run's two queues, indexed by lane.
+const LANES: [&str; 2] = ["transfer", "compute"];
+const XFER: usize = 0;
+const COMP: usize = 1;
+
+/// The simulated device of one run with its [`ExecMode`] resolved: each
+/// command kind picks its functional or virtual form here, once.
+struct Device {
+    gpu: Gpu,
+    full: bool,
+}
+
+impl Device {
+    fn buffer(&self, words: usize) -> Result<BufferId, SimError> {
+        if self.full {
+            self.gpu.create_buffer(words.max(1))
+        } else {
+            self.gpu.create_virtual_buffer(words.max(1))
+        }
+    }
+
+    /// Uploads the staged words, or as many virtual ones.
+    fn write(
+        &self,
+        q: QueueId,
+        buf: BufferId,
+        stage: &[u32],
+        words: usize,
+        deps: &[EventId],
+    ) -> Result<EventId, SimError> {
+        if self.full {
+            self.gpu.enqueue_write(q, buf, 0, stage, deps)
+        } else {
+            self.gpu.enqueue_virtual_write(q, buf, 0, words, deps)
+        }
+    }
+
+    /// Launches a kernel that runs `func` on the buffers, or only its
+    /// timing.
+    fn kernel(
+        &self,
+        q: QueueId,
+        cost: &KernelCost,
+        reads: &[BufferId],
+        write: BufferId,
+        deps: &[EventId],
+        func: impl FnOnce(&[&[u32]], &mut [u32]),
+    ) -> Result<EventId, SimError> {
+        if self.full {
+            self.gpu.enqueue_kernel(q, cost, reads, write, deps, func)
+        } else {
+            self.gpu
+                .enqueue_kernel_timed_on(q, cost, reads, write, deps)
+        }
+    }
+
+    /// Reads `words` words back into `out`, or only their timing.
+    fn read(
+        &self,
+        q: QueueId,
+        buf: BufferId,
+        out: &mut Vec<u32>,
+        words: usize,
+        deps: &[EventId],
+        blocking: bool,
+    ) -> Result<EventId, SimError> {
+        if self.full {
+            out.resize(words, 0);
+            self.gpu.enqueue_read(q, buf, 0, out, deps, blocking)
+        } else {
+            self.gpu.enqueue_virtual_read(q, buf, 0, words, deps)
+        }
+    }
+}
+
+/// The run's queues, and the recovering schedule's state when a fault plan
+/// is armed.
+struct Lanes {
+    queues: [QueueId; 2],
+    recovering: Option<Recovering>,
+}
+
+/// What the recovering schedule carries through a run.
+struct Recovering {
+    policy: RecoveryPolicy,
+    summary: RecoverySummary,
+    /// One circuit breaker per lane.
+    health: [QueueHealth; 2],
+}
+
+impl Lanes {
+    /// Enqueues one command through `f` on `lane`'s queue: once on the
+    /// pipelined schedule, with bounded retry on the recovering one.
+    /// Transient faults (transfer timeout, kernel launch failure) are
+    /// retried with exponential virtual-time backoff charged to the host
+    /// clock; repeated failures trip the lane's circuit breaker, which
+    /// quarantines the queue and enqueues on a fresh replacement.
+    /// Non-transient errors (device loss, hazards, planning bugs) surface
+    /// immediately.
+    fn enqueue<T>(
+        &mut self,
         gpu: &Gpu,
-        policy: &RecoveryPolicy,
-        summary: &mut RecoverySummary,
-        health: &mut QueueHealth,
-        queue: &mut QueueId,
-        queue_label: &str,
+        lane: usize,
         mut f: impl FnMut(QueueId) -> Result<T, SimError>,
     ) -> Result<T, EngineError> {
+        let queue = &mut self.queues[lane];
+        let Some(rec) = &mut self.recovering else {
+            return Ok(f(*queue)?);
+        };
         let mut attempt = 0u32;
         loop {
             match f(*queue) {
                 Ok(v) => {
-                    health.ok();
+                    rec.health[lane].ok();
                     return Ok(v);
                 }
                 Err(SimError::DeviceFault(fault)) if fault.kind.is_transient() => {
-                    if health.fail(policy) {
-                        summary.quarantined_queues += 1;
+                    if rec.health[lane].fail(&rec.policy) {
+                        rec.summary.quarantined_queues += 1;
                         metrics::QUEUE_QUARANTINED.add(1);
-                        *queue = gpu.create_queue_labeled(queue_label);
-                        *health = QueueHealth::default();
+                        *queue = gpu.create_queue_labeled(LANES[lane]);
+                        rec.health[lane] = QueueHealth::default();
                     }
-                    if attempt >= policy.max_retries {
+                    if attempt >= rec.policy.max_retries {
                         return Err(EngineError::Device(SimError::DeviceFault(fault)));
                     }
-                    let back = policy.backoff_for(attempt);
+                    let back = rec.policy.backoff_for(attempt);
                     let back_start = gpu.now_ns();
                     gpu.advance_host_ns(back);
                     if gpu.tracer().is_enabled() {
@@ -747,18 +945,18 @@ impl GpuEngine {
                             vec![
                                 ("attempt", (attempt + 1).into()),
                                 ("backoff_ns", back.into()),
-                                ("queue", queue_label.into()),
+                                ("queue", LANES[lane].into()),
                             ],
                         );
                     }
-                    summary.backoff_ns += back;
+                    rec.summary.backoff_ns += back;
                     metrics::BACKOFF_NS.add(back);
                     metrics::BACKOFF_DELAY_NS.record(back);
-                    summary.retries += 1;
+                    rec.summary.retries += 1;
                     metrics::RETRIES.add(1);
                     match fault.kind {
-                        FaultKind::TransferTimeout => summary.retries_timeout += 1,
-                        _ => summary.retries_launch += 1,
+                        FaultKind::TransferTimeout => rec.summary.retries_timeout += 1,
+                        _ => rec.summary.retries_launch += 1,
                     }
                     attempt += 1;
                 }
@@ -766,433 +964,278 @@ impl GpuEngine {
             }
         }
     }
+}
 
-    /// The fault-tolerant pipeline used when a fault plan is armed
-    /// (DESIGN.md §10). Trades the fast path's software pipelining for
-    /// chunk-sequential execution with bounded retry, checksum-verified
-    /// readback, chunk checkpointing, queue circuit breaking, and — on
-    /// permanent device loss in [`ExecMode::Full`] — CPU fallback for the
-    /// chunks after the last checkpoint.
-    #[allow(clippy::too_many_arguments)]
-    fn run_plan_recovering(
-        &self,
-        a: &BitMatrix<u64>,
-        b: &BitMatrix<u64>,
-        op: CompareOp,
-        cfg: &KernelConfig,
-        plan: &TilePlan,
-        algorithm: Algorithm,
-        faults: FaultPlan,
-    ) -> Result<RunReport, EngineError> {
-        let full = self.options.mode == ExecMode::Full;
-        let policy = self.options.recovery;
-        let drop_b_dep = faults.profile().drop_kernel_b_dep;
-        let gpu = Gpu::with_tracer(self.spec.clone(), self.tracer.clone());
-        gpu.set_cost_scale(self.options.cost_scale);
-        gpu.set_fault_plan(faults);
-        let init_ns = gpu.now_ns();
-        let run_track = self.tracer.track("engine", TimeDomain::Virtual);
-        let run_span = self.tracer.begin_span(
-            run_track,
-            "run",
-            format!("run (recovering): {}", algorithm.name()),
-            0,
-        );
-        let mut q_xfer = gpu.create_queue_labeled("transfer");
-        let mut q_comp = gpu.create_queue_labeled("compute");
-        let mut health_xfer = QueueHealth::default();
-        let mut health_comp = QueueHealth::default();
-        let k = plan.k_words;
+/// One run's tile pass: the plan, its buffers, the pooled host staging and
+/// everything the report sums.
+struct Pass<'a> {
+    spec: &'a DeviceSpec,
+    dev: Device,
+    lanes: Lanes,
+    sink: Sink,
+    a: &'a BitMatrix<u64>,
+    b: &'a BitMatrix<u64>,
+    op: CompareOp,
+    cfg: KernelConfig,
+    plan: TilePlan,
+    lowering: Lowering,
+    /// The fault plan's seeded ordering bug: kernels skip their wait on
+    /// the B upload, which the race detector must catch.
+    drop_b_dep: bool,
+    a_buf: BufferId,
+    /// Per slot: the B and C buffers, and the top-k sink's winners.
+    b_bufs: Vec<BufferId>,
+    c_bufs: Vec<BufferId>,
+    t_bufs: Vec<BufferId>,
+    /// Pooled host staging, one buffer per direction, reused by every
+    /// chunk (the simulated transfers copy synchronously).
+    up: Vec<u32>,
+    down: Vec<u32>,
+    pack_ns: u64,
+    word_ops: u128,
+    kernel_events: Vec<EventId>,
+    in_events: Vec<EventId>,
+    out_events: Vec<EventId>,
+    ev_a: Option<EventId>,
+    ev_b: Option<EventId>,
+    /// Per slot: the last comparison kernel, and (pipelined) the last
+    /// readback.
+    last_kernel: Vec<Option<EventId>>,
+    last_read: Vec<Option<EventId>>,
+}
 
-        let mk_buf = |words: usize| -> Result<BufferId, EngineError> {
-            Ok(if full {
-                gpu.create_buffer(words)?
+impl Pass<'_> {
+    /// Runs chunk `(mi, ni)`: its uploads, its comparison kernel and the
+    /// sink's commands, then hands the readback to the sink. A recovering
+    /// run checkpoints the chunk once it is in the sink.
+    fn chunk(&mut self, mi: usize, ni: usize) -> Result<(), EngineError> {
+        let (mc, nc) = (self.plan.m_chunks[mi], self.plan.n_chunks[ni]);
+        let (m_len, n_len, k) = (mc.len(), nc.len(), self.plan.k_words);
+        let slot = ni % self.c_bufs.len();
+        let recovering = self.lanes.recovering.is_some();
+        if ni == 0 {
+            // The recovering A upload waits for the last kernel; a
+            // pipelined one is ordered behind it by the readback before it
+            // on the in-order transfer queue.
+            let deps: Vec<EventId> = if recovering {
+                self.last_kernel[0].into_iter().collect()
             } else {
-                gpu.create_virtual_buffer(words)?
-            })
-        };
-        let a_buf = mk_buf(plan.a_buffer_words().max(1))?;
-        let b_buf = mk_buf(plan.b_buffer_words().max(1))?;
-        let c_buf = mk_buf(plan.c_buffer_words().max(1))?;
-
-        let mut gamma = if full {
-            Some(CountMatrix::zeros(a.rows(), b.rows()))
-        } else {
-            None
-        };
-        let mut a_stage: Vec<u32> = Vec::new();
-        let mut b_stage: Vec<u32> = Vec::new();
-        let mut c_stage: Vec<u32> = Vec::new();
-        let mut pack_ns = 0u64;
-        let mut kernel_events: Vec<EventId> = Vec::new();
-        let mut in_events: Vec<EventId> = Vec::new();
-        let mut out_events: Vec<EventId> = Vec::new();
-        let mut word_ops: u128 = 0;
-        let mut summary = RecoverySummary::default();
-
-        // The checkpoint structure: chunks in m-major order, each verified
-        // and scattered into `gamma` before the next begins, so the resume
-        // point after a loss is simply the first incomplete index.
-        let chunks: Vec<(usize, usize)> = (0..plan.m_chunks.len())
-            .flat_map(|mi| (0..plan.n_chunks.len()).map(move |ni| (mi, ni)))
-            .collect();
-        summary.total_chunks = chunks.len();
-
-        let mut last_m_uploaded: Option<usize> = None;
-        let mut ev_a: Option<EventId> = None;
-        let mut last_kernel: Option<EventId> = None;
-        let mut lost_at: Option<usize> = None;
-        let mut lost_err: Option<EngineError> = None;
-
-        // Any step that fails with DeviceLoss abandons the device loop
-        // (keeping the checkpointed prefix); any other error aborts.
-        macro_rules! try_or_lose {
-            ($lbl:lifetime, $ci:expr, $res:expr) => {
-                match $res {
-                    Ok(v) => v,
-                    Err(e) => {
-                        if e.device_fault()
-                            .is_some_and(|f| f.kind == FaultKind::DeviceLoss)
-                        {
-                            lost_at = Some($ci);
-                            lost_err = Some(e);
-                            break $lbl;
-                        }
-                        return Err(e);
-                    }
-                }
+                Vec::new()
             };
+            self.ev_a = Some(self.upload(self.a, mc, self.a_buf, &deps)?);
+        }
+        // Pipelined, B chunks after the first were prefetched.
+        if ni == 0 || recovering {
+            self.upload_b(ni)?;
+        }
+        let kplan = KernelPlan::with_lowering(
+            self.spec,
+            &self.cfg,
+            self.op,
+            m_len,
+            n_len,
+            k,
+            self.lowering,
+        );
+        let mut deps = vec![self.ev_a.expect("A chunk uploaded before its kernels")];
+        if !self.drop_b_dep {
+            deps.push(self.ev_b.expect("B chunk uploaded before its kernel"));
+        }
+        // The slot's output buffers must drain before they are rewritten.
+        deps.extend(self.last_read[slot]);
+        let (op, a_buf, b_buf, c_buf) = (self.op, self.a_buf, self.b_bufs[slot], self.c_bufs[slot]);
+        let ev_k = self.lanes.enqueue(&self.dev.gpu, COMP, |q| {
+            self.dev
+                .kernel(q, &kplan.cost(), &[a_buf, b_buf], c_buf, &deps, |r, out| {
+                    execute_gamma(op, r[0], r[1], out, m_len, n_len, k)
+                })
+        })?;
+        self.word_ops += kplan.word_ops;
+        self.kernel_events.push(ev_k);
+        self.last_kernel[slot] = Some(ev_k);
+        // Software pipelining (§VI-A-1): the next B chunk is staged and
+        // uploaded while this kernel occupies the compute engine. With one
+        // slot it waits for this kernel, which collapses back to serial
+        // timing. Functionally the early write is safe: kernels execute at
+        // enqueue, so this chunk has already consumed its input words.
+        if !recovering && ni + 1 < self.plan.n_chunks.len() {
+            self.upload_b(ni + 1)?;
         }
 
-        'chunks: for (ci, &(mi, ni)) in chunks.iter().enumerate() {
-            let mc = &plan.m_chunks[mi];
-            let nc = &plan.n_chunks[ni];
-
-            // A upload, once per m-chunk. The previous kernel may still be
-            // reading the buffer, so the write waits on it.
-            if last_m_uploaded != Some(mi) {
-                let a_bytes = (mc.len() * k * 4) as u64;
-                pack_ns += self.spec.transfer.pack_ns(a_bytes);
-                gpu.host_pack(a_bytes);
-                if full {
-                    device_words_into(a, mc.lo, mc.hi, &mut a_stage);
-                }
-                let adeps: Vec<EventId> = last_kernel.into_iter().collect();
-                let ev = try_or_lose!(
-                    'chunks,
-                    ci,
-                    Self::attempt_with_retry(
-                        &gpu,
-                        &policy,
-                        &mut summary,
-                        &mut health_xfer,
-                        &mut q_xfer,
-                        "transfer",
-                        |q| if full {
-                            gpu.enqueue_write(q, a_buf, 0, &a_stage, &adeps)
-                        } else {
-                            gpu.enqueue_virtual_write(q, a_buf, 0, mc.len() * k, &adeps)
-                        },
-                    )
-                );
-                in_events.push(ev);
-                ev_a = Some(ev);
-                last_m_uploaded = Some(mi);
+        let (buf, words, dep) = match &mut self.sink {
+            Sink::Gamma(_) => (c_buf, m_len * n_len, ev_k),
+            Sink::TopK {
+                k: top,
+                readback_bytes,
+                ..
+            } => {
+                // The reduction streams the γ block once from global memory
+                // and emits the block's m × k winners.
+                let top = *top;
+                let cost = reduction_cost(self.spec, m_len, n_len, (m_len * n_len * 4) as u64);
+                let t_buf = self.t_bufs[slot];
+                let ev_r = self.lanes.enqueue(&self.dev.gpu, COMP, |q| {
+                    self.dev
+                        .kernel(q, &cost, &[c_buf], t_buf, &[ev_k], |r, out| {
+                            reduce_topk(r[0], out, m_len, n_len, nc.lo, top)
+                        })
+                })?;
+                self.kernel_events.push(ev_r);
+                *readback_bytes += (m_len * top * 8) as u64;
+                (t_buf, m_len * top * 2, ev_r)
             }
-
-            // B upload.
-            let b_bytes = (nc.len() * k * 4) as u64;
-            pack_ns += self.spec.transfer.pack_ns(b_bytes);
-            gpu.host_pack(b_bytes);
-            if full {
-                device_words_into(b, nc.lo, nc.hi, &mut b_stage);
-            }
-            let bdeps: Vec<EventId> = last_kernel.into_iter().collect();
-            let ev_b = try_or_lose!(
-                'chunks,
-                ci,
-                Self::attempt_with_retry(
-                    &gpu,
-                    &policy,
-                    &mut summary,
-                    &mut health_xfer,
-                    &mut q_xfer,
-                    "transfer",
-                    |q| if full {
-                        gpu.enqueue_write(q, b_buf, 0, &b_stage, &bdeps)
-                    } else {
-                        gpu.enqueue_virtual_write(q, b_buf, 0, nc.len() * k, &bdeps)
-                    },
-                )
-            );
-            in_events.push(ev_b);
-
-            // Kernel. The recovery path always runs the scalar-popcount
-            // plan: when the matrix-unit path faults mid-run, re-executed
-            // chunks must not depend on the faulting unit, and the scalar
-            // program is the bit-exact oracle on every device.
-            let kplan = KernelPlan::with_lowering(
-                &self.spec,
-                cfg,
-                op,
-                mc.len(),
-                nc.len(),
-                k,
-                Lowering::Scalar,
-            );
-            let mut kdeps = vec![ev_a.expect("A chunk uploaded before its kernels")];
-            if !drop_b_dep {
-                kdeps.push(ev_b);
-            }
-            let (m_len, n_len) = (mc.len(), nc.len());
-            let ev_k = try_or_lose!(
-                'chunks,
-                ci,
-                Self::attempt_with_retry(
-                    &gpu,
-                    &policy,
-                    &mut summary,
-                    &mut health_comp,
-                    &mut q_comp,
-                    "compute",
-                    |q| if full {
-                        gpu.enqueue_kernel(
-                            q,
-                            &kplan.cost(),
-                            &[a_buf, b_buf],
-                            c_buf,
-                            &kdeps,
-                            |reads, out| {
-                                execute_gamma(op, reads[0], reads[1], out, m_len, n_len, k);
-                            },
-                        )
-                    } else {
-                        gpu.enqueue_kernel_timed_on(q, &kplan.cost(), &[a_buf, b_buf], c_buf, &kdeps)
-                    },
-                )
-            );
-            word_ops += kplan.word_ops;
-            kernel_events.push(ev_k);
-            last_kernel = Some(ev_k);
-
-            // Readback, checksum-verified in Full mode: the device-side
-            // checksum sees the uncorrupted buffer, so a mismatch against
-            // the received words pinpoints link corruption and the chunk is
-            // simply re-read. This is the only defense against the
-            // *silent* fault class.
-            let want_words = mc.len() * nc.len();
-            if full {
-                c_stage.resize(want_words, 0);
-                let mut verify_attempts = 0u32;
-                loop {
-                    let ev_r = try_or_lose!(
-                        'chunks,
-                        ci,
-                        Self::attempt_with_retry(
-                            &gpu,
-                            &policy,
-                            &mut summary,
-                            &mut health_xfer,
-                            &mut q_xfer,
-                            "transfer",
-                            |q| gpu.enqueue_read(q, c_buf, 0, &mut c_stage, &[ev_k], true),
-                        )
-                    );
-                    out_events.push(ev_r);
-                    if !policy.checksums {
-                        break;
-                    }
-                    let (dev_sum, ev_s) = try_or_lose!(
-                        'chunks,
-                        ci,
-                        Self::attempt_with_retry(
-                            &gpu,
-                            &policy,
-                            &mut summary,
-                            &mut health_xfer,
-                            &mut q_xfer,
-                            "transfer",
-                            |q| gpu.enqueue_checksum_read(q, c_buf, 0, want_words, &[ev_k]),
-                        )
-                    );
-                    out_events.push(ev_s);
-                    if dev_sum == checksum_words(&c_stage) {
-                        break;
-                    }
-                    summary.corruption_detected += 1;
-                    metrics::CORRUPTION_DETECTED.add(1);
-                    verify_attempts += 1;
-                    if verify_attempts > policy.max_retries {
-                        return Err(EngineError::Device(SimError::DeviceFault(DeviceFault {
-                            kind: FaultKind::ReadCorruption,
-                            op: FaultOp::Read,
-                            command_index: gpu.command_log().commands.len() as u64,
-                        })));
-                    }
-                }
-                let g = gamma.as_mut().expect("full mode");
-                for (ri, row) in c_stage.chunks_exact(nc.len()).enumerate() {
-                    g.row_mut(mc.lo + ri)[nc.lo..nc.hi].copy_from_slice(row);
-                }
-            } else {
-                let ev_r = try_or_lose!(
-                    'chunks,
-                    ci,
-                    Self::attempt_with_retry(
-                        &gpu,
-                        &policy,
-                        &mut summary,
-                        &mut health_xfer,
-                        &mut q_xfer,
-                        "transfer",
-                        |q| gpu.enqueue_virtual_read(q, c_buf, 0, want_words, &[ev_k]),
-                    )
-                );
-                out_events.push(ev_r);
-            }
-            summary.verified_chunks += 1;
+        };
+        let ev_read = self.readback(buf, words, dep)?;
+        if !recovering {
+            self.last_read[slot] = Some(ev_read);
+        }
+        self.sink.absorb_readback(mc, nc, &self.down);
+        if let Some(rec) = &mut self.lanes.recovering {
+            rec.summary.verified_chunks += 1;
             metrics::CHECKPOINT_CHUNKS.add(1);
         }
-
-        // Permanent device loss: resume from the last checkpoint on the
-        // CPU engine (Full mode with fallback enabled), or surface the
-        // typed fault. The checkpointed prefix is never recomputed.
-        let mut fallback_ns_total = 0u64;
-        if let Some(ci) = lost_at {
-            summary.device_lost = true;
-            summary.resumed_from_chunk = Some(ci);
-            metrics::DEVICE_LOSS.add(1);
-            if gpu.tracer().is_enabled() {
-                gpu.tracer().span_with(
-                    gpu.host_track(),
-                    "fault",
-                    "device lost",
-                    gpu.now_ns(),
-                    gpu.now_ns(),
-                    vec![("resume_chunk", ci.into())],
-                );
-            }
-            if !(policy.cpu_fallback && full) {
-                return Err(lost_err.expect("loss recorded with its error"));
-            }
-            let cpu = CpuEngine::new();
-            let model = CpuModel::ivy_bridge_workstation();
-            let kind = word_op_kind(op);
-            let g = gamma.as_mut().expect("full mode");
-            let mut fallback_ns = 0f64;
-            for &(mi, ni) in &chunks[ci..] {
-                let mc = &plan.m_chunks[mi];
-                let nc = &plan.n_chunks[ni];
-                let sub = cpu.gamma(&a.row_slice(mc.lo, mc.hi), &b.row_slice(nc.lo, nc.hi), op);
-                for r in 0..mc.len() {
-                    g.row_mut(mc.lo + r)[nc.lo..nc.hi].copy_from_slice(&sub.row(r)[..nc.len()]);
-                }
-                fallback_ns += model.time_ns(kind, mc.len(), nc.len(), a.words_per_row());
-                summary.cpu_fallback_chunks += 1;
-                metrics::CPU_FALLBACK_CHUNKS.add(1);
-            }
-            fallback_ns_total = fallback_ns.ceil() as u64;
-            let fb_start = gpu.now_ns();
-            gpu.advance_host_ns(fallback_ns_total);
-            if gpu.tracer().is_enabled() {
-                gpu.tracer().span_with(
-                    gpu.host_track(),
-                    "fallback",
-                    "cpu fallback",
-                    fb_start,
-                    fb_start + fallback_ns_total,
-                    vec![("chunks", summary.cpu_fallback_chunks.into())],
-                );
-            }
-        }
-        gpu.finish_all();
-        summary.injected = gpu.fault_stats();
-        summary.stalls_absorbed = summary.injected.queue_stalls;
-
-        let sum = |evs: &[EventId]| -> u64 {
-            evs.iter()
-                .map(|&e| gpu.event_profile(e).map(|p| p.duration_ns()).unwrap_or(0))
-                .sum()
-        };
-        let kernel_ns = record_kernel_chunks(&gpu, &kernel_events);
-        let timing = Timing {
-            init_ns,
-            pack_ns,
-            kernel_ns,
-            transfer_in_ns: sum(&in_events),
-            transfer_out_ns: sum(&out_events),
-            recovery_ns: summary.backoff_ns + fallback_ns_total,
-            end_to_end_ns: gpu.now_ns(),
-        };
-        debug_assert!(
-            timing.validate().is_ok(),
-            "timing reconciliation failed: {} ({timing:?})",
-            timing.validate().unwrap_err()
-        );
-        // Recovered and partial streams must still verify clean: retries
-        // and re-reads may not introduce ordering hazards.
-        let verify_report = if self.options.verify {
-            let report = snp_verify::verify_command_log(&gpu.command_log());
-            if report.has_errors() {
-                return Err(EngineError::Device(snp_gpu_sim::SimError::Hazard(
-                    report.render_text("command stream"),
-                )));
-            }
-            Some(report)
-        } else {
-            None
-        };
-        if self.tracer.is_enabled() {
-            self.tracer.end_span_with(
-                run_span,
-                timing.end_to_end_ns,
-                vec![
-                    ("passes", kernel_events.len().into()),
-                    ("retries", summary.retries.into()),
-                    ("corruption_detected", summary.corruption_detected.into()),
-                    ("device_lost", u64::from(summary.device_lost).into()),
-                    ("device", self.spec.name.as_str().into()),
-                ],
-            );
-        }
-        let kernel_profiles = collect_kernel_profiles(self.options.profile, &gpu, &kernel_events);
-        Ok(RunReport {
-            gamma,
-            timing,
-            word_ops,
-            passes: kernel_events.len(),
-            config: *cfg,
-            kernel_word_ops_per_sec: word_ops as f64 / (kernel_ns.max(1) as f64 * 1e-9),
-            verify_report,
-            recovery: Some(summary),
-            kernel_profiles,
-        })
+        Ok(())
     }
 
-    /// Runs the full command stream for `shape` in timing-only mode without
-    /// materializing operands — the entry point for linting and sweeping
-    /// database-scale problems whose bit matrices would not fit host RAM.
-    pub fn run_shape(
-        &self,
-        shape: ProblemShape,
-        algorithm: Algorithm,
-    ) -> Result<RunReport, EngineError> {
-        let mut eng = self.clone();
-        eng.options.mode = ExecMode::TimingOnly;
-        let op = compare_op(algorithm, eng.options.mixture);
-        let cfg = config_for(&eng.spec, algorithm, shape);
-        let plan = plan_passes(
-            &eng.spec,
-            &cfg,
-            shape.m,
-            shape.n,
-            shape.k_words,
-            eng.options.double_buffer,
-        )?;
-        // Timing-only never touches operand words, so empty placeholders
-        // stand in for the matrices.
-        let empty = BitMatrix::zeros(0, 0);
-        eng.run_plan(&empty, &empty, op, &cfg, &plan, algorithm)
+    /// Packs rows `rows` of `src` on the host and uploads them into `buf`
+    /// once `deps` complete.
+    fn upload(
+        &mut self,
+        src: &BitMatrix<u64>,
+        rows: Chunk,
+        buf: BufferId,
+        deps: &[EventId],
+    ) -> Result<EventId, EngineError> {
+        let words = rows.len() * self.plan.k_words;
+        let bytes = (words * 4) as u64;
+        self.pack_ns += self.spec.transfer.pack_ns(bytes);
+        self.dev.gpu.host_pack(bytes);
+        if self.dev.full {
+            device_words_into(src, rows.lo, rows.hi, &mut self.up);
+        }
+        let ev = self.lanes.enqueue(&self.dev.gpu, XFER, |q| {
+            self.dev.write(q, buf, &self.up, words, deps)
+        })?;
+        self.in_events.push(ev);
+        Ok(ev)
+    }
+
+    /// Uploads B chunk `ni` into its slot once the slot's last comparison
+    /// kernel is done reading it.
+    fn upload_b(&mut self, ni: usize) -> Result<(), EngineError> {
+        let slot = ni % self.b_bufs.len();
+        let deps: Vec<EventId> = self.last_kernel[slot].into_iter().collect();
+        self.ev_b = Some(self.upload(self.b, self.plan.n_chunks[ni], self.b_bufs[slot], &deps)?);
+        Ok(())
+    }
+
+    /// Reads `words` words of `buf` back into the staging buffer once `dep`
+    /// completes. A recovering run blocks on the read and, in Full mode
+    /// with checksums on, verifies it against a device-side checksum: the
+    /// device sees the uncorrupted buffer, so a mismatch pinpoints link
+    /// corruption and the chunk is simply re-read. This is the only
+    /// defense against the *silent* fault class.
+    fn readback(
+        &mut self,
+        buf: BufferId,
+        words: usize,
+        dep: EventId,
+    ) -> Result<EventId, EngineError> {
+        let recovering = self.lanes.recovering.is_some();
+        let mut rereads = 0u32;
+        loop {
+            let ev = self.lanes.enqueue(&self.dev.gpu, XFER, |q| {
+                self.dev
+                    .read(q, buf, &mut self.down, words, &[dep], recovering)
+            })?;
+            self.out_events.push(ev);
+            let checksums = self.lanes.recovering.as_ref().map(|r| r.policy.checksums);
+            if !(self.dev.full && checksums == Some(true)) {
+                return Ok(ev);
+            }
+            let (device_sum, ev_sum) = self.lanes.enqueue(&self.dev.gpu, XFER, |q| {
+                self.dev.gpu.enqueue_checksum_read(q, buf, 0, words, &[dep])
+            })?;
+            self.out_events.push(ev_sum);
+            if device_sum == checksum_words(&self.down) {
+                return Ok(ev);
+            }
+            let rec = self.lanes.recovering.as_mut().expect("checksummed above");
+            rec.summary.corruption_detected += 1;
+            metrics::CORRUPTION_DETECTED.add(1);
+            rereads += 1;
+            if rereads > rec.policy.max_retries {
+                return Err(EngineError::Device(SimError::DeviceFault(DeviceFault {
+                    kind: FaultKind::ReadCorruption,
+                    op: FaultOp::Read,
+                    command_index: self.dev.gpu.command_log().commands.len() as u64,
+                })));
+            }
+        }
+    }
+
+    /// Device loss at chunk `resume`: finishes the remaining chunks on the
+    /// CPU engine (Full mode with fallback enabled) or surfaces the typed
+    /// fault. The checkpointed prefix is never recomputed. Returns the
+    /// modeled CPU time, charged to the host clock.
+    fn fall_back(&mut self, resume: usize, err: EngineError) -> Result<u64, EngineError> {
+        let gpu = &self.dev.gpu;
+        let tracer = gpu.tracer();
+        let rec = self
+            .lanes
+            .recovering
+            .as_mut()
+            .expect("only an armed fault plan loses the device");
+        rec.summary.device_lost = true;
+        rec.summary.resumed_from_chunk = Some(resume);
+        metrics::DEVICE_LOSS.add(1);
+        if tracer.is_enabled() {
+            tracer.span_with(
+                gpu.host_track(),
+                "fault",
+                "device lost",
+                gpu.now_ns(),
+                gpu.now_ns(),
+                vec![("resume_chunk", resume.into())],
+            );
+        }
+        if !(rec.policy.cpu_fallback && self.dev.full) {
+            return Err(err);
+        }
+        let (cpu, model) = (CpuEngine::new(), CpuModel::ivy_bridge_workstation());
+        let kind = word_op_kind(self.op);
+        let n_chunks = self.plan.n_chunks.len();
+        let mut ns = 0f64;
+        for ci in resume..self.plan.passes() {
+            let (mc, nc) = (
+                self.plan.m_chunks[ci / n_chunks],
+                self.plan.n_chunks[ci % n_chunks],
+            );
+            let sub = cpu.gamma(
+                &self.a.row_slice(mc.lo, mc.hi),
+                &self.b.row_slice(nc.lo, nc.hi),
+                self.op,
+            );
+            self.sink
+                .absorb_rows(mc, nc, (0..mc.len()).map(|r| &sub.row(r)[..nc.len()]));
+            ns += model.time_ns(kind, mc.len(), nc.len(), self.a.words_per_row());
+            rec.summary.cpu_fallback_chunks += 1;
+            metrics::CPU_FALLBACK_CHUNKS.add(1);
+        }
+        let fallback_ns = ns.ceil() as u64;
+        let start = gpu.now_ns();
+        gpu.advance_host_ns(fallback_ns);
+        if tracer.is_enabled() {
+            tracer.span_with(
+                gpu.host_track(),
+                "fallback",
+                "cpu fallback",
+                start,
+                start + fallback_ns,
+                vec![("chunks", rec.summary.cpu_fallback_chunks.into())],
+            );
+        }
+        Ok(fallback_ns)
     }
 }
 
@@ -1485,6 +1528,50 @@ mod tests {
                 assert!(report.contains("V001-RAW"), "unexpected report: {report}");
             }
             other => panic!("expected a hazard, got: {other}"),
+        }
+    }
+
+    #[test]
+    fn every_run_traces_one_run_span_and_honours_the_mode() {
+        // Both sinks on both schedules: one `run` span, the timing-cache
+        // samples, one kernel-time sample per launch, and results exactly
+        // when the mode is Full — the recovering top-k included.
+        let a = matrix(8, 320, 12);
+        let b = matrix(900, 320, 13);
+        let armed = FaultPlan::new(3, snp_faults::FaultProfile::none());
+        for (mode, faults) in [
+            (ExecMode::Full, None),
+            (ExecMode::TimingOnly, None),
+            (ExecMode::Full, Some(armed.clone())),
+            (ExecMode::TimingOnly, Some(armed)),
+        ] {
+            for topk in [false, true] {
+                let what = format!("{mode:?}, fault plan {}, top-k {topk}", faults.is_some());
+                let tracer = Tracer::enabled();
+                let mut eng = GpuEngine::new(devices::gtx_980())
+                    .with_options(EngineOptions {
+                        mode,
+                        ..Default::default()
+                    })
+                    .with_tracer(tracer.clone());
+                if let Some(plan) = faults.clone() {
+                    eng = eng.with_fault_plan(plan);
+                }
+                let (passes, results, recovery) = if topk {
+                    let r = eng.identity_search_topk(&a, &b, 4).unwrap();
+                    (r.passes, r.matches.is_some(), r.recovery.is_some())
+                } else {
+                    let r = eng.identity_search(&a, &b).unwrap();
+                    (r.passes, r.gamma.is_some(), r.recovery.is_some())
+                };
+                assert_eq!(results, mode == ExecMode::Full, "{what}");
+                assert_eq!(recovery, faults.is_some(), "{what}");
+                let trace = tracer.snapshot().unwrap();
+                assert_eq!(trace.events_in_cat("run").count(), 1, "{what}");
+                let samples = |name: &str| trace.counters.iter().filter(|c| c.name == name).count();
+                assert_eq!(samples("sim.timing_cache.hits"), 2, "{what}");
+                assert_eq!(samples("sim.profile.kernel_chunk_ns"), passes, "{what}");
+            }
         }
     }
 

@@ -561,8 +561,10 @@ pub fn execute_gamma(
 /// 32-bit counters exactly as the `mma` instruction would. Popcount sums are
 /// associative and commutative over `u32`, so the result is bit-identical to
 /// [`execute_gamma`] — that equivalence is the MMA plan's correctness oracle.
-/// Ragged edges (outputs or k not multiples of the fragment shape) are
-/// handled as zero-padded partial fragments. Overwrites `c`.
+/// The engine runs [`execute_gamma`] on every pass, whatever the lowering
+/// (which only sets the kernel's price); this fragment-order form stays as
+/// the oracle. Ragged edges (outputs or k not multiples of the fragment
+/// shape) are handled as zero-padded partial fragments. Overwrites `c`.
 #[allow(clippy::too_many_arguments)] // mirrors `execute_gamma`'s signature plus the fragment spec
 pub fn execute_gamma_mma(
     frag: &MatrixUnitSpec,
@@ -631,6 +633,7 @@ fn dot_u32(op: CompareOp, a: &[u32], b: &[u32]) -> u32 {
 mod tests {
     use super::*;
     use crate::autoconf::config_for;
+    use proptest::prelude::*;
     use snp_bitmat::{reference_gamma, BitMatrix};
     use snp_gpu_model::config::{Algorithm, ProblemShape};
     use snp_gpu_model::peak::peak;
@@ -950,24 +953,33 @@ mod tests {
         );
     }
 
-    #[test]
-    fn execute_gamma_mma_matches_scalar_executor() {
-        let frag = devices::tc100().matrix_unit.unwrap();
-        // Ragged shapes: m, n not multiples of the fragment, k not of frag_k_words.
-        for (m, n, k) in [(13, 9, 10), (8, 8, 4), (17, 23, 7), (1, 1, 1)] {
-            let a: Vec<u32> = (0..m * k)
-                .map(|i| (i as u32).wrapping_mul(2654435769))
-                .collect();
-            let b: Vec<u32> = (0..n * k)
-                .map(|i| (i as u32).wrapping_mul(40503) ^ 0xA5A5)
-                .collect();
-            for op in CompareOp::ALL {
-                let mut want = vec![0u32; m * n];
-                let mut got = vec![0u32; m * n];
-                execute_gamma(op, &a, &b, &mut want, m, n, k);
-                execute_gamma_mma(&frag, op, &a, &b, &mut got, m, n, k);
-                assert_eq!(got, want, "op {op} shape {m}x{n}x{k}");
-            }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The fragment-order oracle equals the row-order executor on ragged
+        /// shapes: m and n off the 8 × 8 fragment, k off its 4-word depth.
+        #[test]
+        fn execute_gamma_mma_matches_scalar_executor(
+            m in 1usize..=40,
+            n in 1usize..=40,
+            k in 1usize..=20,
+            op_idx in 0usize..3,
+            seed in any::<u32>(),
+        ) {
+            let frag = devices::tc100().matrix_unit.unwrap();
+            let op = CompareOp::ALL[op_idx];
+            let words = |len: usize, salt: u32| -> Vec<u32> {
+                (0..len as u32)
+                    .map(|i| (i ^ salt).wrapping_mul(2654435769).rotate_left(i % 32))
+                    .collect()
+            };
+            let (a, b) = (words(m * k, seed), words(n * k, !seed));
+            let mut want = vec![0u32; m * n];
+            // Both executors overwrite `c`, so stale words must not leak.
+            let mut got = vec![u32::MAX; m * n];
+            execute_gamma(op, &a, &b, &mut want, m, n, k);
+            execute_gamma_mma(&frag, op, &a, &b, &mut got, m, n, k);
+            prop_assert_eq!(got, want, "op {} shape {}x{}x{}", op, m, n, k);
         }
     }
 }

@@ -12,7 +12,9 @@
 //!   executor + launch planning;
 //! * [`tiling`] — pass planning under global-memory/allocation limits
 //!   (§VI-E-2);
-//! * [`engine`] — end-to-end orchestration with double buffering (§VI-A-1);
+//! * [`engine`] — end-to-end orchestration with double buffering (§VI-A-1):
+//!   one tile-pass loop for the full-`γ` and the [`streaming`] top-k
+//!   sinks, pipelined or, under an armed fault plan, [`recovery`]-checkpointed;
 //! * [`cpu_model`] — the modeled Xeon E5-2620 v2 reference of Fig. 6.
 //!
 //! ```

@@ -23,7 +23,7 @@ use snp_gpu_model::DeviceSpec;
 
 use snp_trace::{TimeDomain, Tracer};
 
-use crate::autoconf::{compare_op, word_op_kind};
+use crate::autoconf::compare_op;
 use crate::engine::{EngineError, EngineOptions, GpuEngine, RunReport, Timing};
 use crate::recovery::metrics;
 
@@ -346,7 +346,6 @@ impl MultiGpuEngine {
                 }
             }
         }
-        let _ = word_op_kind; // module-level linkage for doc references
         Ok(MultiRunReport {
             gamma,
             per_device,

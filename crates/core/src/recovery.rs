@@ -1,9 +1,9 @@
 //! Recovery policy and accounting for fault-tolerant engine runs.
 //!
-//! The engine's normal pipeline (engine.rs, streaming.rs) assumes a healthy
-//! device. When a [`FaultPlan`](snp_faults::FaultPlan) is armed on the
-//! engine, runs route through a *recovering* variant built from the pieces
-//! in this module (DESIGN.md §10):
+//! The engine's tile-pass loop (engine.rs) pipelines its chunks on a
+//! healthy device. When a [`FaultPlan`](snp_faults::FaultPlan) is armed on
+//! the engine, the same loop takes its *recovering* schedule, for either
+//! sink, built from the pieces in this module (DESIGN.md §10):
 //!
 //! * bounded per-chunk **retry** with exponential virtual-time backoff;
 //! * chunk-granular **checkpointing** — a chunk whose readback checksum

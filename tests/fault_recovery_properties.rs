@@ -7,10 +7,10 @@
 //! chunk, not from chunk zero) and multi-device failover.
 
 use proptest::prelude::*;
-use snp_repro::bitmat::{reference_gamma, BitMatrix, CompareOp};
+use snp_repro::bitmat::{reference_gamma, BitMatrix, CompareOp, CountMatrix};
 use snp_repro::core::{
-    dgx2_like, Algorithm, EngineOptions, ExecMode, FaultKind, FaultPlan, FaultProfile, GpuEngine,
-    MixtureStrategy, MultiGpuEngine, RecoveryPolicy,
+    dgx2_like, Algorithm, EngineError, EngineOptions, ExecMode, FaultKind, FaultPlan, FaultProfile,
+    GpuEngine, Match, MixtureStrategy, MultiGpuEngine, RecoveryPolicy, RecoverySummary, Timing,
 };
 use snp_repro::gpu_model::{devices, DeviceSpec};
 
@@ -55,6 +55,41 @@ fn oracle(
         .expect("fault-free run")
         .gamma
         .expect("full mode")
+}
+
+/// What one input of the seeded properties produced.
+#[derive(PartialEq)]
+enum Output {
+    Gamma(CountMatrix),
+    TopK(Vec<Vec<Match>>),
+}
+
+/// The seeded properties' inputs: the three algorithms through the full-γ
+/// sink, then identity search through the top-k sink.
+const INPUTS: [Option<Algorithm>; 4] = [
+    Some(Algorithm::LinkageDisequilibrium),
+    Some(Algorithm::IdentitySearch),
+    Some(Algorithm::MixtureAnalysis),
+    None,
+];
+
+/// Runs one input on `engine` (in Full mode).
+fn run_input(
+    engine: &GpuEngine,
+    a: &BitMatrix<u64>,
+    b: &BitMatrix<u64>,
+    input: Option<Algorithm>,
+) -> Result<(Output, Option<RecoverySummary>, Timing), EngineError> {
+    Ok(match input {
+        Some(alg) => {
+            let r = engine.compare(a, b, alg)?;
+            (Output::Gamma(r.gamma.unwrap()), r.recovery, r.timing)
+        }
+        None => {
+            let r = engine.identity_search_topk(a, b, 5)?;
+            (Output::TopK(r.matches.unwrap()), r.recovery, r.timing)
+        }
+    })
 }
 
 #[test]
@@ -277,14 +312,15 @@ fn dgx2_sized_group_survives_one_loss() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// THE tentpole property: any seeded plan, any profile, any algorithm —
-    /// the engine returns bit-identical results or a typed fault. Silent
-    /// corruption is unrepresentable.
+    /// THE tentpole property: any seeded plan, any profile, any input —
+    /// the engine returns results identical to the fault-free run (the full
+    /// γ, or the top-k lists) or a typed fault. Silent corruption is
+    /// unrepresentable.
     #[test]
     fn seeded_plans_never_silently_corrupt(
         seed in any::<u64>(),
         profile_idx in 0usize..5,
-        alg_idx in 0usize..3,
+        input_idx in 0usize..INPUTS.len(),
     ) {
         let profile = [
             FaultProfile::transient(),
@@ -293,27 +329,21 @@ proptest! {
             FaultProfile::loss(),
             FaultProfile::mixed(),
         ][profile_idx];
-        let alg = [
-            Algorithm::LinkageDisequilibrium,
-            Algorithm::IdentitySearch,
-            Algorithm::MixtureAnalysis,
-        ][alg_idx];
+        let input = INPUTS[input_idx];
         let a = matrix(6, 256, 19);
         let b = matrix(900, 256, 20);
-        let want = oracle(&a, &b, alg);
-        let run = GpuEngine::new(tiny_device())
-            .with_options(full_options())
-            .with_fault_plan(FaultPlan::new(seed, profile))
-            .compare(&a, &b, alg);
-        match run {
-            Ok(report) => {
-                prop_assert_eq!(
-                    report.gamma.unwrap().first_mismatch(&want),
-                    None,
-                    "silent corruption at seed {}",
-                    seed
+        let engine = GpuEngine::new(tiny_device()).with_options(full_options());
+        let (want, _, _) = run_input(&engine, &a, &b, input).expect("fault-free run");
+        let armed = engine.with_fault_plan(FaultPlan::new(seed, profile));
+        match run_input(&armed, &a, &b, input) {
+            Ok((got, rec, _)) => {
+                prop_assert!(
+                    got == want,
+                    "silent corruption at seed {} on {}",
+                    seed,
+                    input.map_or("the top-k sink", Algorithm::name)
                 );
-                let rec = report.recovery.expect("recovering path");
+                let rec = rec.expect("recovering path");
                 // Counter reconciliation: every injected fault is accounted.
                 prop_assert_eq!(rec.retries_timeout, rec.injected.transfer_timeouts);
                 prop_assert_eq!(rec.retries_launch, rec.injected.kernel_launch_fails);
@@ -332,17 +362,18 @@ proptest! {
     }
 
     /// Timing stays internally consistent under fault recovery: the phase
-    /// sums (including `recovery_ns`) must still bracket end-to-end time.
+    /// sums (including `recovery_ns`) must still bracket end-to-end time,
+    /// on both sinks of the identity search.
     #[test]
-    fn recovered_timing_validates(seed in any::<u64>()) {
+    fn recovered_timing_validates(seed in any::<u64>(), topk in any::<bool>()) {
         let a = matrix(6, 256, 21);
         let b = matrix(900, 256, 22);
-        let run = GpuEngine::new(tiny_device())
+        let engine = GpuEngine::new(tiny_device())
             .with_options(full_options())
-            .with_fault_plan(FaultPlan::new(seed, FaultProfile::mixed()))
-            .compare(&a, &b, Algorithm::IdentitySearch);
-        if let Ok(report) = run {
-            prop_assert!(report.timing.validate().is_ok(), "{:?}", report.timing.validate());
+            .with_fault_plan(FaultPlan::new(seed, FaultProfile::mixed()));
+        let input = if topk { None } else { Some(Algorithm::IdentitySearch) };
+        if let Ok((_, _, timing)) = run_input(&engine, &a, &b, input) {
+            prop_assert!(timing.validate().is_ok(), "{:?}", timing.validate());
         }
     }
 }
