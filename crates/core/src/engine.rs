@@ -261,17 +261,11 @@ impl EngineError {
 }
 
 /// Converts host rows `lo..hi` of a 64-bit-packed matrix into the device's
-/// little-endian 32-bit word stream (two device words per host word).
-pub fn device_words(m: &BitMatrix<u64>, lo: usize, hi: usize) -> Vec<u32> {
-    let mut out = Vec::new();
-    device_words_into(m, lo, hi, &mut out);
-    out
-}
-
-/// [`device_words`] into a caller-owned staging buffer: `out` is cleared and
-/// refilled, so its allocation is reused across tile iterations instead of
-/// being freed and re-grown once per pass (the simulated writes copy the
-/// staging data synchronously, so reuse is safe under double buffering).
+/// little-endian 32-bit word stream (two device words per host word) in a
+/// caller-owned staging buffer: `out` is cleared and refilled, so its
+/// allocation is reused across tile iterations instead of being freed and
+/// re-grown once per pass (the simulated writes copy the staging data
+/// synchronously, so reuse is safe under double buffering).
 pub fn device_words_into(m: &BitMatrix<u64>, lo: usize, hi: usize, out: &mut Vec<u32>) {
     let wpr = m.words_per_row();
     out.clear();
@@ -282,6 +276,22 @@ pub fn device_words_into(m: &BitMatrix<u64>, lo: usize, hi: usize, out: &mut Vec
             out.push((w >> 32) as u32);
         }
     }
+}
+
+/// The inverse of [`device_words_into`]: re-pairs the first `rows` device
+/// rows of `k_words` words each into 64-bit host rows, low word first. An
+/// odd `k_words` leaves the high half of each row's last host word zero,
+/// which no comparison operator counts.
+pub(crate) fn host_rows(words: &[u32], rows: usize, k_words: usize) -> BitMatrix<u64> {
+    let wpr = k_words.div_ceil(2);
+    let mut data = Vec::with_capacity(rows * wpr);
+    for row in words[..rows * k_words].chunks_exact(k_words.max(1)) {
+        data.extend(
+            row.chunks(2)
+                .map(|p| p[0] as u64 | p.get(1).map_or(0, |&hi| (hi as u64) << 32)),
+        );
+    }
+    BitMatrix::from_words(rows, wpr * 64, wpr, data)
 }
 
 /// The portable SNP-comparison engine over a simulated device.
@@ -496,6 +506,7 @@ impl GpuEngine {
             shape.m,
             shape.n,
             shape.k_words,
+            sink.words_per_row(),
             double_buffer,
         )?;
         let gpu = Gpu::with_tracer(self.spec.clone(), self.tracer.clone());
@@ -534,10 +545,8 @@ impl GpuEngine {
         let a_buf = dev.buffer(plan.a_buffer_words())?;
         let b_bufs = slots(plan.b_buffer_words())?;
         let c_bufs = slots(plan.c_buffer_words())?;
-        // The top-k sink's winners: `k` (profile, differences) pairs for
-        // each query of the largest m-chunk.
         let t_bufs = match sink {
-            Sink::TopK { k, .. } => slots(plan.a_buffer_words() / plan.k_words * k * 2)?,
+            Sink::TopK { .. } => slots(plan.sink_buffer_words())?,
             Sink::Gamma(_) => Vec::new(),
         };
         let lowering = if recovering.is_some() {
@@ -737,6 +746,16 @@ enum Sink {
 }
 
 impl Sink {
+    /// Device words the sink's own kernel writes per query row, which the
+    /// plan budgets in each slot: the top-k winners are `k` (profile,
+    /// differences) pairs.
+    fn words_per_row(&self) -> usize {
+        match self {
+            Sink::Gamma(_) => 0,
+            Sink::TopK { k, .. } => 2 * k,
+        }
+    }
+
     /// Takes one chunk's `γ` block, row by row (a CPU-fallback chunk, or
     /// the gamma sink's readback).
     fn absorb_rows<'r>(&mut self, mc: Chunk, nc: Chunk, rows: impl Iterator<Item = &'r [u32]>) {
@@ -1252,17 +1271,20 @@ mod tests {
     }
 
     #[test]
-    fn device_words_preserve_bits() {
-        let m = matrix(3, 130, 1);
-        let dw = device_words(&m, 0, 3);
-        assert_eq!(dw.len(), 3 * m.words_per_row() * 2);
-        let m32: BitMatrix<u32> = m.convert();
-        // Compare logical bits via the converted matrix: word w of row r is
-        // dw[r*2*wpr + w] for the first min words.
-        for r in 0..3 {
-            for w in 0..m32.words_per_row() {
-                assert_eq!(dw[r * 2 * m.words_per_row() + w], m32.row(r)[w]);
-            }
+    fn device_words_round_trip_through_host_rows() {
+        // Host rows ending mid-word, and device rows of an odd word count,
+        // whose last host word gets a zero high half.
+        for cols in [1, 31, 32, 33, 64, 65, 95, 130, 500] {
+            let m = matrix(5, cols, cols);
+            let mut stage = Vec::new();
+            device_words_into(&m, 1, 4, &mut stage);
+            let k = 2 * m.words_per_row();
+            assert_eq!(stage.len(), 3 * k);
+            let back = host_rows(&stage, 3, k);
+            assert_eq!(back.words(), m.row_slice(1, 4).words(), "{cols} bits");
+            let m32: BitMatrix<u32> = m.convert();
+            let odd = host_rows(m32.words(), 5, m32.words_per_row());
+            assert_eq!(odd.words(), m.words(), "{cols} bits from u32 rows");
         }
     }
 
@@ -1271,12 +1293,12 @@ mod tests {
         let m = matrix(8, 500, 12);
         let mut stage = Vec::new();
         device_words_into(&m, 0, 8, &mut stage);
-        assert_eq!(stage, device_words(&m, 0, 8));
         let cap = stage.capacity();
         // Smaller refill must reuse the grown allocation.
         device_words_into(&m, 2, 5, &mut stage);
-        assert_eq!(stage, device_words(&m, 2, 5));
         assert_eq!(stage.capacity(), cap, "staging buffer must not reallocate");
+        let back = host_rows(&stage, 3, 2 * m.words_per_row());
+        assert_eq!(back.words(), m.row_slice(2, 5).words());
     }
 
     #[test]

@@ -13,19 +13,24 @@
 //!   instruction counts, and where fused-AND-NOT vs explicit-NOT vs
 //!   pre-negation change the instruction mix (Fig. 9);
 //! * a functional executor ([`execute_gamma`]) computing bit-exact results
-//!   on the device's `u32` buffers, validated against the scalar reference.
+//!   on the device's `u32` buffers with `snp-cpu`'s blocked popcount GEMM,
+//!   validated against the scalar reference and against the matrix unit's
+//!   fragment-order executor ([`execute_gamma_mma`]).
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 use rayon::prelude::*;
-use snp_bitmat::CompareOp;
+use snp_bitmat::{CompareOp, CountMatrix};
+use snp_cpu::CpuEngine;
 use snp_gpu_model::{DeviceSpec, InstrClass, KernelConfig, MatrixUnitSpec};
 use snp_gpu_sim::host::KernelCost;
 use snp_gpu_sim::macro_engine::{
     device_fingerprint, kernel_time, memoized_core_cycles, KernelTime, Traffic,
 };
 use snp_gpu_sim::{critical_path, Block, Instr, Program, Reg};
+
+use crate::engine::host_rows;
 
 /// Per-thread-group geometry derived from a configuration (DESIGN.md §3;
 /// the quantities of paper §V-A).
@@ -515,7 +520,9 @@ impl KernelPlan {
 
 /// Functional execution of one pass on device word buffers: computes
 /// `c[i·n + j] = Σ_k popc(op(a[i·k_words + k], b[j·k_words + k]))` for the
-/// `m × n` output block, in parallel over rows. Overwrites `c`.
+/// `m × n` output block. Overwrites `c`. The device rows are re-paired into
+/// 64-bit host rows and run through `snp-cpu`'s blocked popcount GEMM, so
+/// every simulated pass runs the tile schedule of the CPU baseline.
 pub fn execute_gamma(
     op: CompareOp,
     a: &[u32],
@@ -543,16 +550,14 @@ pub fn execute_gamma(
         c.len(),
         m * n
     );
-    c[..m * n]
-        .par_chunks_mut(n.max(1))
-        .enumerate()
-        .for_each(|(i, row)| {
-            let ar = &a[i * k_words..(i + 1) * k_words];
-            for (j, out) in row.iter_mut().enumerate() {
-                let br = &b[j * k_words..(j + 1) * k_words];
-                *out = dot_u32(op, ar, br);
-            }
-        });
+    let mut gamma = CountMatrix::zeros(m, n);
+    CpuEngine::new().gamma_into(
+        &host_rows(a, m, k_words),
+        &host_rows(b, n, k_words),
+        op,
+        &mut gamma,
+    );
+    c[..m * n].copy_from_slice(gamma.as_slice());
 }
 
 /// Functional execution of one pass in the matrix unit's evaluation order:
@@ -609,24 +614,6 @@ pub fn execute_gamma_mma(
                 }
             }
         });
-}
-
-/// Popcount dot product over `u32` words, internally pairing words into
-/// `u64` popcounts (bitwise ops distribute over concatenation).
-#[inline]
-fn dot_u32(op: CompareOp, a: &[u32], b: &[u32]) -> u32 {
-    let mut acc = 0u32;
-    let mut ia = a.chunks_exact(2);
-    let mut ib = b.chunks_exact(2);
-    for (ca, cb) in (&mut ia).zip(&mut ib) {
-        let wa = ca[0] as u64 | (ca[1] as u64) << 32;
-        let wb = cb[0] as u64 | (cb[1] as u64) << 32;
-        acc += op.combine(wa, wb).count_ones();
-    }
-    for (&wa, &wb) in ia.remainder().iter().zip(ib.remainder()) {
-        acc += op.combine(wa, wb).count_ones();
-    }
-    acc
 }
 
 #[cfg(test)]
@@ -791,15 +778,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_u32_odd_lengths() {
-        // Exercise the chunks_exact remainder path.
-        let a = [u32::MAX, 0, 0b1011];
-        let b = [u32::MAX, u32::MAX, 0b0110];
-        assert_eq!(dot_u32(CompareOp::And, &a, &b), 32 + 1);
-        assert_eq!(dot_u32(CompareOp::Xor, &a, &b), 32 + 3);
-    }
-
-    #[test]
     fn plan_timing_is_memoized_and_matches_oracle() {
         use snp_gpu_sim::macro_engine::timing_cache_stats;
         let dev = devices::gtx_980();
@@ -956,13 +934,15 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The fragment-order oracle equals the row-order executor on ragged
-        /// shapes: m and n off the 8 × 8 fragment, k off its 4-word depth.
+        /// The executor equals the scalar reference over the same device
+        /// words, and the fragment-order oracle equals the executor, on
+        /// ragged shapes: m and n off the 8 × 8 fragment, k off its 4-word
+        /// depth and odd, each down to zero.
         #[test]
         fn execute_gamma_mma_matches_scalar_executor(
-            m in 1usize..=40,
-            n in 1usize..=40,
-            k in 1usize..=20,
+            m in 0usize..=40,
+            n in 0usize..=40,
+            k in 0usize..=20,
             op_idx in 0usize..3,
             seed in any::<u32>(),
         ) {
@@ -974,10 +954,13 @@ mod tests {
                     .collect()
             };
             let (a, b) = (words(m * k, seed), words(n * k, !seed));
-            let mut want = vec![0u32; m * n];
+            let rows = |r: usize, w: &[u32]| BitMatrix::<u32>::from_words(r, k * 32, k, w.to_vec());
+            let oracle = reference_gamma(&rows(m, &a), &rows(n, &b), op);
             // Both executors overwrite `c`, so stale words must not leak.
-            let mut got = vec![u32::MAX; m * n];
+            let mut want = vec![u32::MAX; m * n];
+            let mut got = vec![0x5A5A_5A5A; m * n];
             execute_gamma(op, &a, &b, &mut want, m, n, k);
+            prop_assert_eq!(&want[..], oracle.as_slice(), "op {} shape {}x{}x{}", op, m, n, k);
             execute_gamma_mma(&frag, op, &a, &b, &mut got, m, n, k);
             prop_assert_eq!(got, want, "op {} shape {}x{}x{}", op, m, n, k);
         }

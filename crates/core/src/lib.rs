@@ -45,8 +45,7 @@ pub mod tiling;
 pub use autoconf::{compare_op, config_for, word_op_kind, MixtureStrategy};
 pub use cpu_model::CpuModel;
 pub use engine::{
-    device_words, device_words_into, EngineError, EngineOptions, ExecMode, GpuEngine, RunReport,
-    Timing,
+    device_words_into, EngineError, EngineOptions, ExecMode, GpuEngine, RunReport, Timing,
 };
 pub use kernel::{
     execute_gamma, execute_gamma_mma, group_geometry, lowering_for, tile_program, tile_program_mma,

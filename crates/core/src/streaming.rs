@@ -100,7 +100,7 @@ pub(crate) fn reduction_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{EngineOptions, ExecMode, GpuEngine};
+    use crate::engine::{EngineError, EngineOptions, ExecMode, GpuEngine};
     use crate::MixtureStrategy;
     use snp_bitmat::BitMatrix;
     use snp_gpu_model::devices;
@@ -185,6 +185,43 @@ mod tests {
             for (qi, list) in lists.iter().enumerate() {
                 assert_eq!(list, &topk_of_row(gamma.row(qi), 0, 3), "query {qi}");
             }
+        }
+    }
+
+    #[test]
+    fn topk_plans_budget_the_winners() {
+        // Global memory swept across the two windows where a plan without
+        // the winners fits exactly: one where the minimum working set
+        // (winners included) is too big, one where a smaller chunking fits.
+        let q = matrix(8, 320, 11);
+        let db = matrix(4096, 320, 12);
+        let engine = |words: u64, mode| {
+            let mut dev = devices::titan_v();
+            dev.global_mem_bytes = words * 4;
+            let opts = EngineOptions {
+                mode,
+                ..Default::default()
+            };
+            GpuEngine::new(dev).with_options(opts)
+        };
+        for words in (36_900..37_100).chain(73_750..73_950) {
+            match engine(words, ExecMode::TimingOnly).identity_search_topk(&q, &db, 3) {
+                Ok(_) => {}
+                Err(EngineError::Plan(_)) if words < 37_100 => {}
+                Err(e) => panic!("{words} words: {e}"),
+            }
+        }
+        let report = engine(73_808, ExecMode::Full)
+            .identity_search_topk(&q, &db, 3)
+            .unwrap();
+        assert_eq!(report.passes, 8, "four chunks, two kernels each");
+        let full = GpuEngine::new(devices::titan_v())
+            .identity_search(&q, &db)
+            .unwrap()
+            .gamma
+            .unwrap();
+        for (qi, list) in report.matches.unwrap().iter().enumerate() {
+            assert_eq!(list, &topk_of_row(full.row(qi), 0, 3), "query {qi}");
         }
     }
 

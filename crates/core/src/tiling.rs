@@ -6,10 +6,11 @@
 //! the tiling approach taken in our framework." (paper §VI-E-2.)
 //!
 //! The planner splits the output into `m × n` passes such that, with double
-//! buffering (two B buffers, two C staging buffers), every buffer respects
-//! `CL_DEVICE_MAX_MEM_ALLOC_SIZE` and the working set respects total global
-//! memory. Chunk boundaries align to the blocking factors so no pass ends in
-//! a partial register tile unless the matrix itself does.
+//! buffering (two B buffers, two C staging buffers, two sink outputs), every
+//! buffer respects `CL_DEVICE_MAX_MEM_ALLOC_SIZE` and the working set
+//! respects total global memory. Chunk boundaries align to the blocking
+//! factors so no pass ends in a partial register tile unless the matrix
+//! itself does.
 
 use snp_gpu_model::{DeviceSpec, KernelConfig};
 
@@ -43,7 +44,11 @@ pub struct TilePlan {
     pub n_chunks: Vec<Chunk>,
     /// Shared dimension in device words.
     pub k_words: usize,
-    /// Whether B/C use two buffers each (double buffering).
+    /// Device words per A row that the sink's own kernel writes, in each
+    /// slot beside C: 0 for the γ sink, `2k` for the top-k winners.
+    pub sink_words_per_row: usize,
+    /// Whether B/C and the sink output use two buffers each (double
+    /// buffering).
     pub double_buffered: bool,
 }
 
@@ -70,11 +75,16 @@ impl TilePlan {
         m * n
     }
 
+    /// Largest sink-output buffer size in words.
+    pub fn sink_buffer_words(&self) -> usize {
+        self.m_chunks.iter().map(Chunk::len).max().unwrap_or(0) * self.sink_words_per_row
+    }
+
     /// Total device bytes the plan's working set occupies.
     pub fn working_set_bytes(&self) -> u64 {
         let copies = if self.double_buffered { 2 } else { 1 };
-        ((self.a_buffer_words() + copies * (self.b_buffer_words() + self.c_buffer_words())) as u64)
-            * 4
+        let slot = self.b_buffer_words() + self.c_buffer_words() + self.sink_buffer_words();
+        ((self.a_buffer_words() + copies * slot) as u64) * 4
     }
 }
 
@@ -108,18 +118,21 @@ fn chunks_of(total: usize, chunk: usize) -> Vec<Chunk> {
         .collect()
 }
 
-/// Plans passes for an `m × n × k_words` problem on `dev` under `cfg`.
+/// Plans passes for an `m × n × k_words` problem on `dev` under `cfg`, for a
+/// sink that writes `sink_words_per_row` words per A row in each slot.
 ///
 /// Strategy: keep all of A resident if possible (splitting `m` only when the
-/// A or C allocations demand it), then choose the largest `n` chunk —
+/// A, C or sink allocations demand it), then choose the largest `n` chunk —
 /// aligned to `n_r` — whose B and C buffers satisfy both the per-allocation
-/// cap and, together with A and the double-buffer copies, total memory.
+/// cap and, together with A, the sink outputs and the double-buffer copies,
+/// total memory.
 pub fn plan_passes(
     dev: &DeviceSpec,
     cfg: &KernelConfig,
     m: usize,
     n: usize,
     k_words: usize,
+    sink_words_per_row: usize,
     double_buffered: bool,
 ) -> Result<TilePlan, PlanError> {
     assert!(m > 0 && n > 0 && k_words > 0, "problem must be non-empty");
@@ -139,28 +152,35 @@ pub fn plan_passes(
             ),
         });
     }
-    if n_min * k_words > max_alloc_words || m_min * n_min > max_alloc_words {
+    if n_min * k_words > max_alloc_words
+        || m_min * n_min > max_alloc_words
+        || m_min * sink_words_per_row > max_alloc_words
+    {
         return Err(PlanError::Unsatisfiable {
-            reason: "a single B or C tile exceeds the max allocation".to_string(),
+            reason: "a single B, C or sink output tile exceeds the max allocation".to_string(),
         });
     }
-    let min_total = m_min * k_words + copies * (n_min * k_words + m_min * n_min);
+    let min_total =
+        m_min * k_words + copies * (n_min * k_words + m_min * n_min + m_min * sink_words_per_row);
     if min_total > total_words {
         return Err(PlanError::Unsatisfiable {
             reason: format!("minimum working set of {min_total} words exceeds global memory"),
         });
     }
 
-    // Choose the m chunk: as much of A as the allocation cap allows (C rows
-    // also bound it once n_chunk is fixed, so iterate coarsely).
-    let mut m_chunk = m.min((max_alloc_words / k_words).max(m_min));
+    // Choose the m chunk: as much of A (and of the sink output) as the
+    // allocation cap allows (C rows also bound it once n_chunk is fixed, so
+    // iterate coarsely).
+    let row_words = k_words.max(sink_words_per_row);
+    let mut m_chunk = m.min((max_alloc_words / row_words).max(m_min));
     m_chunk = align_chunk(m_chunk, cfg.m_c, m);
     loop {
         // Largest n chunk under the caps for this m chunk.
         let by_alloc_b = max_alloc_words / k_words;
         let by_alloc_c = max_alloc_words / m_chunk;
         let a_words = m_chunk * k_words;
-        let budget = total_words.saturating_sub(a_words) / copies;
+        let budget = (total_words.saturating_sub(a_words) / copies)
+            .saturating_sub(m_chunk * sink_words_per_row);
         // n*(k + m_chunk) <= budget
         let by_total = budget / (k_words + m_chunk);
         let n_chunk = n.min(by_alloc_b.min(by_alloc_c).min(by_total));
@@ -170,6 +190,7 @@ pub fn plan_passes(
                 m_chunks: chunks_of(m, m_chunk),
                 n_chunks: chunks_of(n, n_chunk),
                 k_words,
+                sink_words_per_row,
                 double_buffered,
             });
         }
@@ -207,7 +228,7 @@ mod tests {
     fn small_problems_fit_one_pass() {
         let dev = devices::titan_v();
         let cfg = preset_for(&dev, Algorithm::LinkageDisequilibrium).unwrap();
-        let plan = plan_passes(&dev, &cfg, 10_000, 10_000, 320, true).unwrap();
+        let plan = plan_passes(&dev, &cfg, 10_000, 10_000, 320, 0, true).unwrap();
         assert_eq!(plan.passes(), 1);
         assert!(plan.working_set_bytes() <= dev.global_mem_bytes);
     }
@@ -218,7 +239,7 @@ mod tests {
         // GTX 980 max allocation is 0.983 GiB, so the database must be chunked.
         let dev = devices::gtx_980();
         let cfg = fastid_cfg(&dev);
-        let plan = plan_passes(&dev, &cfg, 32, 20_971_520, 32, true).unwrap();
+        let plan = plan_passes(&dev, &cfg, 32, 20_971_520, 32, 0, true).unwrap();
         assert_eq!(plan.m_chunks.len(), 1);
         assert!(plan.n_chunks.len() > 1, "database must be chunked");
         assert!(plan.working_set_bytes() <= dev.global_mem_bytes);
@@ -236,8 +257,8 @@ mod tests {
     fn titan_v_fits_larger_chunks_than_gtx() {
         let gtx = devices::gtx_980();
         let titan = devices::titan_v();
-        let pg = plan_passes(&gtx, &fastid_cfg(&gtx), 32, 20_971_520, 32, true).unwrap();
-        let pt = plan_passes(&titan, &fastid_cfg(&titan), 32, 20_971_520, 32, true).unwrap();
+        let pg = plan_passes(&gtx, &fastid_cfg(&gtx), 32, 20_971_520, 32, 0, true).unwrap();
+        let pt = plan_passes(&titan, &fastid_cfg(&titan), 32, 20_971_520, 32, 0, true).unwrap();
         assert!(
             pt.n_chunks.len() < pg.n_chunks.len(),
             "more memory, fewer passes"
@@ -248,7 +269,7 @@ mod tests {
     fn n_chunks_align_to_n_r() {
         let dev = devices::gtx_980();
         let cfg = fastid_cfg(&dev);
-        let plan = plan_passes(&dev, &cfg, 32, 5_000_000, 32, true).unwrap();
+        let plan = plan_passes(&dev, &cfg, 32, 5_000_000, 32, 0, true).unwrap();
         for c in &plan.n_chunks[..plan.n_chunks.len() - 1] {
             assert_eq!(c.len() % cfg.n_r, 0, "interior chunks align to n_r");
         }
@@ -258,8 +279,8 @@ mod tests {
     fn double_buffering_costs_memory() {
         let dev = devices::gtx_980();
         let cfg = fastid_cfg(&dev);
-        let single = plan_passes(&dev, &cfg, 32, 20_971_520, 32, false).unwrap();
-        let double = plan_passes(&dev, &cfg, 32, 20_971_520, 32, true).unwrap();
+        let single = plan_passes(&dev, &cfg, 32, 20_971_520, 32, 0, false).unwrap();
+        let double = plan_passes(&dev, &cfg, 32, 20_971_520, 32, 0, true).unwrap();
         assert!(
             double.n_chunks.len() >= single.n_chunks.len(),
             "double buffering halves the chunk budget"
@@ -272,7 +293,7 @@ mod tests {
         let cfg = fastid_cfg(&dev);
         // k so large that one 32-row A tile exceeds the max allocation.
         let k = (dev.max_alloc_bytes / 4 / 32 + 1) as usize;
-        let err = plan_passes(&dev, &cfg, 32, 1024, k, true).unwrap_err();
+        let err = plan_passes(&dev, &cfg, 32, 1024, k, 0, true).unwrap_err();
         assert!(matches!(err, PlanError::Unsatisfiable { .. }));
         assert!(err.to_string().contains("cannot plan"));
     }

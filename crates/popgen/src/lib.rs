@@ -11,8 +11,7 @@
 //!   dense generators for raw-throughput benchmarks;
 //! * [`forensic`] — reference databases, query sets with planted ground
 //!   truth, and DNA mixtures built as contributor unions;
-//! * [`ld_stats`] — `D`, `D'`, `r²` from popcount-GEMM outputs;
-//! * [`io`] — a minimal 0/1 text format for the examples.
+//! * [`ld_stats`] — `D`, `D'`, `r²` from popcount-GEMM outputs.
 //!
 //! ```
 //! use snp_popgen::forensic::{generate_database, generate_queries, DatabaseConfig};
@@ -28,23 +27,18 @@
 
 #![warn(missing_docs)]
 
-pub mod blocks;
 pub mod forensic;
 pub mod freq;
-pub mod genotype;
-pub mod io;
 pub mod kinship;
 pub mod ld_stats;
 pub mod population;
 pub mod scoring;
 
-pub use blocks::{mean_adjacent_r2, Block, BlockDetector};
 pub use forensic::{Database, DatabaseConfig, Mixture, QuerySet};
 pub use freq::FrequencySpectrum;
-pub use genotype::{generate_hwe, Genotype, GenotypeMatrix, MissingPolicy};
 pub use kinship::{
     classify_pairs, generate_family, ibs, FamilyStudy, KinshipClassifier, Relationship,
 };
 pub use ld_stats::{ld_pair, r2_matrix, LdPair};
 pub use population::{generate_independent, generate_panel, random_dense, Panel, PanelConfig};
-pub use scoring::{coincidental_inclusion_probability, mixture_bit_freq, IdentityScorer};
+pub use scoring::IdentityScorer;

@@ -108,36 +108,6 @@ impl IdentityScorer {
     }
 }
 
-/// Mixture-inclusion statistics.
-///
-/// A non-contributor `r` is *coincidentally included* in a mixture `m` when
-/// every minor allele of `r` also appears in `m` (`γ = popc(r & ¬m) = 0`).
-/// With per-site carrier frequencies `q_i` (profile) and `g_i` (mixture),
-/// that happens with probability `Π_i (1 − q_i (1 − g_i))` — which decays
-/// geometrically with the panel size, the paper's implicit argument for
-/// large SNP panels in mixture analysis.
-pub fn coincidental_inclusion_probability(
-    profile_bit_freq: &[f64],
-    mixture_bit_freq: &[f64],
-) -> f64 {
-    assert_eq!(
-        profile_bit_freq.len(),
-        mixture_bit_freq.len(),
-        "panel size mismatch"
-    );
-    profile_bit_freq
-        .iter()
-        .zip(mixture_bit_freq)
-        .map(|(&q, &g)| 1.0 - q * (1.0 - g))
-        .product()
-}
-
-/// Carrier frequency of a `k`-person mixture at a site with profile carrier
-/// frequency `q`: the union of `k` independent carriers.
-pub fn mixture_bit_freq(q: f64, contributors: usize) -> f64 {
-    1.0 - (1.0 - q).powi(contributors as i32)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,63 +200,6 @@ mod tests {
             assert!(lr < prev, "log LR must fall as differences grow");
             prev = lr;
         }
-    }
-
-    #[test]
-    fn inclusion_probability_decays_with_panel_size() {
-        let q = 0.3;
-        let g3 = mixture_bit_freq(q, 3);
-        assert!((g3 - (1.0 - 0.7f64.powi(3))).abs() < 1e-12);
-        let p128 = coincidental_inclusion_probability(&vec![q; 128], &vec![g3; 128]);
-        let p512 = coincidental_inclusion_probability(&vec![q; 512], &vec![g3; 512]);
-        assert!(p512 < p128);
-        assert!((p512 / p128
-            - (p128 / coincidental_inclusion_probability(&[q; 0], &[])).powf(0.0))
-        .is_finite());
-        // Geometric decay: p(4n) == p(n)^4 for identical sites.
-        let p_n = coincidental_inclusion_probability(&vec![q; 100], &vec![g3; 100]);
-        let p_4n = coincidental_inclusion_probability(&vec![q; 400], &vec![g3; 400]);
-        assert!((p_4n - p_n.powi(4)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn inclusion_probability_matches_empirical_rate() {
-        use crate::forensic::generate_mixtures;
-        let db = generate_database(
-            &DatabaseConfig {
-                profiles: 2_000,
-                snps: 64, // small panel => measurable inclusion rate
-                spectrum: FrequencySpectrum::Fixed(0.3),
-            },
-            13,
-        );
-        // Many mixtures: the inclusion probability of a single mixture is
-        // highly dispersed (it is 0.7^z for z = the mixture's zero-site
-        // count), so the empirical mean needs averaging across mixtures.
-        let (mixtures, matrix) = generate_mixtures(&db, 40, 3, 14);
-        let gamma = reference_gamma(&db.profiles, &matrix, CompareOp::AndNot);
-        let mut included = 0usize;
-        let mut tested = 0usize;
-        for (mi, mix) in mixtures.iter().enumerate() {
-            for r in 0..db.profiles.rows() {
-                if mix.contributors.contains(&r) {
-                    continue;
-                }
-                tested += 1;
-                if gamma.get(r, mi) == 0 {
-                    included += 1;
-                }
-            }
-        }
-        let emp = included as f64 / tested as f64;
-        let g = mixture_bit_freq(0.3, 3);
-        let model = coincidental_inclusion_probability(&vec![0.3; 64], &vec![g; 64]);
-        // Both are small probabilities; agree within the sampling noise of
-        // 40 mixtures (≈ 31 % relative sd).
-        assert!(
-            emp > model / 2.5 && emp < model * 2.5,
-            "empirical {emp:.5} vs model {model:.5}"
-        );
     }
 
     #[test]

@@ -13,5 +13,4 @@ pub use snp_gpu_sim as gpu_sim;
 pub use snp_load as load;
 pub use snp_microbench as microbench;
 pub use snp_popgen as popgen;
-pub use snp_sparse as sparse;
 pub use snp_verify as verify;

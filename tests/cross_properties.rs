@@ -1,5 +1,5 @@
 //! Property-based cross-engine tests: random problems through the whole
-//! stack (reference / CPU BLIS / sparse / simulated GPUs) must agree, and
+//! stack (reference / CPU BLIS / simulated GPUs) must agree, and
 //! model-level invariants must hold for randomized device parameters.
 
 use proptest::prelude::*;
@@ -8,7 +8,6 @@ use snp_repro::core::{Algorithm, GpuEngine};
 use snp_repro::cpu::CpuEngine;
 use snp_repro::gpu_model::config::{derive_config, McRule, ProblemShape};
 use snp_repro::gpu_model::devices;
-use snp_repro::sparse::{sparse_gamma, SparseBitMatrix};
 
 fn bitmat_pair(
     max_rows: usize,
@@ -26,7 +25,7 @@ fn bitmat_pair(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Reference == CPU BLIS == sparse for arbitrary inputs and operators.
+    /// Reference == CPU BLIS for arbitrary inputs and operators.
     #[test]
     fn host_engines_agree(
         (a, b) in bitmat_pair(20, 260),
@@ -36,8 +35,6 @@ proptest! {
         let want = reference_gamma(&a, &b, op);
         let blis = CpuEngine::new().gamma(&a, &b, op);
         prop_assert_eq!(blis.first_mismatch(&want), None);
-        let sp = sparse_gamma(op, &SparseBitMatrix::from_dense(&a), &SparseBitMatrix::from_dense(&b));
-        prop_assert_eq!(sp.first_mismatch(&want), None);
     }
 
     /// The full GPU path agrees with the reference on a random device pick.

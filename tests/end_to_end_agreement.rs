@@ -1,13 +1,12 @@
-//! Cross-crate agreement: the scalar reference, the BLIS CPU engine, the
-//! sparse kernels, and the simulated-GPU framework must produce identical
-//! `γ` matrices for every algorithm on every device.
+//! Cross-crate agreement: the scalar reference, the BLIS CPU engine and the
+//! simulated-GPU framework must produce identical `γ` matrices for every
+//! algorithm on every device.
 
 use snp_repro::bitmat::{reference_gamma, CompareOp};
 use snp_repro::core::{Algorithm, EngineOptions, ExecMode, GpuEngine, MixtureStrategy};
 use snp_repro::cpu::CpuEngine;
 use snp_repro::gpu_model::devices;
 use snp_repro::popgen::{generate_independent, random_dense};
-use snp_repro::sparse::{sparse_gamma, SparseBitMatrix};
 
 #[test]
 fn four_implementations_agree_on_every_operator() {
@@ -21,16 +20,6 @@ fn four_implementations_agree_on_every_operator() {
             blis.first_mismatch(&reference),
             None,
             "CPU BLIS vs reference, op {op}"
-        );
-        let sparse = sparse_gamma(
-            op,
-            &SparseBitMatrix::from_dense(&a),
-            &SparseBitMatrix::from_dense(&b),
-        );
-        assert_eq!(
-            sparse.first_mismatch(&reference),
-            None,
-            "sparse vs reference, op {op}"
         );
     }
 }

@@ -45,7 +45,7 @@ fn allocation_caps_enforced_per_device() {
 fn ndis_scale_pass_counts_order_by_memory_size() {
     let passes = |dev: &snp_repro::gpu_model::DeviceSpec| {
         let cfg = preset_for(dev, Algorithm::IdentitySearch).unwrap();
-        plan_passes(dev, &cfg, 32, 20_971_520, 32, true)
+        plan_passes(dev, &cfg, 32, 20_971_520, 32, 0, true)
             .unwrap()
             .passes()
     };
@@ -84,7 +84,7 @@ fn impossible_problems_error_cleanly() {
     let cfg = preset_for(&dev, Algorithm::IdentitySearch).unwrap();
     // One 32-row A tile bigger than the max allocation: unplannable.
     let k = (dev.max_alloc_bytes / 4 / 32 + 1) as usize;
-    let err = plan_passes(&dev, &cfg, 32, 1000, k, true).unwrap_err();
+    let err = plan_passes(&dev, &cfg, 32, 1000, k, 0, true).unwrap_err();
     assert!(err.to_string().contains("cannot plan"));
 }
 
