@@ -20,6 +20,8 @@ use snp_popgen::forensic::{
 use snp_popgen::ld_stats::ld_pair;
 use snp_popgen::population::{generate_panel, PanelConfig};
 use snp_popgen::IdentityScorer;
+use snp_trace::json::{self, Obj, Val};
+use snp_verify::Severity;
 
 use crate::args::{algorithm_selection, algorithm_slug, device_selection, ArgError, Args};
 
@@ -106,7 +108,8 @@ Fault profiles: none, transient, corruption, stall, loss, mixed.
 ld / search / mixture also accept --fault-profile P [--fault-seed S] to run
 under fault injection (P may also be loss@N: lose the device at command N);
 a run that finishes on the CPU fallback exits 2. loadgen accepts the same
-profiles (--fault-at Q arms the plan only for query Q).
+profiles (--fault-at Q arms the plan only for query Q). --fault-seed and
+--fault-at require --fault-profile.
 Devices: gtx-980, titan-v, vega-64, tc100 (case- and separator-insensitive).
 
 EXIT CODES: 0 success, 1 usage/planning error, 2 degraded success (device
@@ -373,11 +376,19 @@ fn cmd_microbench(args: &Args) -> Result<String, ArgError> {
     Ok(out)
 }
 
-/// Parses the optional `--fault-profile NAME [--fault-seed S]` pair shared
-/// by the workload commands into an armed [`FaultPlan`].
-fn fault_args(args: &Args) -> Result<Option<FaultPlan>, ArgError> {
+/// Parses `--fault-profile NAME` for the workload commands and `loadgen`.
+/// `tuning` names the option that tunes the plan (`--fault-seed`,
+/// `--fault-at`); without a profile it would do nothing, so it is a usage
+/// error.
+fn fault_profile_arg<'a>(
+    args: &'a Args,
+    tuning: &str,
+) -> Result<Option<(&'a str, FaultProfile)>, ArgError> {
     let Some(name) = args.get("fault-profile") else {
-        return Ok(None);
+        return match args.get(tuning) {
+            Some(_) => Err(ArgError(format!("--{tuning} requires --fault-profile"))),
+            None => Ok(None),
+        };
     };
     // `loss@N` pins device loss at host command N (the bare `loss` preset
     // loses the device at command 9, which short runs may never reach).
@@ -396,6 +407,15 @@ fn fault_args(args: &Args) -> Result<Option<FaultPlan>, ArgError> {
                 FaultProfile::NAMES.join(", ")
             ))
         })?
+    };
+    Ok(Some((name, profile)))
+}
+
+/// The workload commands' `--fault-profile P [--fault-seed S]` as an armed
+/// [`FaultPlan`].
+fn fault_args(args: &Args) -> Result<Option<FaultPlan>, ArgError> {
+    let Some((_, profile)) = fault_profile_arg(args, "fault-seed")? else {
+        return Ok(None);
     };
     let seed = args.get_parse("fault-seed", 42u64)?;
     Ok(Some(FaultPlan::new(seed, profile)))
@@ -816,7 +836,7 @@ fn cmd_lint(args: &Args) -> Result<String, ArgError> {
     let devs = device_selection(args.get_or("device", "all"))?;
 
     let mut out = String::new();
-    let mut json_targets = Vec::new();
+    let mut targets = Vec::new();
     let mut blocking = 0usize;
     for dev in &devs {
         for &alg in &algorithms {
@@ -840,7 +860,7 @@ fn cmd_lint(args: &Args) -> Result<String, ArgError> {
             let op = compare_op(alg, mixture);
             let plan = KernelPlan::new(dev, &run.config, op, shape.m, shape.n, shape.k_words);
             let facts = plan.facts(dev, shape.k_words);
-            let mut deep_json = String::new();
+            let mut figures = None;
             if deep {
                 report.merge(snp_verify::lint_kernel_deep(dev, &run.config, &facts));
                 // Cross-lowering consistency (V114): on matrix-unit devices
@@ -864,17 +884,7 @@ fn cmd_lint(args: &Args) -> Result<String, ArgError> {
                 }
                 let df = snp_verify::Dataflow::analyze(&facts.program);
                 let cp = snp_gpu_sim::critical_path(dev, &facts.program);
-                deep_json = format!(
-                    ",\"deep\":{{\"max_live\":{},\"reg_count\":{},\"chain_cycles\":{},\
-                     \"peak_pipe_issue_cycles\":{},\"lower_bound_cycles\":{},\
-                     \"predicted_core_cycles\":{:.0}}}",
-                    df.pressure.max_live,
-                    df.pressure.reg_count,
-                    cp.chain_cycles,
-                    cp.pipe_issue_cycles.iter().copied().max().unwrap_or(0),
-                    cp.lower_bound_cycles(),
-                    cp.predicted_core_cycles(dev.n_clusters, facts.groups_per_core),
-                );
+                figures = Some((df.pressure, cp, facts.groups_per_core));
             } else {
                 report.merge(snp_verify::lint_kernel(dev, &run.config, &facts));
             }
@@ -883,17 +893,31 @@ fn cmd_lint(args: &Args) -> Result<String, ArgError> {
             if report.has_blocking() {
                 blocking += 1;
             }
-            json_targets.push(format!(
-                "{{\"device\":\"{}\",\"algorithm\":\"{}\",\"report\":{}{}}}",
-                snp_verify::json_escape(&dev.name),
-                snp_verify::json_escape(alg.name()),
-                report.to_json(),
-                deep_json,
-            ));
+            targets.push((dev, alg, report, figures));
         }
     }
     if let Some(path) = args.get("json") {
-        let json = format!("{{\"targets\":[{}]}}\n", json_targets.join(","));
+        let json = json::document(|o| {
+            o.key("targets")
+                .objs(&targets, |t, (dev, alg, report, figures)| {
+                    t.key("device").str(&dev.name);
+                    t.key("algorithm").str(alg.name());
+                    t.key("report").obj(|r| lint_report_json(r, report));
+                    if let Some((pressure, cp, groups_per_core)) = figures {
+                        t.key("deep").obj(|d| {
+                            d.key("max_live").int(pressure.max_live);
+                            d.key("reg_count").int(pressure.reg_count);
+                            d.key("chain_cycles").int(cp.chain_cycles);
+                            let peak_issue = cp.pipe_issue_cycles.iter().copied().max();
+                            d.key("peak_pipe_issue_cycles").int(peak_issue.unwrap_or(0));
+                            d.key("lower_bound_cycles").int(cp.lower_bound_cycles());
+                            let predicted =
+                                cp.predicted_core_cycles(dev.n_clusters, *groups_per_core);
+                            d.key("predicted_core_cycles").float(predicted, 0);
+                        });
+                    }
+                });
+        });
         std::fs::write(path, json).map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
         let _ = writeln!(out, "machine-readable report: {path}");
     }
@@ -913,6 +937,24 @@ fn cmd_lint(args: &Args) -> Result<String, ArgError> {
         },
     );
     Ok(out)
+}
+
+/// One analyzer report as lint JSON: its counts, then every diagnostic.
+fn lint_report_json(o: &mut Obj, report: &snp_verify::Report) {
+    o.key("errors").int(report.count(Severity::Error));
+    o.key("warnings").int(report.count(Severity::Warning));
+    o.key("infos").int(report.count(Severity::Info));
+    o.key("diagnostics").objs(&report.diagnostics, |o, d| {
+        o.key("code").str(d.code);
+        o.key("severity").str(&d.severity.to_string());
+        o.key("message").str(&d.message);
+        o.key("commands").arr(|a| {
+            for &c in &d.commands {
+                a.item().int(c);
+            }
+        });
+        o.key("buffer").opt(d.buffer, Val::int);
+    });
 }
 
 /// Shrinks a device's memory so the chaos workload needs several chunks —
@@ -971,7 +1013,7 @@ fn cmd_chaos(args: &Args) -> Result<CmdReport, CliError> {
         "{:<24} {:<10} {:<11} {:<18} outcome",
         "device", "algorithm", "profile", "recovery"
     );
-    let mut rows = Vec::new();
+    let mut cells = Vec::new();
     let mut corruptions = 0usize;
     let mut hazards = 0usize;
     for dev in &devs {
@@ -989,7 +1031,7 @@ fn cmd_chaos(args: &Args) -> Result<CmdReport, CliError> {
             for &profile in &profiles {
                 // Decorrelate cells: same base seed, distinct fault draws.
                 let cell_seed =
-                    seed.wrapping_add((rows.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                    seed.wrapping_add((cells.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
                 let plan = FaultPlan::new(
                     cell_seed,
                     FaultProfile::by_name(profile).expect("validated above"),
@@ -1038,14 +1080,7 @@ fn cmd_chaos(args: &Args) -> Result<CmdReport, CliError> {
                     profile,
                     detail
                 );
-                rows.push(format!(
-                    "{{\"device\":\"{}\",\"algorithm\":\"{}\",\"profile\":\"{}\",\"seed\":{cell_seed},\"outcome\":\"{}\",\"detail\":\"{}\"}}",
-                    snp_verify::json_escape(&cdev.name),
-                    snp_verify::json_escape(algorithm_slug(alg)),
-                    snp_verify::json_escape(profile),
-                    snp_verify::json_escape(outcome),
-                    snp_verify::json_escape(&detail),
-                ));
+                cells.push((cdev.name.clone(), alg, profile, cell_seed, outcome, detail));
             }
         }
     }
@@ -1059,13 +1094,25 @@ fn cmd_chaos(args: &Args) -> Result<CmdReport, CliError> {
     let _ = writeln!(
         out,
         "{} cell(s): {corruptions} silent corruption(s), {hazards} hazard(s)",
-        rows.len()
+        cells.len()
     );
     if let Some(path) = args.get("json") {
-        let json = format!(
-            "{{\"seed\":{seed},\"cells\":[{}],\"silent_corruptions\":{corruptions},\"hazards\":{hazards}}}\n",
-            rows.join(",")
-        );
+        let json = json::document(|o| {
+            o.key("seed").int(seed);
+            o.key("cells").objs(
+                &cells,
+                |c, (device, alg, profile, seed, outcome, detail)| {
+                    c.key("device").str(device);
+                    c.key("algorithm").str(algorithm_slug(*alg));
+                    c.key("profile").str(profile);
+                    c.key("seed").int(*seed);
+                    c.key("outcome").str(outcome);
+                    c.key("detail").str(detail);
+                },
+            );
+            o.key("silent_corruptions").int(corruptions);
+            o.key("hazards").int(hazards);
+        });
         std::fs::write(path, json)
             .map_err(|e| CliError::from(ArgError(format!("cannot write {path}: {e}"))))?;
         let _ = writeln!(out, "machine-readable report: {path}");
@@ -1079,85 +1126,63 @@ fn cmd_chaos(args: &Args) -> Result<CmdReport, CliError> {
     Ok(CmdReport { text: out, exit })
 }
 
-/// JSON for one profiled cell (hand-rolled, like the lint/chaos reports).
-fn profile_cell_json(c: &snp_core::CellProfile) -> String {
-    let fu: Vec<String> = c
-        .fu
-        .iter()
-        .map(|f| {
-            format!(
-                "{{\"pipeline\":\"{}\",\"busy_cycles\":{},\"detailed_busy_cycles\":{},\"utilization\":{:.6}}}",
-                snp_verify::json_escape(&f.pipeline),
-                f.busy_cycles,
-                f.detailed_busy_cycles,
-                f.utilization
-            )
-        })
-        .collect();
-    let instrs: Vec<String> = c
-        .instrs_by_class
-        .iter()
-        .map(|(class, n)| {
-            format!(
-                "{{\"class\":\"{}\",\"count\":{n}}}",
-                snp_verify::json_escape(class)
-            )
-        })
-        .collect();
-    format!(
-        concat!(
-            "{{\"device\":\"{device}\",\"algorithm\":\"{alg}\",",
-            "\"m\":{m},\"n\":{n},\"k_words\":{k},\"passes\":{passes},\"kernel_ns\":{kns},",
-            "\"fu\":[{fu}],\"instrs_by_class\":[{instrs}],",
-            "\"bank_conflict_replays\":{replays},\"job_cycles\":{jc},",
-            "\"occupancy\":{{\"groups_per_core\":{gpc},\"target_groups\":{tg},\"achieved\":{occ:.6}}},",
-            "\"bandwidth\":{{\"bytes_moved\":{bytes},\"achieved_bytes_s\":{abw:.1},",
-            "\"peak_bytes_s\":{pbw:.1},\"fraction\":{bwf:.6}}},",
-            "\"roofline\":{{\"arithmetic_intensity\":{ai:.6},\"ridge\":{ridge:.6},",
-            "\"matrix_unit_ridge\":{mur},",
-            "\"compute_peak_word_ops_s\":{cpk:.1},\"memory_peak_bytes_s\":{mpk:.1},",
-            "\"bound\":\"{bound}\"}},",
-            "\"drift\":{{\"analytic_ns\":{an:.1},\"macro_ns\":{mn:.1},",
-            "\"detailed_ns\":{dn:.1},",
-            "\"analytic_vs_macro\":{avm:.6},\"macro_vs_detailed\":{mvd:.6},",
-            "\"analytic_vs_detailed\":{avd:.6},",
-            "\"within_tolerance\":{within}}}}}"
-        ),
-        device = snp_verify::json_escape(&c.device),
-        alg = snp_verify::json_escape(algorithm_slug(c.algorithm)),
-        m = c.shape.m,
-        n = c.shape.n,
-        k = c.shape.k_words,
-        passes = c.passes,
-        kns = c.kernel_ns,
-        fu = fu.join(","),
-        instrs = instrs.join(","),
-        replays = c.bank_conflict_replays,
-        jc = c.job_cycles,
-        gpc = c.occupancy.groups_per_core,
-        tg = c.occupancy.target_groups,
-        occ = c.occupancy.achieved,
-        bytes = c.bandwidth.bytes_moved,
-        abw = c.bandwidth.achieved_bytes_s,
-        pbw = c.bandwidth.peak_bytes_s,
-        bwf = c.bandwidth.fraction,
-        ai = c.roofline.arithmetic_intensity,
-        ridge = c.roofline.ridge,
-        mur = c
-            .roofline
-            .matrix_unit_ridge
-            .map_or("null".to_string(), |r| format!("{r:.6}")),
-        cpk = c.roofline.compute_peak_word_ops_s,
-        mpk = c.roofline.memory_peak_bytes_s,
-        bound = c.roofline.bound.label(),
-        an = c.drift.analytic_ns,
-        mn = c.drift.macro_ns,
-        dn = c.drift.detailed_ns,
-        avm = c.drift.analytic_vs_macro,
-        mvd = c.drift.macro_vs_detailed,
-        avd = c.drift.analytic_vs_detailed,
-        within = c.drift.within_tolerance(),
-    )
+/// One profiled cell as profile JSON.
+fn profile_cell_json(o: &mut Obj, c: &snp_core::CellProfile) {
+    o.key("device").str(&c.device);
+    o.key("algorithm").str(algorithm_slug(c.algorithm));
+    o.key("m").int(c.shape.m);
+    o.key("n").int(c.shape.n);
+    o.key("k_words").int(c.shape.k_words);
+    o.key("passes").int(c.passes);
+    o.key("kernel_ns").int(c.kernel_ns);
+    o.key("fu").objs(&c.fu, |o, f| {
+        o.key("pipeline").str(&f.pipeline);
+        o.key("busy_cycles").int(f.busy_cycles);
+        o.key("detailed_busy_cycles").int(f.detailed_busy_cycles);
+        o.key("utilization").float(f.utilization, 6);
+    });
+    o.key("instrs_by_class")
+        .objs(&c.instrs_by_class, |o, (class, n)| {
+            o.key("class").str(class);
+            o.key("count").int(*n);
+        });
+    o.key("bank_conflict_replays").int(c.bank_conflict_replays);
+    o.key("job_cycles").int(c.job_cycles);
+    o.key("occupancy").obj(|o| {
+        o.key("groups_per_core").int(c.occupancy.groups_per_core);
+        o.key("target_groups").int(c.occupancy.target_groups);
+        o.key("achieved").float(c.occupancy.achieved, 6);
+    });
+    o.key("bandwidth").obj(|o| {
+        o.key("bytes_moved").int(c.bandwidth.bytes_moved);
+        o.key("achieved_bytes_s")
+            .float(c.bandwidth.achieved_bytes_s, 1);
+        o.key("peak_bytes_s").float(c.bandwidth.peak_bytes_s, 1);
+        o.key("fraction").float(c.bandwidth.fraction, 6);
+    });
+    let r = &c.roofline;
+    o.key("roofline").obj(|o| {
+        o.key("arithmetic_intensity")
+            .float(r.arithmetic_intensity, 6);
+        o.key("ridge").float(r.ridge, 6);
+        o.key("matrix_unit_ridge")
+            .opt(r.matrix_unit_ridge, |v, x| v.float(x, 6));
+        o.key("compute_peak_word_ops_s")
+            .float(r.compute_peak_word_ops_s, 1);
+        o.key("memory_peak_bytes_s").float(r.memory_peak_bytes_s, 1);
+        o.key("bound").str(r.bound.label());
+    });
+    let d = &c.drift;
+    o.key("drift").obj(|o| {
+        o.key("analytic_ns").float(d.analytic_ns, 1);
+        o.key("macro_ns").float(d.macro_ns, 1);
+        o.key("detailed_ns").float(d.detailed_ns, 1);
+        o.key("analytic_vs_macro").float(d.analytic_vs_macro, 6);
+        o.key("macro_vs_detailed").float(d.macro_vs_detailed, 6);
+        o.key("analytic_vs_detailed")
+            .float(d.analytic_vs_detailed, 6);
+        o.key("within_tolerance").bool(d.within_tolerance());
+    });
 }
 
 fn cmd_profile(args: &Args) -> Result<CmdReport, CliError> {
@@ -1256,7 +1281,7 @@ fn cmd_profile(args: &Args) -> Result<CmdReport, CliError> {
             if !ok {
                 violations += 1;
             }
-            cells.push(profile_cell_json(&cell));
+            cells.push(cell);
         }
     }
     let _ = writeln!(
@@ -1265,15 +1290,20 @@ fn cmd_profile(args: &Args) -> Result<CmdReport, CliError> {
         cells.len()
     );
     if let Some(path) = args.get("json") {
-        let json = format!(
-            "{{\"shape\":{{\"m\":{m},\"n\":{n},\"k_words\":{}}},\
-             \"tolerances\":{{\"analytic\":{},\"engine\":{}}},\
-             \"cells\":[{}],\"drift_violations\":{violations}}}\n",
-            shape.k_words,
-            snp_core::ANALYTIC_DRIFT_TOLERANCE,
-            snp_core::ENGINE_DRIFT_TOLERANCE,
-            cells.join(",")
-        );
+        let json = json::document(|o| {
+            o.key("shape").obj(|o| {
+                o.key("m").int(m);
+                o.key("n").int(n);
+                o.key("k_words").int(shape.k_words);
+            });
+            o.key("tolerances").obj(|o| {
+                o.key("analytic")
+                    .shortest(snp_core::ANALYTIC_DRIFT_TOLERANCE);
+                o.key("engine").shortest(snp_core::ENGINE_DRIFT_TOLERANCE);
+            });
+            o.key("cells").objs(&cells, profile_cell_json);
+            o.key("drift_violations").int(violations);
+        });
         std::fs::write(path, json)
             .map_err(|e| CliError::from(ArgError(format!("cannot write {path}: {e}"))))?;
         let _ = writeln!(out, "machine-readable report: {path}");
@@ -1286,28 +1316,11 @@ fn cmd_profile(args: &Args) -> Result<CmdReport, CliError> {
     Ok(CmdReport { text: out, exit })
 }
 
-/// Parses loadgen's `--fault-profile NAME [--fault-at Q]` into a
-/// [`snp_load::FaultSpec`]. Accepts the same `loss@N` pin as the workload
-/// commands.
+/// Parses loadgen's `--fault-profile P [--fault-at Q]` into a
+/// [`snp_load::FaultSpec`].
 fn loadgen_fault(args: &Args) -> Result<Option<snp_load::FaultSpec>, ArgError> {
-    let Some(name) = args.get("fault-profile") else {
+    let Some((name, profile)) = fault_profile_arg(args, "fault-at")? else {
         return Ok(None);
-    };
-    let profile = if let Some(at) = name.strip_prefix("loss@") {
-        let at: u64 = at
-            .parse()
-            .map_err(|_| ArgError(format!("bad command index in {name:?}")))?;
-        FaultProfile {
-            device_loss_at: Some(at),
-            ..FaultProfile::none()
-        }
-    } else {
-        FaultProfile::by_name(name).ok_or_else(|| {
-            ArgError(format!(
-                "unknown fault profile {name:?} (expected one of: {}, or loss@N)",
-                FaultProfile::NAMES.join(", ")
-            ))
-        })?
     };
     let at_query = match args.get("fault-at") {
         None => None,
@@ -1612,32 +1625,21 @@ fn cmd_loadgen(args: &Args) -> Result<CmdReport, CliError> {
                 worst.code(),
             );
             if let Some(path) = args.get("json") {
-                let mut json = String::new();
-                let _ = write!(
-                    json,
-                    "{{\"schema_version\":1,\"kind\":\"overload-chaos\",\
-                     \"device\":\"{}\",\"rate_qps\":{:.3},\"arrival\":\"bursty\",\
-                     \"fault_profile\":\"{}\",\"silent_corruptions\":{},\
-                     \"worst_exit\":{},\"cells\":[",
-                    base.device.name,
-                    base.rate_qps,
-                    fault.profile_name,
-                    corruptions,
-                    worst.code(),
-                );
-                for (i, (slug, exit, report)) in cells.iter().enumerate() {
-                    if i > 0 {
-                        json.push(',');
-                    }
-                    let _ = write!(
-                        json,
-                        "{{\"algorithm\":\"{}\",\"exit\":{},\"report\":{}}}",
-                        slug,
-                        exit.code(),
-                        report.to_json().trim_end(),
-                    );
-                }
-                json.push_str("]}\n");
+                let json = json::document(|o| {
+                    o.key("schema_version").int(1);
+                    o.key("kind").str("overload-chaos");
+                    o.key("device").str(&base.device.name);
+                    o.key("rate_qps").float(base.rate_qps, 3);
+                    o.key("arrival").str("bursty");
+                    o.key("fault_profile").str(&fault.profile_name);
+                    o.key("silent_corruptions").int(corruptions);
+                    o.key("worst_exit").int(worst.code());
+                    o.key("cells").objs(&cells, |c, (slug, exit, report)| {
+                        c.key("algorithm").str(slug);
+                        c.key("exit").int(exit.code());
+                        c.key("report").obj(|r| report.write_json(r));
+                    });
+                });
                 write(path, &json)?;
                 let _ = writeln!(text, "admission report: {path}");
             }
@@ -1932,6 +1934,31 @@ mod tests {
     }
 
     #[test]
+    fn lint_report_json_counts_and_escapes() {
+        use snp_verify::{Diagnostic, Report};
+        let mut hazard = Diagnostic::new("V001-RAW", Severity::Error, "a \"raw\"\nhazard\u{1}");
+        hazard.commands = vec![3, 7];
+        hazard.buffer = Some(2);
+        let report = Report {
+            diagnostics: vec![
+                hazard,
+                Diagnostic::new("V006-OVERLAP", Severity::Info, "3 overlapping pairs"),
+            ],
+        };
+        assert_eq!(
+            json::document(|o| lint_report_json(o, &report)),
+            concat!(
+                r#"{"errors":1,"warnings":0,"infos":1,"diagnostics":["#,
+                r#"{"code":"V001-RAW","severity":"error","message":"a \"raw\"\nhazard\u0001","#,
+                r#""commands":[3,7],"buffer":2},"#,
+                r#"{"code":"V006-OVERLAP","severity":"info","message":"3 overlapping pairs","#,
+                r#""commands":[],"buffer":null}]}"#,
+                "\n"
+            )
+        );
+    }
+
+    #[test]
     fn lint_rejects_unknown_target_and_device() {
         assert!(run_line("lint nope").is_err());
         assert!(run_line("lint ld --device xeon-e5-2620-v2").is_err());
@@ -2068,6 +2095,53 @@ mod tests {
             json.contains("\"flightRecorder\""),
             "dump must carry the postmortem header"
         );
+    }
+
+    #[test]
+    fn fault_tuning_options_require_a_profile() {
+        for (line, option) in [
+            (
+                "ld --device titan-v --snps 64 --samples 256 --fault-seed 7",
+                "fault-seed",
+            ),
+            (
+                "search --profiles 64 --snps 64 --fault-seed 7",
+                "fault-seed",
+            ),
+            (
+                "mixture --profiles 64 --snps 64 --fault-seed 7",
+                "fault-seed",
+            ),
+            (
+                "loadgen ld --device titan-v --queries 8 --fault-at 3",
+                "fault-at",
+            ),
+            (
+                "loadgen ld --mode sweep --queries 8 --fault-at 3",
+                "fault-at",
+            ),
+            (
+                "loadgen ld --mode chaos --queries 8 --fault-at 3",
+                "fault-at",
+            ),
+        ] {
+            let args = Args::parse(line.split_whitespace().map(str::to_string)).unwrap();
+            let err = run_full(&args).unwrap_err();
+            assert_eq!(err.exit, ExitCode::Error, "{line}");
+            let want = format!("--{option} requires --fault-profile");
+            assert_eq!(err.message, want, "{line}");
+        }
+        // Both parse `loss@N` as before: a bad index is a usage error, and a
+        // tuning option next to a profile is accepted.
+        for line in [
+            "ld --device gtx-980 --fault-profile loss@x",
+            "loadgen ld --queries 8 --fault-profile loss@x --fault-at 3",
+        ] {
+            let err = run_line(line).unwrap_err();
+            assert_eq!(err.to_string(), "bad command index in \"loss@x\"", "{line}");
+        }
+        let seeded = run_line("ld --device gtx-980 --fault-profile loss@3 --fault-seed 7").unwrap();
+        assert!(seeded.contains("DEVICE LOST"), "{seeded}");
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! transpose below the diagonal.
 //!
 //! This is both a real, runnable engine (benchmarked end to end and per
-//! layer by `perfbench`) and the correctness oracle the simulated GPU
-//! kernels are validated against at scale.
+//! layer by `perfbench`) and the GEMM every simulated GPU pass computes
+//! with (`snp_core::kernel::execute_gamma`). The independent correctness
+//! oracle for both is the scalar `snp_bitmat::reference_gamma`.
 //!
 //! * [`CpuEngine`] — algorithm-level API (LD, identity search, mixture
 //!   analysis);

@@ -14,6 +14,7 @@
 //! what keeps the sum exact and makes "attributed fraction" an honest
 //! completeness figure rather than an assumption.
 
+use snp_trace::json::Obj;
 use snp_trace::{Trace, TraceEvent};
 
 use crate::admission::Tier;
@@ -364,41 +365,25 @@ impl AnatomyReport {
         out
     }
 
-    /// Byte-reproducible JSON rendering (fixed key order, integer ns,
-    /// six-decimal fractions).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"queries\":{},\"total_latency_ns\":{},\"attributed_fraction\":{:.6},\"bands\":[",
-            self.queries,
-            self.total_latency_ns,
-            self.attributed_fraction()
-        );
-        for (i, b) in self.bands.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"band\":\"{}\",\"queries\":{},\"total_latency_ns\":{},\
-                 \"attributed_fraction\":{:.6},\"segments\":{{",
-                b.label,
-                b.queries,
-                b.total_latency_ns,
-                b.attributed_fraction()
-            );
-            for (j, seg) in Segment::ALL.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
+    /// Writes the anatomy's members into `o` (fixed key order, integer
+    /// ns, six-decimal fractions); the run report nests it in place.
+    pub fn write_json(&self, o: &mut Obj) {
+        o.key("queries").int(self.queries);
+        o.key("total_latency_ns").int(self.total_latency_ns);
+        o.key("attributed_fraction")
+            .float(self.attributed_fraction(), 6);
+        o.key("bands").objs(&self.bands, |band, b| {
+            band.key("band").str(b.label);
+            band.key("queries").int(b.queries);
+            band.key("total_latency_ns").int(b.total_latency_ns);
+            band.key("attributed_fraction")
+                .float(b.attributed_fraction(), 6);
+            band.key("segments").obj(|segs| {
+                for seg in Segment::ALL {
+                    segs.key(seg.label()).int(b.segment_ns[seg.index()]);
                 }
-                let _ = write!(out, "\"{}\":{}", seg.label(), b.segment_ns[seg.index()]);
-            }
-            out.push_str("}}");
-        }
-        out.push_str("]}");
-        out
+            });
+        });
     }
 }
 
@@ -516,8 +501,8 @@ mod tests {
     fn json_is_deterministic_and_carries_every_segment() {
         let a = decompose_query(1, 10, 0, Tier::Full, None);
         let report = AnatomyReport::aggregate(&[a]);
-        let j1 = report.to_json();
-        let j2 = report.to_json();
+        let j1 = snp_trace::json::document(|o| report.write_json(o));
+        let j2 = snp_trace::json::document(|o| report.write_json(o));
         assert_eq!(j1, j2);
         for seg in Segment::ALL {
             assert!(j1.contains(&format!("\"{}\":", seg.label())), "{j1}");
@@ -534,6 +519,6 @@ mod tests {
         assert_eq!(report.queries, 0);
         assert_eq!(report.attributed_fraction(), 1.0);
         assert_eq!(report.bands.len(), 4);
-        assert!(!report.to_json().is_empty());
+        assert!(!snp_trace::json::document(|o| report.write_json(o)).is_empty());
     }
 }

@@ -1,174 +1,119 @@
 //! Report rendering: the `slo-report.json` machine format and the human
 //! text table.
 //!
-//! The JSON is written by hand (the workspace is offline — no serde) with
-//! a fixed key order and fixed-precision floats, so a seeded run renders
+//! The JSON goes through [`snp_trace::json`]'s writer with a fixed key
+//! order and fixed-precision floats, so a seeded run renders
 //! byte-identically everywhere: the umbrella crate's golden test pins the
 //! seeded loadgen, overload-chaos and what-if reports under `results/`.
 
 use std::fmt::Write as _;
 
+use snp_trace::json::{self, Obj, Val};
+
 use crate::runner::{AdmissionReport, LoadReport, SweepReport};
 use crate::slo::SloOutcome;
 
-fn escape(s: &str) -> String {
-    let mut out = String::new();
-    snp_trace::json::escape_into(&mut out, s);
-    out
+fn slo_json(o: &mut Obj, s: &SloOutcome) {
+    o.key("algorithm").str(s.algorithm);
+    o.key("count").int(s.count);
+    o.key("p50_ns").int(s.p50_ns);
+    o.key("p95_ns").int(s.p95_ns);
+    o.key("p99_ns").int(s.p99_ns);
+    o.key("max_ns").int(s.max_ns);
+    o.key("mean_ns").float(s.mean_ns, 1);
+    o.key("queue_wait_p99_ns").int(s.queue_wait_p99_ns);
+    o.key("failed").int(s.failed);
+    o.key("objective").obj(|obj| {
+        obj.key("p50_ns").int(s.objective.p50_ns);
+        obj.key("p99_ns").int(s.objective.p99_ns);
+        obj.key("error_budget").float(s.objective.error_budget, 6);
+    });
+    o.key("budget_burn").float(s.budget_burn, 6);
+    o.key("breached").bool(s.breached);
+    o.key("reasons").arr(|a| {
+        for r in &s.reasons {
+            a.item().str(r);
+        }
+    });
 }
 
-fn opt_str(v: &Option<String>) -> String {
-    match v {
-        Some(s) => format!("\"{}\"", escape(s)),
-        None => "null".to_string(),
-    }
-}
-
-fn slo_json(o: &SloOutcome) -> String {
-    let reasons: Vec<String> = o
-        .reasons
-        .iter()
-        .map(|r| format!("\"{}\"", escape(r)))
-        .collect();
-    format!(
-        concat!(
-            "{{\"algorithm\":\"{alg}\",\"count\":{count},",
-            "\"p50_ns\":{p50},\"p95_ns\":{p95},\"p99_ns\":{p99},\"max_ns\":{max},",
-            "\"mean_ns\":{mean:.1},\"queue_wait_p99_ns\":{qw},\"failed\":{failed},",
-            "\"objective\":{{\"p50_ns\":{op50},\"p99_ns\":{op99},\"error_budget\":{budget:.6}}},",
-            "\"budget_burn\":{burn:.6},\"breached\":{breached},\"reasons\":[{reasons}]}}"
-        ),
-        alg = o.algorithm,
-        count = o.count,
-        p50 = o.p50_ns,
-        p95 = o.p95_ns,
-        p99 = o.p99_ns,
-        max = o.max_ns,
-        mean = o.mean_ns,
-        qw = o.queue_wait_p99_ns,
-        failed = o.failed,
-        op50 = o.objective.p50_ns,
-        op99 = o.objective.p99_ns,
-        budget = o.objective.error_budget,
-        burn = o.budget_burn,
-        breached = o.breached,
-        reasons = reasons.join(","),
-    )
-}
-
-fn admission_json(a: &AdmissionReport) -> String {
-    let ratio = if a.tenant_goodput_ratio.is_finite() {
-        format!("{:.3}", a.tenant_goodput_ratio)
-    } else {
-        "null".to_string()
-    };
-    let transitions: Vec<String> = a
-        .transitions
-        .iter()
-        .map(|t| format!("{{\"at_ns\":{},\"to\":\"{}\"}}", t.at_ns, t.to.label()))
-        .collect();
-    let tenants: Vec<String> = a
-        .tenants
-        .iter()
-        .map(|t| {
-            format!(
-                concat!(
-                    "{{\"name\":\"{name}\",\"weight\":{weight:.3},\"offered\":{offered},",
-                    "\"admitted\":{admitted},\"shed\":{shed},\"completed\":{completed},",
-                    "\"goodput\":{goodput}}}"
-                ),
-                name = escape(t.name),
-                weight = t.weight,
-                offered = t.offered,
-                admitted = t.admitted,
-                shed = t.shed,
-                completed = t.completed,
-                goodput = t.goodput,
-            )
-        })
-        .collect();
-    format!(
-        concat!(
-            "{{\"offered\":{offered},\"admitted\":{admitted},",
-            "\"shed\":{{\"quota_exceeded\":{quota},\"queue_full\":{qfull},",
-            "\"deadline_unmeetable\":{dline},\"total\":{total}}},",
-            "\"shed_fraction\":{frac:.6},\"shed_budget_exceeded\":{over},",
-            "\"goodput\":{goodput},\"goodput_qps\":{gqps:.3},",
-            "\"tenant_goodput_ratio\":{ratio},\"corruptions\":{corr},",
-            "\"final_tier\":\"{tier}\",\"transitions\":[{transitions}],",
-            "\"tenants\":[{tenants}]}}"
-        ),
-        offered = a.offered,
-        admitted = a.admitted,
-        quota = a.shed_quota,
-        qfull = a.shed_queue_full,
-        dline = a.shed_deadline,
-        total = a.shed_quota + a.shed_queue_full + a.shed_deadline,
-        frac = a.shed_fraction,
-        over = a.shed_budget_exceeded,
-        goodput = a.goodput,
-        gqps = a.goodput_qps,
-        ratio = ratio,
-        corr = a.corruptions,
-        tier = a.final_tier.label(),
-        transitions = transitions.join(","),
-        tenants = tenants.join(","),
-    )
+fn admission_json(o: &mut Obj, a: &AdmissionReport) {
+    o.key("offered").int(a.offered);
+    o.key("admitted").int(a.admitted);
+    o.key("shed").obj(|shed| {
+        shed.key("quota_exceeded").int(a.shed_quota);
+        shed.key("queue_full").int(a.shed_queue_full);
+        shed.key("deadline_unmeetable").int(a.shed_deadline);
+        shed.key("total")
+            .int(a.shed_quota + a.shed_queue_full + a.shed_deadline);
+    });
+    o.key("shed_fraction").float(a.shed_fraction, 6);
+    o.key("shed_budget_exceeded").bool(a.shed_budget_exceeded);
+    o.key("goodput").int(a.goodput);
+    o.key("goodput_qps").float(a.goodput_qps, 3);
+    o.key("tenant_goodput_ratio")
+        .float(a.tenant_goodput_ratio, 3);
+    o.key("corruptions").int(a.corruptions);
+    o.key("final_tier").str(a.final_tier.label());
+    o.key("transitions").objs(&a.transitions, |t, step| {
+        t.key("at_ns").int(step.at_ns);
+        t.key("to").str(step.to.label());
+    });
+    o.key("tenants").objs(&a.tenants, |t, tenant| {
+        t.key("name").str(tenant.name);
+        t.key("weight").float(tenant.weight, 3);
+        t.key("offered").int(tenant.offered);
+        t.key("admitted").int(tenant.admitted);
+        t.key("shed").int(tenant.shed);
+        t.key("completed").int(tenant.completed);
+        t.key("goodput").int(tenant.goodput);
+    });
 }
 
 impl LoadReport {
     /// The `slo-report.json` document for a single run. Deterministic for
     /// a fixed config: no wall-clock content, fixed-precision floats.
     pub fn to_json(&self) -> String {
-        let algorithms: Vec<String> = self.slo.iter().map(slo_json).collect();
-        let admission = match &self.admission {
-            Some(a) => admission_json(a),
-            None => "null".to_string(),
-        };
-        let anatomy = match &self.anatomy {
-            Some(a) => a.to_json(),
-            None => "null".to_string(),
-        };
-        format!(
-            concat!(
-                "{{\"schema_version\":3,\"tool\":\"snpgpu loadgen\",",
-                "\"device\":\"{device}\",\"seed\":{seed},\"arrival\":\"{arrival}\",",
-                "\"rate_qps\":{rate:.3},\"queries\":{queries},",
-                "\"fault_profile\":{fault},",
-                "\"duration_virtual_ns\":{dur},\"achieved_qps\":{aqps:.3},",
-                "\"overall\":{{\"p50_ns\":{p50},\"p99_ns\":{p99}}},",
-                "\"outcomes\":{{\"clean\":{clean},\"recovered\":{rec},\"degraded\":{deg},",
-                "\"fault\":{fault_n},\"error\":{err},\"shed\":{shed}}},",
-                "\"admission\":{admission},",
-                "\"anatomy\":{anatomy},",
-                "\"flight_dropped_spans\":{dropped},",
-                "\"algorithms\":[{algorithms}],",
-                "\"slo_breached\":{breached},",
-                "\"postmortem_reason\":{pm}}}\n"
-            ),
-            device = escape(&self.device),
-            seed = self.seed,
-            arrival = self.arrival.name(),
-            rate = self.rate_qps,
-            queries = self.records.len(),
-            fault = opt_str(&self.fault_profile),
-            dur = self.duration_ns,
-            aqps = self.achieved_qps,
-            p50 = self.p50_all_ns,
-            p99 = self.p99_all_ns,
-            clean = self.outcomes.clean,
-            rec = self.outcomes.recovered,
-            deg = self.outcomes.degraded,
-            fault_n = self.outcomes.fault,
-            err = self.outcomes.error,
-            shed = self.outcomes.shed,
-            admission = admission,
-            anatomy = anatomy,
-            dropped = self.flight_dropped_spans,
-            algorithms = algorithms.join(","),
-            breached = self.breached,
-            pm = opt_str(&self.postmortem.as_ref().map(|p| p.reason.clone())),
-        )
+        json::document(|o| self.write_json(o))
+    }
+
+    /// Writes the run report's members into `o`; a report that nests a
+    /// run (a sweep point, an overload-chaos cell) writes it in place.
+    pub fn write_json(&self, o: &mut Obj) {
+        o.key("schema_version").int(3);
+        o.key("tool").str("snpgpu loadgen");
+        o.key("device").str(&self.device);
+        o.key("seed").int(self.seed);
+        o.key("arrival").str(self.arrival.name());
+        o.key("rate_qps").float(self.rate_qps, 3);
+        o.key("queries").int(self.records.len());
+        o.key("fault_profile")
+            .opt(self.fault_profile.as_deref(), Val::str);
+        o.key("duration_virtual_ns").int(self.duration_ns);
+        o.key("achieved_qps").float(self.achieved_qps, 3);
+        o.key("overall").obj(|p| {
+            p.key("p50_ns").int(self.p50_all_ns);
+            p.key("p99_ns").int(self.p99_all_ns);
+        });
+        let c = &self.outcomes;
+        o.key("outcomes").obj(|n| {
+            n.key("clean").int(c.clean);
+            n.key("recovered").int(c.recovered);
+            n.key("degraded").int(c.degraded);
+            n.key("fault").int(c.fault);
+            n.key("error").int(c.error);
+            n.key("shed").int(c.shed);
+        });
+        o.key("admission").opt(self.admission.as_ref(), |v, a| {
+            v.obj(|o| admission_json(o, a))
+        });
+        o.key("anatomy")
+            .opt(self.anatomy.as_ref(), |v, a| v.obj(|o| a.write_json(o)));
+        o.key("flight_dropped_spans").int(self.flight_dropped_spans);
+        o.key("algorithms").objs(&self.slo, slo_json);
+        o.key("slo_breached").bool(self.breached);
+        let reason = self.postmortem.as_ref().map(|p| p.reason.as_str());
+        o.key("postmortem_reason").opt(reason, Val::str);
     }
 
     /// The human-readable run report.
@@ -289,39 +234,19 @@ impl SweepReport {
     /// The `slo-report.json` document for a sweep: per-point run reports
     /// (each with per-algorithm percentiles) plus the detected knee.
     pub fn to_json(&self) -> String {
-        let points: Vec<String> = self
-            .points
-            .iter()
-            .map(|p| {
-                let mut run_json = p.report.to_json();
-                // Embed without the trailing newline a bare run emits.
-                run_json.truncate(run_json.trim_end().len());
-                format!(
-                    "{{\"rate_qps\":{:.3},\"goodput_qps\":{:.3},\"report\":{}}}",
-                    p.rate_qps,
-                    p.goodput_qps(),
-                    run_json
-                )
-            })
-            .collect();
-        let knee = match self.knee {
-            Some(i) => format!("{:.3}", self.points[i].rate_qps),
-            None => "null".to_string(),
-        };
-        let retention = match self.goodput_retention() {
-            Some(r) => format!("{r:.6}"),
-            None => "null".to_string(),
-        };
-        format!(
-            concat!(
-                "{{\"schema_version\":1,\"tool\":\"snpgpu loadgen --sweep\",",
-                "\"knee_rate_qps\":{knee},\"goodput_retention\":{retention},",
-                "\"points\":[{points}]}}\n"
-            ),
-            knee = knee,
-            retention = retention,
-            points = points.join(","),
-        )
+        json::document(|o| {
+            o.key("schema_version").int(1);
+            o.key("tool").str("snpgpu loadgen --sweep");
+            let knee = self.knee.map(|i| self.points[i].rate_qps);
+            o.key("knee_rate_qps").opt(knee, |v, r| v.float(r, 3));
+            o.key("goodput_retention")
+                .opt(self.goodput_retention(), |v, r| v.float(r, 6));
+            o.key("points").objs(&self.points, |p, point| {
+                p.key("rate_qps").float(point.rate_qps, 3);
+                p.key("goodput_qps").float(point.report.goodput_qps(), 3);
+                p.key("report").obj(|r| point.report.write_json(r));
+            });
+        })
     }
 
     /// The human-readable sweep table.
@@ -357,7 +282,7 @@ impl SweepReport {
                 "{:>12.0} {:>12.0} {:>12.0} {:>8.1} {:>10.3} {:>10.3} {:>10.3} {:>7}  {}{}",
                 p.rate_qps,
                 r.achieved_qps,
-                p.goodput_qps(),
+                r.goodput_qps(),
                 shed_pct,
                 r.p50_all_ns as f64 / 1e6,
                 r.p99_all_ns as f64 / 1e6,

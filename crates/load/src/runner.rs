@@ -133,7 +133,8 @@ pub struct LoadConfig {
     pub seed: u64,
     /// Arrival process.
     pub arrival: ArrivalKind,
-    /// Tenant labels, assigned round-robin.
+    /// Tenant labels, assigned round-robin. A label is a tenant: quotas,
+    /// latency histograms and the report's tenant rows all go by label.
     pub tenants: Vec<&'static str>,
     /// Optional fault injection.
     pub fault: Option<FaultSpec>,
@@ -384,6 +385,16 @@ pub struct LoadReport {
     pub postmortem: Option<Postmortem>,
 }
 
+impl LoadReport {
+    /// Goodput: deadline-met completions per virtual second under
+    /// admission, completed throughput otherwise.
+    pub fn goodput_qps(&self) -> f64 {
+        self.admission
+            .as_ref()
+            .map_or(self.achieved_qps, |a| a.goodput_qps)
+    }
+}
+
 /// Decorrelates per-query fault streams from the master seed.
 fn query_fault_seed(seed: u64, qid: u64) -> u64 {
     seed.wrapping_add((qid + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
@@ -445,23 +456,13 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
     let mut postmortem: Option<Postmortem> = None;
 
     let n = planned.len();
-    let mut records: Vec<Option<QueryRecord>> = (0..n).map(|_| None).collect();
-    let mut outcomes = OutcomeCounts::default();
-    let mut tenant_reports: Vec<TenantReport> = cfg
-        .tenants
-        .iter()
-        .zip(&quotas)
-        .map(|(name, q)| TenantReport {
-            name,
-            weight: q.weight,
-            offered: 0,
-            admitted: 0,
-            shed: 0,
-            completed: 0,
-            goodput: 0,
-        })
-        .collect();
-    let (mut shed_quota, mut shed_queue_full, mut shed_deadline) = (0usize, 0usize, 0usize);
+    // The run's one account, in the order queries resolve: a shed at its
+    // arrival, a dispatched query when it completes. Every count in the
+    // report and every per-query metric comes from these records after
+    // the loop, which keeps only the state its decisions read (scheduler,
+    // buckets, brownout and its burn inputs, the shed-storm run) and the
+    // corruption oracle's count.
+    let mut records: Vec<QueryRecord> = Vec::with_capacity(n);
     let mut corruptions = 0usize;
     let mut completed = 0usize;
     let mut failed = 0usize;
@@ -483,7 +484,6 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
         while next < n && planned[next].arrival_ns <= t {
             let p = &planned[next];
             next += 1;
-            tenant_reports[p.tenant].offered += 1;
             if !admission.enabled {
                 scheduler.push(QueuedQuery {
                     seq: p.qid,
@@ -493,7 +493,6 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
                     deadline_ns: u64::MAX,
                     est_ns: 0,
                 });
-                tenant_reports[p.tenant].admitted += 1;
                 continue;
             }
             let tier = brownout.tier();
@@ -532,29 +531,9 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
                         deadline_ns,
                         est_ns,
                     });
-                    tenant_reports[p.tenant].admitted += 1;
-                    metrics::ADMITTED.add(1);
                     consecutive_sheds = 0;
                 }
                 Some(reason) => {
-                    metrics::QUERIES.add(1);
-                    metrics::SHED.add(1);
-                    match reason {
-                        ShedReason::QuotaExceeded => {
-                            shed_quota += 1;
-                            metrics::SHED_QUOTA.add(1);
-                        }
-                        ShedReason::QueueFull => {
-                            shed_queue_full += 1;
-                            metrics::SHED_QUEUE_FULL.add(1);
-                        }
-                        ShedReason::DeadlineUnmeetable => {
-                            shed_deadline += 1;
-                            metrics::SHED_DEADLINE.add(1);
-                        }
-                    }
-                    tenant_reports[p.tenant].shed += 1;
-                    outcomes.shed += 1;
                     consecutive_sheds += 1;
                     if let Some(track) = stream_track {
                         stream.span_with(
@@ -583,7 +562,7 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
                             reason: reason_text,
                         });
                     }
-                    records[p.qid as usize] = Some(QueryRecord {
+                    records.push(QueryRecord {
                         id: p.qid,
                         tenant: cfg.tenants[p.tenant],
                         template: p.template,
@@ -664,40 +643,9 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
         let queue_wait_ns = start_ns - q.arrival_ns;
         let latency_ns = done_ns - q.arrival_ns;
 
-        metrics::QUERIES.add(1);
-        metrics::RETRIES.add(retries);
-        if outcome.is_failure() {
-            metrics::FAILURES.add(1);
-            failed += 1;
-        }
-        // Latency histograms carry an exemplar per hit bucket: the query
-        // id, tenant, and its stream-clock offset, so a p99 bucket links
-        // straight to the flight-recorder span that caused it.
-        metrics::latency_for(template.slug()).record_with_exemplar(
-            latency_ns,
-            qid,
-            Some(tenant),
-            start_ns,
-        );
-        metrics::tenant_latency(tenant).record_with_exemplar(
-            latency_ns,
-            qid,
-            Some(tenant),
-            start_ns,
-        );
-        metrics::QUEUE_WAIT.record(queue_wait_ns);
-        match outcome {
-            Outcome::Clean => outcomes.clean += 1,
-            Outcome::Recovered => outcomes.recovered += 1,
-            Outcome::Degraded => outcomes.degraded += 1,
-            Outcome::Fault(_) => outcomes.fault += 1,
-            Outcome::Error(_) => outcomes.error += 1,
-            Outcome::Shed(_) => unreachable!("shed queries are never dispatched"),
-        }
         completed += 1;
-        tenant_reports[q.tenant].completed += 1;
-        if !outcome.is_failure() && done_ns <= q.deadline_ns {
-            tenant_reports[q.tenant].goodput += 1;
+        if outcome.is_failure() {
+            failed += 1;
         }
         if let (Some(cost), Ok(sr)) = (&cost, &result) {
             // Engine-run completions must reproduce the clean calibration
@@ -763,7 +711,7 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
             }
         }
 
-        records[qid as usize] = Some(QueryRecord {
+        records.push(QueryRecord {
             id: qid,
             tenant,
             template,
@@ -786,10 +734,9 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
         }
     }
 
-    let records: Vec<QueryRecord> = records
-        .into_iter()
-        .map(|r| r.expect("every planned query resolves to a record"))
-        .collect();
+    assert_eq!(records.len(), n, "every planned query resolves to a record");
+    records.iter().for_each(publish);
+    records.sort_by_key(|r| r.id);
 
     // Judge each algorithm against its objectives, over accepted queries.
     let mut slo = Vec::new();
@@ -850,17 +797,45 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
         .max()
         .unwrap_or(0);
 
+    let count = |f: &dyn Fn(&QueryRecord) -> bool| records.iter().filter(|r| f(r)).count();
+    let outcomes = OutcomeCounts {
+        clean: count(&|r| r.outcome == Outcome::Clean),
+        recovered: count(&|r| r.outcome == Outcome::Recovered),
+        degraded: count(&|r| r.outcome == Outcome::Degraded),
+        fault: count(&|r| matches!(r.outcome, Outcome::Fault(_))),
+        error: count(&|r| matches!(r.outcome, Outcome::Error(_))),
+        shed: count(&|r| r.outcome.is_shed()),
+    };
     let admission_report = admission.enabled.then(|| {
         let offered = records.len();
         let shed = outcomes.shed;
         let admitted = offered - shed;
-        let goodput: usize = tenant_reports.iter().map(|t| t.goodput).sum();
+        let goodput = count(&in_goodput);
+        let shed_for = |reason: ShedReason| count(&|r| r.outcome == Outcome::Shed(reason));
         let shed_fraction = if offered == 0 {
             0.0
         } else {
             shed as f64 / offered as f64
         };
-        let rates: Vec<f64> = tenant_reports
+        let tenants: Vec<TenantReport> = cfg
+            .tenants
+            .iter()
+            .map(|&name| {
+                let of = |f: fn(&QueryRecord) -> bool| count(&|r| r.tenant == name && f(r));
+                let admitted = of(|r| !r.outcome.is_shed());
+                TenantReport {
+                    name,
+                    weight: admission.quota_for(name).weight,
+                    offered: of(|_| true),
+                    admitted,
+                    shed: of(|r| r.outcome.is_shed()),
+                    // An admitted query is always dispatched and completes.
+                    completed: admitted,
+                    goodput: of(in_goodput),
+                }
+            })
+            .collect();
+        let rates: Vec<f64> = tenants
             .iter()
             .filter(|t| t.offered > 0)
             .map(|t| t.goodput as f64)
@@ -876,9 +851,9 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
         AdmissionReport {
             offered,
             admitted,
-            shed_quota,
-            shed_queue_full,
-            shed_deadline,
+            shed_quota: shed_for(ShedReason::QuotaExceeded),
+            shed_queue_full: shed_for(ShedReason::QueueFull),
+            shed_deadline: shed_for(ShedReason::DeadlineUnmeetable),
             shed_fraction,
             shed_budget_exceeded: shed_fraction > admission.shed_budget,
             goodput,
@@ -891,7 +866,7 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
             corruptions,
             final_tier: brownout.tier(),
             transitions: brownout.transitions().to_vec(),
-            tenants: tenant_reports,
+            tenants,
         }
     });
 
@@ -921,6 +896,47 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
     }
 }
 
+/// Publishes one resolved query's registry metrics from its record.
+fn publish(r: &QueryRecord) {
+    metrics::QUERIES.add(1);
+    if let Outcome::Shed(reason) = r.outcome {
+        metrics::SHED.add(1);
+        match reason {
+            ShedReason::QuotaExceeded => &metrics::SHED_QUOTA,
+            ShedReason::QueueFull => &metrics::SHED_QUEUE_FULL,
+            ShedReason::DeadlineUnmeetable => &metrics::SHED_DEADLINE,
+        }
+        .add(1);
+    } else {
+        // A deadline exists exactly when admission is on.
+        if r.deadline_ns.is_some() {
+            metrics::ADMITTED.add(1);
+        }
+        metrics::RETRIES.add(r.retries);
+        if r.outcome.is_failure() {
+            metrics::FAILURES.add(1);
+        }
+        // Latency histograms carry an exemplar per hit bucket: the query
+        // id, tenant, and its stream-clock offset, so a p99 bucket links
+        // straight to the flight-recorder span that caused it.
+        for h in [
+            metrics::latency_for(r.template.slug()).histogram(),
+            metrics::tenant_latency(r.tenant),
+        ] {
+            h.record_with_exemplar(r.latency_ns, r.id, Some(r.tenant), r.start_ns);
+        }
+        metrics::QUEUE_WAIT.record(r.queue_wait_ns);
+    }
+}
+
+/// Whether a query counts toward goodput: it completed without failing,
+/// within its deadline when it had one.
+fn in_goodput(r: &QueryRecord) -> bool {
+    !r.outcome.is_shed()
+        && !r.outcome.is_failure()
+        && r.deadline_ns.is_none_or(|d| r.start_ns + r.service_ns <= d)
+}
+
 /// One measured offered-load level in a sweep.
 #[derive(Debug, Clone)]
 pub struct SweepPoint {
@@ -928,17 +944,6 @@ pub struct SweepPoint {
     pub rate_qps: f64,
     /// The full run report (timeline disabled for sweep points).
     pub report: LoadReport,
-}
-
-impl SweepPoint {
-    /// Goodput at this point: deadline-met completions per virtual second
-    /// under admission, completed throughput otherwise.
-    pub fn goodput_qps(&self) -> f64 {
-        match &self.report.admission {
-            Some(a) => a.goodput_qps,
-            None => self.report.achieved_qps,
-        }
-    }
 }
 
 /// A saturation sweep: the same seeded stream replayed at stepped offered
@@ -983,13 +988,13 @@ impl SweepReport {
     /// `None` without a knee or without post-knee points.
     pub fn goodput_retention(&self) -> Option<f64> {
         let knee = self.knee?;
-        let at_knee = self.points[knee].goodput_qps();
+        let at_knee = self.points[knee].report.goodput_qps();
         if at_knee <= 0.0 {
             return None;
         }
         self.points[knee..]
             .iter()
-            .map(|p| p.goodput_qps() / at_knee)
+            .map(|p| p.report.goodput_qps() / at_knee)
             .fold(None, |acc: Option<f64>, v| {
                 Some(acc.map_or(v, |a| a.min(v)))
             })
@@ -999,6 +1004,7 @@ impl SweepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use snp_gpu_model::devices;
     use snp_trace::chrome;
 
@@ -1185,6 +1191,97 @@ mod tests {
             .records
             .iter()
             .any(|r| r.tier != Tier::Full && !r.outcome.is_shed()));
+    }
+
+    /// Recounts every count the report publishes from its per-query
+    /// records, independently of how `run` derives them.
+    fn assert_counts_are_recounts(cfg: &LoadConfig, report: &LoadReport) {
+        let rs = &report.records;
+        let count = |f: &dyn Fn(&QueryRecord) -> bool| rs.iter().filter(|r| f(r)).count();
+        let shed_for = |reason: ShedReason| count(&|r| r.outcome == Outcome::Shed(reason));
+        let good = |r: &QueryRecord| {
+            !r.outcome.is_shed()
+                && !r.outcome.is_failure()
+                && r.deadline_ns
+                    .is_none_or(|d| r.arrival_ns + r.latency_ns <= d)
+        };
+        let o = report.outcomes;
+        assert_eq!(o.clean, count(&|r| r.outcome == Outcome::Clean));
+        assert_eq!(o.recovered, count(&|r| r.outcome == Outcome::Recovered));
+        assert_eq!(o.degraded, count(&|r| r.outcome == Outcome::Degraded));
+        assert_eq!(o.fault, count(&|r| matches!(r.outcome, Outcome::Fault(_))));
+        assert_eq!(o.error, count(&|r| matches!(r.outcome, Outcome::Error(_))));
+        assert_eq!(o.shed, count(&|r| r.outcome.is_shed()));
+        let Some(a) = &report.admission else {
+            assert!(!cfg.admission.enabled);
+            assert_eq!(o.shed, 0, "sheds need admission");
+            return;
+        };
+        assert_eq!(a.offered, rs.len());
+        assert_eq!(a.admitted, count(&|r| !r.outcome.is_shed()));
+        assert_eq!(a.shed_quota, shed_for(ShedReason::QuotaExceeded));
+        assert_eq!(a.shed_queue_full, shed_for(ShedReason::QueueFull));
+        assert_eq!(a.shed_deadline, shed_for(ShedReason::DeadlineUnmeetable));
+        assert_eq!(a.goodput, count(&good));
+        assert_eq!(a.tenants.len(), cfg.tenants.len());
+        for (t, name) in a.tenants.iter().zip(&cfg.tenants) {
+            let of = |f: &dyn Fn(&QueryRecord) -> bool| count(&|r| r.tenant == *name && f(r));
+            assert_eq!(t.name, *name);
+            assert_eq!(t.weight, cfg.admission.quota_for(name).weight);
+            assert_eq!(t.offered, of(&|_| true));
+            assert_eq!(t.admitted, of(&|r| !r.outcome.is_shed()));
+            assert_eq!(t.shed, of(&|r| r.outcome.is_shed()));
+            assert_eq!(t.completed, of(&|r| !r.outcome.is_shed()));
+            assert_eq!(t.goodput, of(&good));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The outcome, shed and tenant counts of a report are recounts of
+        /// its records, over seeds, both arrival kinds, a range of offered
+        /// rates, fault profiles, and admission on and off.
+        #[test]
+        fn report_counts_are_recounts_of_the_records(
+            seed in any::<u64>(),
+            bursty in any::<bool>(),
+            rate_step in 0u32..6,
+            admission in any::<bool>(),
+            queue_cap in 2usize..16,
+            slack_step in 0u32..8,
+            fault in 0usize..FaultProfile::NAMES.len() + 2,
+        ) {
+            let mut cfg = small_cfg();
+            cfg.seed = seed;
+            cfg.arrival = if bursty { ArrivalKind::Bursty } else { ArrivalKind::Poisson };
+            cfg.rate_qps = 1_000.0 * 4f64.powi(rate_step as i32);
+            cfg.record_timeline = false;
+            if admission {
+                cfg.admission = AdmissionConfig {
+                    queue_cap,
+                    deadline_slack: 4.0 / 4f64.powi(slack_step as i32),
+                    ..AdmissionConfig::standard()
+                };
+            }
+            // Every named profile, the device lost early in every query
+            // (so queries complete degraded), or no faults.
+            let loss_early = FaultProfile {
+                device_loss_at: Some(2),
+                ..FaultProfile::none()
+            };
+            let profile = match FaultProfile::NAMES.get(fault) {
+                Some(name) => Some(FaultProfile::by_name(name).expect("a listed profile")),
+                None => (fault == FaultProfile::NAMES.len()).then_some(loss_early),
+            };
+            cfg.fault = profile.map(|profile| FaultSpec {
+                profile_name: "drawn".into(),
+                profile,
+                at_query: None,
+            });
+            let report = run(&cfg);
+            assert_counts_are_recounts(&cfg, &report);
+        }
     }
 
     #[test]

@@ -16,7 +16,9 @@
 
 use std::fmt::Write as _;
 
-use crate::runner::{run, LoadConfig, LoadReport};
+use snp_trace::json;
+
+use crate::runner::{run, LoadConfig};
 
 /// One virtual-cost perturbation applied to a replay.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -157,13 +159,6 @@ pub struct WhatIfReport {
     pub confirmation: Confirmation,
 }
 
-fn goodput_of(report: &LoadReport) -> f64 {
-    match &report.admission {
-        Some(a) => a.goodput_qps,
-        None => report.achieved_qps,
-    }
-}
-
 /// Replays `cfg` once per perturbation (plus the baseline) and ranks the
 /// causal p99 leverage. Every replay shares the seed, so the offered
 /// stream is identical; only the scaled cost differs.
@@ -176,7 +171,7 @@ pub fn run_whatif(base: &LoadConfig, perturbations: &[Perturbation]) -> WhatIfRe
 
     let baseline = run(&quiet);
     let (base_p50, base_p99) = (baseline.p50_all_ns, baseline.p99_all_ns);
-    let base_goodput = goodput_of(&baseline);
+    let base_goodput = baseline.goodput_qps();
 
     let mut outcomes: Vec<WhatIfOutcome> = perturbations
         .iter()
@@ -184,7 +179,7 @@ pub fn run_whatif(base: &LoadConfig, perturbations: &[Perturbation]) -> WhatIfRe
             let mut cfg = quiet.clone();
             p.apply(&mut cfg);
             let report = run(&cfg);
-            let goodput = goodput_of(&report);
+            let goodput = report.goodput_qps();
             WhatIfOutcome {
                 label: p.label(),
                 p50_ns: report.p50_all_ns,
@@ -255,55 +250,37 @@ impl WhatIfReport {
     /// Byte-reproducible JSON (fixed key order, fixed-precision floats, no
     /// wall-clock content).
     pub fn to_json(&self) -> String {
-        let outcomes: Vec<String> = self
-            .outcomes
-            .iter()
-            .map(|o| {
-                format!(
-                    concat!(
-                        "{{\"label\":\"{label}\",\"p50_ns\":{p50},\"p99_ns\":{p99},",
-                        "\"goodput_qps\":{gq:.3},\"p50_delta_ns\":{d50},",
-                        "\"p99_delta_ns\":{d99},\"goodput_delta_qps\":{dgq:.3},",
-                        "\"p99_improvement\":{imp:.6}}}"
-                    ),
-                    label = o.label,
-                    p50 = o.p50_ns,
-                    p99 = o.p99_ns,
-                    gq = o.goodput_qps,
-                    d50 = o.p50_delta_ns,
-                    d99 = o.p99_delta_ns,
-                    dgq = o.goodput_delta_qps,
-                    imp = o.p99_improvement,
-                )
-            })
-            .collect();
-        let c = &self.confirmation;
-        format!(
-            concat!(
-                "{{\"schema_version\":1,\"tool\":\"snpgpu whatif\",",
-                "\"device\":\"{device}\",\"seed\":{seed},\"queries\":{queries},",
-                "\"rate_qps\":{rate:.3},",
-                "\"baseline\":{{\"p50_ns\":{bp50},\"p99_ns\":{bp99},",
-                "\"goodput_qps\":{bgq:.3}}},",
-                "\"perturbations\":[{outcomes}],",
-                "\"confirmation\":{{\"label\":\"{clabel}\",",
-                "\"predicted_p99_ns\":{cpred},\"replayed_p99_ns\":{creal},",
-                "\"relative_error\":{cerr:.6},\"within_5_percent\":{cok}}}}}\n"
-            ),
-            device = self.device,
-            seed = self.seed,
-            queries = self.queries,
-            rate = self.rate_qps,
-            bp50 = self.baseline_p50_ns,
-            bp99 = self.baseline_p99_ns,
-            bgq = self.baseline_goodput_qps,
-            outcomes = outcomes.join(","),
-            clabel = c.label,
-            cpred = c.predicted_p99_ns,
-            creal = c.replayed_p99_ns,
-            cerr = c.relative_error,
-            cok = c.within_5_percent,
-        )
+        json::document(|o| {
+            o.key("schema_version").int(1);
+            o.key("tool").str("snpgpu whatif");
+            o.key("device").str(&self.device);
+            o.key("seed").int(self.seed);
+            o.key("queries").int(self.queries);
+            o.key("rate_qps").float(self.rate_qps, 3);
+            o.key("baseline").obj(|b| {
+                b.key("p50_ns").int(self.baseline_p50_ns);
+                b.key("p99_ns").int(self.baseline_p99_ns);
+                b.key("goodput_qps").float(self.baseline_goodput_qps, 3);
+            });
+            o.key("perturbations").objs(&self.outcomes, |p, w| {
+                p.key("label").str(&w.label);
+                p.key("p50_ns").int(w.p50_ns);
+                p.key("p99_ns").int(w.p99_ns);
+                p.key("goodput_qps").float(w.goodput_qps, 3);
+                p.key("p50_delta_ns").int(w.p50_delta_ns);
+                p.key("p99_delta_ns").int(w.p99_delta_ns);
+                p.key("goodput_delta_qps").float(w.goodput_delta_qps, 3);
+                p.key("p99_improvement").float(w.p99_improvement, 6);
+            });
+            let c = &self.confirmation;
+            o.key("confirmation").obj(|f| {
+                f.key("label").str(&c.label);
+                f.key("predicted_p99_ns").int(c.predicted_p99_ns);
+                f.key("replayed_p99_ns").int(c.replayed_p99_ns);
+                f.key("relative_error").float(c.relative_error, 6);
+                f.key("within_5_percent").bool(c.within_5_percent);
+            });
+        })
     }
 
     /// The human-readable speedup-leverage table.

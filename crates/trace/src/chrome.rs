@@ -3,8 +3,9 @@
 //! The exporter emits the stable subset of the Trace Event Format that
 //! `chrome://tracing` and Perfetto both accept: a `{"traceEvents": [...]}`
 //! container holding `ph:"M"` metadata (process/thread names), `ph:"X"`
-//! complete slices, and `ph:"C"` counter samples. Timestamps are
-//! microseconds, so nanosecond inputs keep sub-µs precision as fractions.
+//! complete slices, and `ph:"C"` counter samples, one event per line,
+//! written through [`crate::json`]'s writer. Timestamps are microseconds,
+//! so nanosecond inputs keep sub-µs precision as exact fractions.
 //!
 //! Time domains map to processes: every [`TimeDomain::Virtual`] track is a
 //! thread of pid [`VIRTUAL_PID`] and every [`TimeDomain::Wall`] track a
@@ -12,7 +13,7 @@
 //! so the two clocks render as separate lanes and are never visually
 //! compared against each other.
 
-use crate::json::{self, Value};
+use crate::json::{self, Obj, Value};
 use crate::span::{ArgValue, TimeDomain, Trace};
 
 /// Chrome-trace pid hosting all virtual-time tracks.
@@ -27,141 +28,99 @@ fn pid_for(domain: TimeDomain) -> u32 {
     }
 }
 
-/// Formats nanoseconds as fractional microseconds without float noise.
-fn us(ns: u64) -> String {
-    let whole = ns / 1_000;
-    let frac = ns % 1_000;
-    if frac == 0 {
-        format!("{whole}")
-    } else {
-        format!("{whole}.{frac:03}")
-    }
-}
-
-fn push_str_field(out: &mut String, key: &str, val: &str) {
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":\"");
-    json::escape_into(out, val);
-    out.push('"');
-}
-
-fn push_args(out: &mut String, args: &[(&'static str, ArgValue)]) {
-    out.push_str("\"args\":{");
-    for (i, (k, v)) in args.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        json::escape_into(out, k);
-        out.push_str("\":");
-        match v {
-            ArgValue::U64(n) => out.push_str(&n.to_string()),
-            ArgValue::F64(f) if f.is_finite() => out.push_str(&format!("{f}")),
-            ArgValue::F64(_) => out.push_str("null"),
-            ArgValue::Str(s) => {
-                out.push('"');
-                json::escape_into(out, s);
-                out.push('"');
-            }
-        }
-    }
-    out.push('}');
-}
-
 /// Renders a [`Trace`] as a Chrome `trace_event` JSON document.
 ///
 /// Slices and counter samples are sorted by timestamp; metadata events come
 /// first. Load the result in Perfetto (<https://ui.perfetto.dev>) or
 /// `chrome://tracing`.
 pub fn export_chrome_trace(trace: &Trace) -> String {
-    let mut out = String::with_capacity(256 + trace.events.len() * 96);
-    out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
-    let mut first = true;
-    let mut emit = |line: String, out: &mut String| {
-        if !std::mem::take(&mut first) {
-            out.push_str(",\n");
+    json::document(|o| write_trace(o, trace))
+}
+
+/// Writes the members of a Chrome `trace_event` document into `o`: the
+/// display unit and the `traceEvents` array, one event per line.
+pub(crate) fn write_trace(o: &mut Obj, trace: &Trace) {
+    o.key("displayTimeUnit").str("ns");
+    o.key("traceEvents").lines(|a| {
+        // Process metadata: one per time domain actually in use.
+        let mut domains: Vec<TimeDomain> = trace.tracks.iter().map(|t| t.domain).collect();
+        domains.sort_by_key(|d| pid_for(*d));
+        domains.dedup();
+        for d in &domains {
+            let label = match d {
+                TimeDomain::Virtual => "virtual time (simulated ns)",
+                TimeDomain::Wall => "wall time (host ns)",
+            };
+            a.item().obj(|e| {
+                metadata(e, "process_name", pid_for(*d), 0);
+                e.key("args").obj(|args| args.key("name").str(label));
+            });
         }
-        out.push_str(&line);
-    };
 
-    // Process metadata: one per time domain actually in use.
-    let mut domains: Vec<TimeDomain> = trace.tracks.iter().map(|t| t.domain).collect();
-    domains.sort_by_key(|d| pid_for(*d));
-    domains.dedup();
-    for d in &domains {
-        let label = match d {
-            TimeDomain::Virtual => "virtual time (simulated ns)",
-            TimeDomain::Wall => "wall time (host ns)",
-        };
-        let mut line = String::from("{\"ph\":\"M\",\"name\":\"process_name\",");
-        line.push_str(&format!("\"pid\":{},\"tid\":0,", pid_for(*d)));
-        line.push_str("\"args\":{");
-        push_str_field(&mut line, "name", label);
-        line.push_str("}}");
-        emit(line, &mut out);
-    }
+        // Thread metadata: one per track, plus an explicit sort order so
+        // tracks render in registration order rather than alphabetically.
+        for (idx, track) in trace.tracks.iter().enumerate() {
+            let pid = pid_for(track.domain);
+            a.item().obj(|e| {
+                metadata(e, "thread_name", pid, idx);
+                e.key("args").obj(|args| args.key("name").str(&track.name));
+            });
+            a.item().obj(|e| {
+                metadata(e, "thread_sort_index", pid, idx);
+                e.key("args").obj(|args| args.key("sort_index").int(idx));
+            });
+        }
 
-    // Thread metadata: one per track, plus an explicit sort order so tracks
-    // render in registration order rather than alphabetically.
-    for (idx, track) in trace.tracks.iter().enumerate() {
-        let pid = pid_for(track.domain);
-        let mut line = String::from("{\"ph\":\"M\",\"name\":\"thread_name\",");
-        line.push_str(&format!("\"pid\":{pid},\"tid\":{idx},"));
-        line.push_str("\"args\":{");
-        push_str_field(&mut line, "name", &track.name);
-        line.push_str("}}");
-        emit(line, &mut out);
-        let mut sort = String::from("{\"ph\":\"M\",\"name\":\"thread_sort_index\",");
-        sort.push_str(&format!(
-            "\"pid\":{pid},\"tid\":{idx},\"args\":{{\"sort_index\":{idx}}}}}"
-        ));
-        emit(sort, &mut out);
-    }
+        // Complete slices, sorted by start time (ties keep recording order).
+        let mut order: Vec<usize> = (0..trace.events.len()).collect();
+        order.sort_by_key(|&i| trace.events[i].start_ns);
+        for i in order {
+            let ev = &trace.events[i];
+            a.item().obj(|e| {
+                e.key("ph").str("X");
+                e.key("name").str(&ev.name);
+                e.key("cat").str(ev.cat);
+                e.key("ts").fixed(ev.start_ns, 3);
+                e.key("dur").fixed(ev.duration_ns(), 3);
+                e.key("pid").int(pid_for(trace.track(ev.track).domain));
+                e.key("tid").int(ev.track.index());
+                e.key("args").obj(|args| {
+                    for (k, v) in &ev.args {
+                        match v {
+                            ArgValue::U64(n) => args.key(k).int(*n),
+                            ArgValue::F64(f) => args.key(k).shortest(*f),
+                            ArgValue::Str(s) => args.key(k).str(s),
+                        }
+                    }
+                });
+            });
+        }
 
-    // Complete slices, sorted by start time (ties keep recording order).
-    let mut order: Vec<usize> = (0..trace.events.len()).collect();
-    order.sort_by_key(|&i| trace.events[i].start_ns);
-    for i in order {
-        let ev = &trace.events[i];
-        let track = trace.track(ev.track);
-        let pid = pid_for(track.domain);
-        let tid = ev.track.index();
-        let mut line = String::from("{\"ph\":\"X\",");
-        push_str_field(&mut line, "name", &ev.name);
-        line.push(',');
-        push_str_field(&mut line, "cat", ev.cat);
-        line.push_str(&format!(
-            ",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":{tid},",
-            us(ev.start_ns),
-            us(ev.duration_ns())
-        ));
-        push_args(&mut line, &ev.args);
-        line.push('}');
-        emit(line, &mut out);
-    }
+        // Counter samples, sorted by timestamp. Viewers need a number, so a
+        // non-finite sample is drawn as 0.
+        let mut corder: Vec<usize> = (0..trace.counters.len()).collect();
+        corder.sort_by_key(|&i| trace.counters[i].ts_ns);
+        for i in corder {
+            let c = &trace.counters[i];
+            a.item().obj(|e| {
+                e.key("ph").str("C");
+                e.key("name").str(&c.name);
+                e.key("ts").fixed(c.ts_ns, 3);
+                e.key("pid").int(pid_for(trace.track(c.track).domain));
+                e.key("tid").int(c.track.index());
+                let v = if c.value.is_finite() { c.value } else { 0.0 };
+                e.key("args").obj(|args| args.key("value").shortest(v));
+            });
+        }
+    });
+}
 
-    // Counter samples, sorted by timestamp.
-    let mut corder: Vec<usize> = (0..trace.counters.len()).collect();
-    corder.sort_by_key(|&i| trace.counters[i].ts_ns);
-    for i in corder {
-        let c = &trace.counters[i];
-        let track = trace.track(c.track);
-        let pid = pid_for(track.domain);
-        let mut line = String::from("{\"ph\":\"C\",");
-        push_str_field(&mut line, "name", &c.name);
-        line.push_str(&format!(
-            ",\"ts\":{},\"pid\":{pid},\"tid\":{},",
-            us(c.ts_ns),
-            c.track.index()
-        ));
-        let v = if c.value.is_finite() { c.value } else { 0.0 };
-        line.push_str(&format!("\"args\":{{\"value\":{v}}}}}"));
-        emit(line, &mut out);
-    }
-
-    out.push_str("\n]}\n");
-    out
+/// The leading members of a `ph:"M"` metadata event.
+fn metadata(e: &mut Obj, name: &str, pid: u32, tid: usize) {
+    e.key("ph").str("M");
+    e.key("name").str(name);
+    e.key("pid").int(pid);
+    e.key("tid").int(tid);
 }
 
 /// Counts from a validated Chrome-trace document.
@@ -387,6 +346,64 @@ mod tests {
         )
         .is_err());
     }
+
+    /// Both time domains, every `ArgValue` kind (non-finite floats among
+    /// them), fractional-µs timestamps, non-finite counter samples, and
+    /// names that need escaping.
+    fn pinned_trace() -> Trace {
+        let t = Tracer::enabled();
+        let dev = t.track("dev \"0\" · virtual", TimeDomain::Virtual);
+        let host = t.track("host\\cpu", TimeDomain::Wall);
+        t.span_with(
+            dev,
+            "ker\"nel",
+            "gamma\t64x128\n",
+            1_500,
+            10_250,
+            vec![
+                ("words", 4096u64.into()),
+                ("ratio", 0.1f64.into()),
+                ("scale", 1e21f64.into()),
+                ("tiny", (-2.5e-7f64).into()),
+                ("nan", f64::NAN.into()),
+                ("inf", f64::INFINITY.into()),
+                ("label", "a\"b\\c\u{1}é".into()),
+            ],
+        );
+        t.span(host, "task", "pack", 7, 1_000_003);
+        t.span(dev, "transfer", "read C", 0, 999);
+        t.counter(dev, "sim.busy", 2_001, 0.25);
+        t.counter(host, "load.inflight", 999, f64::NAN);
+        t.counter(dev, "neg \"inf\"", 3_000, f64::NEG_INFINITY);
+        t.counter(dev, "whole", 4_000, 3.0);
+        t.snapshot().unwrap()
+    }
+
+    #[test]
+    fn export_bytes_are_pinned() {
+        assert_eq!(export_chrome_trace(&pinned_trace()), PINNED_EXPORT);
+        assert_eq!(
+            export_chrome_trace(&Trace::default()),
+            "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n\n]}\n"
+        );
+    }
+
+    const PINNED_EXPORT: &str = r#"{"displayTimeUnit":"ns","traceEvents":[
+{"ph":"M","name":"process_name","pid":0,"tid":0,"args":{"name":"virtual time (simulated ns)"}},
+{"ph":"M","name":"process_name","pid":1,"tid":0,"args":{"name":"wall time (host ns)"}},
+{"ph":"M","name":"thread_name","pid":0,"tid":0,"args":{"name":"dev \"0\" · virtual"}},
+{"ph":"M","name":"thread_sort_index","pid":0,"tid":0,"args":{"sort_index":0}},
+{"ph":"M","name":"thread_name","pid":1,"tid":1,"args":{"name":"host\\cpu"}},
+{"ph":"M","name":"thread_sort_index","pid":1,"tid":1,"args":{"sort_index":1}},
+{"ph":"X","name":"read C","cat":"transfer","ts":0,"dur":0.999,"pid":0,"tid":0,"args":{}},
+{"ph":"X","name":"pack","cat":"task","ts":0.007,"dur":999.996,"pid":1,"tid":1,"args":{}},
+{"ph":"X","name":"gamma\t64x128\n","cat":"ker\"nel","ts":1.500,"dur":8.750,"pid":0,"tid":0,"args":{"words":4096,"ratio":0.1,"scale":1000000000000000000000,"tiny":-0.00000025,"nan":null,"inf":null,"label":"a\"b\\c\u0001é"}},
+{"ph":"C","name":"load.inflight","ts":0.999,"pid":1,"tid":1,"args":{"value":0}},
+{"ph":"C","name":"sim.busy","ts":2.001,"pid":0,"tid":0,"args":{"value":0.25}},
+{"ph":"C","name":"neg \"inf\"","ts":3,"pid":0,"tid":0,"args":{"value":0}},
+{"ph":"C","name":"whole","ts":4,"pid":0,"tid":0,"args":{"value":3}}
+]}
+"#;
 
     #[test]
     fn empty_trace_exports_cleanly() {

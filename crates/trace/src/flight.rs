@@ -20,7 +20,7 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use crate::json;
+use crate::json::{self, Val};
 use crate::metrics::LazyCounter;
 use crate::span::{CounterSample, QueryCtx, Trace, TraceEvent, TrackId, TrackInfo};
 
@@ -161,27 +161,18 @@ impl FlightRecorder {
     pub fn postmortem(&self, reason: &str, ctx: Option<&QueryCtx>) -> String {
         let trace = self.snapshot();
         let (dropped_events, dropped_counters) = self.dropped();
-        let mut head = String::from("{\"flightRecorder\":{\"reason\":\"");
-        json::escape_into(&mut head, reason);
-        head.push('"');
-        match ctx {
-            Some(ctx) => {
-                head.push_str(&format!(",\"query_id\":{},\"tenant\":\"", ctx.query_id));
-                json::escape_into(&mut head, &ctx.tenant);
-                head.push('"');
-            }
-            None => head.push_str(",\"query_id\":null,\"tenant\":null"),
-        }
-        head.push_str(&format!(
-            ",\"capacity\":{},\"retained_spans\":{},\"dropped_spans\":{dropped_events},\
-             \"dropped_counters\":{dropped_counters}}},",
-            self.capacity,
-            trace.events.len()
-        ));
-        let chrome = crate::chrome::export_chrome_trace(&trace);
-        // Splice the header into the chrome document's root object.
-        head.push_str(chrome.strip_prefix('{').expect("chrome doc is an object"));
-        head
+        json::document(|o| {
+            o.key("flightRecorder").obj(|h| {
+                h.key("reason").str(reason);
+                h.key("query_id").opt(ctx.map(|c| c.query_id), Val::int);
+                h.key("tenant").opt(ctx.map(|c| &*c.tenant), Val::str);
+                h.key("capacity").int(self.capacity);
+                h.key("retained_spans").int(trace.events.len());
+                h.key("dropped_spans").int(dropped_events);
+                h.key("dropped_counters").int(dropped_counters);
+            });
+            crate::chrome::write_trace(o, &trace);
+        })
     }
 }
 
@@ -274,6 +265,64 @@ mod tests {
             "metrics counter agrees with the header"
         );
     }
+
+    #[test]
+    fn postmortem_bytes_are_pinned() {
+        let _guard = DROP_LOCK.lock().unwrap();
+        let rec = FlightRecorder::new(8);
+        rec.absorb(&query_trace(7, 2), 1_250);
+        let ctx = QueryCtx::new(7, "tenant \"a\"");
+        let reason = "typed fault: \"DeviceLoss\"\n";
+        assert_eq!(rec.postmortem(reason, Some(&ctx)), PINNED_WITH_CTX);
+        assert_eq!(rec.postmortem("slo breach", None), PINNED_WITHOUT_CTX);
+        // A ring that has dropped spans and counter samples.
+        let small = FlightRecorder::new(2);
+        small.absorb(&query_trace(4, 3), 0);
+        small.absorb(&query_trace(5, 2), 500);
+        small.absorb(&query_trace(6, 1), 900);
+        let ctx = QueryCtx::new(6, "tenant-a");
+        assert_eq!(small.postmortem("shed storm", Some(&ctx)), PINNED_DROPPED);
+        assert_eq!(
+            FlightRecorder::new(1).postmortem("empty", None),
+            PINNED_EMPTY
+        );
+    }
+
+    const PINNED_WITH_CTX: &str = r#"{"flightRecorder":{"reason":"typed fault: \"DeviceLoss\"\n","query_id":7,"tenant":"tenant \"a\"","capacity":8,"retained_spans":2,"dropped_spans":0,"dropped_counters":0},"displayTimeUnit":"ns","traceEvents":[
+{"ph":"M","name":"process_name","pid":0,"tid":0,"args":{"name":"virtual time (simulated ns)"}},
+{"ph":"M","name":"thread_name","pid":0,"tid":0,"args":{"name":"engine"}},
+{"ph":"M","name":"thread_sort_index","pid":0,"tid":0,"args":{"sort_index":0}},
+{"ph":"X","name":"k0","cat":"kernel","ts":1.250,"dur":0.010,"pid":0,"tid":0,"args":{"query_id":7,"tenant":"tenant-a"}},
+{"ph":"X","name":"k1","cat":"kernel","ts":1.260,"dur":0.010,"pid":0,"tid":0,"args":{"query_id":7,"tenant":"tenant-a"}},
+{"ph":"C","name":"inflight","ts":1.250,"pid":0,"tid":0,"args":{"value":1}}
+]}
+"#;
+
+    const PINNED_WITHOUT_CTX: &str = r#"{"flightRecorder":{"reason":"slo breach","query_id":null,"tenant":null,"capacity":8,"retained_spans":2,"dropped_spans":0,"dropped_counters":0},"displayTimeUnit":"ns","traceEvents":[
+{"ph":"M","name":"process_name","pid":0,"tid":0,"args":{"name":"virtual time (simulated ns)"}},
+{"ph":"M","name":"thread_name","pid":0,"tid":0,"args":{"name":"engine"}},
+{"ph":"M","name":"thread_sort_index","pid":0,"tid":0,"args":{"sort_index":0}},
+{"ph":"X","name":"k0","cat":"kernel","ts":1.250,"dur":0.010,"pid":0,"tid":0,"args":{"query_id":7,"tenant":"tenant-a"}},
+{"ph":"X","name":"k1","cat":"kernel","ts":1.260,"dur":0.010,"pid":0,"tid":0,"args":{"query_id":7,"tenant":"tenant-a"}},
+{"ph":"C","name":"inflight","ts":1.250,"pid":0,"tid":0,"args":{"value":1}}
+]}
+"#;
+
+    const PINNED_DROPPED: &str = r#"{"flightRecorder":{"reason":"shed storm","query_id":6,"tenant":"tenant-a","capacity":2,"retained_spans":2,"dropped_spans":4,"dropped_counters":1},"displayTimeUnit":"ns","traceEvents":[
+{"ph":"M","name":"process_name","pid":0,"tid":0,"args":{"name":"virtual time (simulated ns)"}},
+{"ph":"M","name":"thread_name","pid":0,"tid":0,"args":{"name":"engine"}},
+{"ph":"M","name":"thread_sort_index","pid":0,"tid":0,"args":{"sort_index":0}},
+{"ph":"X","name":"k1","cat":"kernel","ts":0.510,"dur":0.010,"pid":0,"tid":0,"args":{"query_id":5,"tenant":"tenant-a"}},
+{"ph":"X","name":"k0","cat":"kernel","ts":0.900,"dur":0.010,"pid":0,"tid":0,"args":{"query_id":6,"tenant":"tenant-a"}},
+{"ph":"C","name":"inflight","ts":0.500,"pid":0,"tid":0,"args":{"value":1}},
+{"ph":"C","name":"inflight","ts":0.900,"pid":0,"tid":0,"args":{"value":1}}
+]}
+"#;
+
+    const PINNED_EMPTY: &str = r#"{"flightRecorder":{"reason":"empty","query_id":null,"tenant":null,"capacity":1,"retained_spans":0,"dropped_spans":0,"dropped_counters":0},"displayTimeUnit":"ns","traceEvents":[
+
+]}
+"#;
 
     #[test]
     fn merge_into_shifts_and_deduplicates_tracks() {

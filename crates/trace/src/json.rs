@@ -1,13 +1,25 @@
-//! A minimal JSON reader used by the Chrome-trace validator.
+//! JSON for the workspace: the one writer every report goes through, and a
+//! reader that checks what it writes.
 //!
-//! The build environment is offline (no serde), so the validator carries its
-//! own ~150-line recursive-descent parser. It accepts standard JSON (RFC
-//! 8259): objects, arrays, strings with escapes (including `\uXXXX` and
-//! surrogate pairs), numbers, booleans, and null. It is a *reader* only —
-//! the exporter writes JSON by hand — and favors clear error messages over
-//! speed, which is fine for validating trace artifacts of a few megabytes.
+//! The build environment is offline (no serde), so both are hand-written.
+//!
+//! The **writer** ([`document`], [`Obj`], [`Arr`], [`Val`]) writes members in
+//! call order and escapes every string through one escaper. A float is
+//! written at the number of decimals its caller names, or in shortest form;
+//! a float that is not finite is written as `null`. Nested objects and
+//! arrays are written in place. It has no options: output is compact
+//! (except [`Val::lines`], the one-item-per-line array the Chrome trace
+//! format uses), keys are never sorted, and a seeded run renders
+//! byte-identically everywhere.
+//!
+//! The **reader** ([`parse`]) is a recursive-descent parser for RFC 8259
+//! JSON: objects, arrays, strings with escapes (including `\uXXXX`
+//! and surrogate pairs), numbers in the RFC grammar, booleans, and null. It
+//! favors clear error messages over speed, which is fine for validating
+//! reports and trace artifacts of a few megabytes.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -208,8 +220,12 @@ impl<'a> Parser<'a> {
             .bytes
             .get(self.pos..self.pos + 4)
             .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let s = std::str::from_utf8(s).map_err(|_| self.err("non-ASCII \\u escape"))?;
-        let v = u16::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        let v = s
+            .iter()
+            .try_fold(0u16, |v, &b| {
+                Some(v << 4 | (b as char).to_digit(16)? as u16)
+            })
+            .ok_or_else(|| self.err("\\u escape needs four hex digits"))?;
         self.pos += 4;
         Ok(v)
     }
@@ -284,27 +300,35 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Consumes the next byte if it is one of `any_of`.
+    fn eat(&mut self, any_of: &[u8]) -> bool {
+        let hit = self.peek().is_some_and(|c| any_of.contains(&c));
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// Skips ASCII digits; returns how many.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while self.eat(b"0123456789") {}
+        self.pos - start
+    }
+
+    /// `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`
     fn number(&mut self) -> Result<Value, ParseError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        self.eat(b"-");
+        // A leading zero stands alone: `01` leaves `1` as trailing input.
+        if !self.eat(b"0") && self.digits() == 0 {
+            return Err(self.err("expected a digit"));
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
+        if self.eat(b".") && self.digits() == 0 {
+            return Err(self.err("expected a digit after '.'"));
         }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
+        if self.eat(b"eE") {
+            self.eat(b"+-");
+            if self.digits() == 0 {
+                return Err(self.err("expected a digit in the exponent"));
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
@@ -314,8 +338,9 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Escapes `s` as the contents of a JSON string (no surrounding quotes).
-pub fn escape_into(out: &mut String, s: &str) {
+/// Writes `s` as a JSON string: the workspace's one escaper.
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
     for ch in s.chars() {
         match ch {
             '"' => out.push_str("\\\""),
@@ -324,16 +349,167 @@ pub fn escape_into(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
+    }
+    out.push('"');
+}
+
+/// Renders one JSON document: an object whose members `f` writes, and a
+/// newline.
+pub fn document(f: impl FnOnce(&mut Obj)) -> String {
+    let mut out = String::new();
+    Val(&mut out).obj(f);
+    out.push('\n');
+    out
+}
+
+/// The members of an object being written (see [`Val::obj`]).
+pub struct Obj<'a>(List<'a>);
+
+/// The items of an array being written (see [`Val::arr`]).
+pub struct Arr<'a>(List<'a>);
+
+struct List<'a> {
+    out: &'a mut String,
+    sep: &'static str,
+    first: bool,
+}
+
+impl List<'_> {
+    fn next(&mut self) -> Val<'_> {
+        if !std::mem::take(&mut self.first) {
+            self.out.push_str(self.sep);
+        }
+        Val(self.out)
+    }
+}
+
+impl Obj<'_> {
+    /// Starts the member `key`; the returned [`Val`] writes its value.
+    pub fn key(&mut self, key: &str) -> Val<'_> {
+        let slot = self.0.next();
+        write_str(slot.0, key);
+        slot.0.push(':');
+        slot
+    }
+}
+
+impl Arr<'_> {
+    /// Starts the next item; the returned [`Val`] writes it.
+    pub fn item(&mut self) -> Val<'_> {
+        self.0.next()
+    }
+}
+
+/// An integer type [`Val::int`] writes.
+pub trait Int: std::fmt::Display {}
+
+macro_rules! ints {
+    ($($t:ty),*) => {$(impl Int for $t {})*};
+}
+ints!(u8, u32, u64, usize, i32, i64);
+
+/// The slot for exactly one value: an object member's or an array item's.
+pub struct Val<'a>(&'a mut String);
+
+impl<'a> Val<'a> {
+    /// A string.
+    pub fn str(self, s: &str) {
+        write_str(self.0, s);
+    }
+
+    /// An integer.
+    pub fn int(self, n: impl Int) {
+        let _ = write!(self.0, "{n}");
+    }
+
+    /// `true` or `false`.
+    pub fn bool(self, b: bool) {
+        let _ = write!(self.0, "{b}");
+    }
+
+    /// `null`.
+    pub fn null(self) {
+        self.0.push_str("null");
+    }
+
+    /// A float at `decimals` decimals; `null` when it is not finite.
+    pub fn float(self, x: f64, decimals: usize) {
+        if !x.is_finite() {
+            return self.null();
+        }
+        let _ = write!(self.0, "{x:.decimals$}");
+    }
+
+    /// A float in shortest round-trip form; `null` when it is not finite.
+    pub fn shortest(self, x: f64) {
+        if !x.is_finite() {
+            return self.null();
+        }
+        let _ = write!(self.0, "{x}");
+    }
+
+    /// `units / 10^decimals`, exactly: nanoseconds as fractional
+    /// microseconds with `decimals = 3`. A whole value has no fraction.
+    pub fn fixed(self, units: u64, decimals: u32) {
+        let scale = 10u64.pow(decimals);
+        let (whole, frac) = (units / scale, units % scale);
+        let _ = match frac {
+            0 => write!(self.0, "{whole}"),
+            _ => write!(self.0, "{whole}.{frac:0w$}", w = decimals as usize),
+        };
+    }
+
+    /// `v` through `write`, or `null` when it is `None`.
+    pub fn opt<T>(self, v: Option<T>, write: impl FnOnce(Val<'a>, T)) {
+        match v {
+            Some(v) => write(self, v),
+            None => self.null(),
+        }
+    }
+
+    /// An object whose members `f` writes.
+    pub fn obj(self, f: impl FnOnce(&mut Obj)) {
+        self.list(["{", ",", "}"], |l| f(&mut Obj(l)));
+    }
+
+    /// An array whose items `f` writes.
+    pub fn arr(self, f: impl FnOnce(&mut Arr)) {
+        self.list(["[", ",", "]"], |l| f(&mut Arr(l)));
+    }
+
+    /// An array with one item per line, as Chrome trace files are laid out.
+    pub fn lines(self, f: impl FnOnce(&mut Arr)) {
+        self.list(["[\n", ",\n", "\n]"], |l| f(&mut Arr(l)));
+    }
+
+    /// An array of one object per item, its members written by `f`.
+    pub fn objs<T>(self, items: impl IntoIterator<Item = T>, mut f: impl FnMut(&mut Obj, T)) {
+        self.arr(|a| {
+            for item in items {
+                a.item().obj(|o| f(o, item));
+            }
+        });
+    }
+
+    fn list(self, [open, sep, close]: [&'static str; 3], f: impl FnOnce(List)) {
+        self.0.push_str(open);
+        f(List {
+            out: &mut *self.0,
+            sep,
+            first: true,
+        });
+        self.0.push_str(close);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_scalars() {
@@ -378,6 +554,19 @@ mod tests {
             "\"\u{1}\"",
             "01x",
             r#""\ud83d""#,
+            r#""\u+041""#,
+            r#""\u04""#,
+            "01",
+            "-01",
+            "00",
+            "1.",
+            "1.e5",
+            "-",
+            "1e",
+            "1e+",
+            ".5",
+            "+1",
+            "[-]",
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
@@ -392,9 +581,120 @@ mod tests {
     #[test]
     fn escape_roundtrips_through_parse() {
         let original = "line\nquote\" back\\slash\ttab\u{1}end";
-        let mut s = String::from('"');
-        escape_into(&mut s, original);
-        s.push('"');
-        assert_eq!(parse(&s).unwrap(), Value::Str(original.into()));
+        let doc = document(|o| o.key("s").str(original));
+        let v = parse(&doc).unwrap();
+        assert_eq!(v.as_obj().unwrap()["s"], Value::Str(original.into()));
+    }
+
+    #[test]
+    fn writer_output_is_pinned() {
+        let doc = document(|o| {
+            o.key("s").str("a\nb\"c\\d\u{1}\u{1f}é😀");
+            o.key("n").int(-3i64);
+            o.key("f").float(2.0 / 3.0, 3);
+            o.key("whole").float(2.5, 0);
+            o.key("inf").float(f64::INFINITY, 6);
+            o.key("short").shortest(0.1);
+            o.key("nan").shortest(f64::NAN);
+            o.key("us").fixed(1_500, 3);
+            o.key("us_whole").fixed(9_000, 3);
+            o.key("none").opt(None::<u64>, Val::int);
+            o.key("some").opt(Some(0.25), |v, x| v.float(x, 1));
+            o.key("b").bool(true);
+            o.key("nested").obj(|n| {
+                n.key("a").arr(|a| {
+                    a.item().int(1u8);
+                    a.item().null();
+                    a.item().arr(|_| {});
+                });
+                n.key("empty").obj(|_| {});
+            });
+            o.key("rows").objs([1usize, 2], |r, i| r.key("i").int(i));
+        });
+        assert_eq!(
+            doc,
+            concat!(
+                r#"{"s":"a\nb\"c\\d\u0001\u001fé😀","n":-3,"f":0.667,"whole":2,"inf":null,"#,
+                r#""short":0.1,"nan":null,"us":1.500,"us_whole":9,"none":null,"some":0.2,"#,
+                r#""b":true,"nested":{"a":[1,null,[]],"empty":{}},"rows":[{"i":1},{"i":2}]}"#,
+                "\n"
+            )
+        );
+        parse(&doc).expect("the writer writes JSON");
+    }
+
+    #[test]
+    fn lines_put_one_item_per_line() {
+        let two = document(|o| {
+            o.key("e").lines(|a| {
+                a.item().int(1u32);
+                a.item().obj(|o| o.key("k").str("v"));
+            })
+        });
+        assert_eq!(two, "{\"e\":[\n1,\n{\"k\":\"v\"}\n]}\n");
+        assert_eq!(document(|o| o.key("e").lines(|_| {})), "{\"e\":[\n\n]}\n");
+    }
+
+    /// A char drawn to stress the escaper: JSON-significant ASCII, control
+    /// characters, any other BMP scalar, or a non-BMP scalar.
+    fn stress_char(n: u32) -> char {
+        const SPECIAL: &[u8] = b"\"\\/{}[],:-+.eE0123456789tfnul \n\r\t";
+        let pick = n >> 2;
+        let c = match n % 4 {
+            0 => SPECIAL[pick as usize % SPECIAL.len()] as u32,
+            1 => pick % 0x20,
+            2 => pick % 0x1_0000,
+            _ => 0x1_0000 + pick % 0x10_0000,
+        };
+        char::from_u32(c).unwrap_or('\u{fffd}')
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whatever the writer writes, the reader reads back: strings with
+        /// quotes, backslashes, control and non-BMP characters (as keys and
+        /// values), integers, and floats at a fixed number of decimals.
+        #[test]
+        fn writer_round_trips_through_the_reader(
+            key in prop::collection::vec(any::<u32>(), 0..12),
+            text in prop::collection::vec(any::<u32>(), 0..40),
+            unsigned in any::<u64>(),
+            signed in any::<i64>(),
+            x in -1e12f64..1e12,
+            decimals in 0usize..9,
+        ) {
+            let key: String = key.into_iter().map(stress_char).collect();
+            let text: String = text.into_iter().map(stress_char).collect();
+            let doc = document(|o| {
+                o.key("key").str(&key);
+                o.key("text").arr(|a| a.item().str(&text));
+                o.key("unsigned").int(unsigned);
+                o.key("signed").int(signed);
+                o.key("x").float(x, decimals);
+                o.key(&key).bool(true);
+            });
+            let v = parse(&doc).unwrap_or_else(|e| panic!("{e} in {doc:?}"));
+            let obj = v.as_obj().expect("an object");
+            prop_assert_eq!(obj["key"].as_str(), Some(key.as_str()));
+            prop_assert_eq!(obj["text"].as_arr().unwrap()[0].as_str(), Some(text.as_str()));
+            prop_assert_eq!(obj["unsigned"].as_num(), Some(unsigned as f64));
+            prop_assert_eq!(obj["signed"].as_num(), Some(signed as f64));
+            let fixed: f64 = format!("{x:.decimals$}").parse().unwrap();
+            prop_assert_eq!(obj["x"].as_num(), Some(fixed));
+            prop_assert_eq!(&obj[&key], &Value::Bool(true));
+        }
+
+        /// Arbitrary text never makes the reader panic: it returns a value
+        /// or a typed error with an in-bounds offset.
+        #[test]
+        fn reader_never_panics_on_arbitrary_text(
+            chars in prop::collection::vec(any::<u32>(), 0..64),
+        ) {
+            let text: String = chars.into_iter().map(stress_char).collect();
+            if let Err(e) = parse(&text) {
+                prop_assert!(e.at <= text.len(), "{e} in {text:?}");
+            }
+        }
     }
 }

@@ -17,7 +17,11 @@
 //! time as separate processes), and [`summary::render_summary`] renders an
 //! indented text tree nested by time containment. The matching
 //! [`chrome::validate`] checks an emitted document is schema-well-formed —
-//! CI runs it against the artifact of a real `snpgpu trace` invocation.
+//! CI runs it against the artifacts of real `snpgpu trace` and `snpgpu
+//! loadgen` invocations.
+//!
+//! [`json`] is the workspace's one JSON writer — every report and trace
+//! document goes through it — next to the reader the validator uses.
 //!
 //! The span model, metric naming scheme, and the virtual-ns → trace-track
 //! mapping are documented in `DESIGN.md` §8.

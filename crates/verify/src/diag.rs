@@ -118,57 +118,6 @@ impl Report {
         }
         out
     }
-
-    /// JSON rendering of the report (object with counts and a diagnostic
-    /// array), built by hand — the workspace carries no serde.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"errors\":{},\"warnings\":{},\"infos\":{},\"diagnostics\":[",
-            self.count(Severity::Error),
-            self.count(Severity::Warning),
-            self.count(Severity::Info),
-        ));
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"code\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\",\"commands\":[{}]",
-                d.code,
-                d.severity,
-                json_escape(&d.message),
-                d.commands
-                    .iter()
-                    .map(|c| c.to_string())
-                    .collect::<Vec<_>>()
-                    .join(","),
-            ));
-            match d.buffer {
-                Some(b) => out.push_str(&format!(",\"buffer\":{b}}}")),
-                None => out.push_str(",\"buffer\":null}"),
-            }
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Escapes a string for embedding in a JSON literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A report promoted to an error: carried when a verification gate fails,
@@ -226,18 +175,11 @@ mod tests {
     }
 
     #[test]
-    fn text_and_json_render() {
+    fn text_renders() {
         let r = sample();
         let text = r.render_text("stream");
         assert!(text.contains("1 error(s), 1 warning(s), 1 note(s)"));
         assert!(text.contains("error [V001-RAW]"));
-        let json = r.to_json();
-        assert!(json.contains("\"errors\":1"));
-        assert!(
-            json.contains("a \\\"raw\\\" hazard"),
-            "escaped quote: {json}"
-        );
-        assert!(json.contains("\"buffer\":null"));
     }
 
     #[test]
@@ -248,10 +190,5 @@ mod tests {
         assert!(s.contains("V001-RAW") && s.contains("V004-UNUSED-EVENT"));
         assert!(!s.contains("V006-OVERLAP"));
         let _: &dyn std::error::Error = &e;
-    }
-
-    #[test]
-    fn json_escape_control_chars() {
-        assert_eq!(json_escape("a\nb\"c\\d\u{1}"), "a\\nb\\\"c\\\\d\\u0001");
     }
 }

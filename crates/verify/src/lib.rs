@@ -55,6 +55,6 @@ pub mod race;
 
 pub use critpath::{lint_critpath, lint_cross_lowering};
 pub use dataflow::{lint_dataflow, Dataflow, RegPressure};
-pub use diag::{json_escape, Diagnostic, Report, Severity, VerifyError};
+pub use diag::{Diagnostic, Report, Severity, VerifyError};
 pub use lint::{lint_kernel, lint_kernel_deep, PlanFacts};
 pub use race::verify_command_log;

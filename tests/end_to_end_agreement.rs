@@ -69,6 +69,8 @@ fn mixture_strategies_and_engines_agree() {
     let cpu_direct = cpu.mixture_analysis(&refs, &mixes, false);
     let cpu_pre = cpu.mixture_analysis(&refs, &mixes, true);
     assert_eq!(cpu_direct.first_mismatch(&cpu_pre), None);
+    let want = reference_gamma(&refs, &mixes, CompareOp::AndNot);
+    assert_eq!(cpu_direct.first_mismatch(&want), None);
     for dev in devices::all_gpus() {
         for strategy in [MixtureStrategy::Direct, MixtureStrategy::PreNegate] {
             let run = GpuEngine::new(dev.clone())
@@ -81,7 +83,7 @@ fn mixture_strategies_and_engines_agree() {
                 .mixture_analysis(&refs, &mixes)
                 .unwrap();
             assert_eq!(
-                run.gamma.unwrap().first_mismatch(&cpu_direct),
+                run.gamma.unwrap().first_mismatch(&want),
                 None,
                 "{} {strategy:?}",
                 dev.name
@@ -103,7 +105,11 @@ fn cpu_and_gpu_agree_on_padded_awkward_shapes() {
     ] {
         let a = random_dense(m, bits, (m * n) as u64);
         let b = random_dense(n, bits, (m + n) as u64);
-        let want = cpu.gamma(&a, &b, CompareOp::Xor);
+        let want = reference_gamma(&a, &b, CompareOp::Xor);
+        assert_eq!(
+            cpu.gamma(&a, &b, CompareOp::Xor).first_mismatch(&want),
+            None
+        );
         let run = GpuEngine::new(dev.clone()).identity_search(&a, &b).unwrap();
         assert_eq!(
             run.gamma.unwrap().first_mismatch(&want),

@@ -1,7 +1,7 @@
 //! Domain-level pipeline tests: workload generators → engines → forensic /
 //! population-genetics conclusions, across the CPU and every simulated GPU.
 
-use snp_repro::bitmat::CompareOp;
+use snp_repro::bitmat::{reference_gamma, CompareOp};
 use snp_repro::core::GpuEngine;
 use snp_repro::cpu::CpuEngine;
 use snp_repro::gpu_model::devices;
@@ -33,12 +33,14 @@ fn identity_search_pipeline_on_all_engines() {
             assert_eq!(cpu_gamma.argmin_in_row(q), Some(*t), "CPU: query {q}");
         }
     }
+    let want = reference_gamma(&queries.queries, &db.profiles, CompareOp::Xor);
+    assert_eq!(cpu_gamma.first_mismatch(&want), None, "CPU");
     for dev in devices::all_gpus() {
         let run = GpuEngine::new(dev.clone())
             .identity_search(&queries.queries, &db.profiles)
             .unwrap();
         let gamma = run.gamma.unwrap();
-        assert_eq!(gamma.first_mismatch(&cpu_gamma), None, "{}", dev.name);
+        assert_eq!(gamma.first_mismatch(&want), None, "{}", dev.name);
     }
 }
 
@@ -87,6 +89,8 @@ fn ld_statistics_identical_from_cpu_and_gpu_gammas() {
         .gamma
         .unwrap();
     assert_eq!(cpu_gamma.first_mismatch(&gpu_gamma), None);
+    let want = reference_gamma(&panel.matrix, &panel.matrix, CompareOp::And);
+    assert_eq!(gpu_gamma.first_mismatch(&want), None);
     // Downstream statistics therefore agree exactly.
     let mut strong = 0;
     for a in 0..95 {

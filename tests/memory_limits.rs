@@ -2,7 +2,7 @@
 //! virtual (timing-only) vs full execution equivalence, and double-buffering
 //! timing properties.
 
-use snp_repro::bitmat::BitMatrix;
+use snp_repro::bitmat::{reference_gamma, BitMatrix, CompareOp};
 use snp_repro::core::{
     plan_passes, Algorithm, EngineOptions, ExecMode, GpuEngine, MixtureStrategy,
 };
@@ -74,7 +74,9 @@ fn chunked_execution_still_bit_exact() {
     let b = random_dense(700, 800, 2);
     let run = GpuEngine::new(dev).identity_search(&a, &b).unwrap();
     assert!(run.passes > 1);
-    let want = snp_repro::cpu::CpuEngine::new().identity_search(&a, &b);
+    let want = reference_gamma(&a, &b, CompareOp::Xor);
+    let cpu = snp_repro::cpu::CpuEngine::new().identity_search(&a, &b);
+    assert_eq!(cpu.first_mismatch(&want), None);
     assert_eq!(run.gamma.unwrap().first_mismatch(&want), None);
 }
 
