@@ -79,7 +79,7 @@ COMMANDS:
                                a query-attributed Chrome timeline, and a
                                flight-recorder post-mortem; --admission turns
                                on per-tenant quotas, deadline-aware (EDF +
-                               weighted-fair) scheduling, typed load shedding
+                               fair-queueing) scheduling, typed load shedding
                                (exit 7 past the shed budget), and brownout
                                degradation; --mode sweep steps offered load
                                and reports the latency-vs-throughput knee;
@@ -1059,7 +1059,7 @@ fn cmd_chaos(args: &Args) -> Result<CmdReport, CliError> {
                                 "degraded",
                                 format!("{detail} resume@{}", rec.resumed_from_chunk.unwrap_or(0)),
                             )
-                        } else if rec.retries + rec.corruption_detected + rec.stalls_absorbed > 0 {
+                        } else if rec.recovered() {
                             ("recovered", detail)
                         } else {
                             ("clean", detail)

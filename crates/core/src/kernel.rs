@@ -481,7 +481,7 @@ impl KernelPlan {
 
     /// The host-API cost descriptor for this plan.
     pub fn cost(&self) -> KernelCost {
-        KernelCost::Analytic {
+        KernelCost {
             core_cycles: self.core_cycles,
             active_cores: self.active_cores,
             traffic: self.traffic,

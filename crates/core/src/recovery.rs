@@ -138,6 +138,13 @@ impl RecoverySummary {
         self.device_lost && self.cpu_fallback_chunks > 0
     }
 
+    /// Whether recovery acted: a retry, a re-read corruption or an absorbed
+    /// stall. A run that is not degraded reports as *recovered* if so and
+    /// as *clean* otherwise (loadgen outcomes, chaos cells).
+    pub fn recovered(&self) -> bool {
+        self.retries + self.corruption_detected + self.stalls_absorbed > 0
+    }
+
     /// One-line human rendering for CLI reports.
     pub fn render_line(&self) -> String {
         format!(

@@ -87,7 +87,7 @@ pub(crate) fn reduction_cost(
     let lanes = dev.n_fn(InstrClass::IntAdd).unwrap_or(16) as f64 * dev.n_clusters as f64;
     // Two ALU ops (compare + conditional move) per element across all cores.
     let core_cycles = 2.0 * elements / (lanes * dev.n_cores as f64);
-    KernelCost::Analytic {
+    KernelCost {
         core_cycles,
         active_cores: dev.n_cores,
         traffic: Traffic {

@@ -8,8 +8,7 @@ use snp_bitmat::BitMatrix;
 use snp_core::{group_geometry, tile_program, EngineOptions, ExecMode, GpuEngine, MixtureStrategy};
 use snp_gpu_model::config::{Algorithm, ProblemShape};
 use snp_gpu_model::{devices, InstrClass};
-use snp_gpu_sim::host::{Gpu, KernelCost};
-use snp_gpu_sim::{program_counters, simulate_core, Block, Instr, Program, Traffic};
+use snp_gpu_sim::{program_counters, simulate_core, Block, Instr, Program};
 
 fn gpu_by_index(i: usize) -> snp_gpu_model::DeviceSpec {
     let all = devices::all_gpus();
@@ -187,33 +186,12 @@ fn pinned_counters_for_hand_computed_kernel() {
                                              // Pipelines on the GTX 980 are [add, logic, popc, lsu].
     assert_eq!(c.issue_cycles_per_pipeline, vec![10, 0, 40, 84]);
 
-    // The same program through the host API: the event's profile carries
-    // the detailed engine's measured counters.
-    let gpu = Gpu::new(dev.clone());
-    let q = gpu.create_queue();
-    let out = gpu.create_virtual_buffer(1024).unwrap();
-    let cost = KernelCost::Detailed {
-        program: prog,
-        groups_per_core: 1,
-        active_cores: 16,
-        traffic: Traffic {
-            read_bytes: 1 << 20,
-            write_bytes: 4096,
-        },
-    };
-    let ev = gpu
-        .enqueue_kernel_timed_on(q, &cost, &[], out, &[])
-        .unwrap();
-    gpu.finish_all();
-    let p = gpu.kernel_profile(ev).expect("kernel event has a profile");
-    assert_eq!(p.total_instrs, Some(31));
-    assert_eq!(p.groups_per_core, Some(1));
-    assert_eq!(p.active_cores, 16);
+    // The same program on the detailed engine: its measured counters.
+    let det = simulate_core(&dev, &prog, 1, 500_000_000).unwrap();
+    assert_eq!(det.total_instrs, 31);
     // One resident group occupies one cluster; measured busy equals the
     // static issue counters exactly.
-    assert_eq!(p.pipeline_busy, Some(vec![10, 0, 40, 84]));
-    assert_eq!(p.traffic.total(), (1 << 20) + 4096);
+    assert_eq!(det.pipeline_busy, vec![10, 0, 40, 84]);
     // Wall cycles cover at least the busiest pipeline.
-    assert!(p.core_cycles >= 84.0);
-    assert!(p.time.total_ns >= p.time.memory_ns);
+    assert!(det.cycles >= 84);
 }

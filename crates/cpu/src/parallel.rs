@@ -313,35 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn runs_feed_the_metrics_registry() {
-        let a = matrix(3 * MR, 300, 10);
-        let b = matrix(4 * NR, 300, 11);
-        let reg = snp_trace::registry();
-        let runs0 = reg.counter(PARALLEL_RUNS_METRIC).get();
-        let tasks0 = reg.counter(PARALLEL_TASKS_METRIC).get();
-        let packs0 = reg.counter(PARALLEL_A_PACKS_METRIC).get();
-        let mut c = CountMatrix::zeros(a.rows(), b.rows());
-        let stats = gamma_parallel_into_traced(
-            &a,
-            &b,
-            CompareOp::Xor,
-            &blocking_small(),
-            &mut c,
-            ParallelSchedule::Auto,
-            &Tracer::disabled(),
-        );
-        assert_eq!(reg.counter(PARALLEL_RUNS_METRIC).get(), runs0 + 1);
-        assert_eq!(
-            reg.counter(PARALLEL_TASKS_METRIC).get(),
-            tasks0 + stats.tasks as u64
-        );
-        assert_eq!(
-            reg.counter(PARALLEL_A_PACKS_METRIC).get(),
-            packs0 + stats.a_packs as u64
-        );
-    }
-
-    #[test]
     fn traced_run_records_wall_clock_task_spans() {
         let a = matrix(32, 320, 12);
         let b = matrix(10 * NR, 320, 13);

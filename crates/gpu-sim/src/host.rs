@@ -23,10 +23,8 @@ use snp_faults::{checksum_words, DeviceFault, FaultOp, FaultPlan, FaultStats, In
 use snp_gpu_model::DeviceSpec;
 use snp_trace::{TimeDomain, Tracer, TrackId};
 
-use crate::detailed::simulate_core;
-use crate::isa::Program;
-use crate::macro_engine::{kernel_time, KernelTime, Traffic};
-use crate::profile::{KernelProfile, ProfileEngine};
+use crate::macro_engine::{kernel_time, Traffic};
+use crate::profile::KernelProfile;
 
 /// Handle to a device buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,31 +85,17 @@ impl EventProfile {
     }
 }
 
-/// How a kernel's duration is modeled.
-#[derive(Debug, Clone)]
-pub enum KernelCost {
-    /// Cycles per core were computed statically (typically the tile
-    /// program's critical path, [`crate::critical_path`]).
-    Analytic {
-        /// Cycles one core spends (all active cores do equal work).
-        core_cycles: f64,
-        /// Concurrently active compute cores.
-        active_cores: u32,
-        /// Global-memory traffic for the bandwidth bound.
-        traffic: Traffic,
-    },
-    /// Run the detailed engine on the per-core program (small launches and
-    /// microbenchmarks).
-    Detailed {
-        /// The per-core thread-group program.
-        program: Program,
-        /// Resident thread groups per core.
-        groups_per_core: u32,
-        /// Concurrently active compute cores.
-        active_cores: u32,
-        /// Global-memory traffic for the bandwidth bound.
-        traffic: Traffic,
-    },
+/// How a kernel's duration is modeled: cycles per core computed
+/// statically (typically the tile program's critical path,
+/// [`crate::critical_path`]), priced by the analytic [`kernel_time`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct KernelCost {
+    /// Cycles one core spends (all active cores do equal work).
+    pub core_cycles: f64,
+    /// Concurrently active compute cores.
+    pub active_cores: u32,
+    /// Global-memory traffic for the bandwidth bound.
+    pub traffic: Traffic,
 }
 
 /// Errors surfaced by the host API.
@@ -284,7 +268,6 @@ struct State {
     kernel_profiles: Vec<(usize, KernelProfile)>,
     link_free_ns: u64,
     compute_free_ns: u64,
-    detailed_cycle_budget: u64,
     faults: Option<FaultPlan>,
     cost_scale: CostScale,
 }
@@ -368,10 +351,10 @@ impl State {
 /// What a command asks of the device: a transfer of `bytes` on the link, or
 /// a kernel priced by its cost on the compute engine.
 #[derive(Clone, Copy)]
-enum Work<'a> {
+enum Work {
     Write { bytes: u64 },
     Read { bytes: u64, corruptible: bool },
-    Kernel(&'a KernelCost),
+    Kernel(KernelCost),
 }
 
 /// A command [`Gpu::schedule`] accepted: its event, when it ends, and what
@@ -506,7 +489,6 @@ impl Gpu {
                 kernel_profiles: Vec::new(),
                 link_free_ns: init,
                 compute_free_ns: init,
-                detailed_cycle_budget: 500_000_000,
                 faults: None,
                 cost_scale: CostScale::default(),
             }),
@@ -705,65 +687,14 @@ impl Gpu {
         Ok(self.state.borrow().slot(id, false)?.len_words)
     }
 
-    /// Prices `cost` on this device and captures the launch's
-    /// hardware-counter profile.
-    fn kernel_cost_time(
-        &self,
-        st: &State,
-        cost: &KernelCost,
-    ) -> Result<(KernelTime, KernelProfile), SimError> {
-        match cost {
-            KernelCost::Analytic {
-                core_cycles,
-                active_cores,
-                traffic,
-            } => {
-                let kt = kernel_time(&self.spec, *core_cycles, *active_cores, *traffic);
-                let profile = KernelProfile {
-                    engine: ProfileEngine::Analytic,
-                    core_cycles: *core_cycles,
-                    active_cores: *active_cores,
-                    groups_per_core: None,
-                    traffic: *traffic,
-                    time: kt,
-                    total_instrs: None,
-                    pipeline_busy: None,
-                };
-                Ok((kt, profile))
-            }
-            KernelCost::Detailed {
-                program,
-                groups_per_core,
-                active_cores,
-                traffic,
-            } => {
-                let budget = st.detailed_cycle_budget;
-                let r = simulate_core(&self.spec, program, *groups_per_core, budget)
-                    .map_err(|_| SimError::DetailedBudget)?;
-                let kt = kernel_time(&self.spec, r.cycles as f64, *active_cores, *traffic);
-                let profile = KernelProfile {
-                    engine: ProfileEngine::Detailed,
-                    core_cycles: r.cycles as f64,
-                    active_cores: *active_cores,
-                    groups_per_core: Some(*groups_per_core),
-                    traffic: *traffic,
-                    time: kt,
-                    total_instrs: Some(r.total_instrs),
-                    pipeline_busy: Some(r.pipeline_busy),
-                };
-                Ok((kt, profile))
-            }
-        }
-    }
-
     /// The one scheduling path of every `enqueue_*` entry point.
     ///
     /// It first validates the command: the queue handle, then (through
     /// `check`, which returns the buffer ranges the command reads and
-    /// writes) every buffer handle and range, then the wait-list's events
-    /// and, for a kernel, its cost. Only a valid command consults the fault
-    /// plan, occupies the link (transfers) or the compute engine (kernels)
-    /// from `max(host clock, queue tail, engine free, dependencies)`, and is
+    /// writes) every buffer handle and range, then the wait-list's events.
+    /// Only a valid command consults the fault plan, occupies the link
+    /// (transfers) or the compute engine (kernels) priced by its cost from
+    /// `max(host clock, queue tail, engine free, dependencies)`, and is
     /// logged and traced — a rejected command leaves no trace on the
     /// timeline, the command log or the fault plan. The caller applies the
     /// command's functional effect afterwards.
@@ -772,7 +703,7 @@ impl Gpu {
         st: &mut State,
         queue: QueueId,
         name: &'static str,
-        work: Work<'_>,
+        work: Work,
         deps: &[EventId],
         check: impl FnOnce(&State) -> Result<(Vec<BufferRange>, Vec<BufferRange>), SimError>,
     ) -> Result<Scheduled, SimError> {
@@ -794,9 +725,20 @@ impl Gpu {
         };
         let (duration, kernel_profile) = match work {
             Work::Kernel(cost) => {
-                let (kt, profile) = self.kernel_cost_time(st, cost)?;
+                let KernelCost {
+                    core_cycles,
+                    active_cores,
+                    traffic,
+                } = cost;
+                let time = kernel_time(&self.spec, core_cycles, active_cores, traffic);
+                let profile = KernelProfile {
+                    core_cycles,
+                    active_cores,
+                    traffic,
+                    time,
+                };
                 (
-                    st.cost_scale.kernel_ns(kt.total_ns.ceil() as u64),
+                    st.cost_scale.kernel_ns(time.total_ns.ceil() as u64),
                     Some(profile),
                 )
             }
@@ -970,7 +912,7 @@ impl Gpu {
         F: FnOnce(&[&[u32]], &mut [u32]),
     {
         let mut st = self.state.borrow_mut();
-        let done = self.schedule(&mut st, queue, "kernel", Work::Kernel(cost), deps, |st| {
+        let done = self.schedule(&mut st, queue, "kernel", Work::Kernel(*cost), deps, |st| {
             st.kernel_ranges(reads, write, true)
         })?;
         // Move the write buffer out so the read borrows and the mutable
@@ -1041,7 +983,7 @@ impl Gpu {
         deps: &[EventId],
     ) -> Result<EventId, SimError> {
         let mut st = self.state.borrow_mut();
-        let done = self.schedule(&mut st, queue, "kernel", Work::Kernel(cost), deps, |st| {
+        let done = self.schedule(&mut st, queue, "kernel", Work::Kernel(*cost), deps, |st| {
             st.kernel_ranges(reads, write, false)
         })?;
         Ok(done.event)
@@ -1205,7 +1147,7 @@ mod tests {
         let _ = g
             .enqueue_write(q, a, 0, &[1, 2, 3, 4, 5, 6, 7, 8], &[])
             .unwrap();
-        let cost = KernelCost::Analytic {
+        let cost = KernelCost {
             core_cycles: 1000.0,
             active_cores: 4,
             traffic: Traffic::default(),
@@ -1236,7 +1178,7 @@ mod tests {
         let g = small_gpu();
         let q = g.create_queue();
         let a = g.create_buffer(4).unwrap();
-        let cost = KernelCost::Analytic {
+        let cost = KernelCost {
             core_cycles: 1.0,
             active_cores: 1,
             traffic: Traffic::default(),
@@ -1259,7 +1201,7 @@ mod tests {
         let c = g.create_buffer(4).unwrap();
         let big = vec![0u32; 1 << 20];
         let e_w1 = g.enqueue_write(qt, a, 0, &big, &[]).unwrap();
-        let cost = KernelCost::Analytic {
+        let cost = KernelCost {
             core_cycles: 10_000_000.0,
             active_cores: 16,
             traffic: Traffic::default(),
@@ -1283,7 +1225,7 @@ mod tests {
         let q2 = g.create_queue();
         let c1 = g.create_buffer(4).unwrap();
         let c2 = g.create_buffer(4).unwrap();
-        let cost = KernelCost::Analytic {
+        let cost = KernelCost {
             core_cycles: 1_000_000.0,
             active_cores: 16,
             traffic: Traffic::default(),
@@ -1311,28 +1253,6 @@ mod tests {
         assert!(before < end, "enqueue must not block the host");
         g.finish(q).unwrap();
         assert_eq!(g.now_ns(), end);
-    }
-
-    #[test]
-    fn detailed_cost_kernels_run_the_engine() {
-        let g = small_gpu();
-        let q = g.create_queue();
-        let c = g.create_buffer(4).unwrap();
-        let program = Program::dependent_chain(snp_gpu_model::InstrClass::Popc, 8, 50);
-        let cost = KernelCost::Detailed {
-            program,
-            groups_per_core: 1,
-            active_cores: 1,
-            traffic: Traffic::default(),
-        };
-        let ev = g.enqueue_kernel(q, &cost, &[], c, &[], |_, _| {}).unwrap();
-        let p = g.event_profile(ev).unwrap();
-        // Chain of 400 popc at ~6 cycles each at 1.367 GHz ≈ 1.76 us + launch.
-        let dur = p.duration_ns() as f64;
-        assert!(
-            dur > 1_500.0 + 8_000.0 && dur < 3_000.0 + 8_500.0,
-            "got {dur}"
-        );
     }
 
     #[test]
@@ -1390,7 +1310,7 @@ mod tests {
         let a = g.create_buffer(8).unwrap();
         let c = g.create_buffer(8).unwrap();
         let ev_w = g.enqueue_write(q, a, 2, &[1, 2, 3], &[]).unwrap();
-        let cost = KernelCost::Analytic {
+        let cost = KernelCost {
             core_cycles: 100.0,
             active_cores: 1,
             traffic: Traffic::default(),
@@ -1467,7 +1387,7 @@ mod tests {
             g.enqueue_virtual_read(q, BufferId(99), 0, 1, &[]),
             Err(SimError::InvalidHandle(_))
         ));
-        let cost = KernelCost::Analytic {
+        let cost = KernelCost {
             core_cycles: 1.0,
             active_cores: 1,
             traffic: Traffic::default(),
@@ -1485,7 +1405,7 @@ mod tests {
         use snp_faults::{FaultKind, FaultPlan, FaultProfile};
         const WORDS: usize = 1 << 20; // 4 MiB
         fn cost() -> KernelCost {
-            KernelCost::Analytic {
+            KernelCost {
                 core_cycles: 1e6,
                 active_cores: 80,
                 traffic: Traffic::default(),
@@ -1700,7 +1620,7 @@ mod tests {
             let q = g.create_queue();
             let b = g.create_buffer(1024).unwrap();
             let w = g.enqueue_write(q, b, 0, &[0u32; 1024], &[]).unwrap();
-            let cost = KernelCost::Analytic {
+            let cost = KernelCost {
                 core_cycles: 1_000_000.0,
                 active_cores: 4,
                 traffic: Traffic::default(),

@@ -31,7 +31,7 @@
 //! let gpu = Gpu::new(devices::titan_v());
 //! let q = gpu.create_queue();
 //! let buf = gpu.create_buffer(4).unwrap();
-//! let cost = KernelCost::Analytic { core_cycles: 1e6, active_cores: 80, traffic: Traffic::default() };
+//! let cost = KernelCost { core_cycles: 1e6, active_cores: 80, traffic: Traffic::default() };
 //! let ev = gpu.enqueue_kernel(q, &cost, &[], buf, &[], |_, out| out[0] = 42).unwrap();
 //! gpu.finish_all();
 //! let mut out = [0u32; 1];
@@ -61,7 +61,7 @@ pub use macro_engine::{
     supports_program, timing_cache_stats, BlockPath, CritPath, KernelTime, TimingCacheStats,
     Traffic,
 };
-pub use profile::{program_counters, KernelProfile, ProfileEngine, ProgramCounters};
+pub use profile::{program_counters, KernelProfile, ProgramCounters};
 pub use snp_faults::{
     checksum_words, DeviceFault, FaultKind, FaultOp, FaultPlan, FaultProfile, FaultStats, Injection,
 };

@@ -4,60 +4,37 @@
 //! expose what the hardware already counts: instructions issued per class,
 //! cycles each functional-unit pipeline was busy, shared-memory replays,
 //! bytes moved, resident occupancy. The simulator computes every one of
-//! these quantities on the way to a kernel's nanosecond total — this module
-//! keeps them, as a [`KernelProfile`] attached to each kernel event by the
-//! host API ([`crate::host::Gpu::kernel_profile`]).
-//!
-//! The static model prices a launch from program structure, so its
+//! these quantities on the way to a kernel's nanosecond total, and this
+//! module keeps them. The host prices every launch analytically, from
+//! cycles the static model derived from program structure, and attaches a
+//! [`KernelProfile`] (cycles, cores, bytes, priced time) to each kernel
+//! event ([`crate::host::Gpu::kernel_profile`]). A launch's per-program
 //! counters ([`ProgramCounters`]) are exact static sums; the detailed
 //! engine's counters come from the cycle-stepped run itself
-//! (`DetailedResult::pipeline_busy`). Roofline classification and
-//! model-drift reconciliation are *derived* views built on top of these
-//! records by `snp-core::profile`.
+//! (`DetailedResult::pipeline_busy`), which callers run directly. Roofline
+//! classification and model-drift reconciliation are *derived* views built
+//! on top of these records by `snp-core::profile`.
 
 use snp_gpu_model::{DeviceSpec, InstrClass};
 
 use crate::isa::Program;
 use crate::macro_engine::{pipeline_issue_cycles, KernelTime, Traffic};
 
-/// Which engine timed the launch this profile describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProfileEngine {
-    /// The static model ([`crate::macro_engine`]), or cycles the caller
-    /// priced itself.
-    Analytic,
-    /// The cycle-stepped detailed engine ([`crate::detailed`]).
-    Detailed,
-}
-
-/// Hardware-counter record of one kernel launch, attached to its event.
-///
-/// Fields that only the detailed engine can measure (dynamic instruction
-/// totals, per-pipeline busy cycles) are `None` for analytically-timed
-/// launches; callers holding the launch's [`Program`] can recover the
-/// static equivalents with [`program_counters`].
+/// Hardware-counter record of one kernel launch, attached to its event:
+/// what the launch was charged for and its priced time. Callers holding
+/// the launch's [`Program`] can recover its instruction and pipeline
+/// counters with [`program_counters`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelProfile {
-    /// Which engine produced the timing.
-    pub engine: ProfileEngine,
     /// Cycles one core spent (all active cores do equal work).
     pub core_cycles: f64,
     /// Concurrently active compute cores.
     pub active_cores: u32,
-    /// Resident thread groups per core (`None` for analytic launches,
-    /// whose cost carries no group count).
-    pub groups_per_core: Option<u32>,
     /// Global-memory traffic the launch was charged for.
     pub traffic: Traffic,
     /// The launch's wall-time breakdown (compute vs bandwidth bound,
     /// launch overhead, applied scaling efficiency).
     pub time: KernelTime,
-    /// Dynamic instructions executed across all groups of one core
-    /// (detailed engine only).
-    pub total_instrs: Option<u64>,
-    /// Busy cycles per pipeline index, summed over one core's clusters
-    /// (detailed engine only).
-    pub pipeline_busy: Option<Vec<u64>>,
 }
 
 impl KernelProfile {

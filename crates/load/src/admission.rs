@@ -8,8 +8,9 @@
 //! refused) — or *shed* with a [`ShedReason`] that names exactly which
 //! gate refused it. The three gates, in evaluation order:
 //!
-//! 1. **Quota** — a per-tenant token bucket refilled in virtual time. A
-//!    tenant above its sustained rate + burst allowance sheds
+//! 1. **Quota** — a per-tenant token bucket refilled in virtual time at
+//!    [`TENANT_RATE_QPS`] up to [`TENANT_BURST`]. A tenant above its
+//!    sustained rate + burst allowance sheds
 //!    [`ShedReason::QuotaExceeded`] without consuming server capacity,
 //!    which is what keeps one tenant's overload from starving the others.
 //! 2. **Queue depth** — a hard cap on total queued queries
@@ -31,6 +32,9 @@
 //! The [`BrownoutController`] is a three-tier hysteretic state machine
 //! (full scan → streaming top-k with reduced k → CPU-fallback) driven by
 //! queue depth and error-budget burn; see its docs for the exact rules.
+//!
+//! A run sets only the four [`AdmissionConfig`] knobs; the quotas, the
+//! brownout thresholds and the shed-storm run are the constants below.
 
 use snp_core::CostScale;
 use snp_gpu_model::DeviceSpec;
@@ -62,9 +66,10 @@ impl ShedReason {
 }
 
 /// Brownout service tiers, ordered from richest to cheapest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Tier {
     /// The template's native path (full-γ readback for FastID full scans).
+    #[default]
     Full,
     /// FastID readbacks routed through streaming top-k with reduced `k`.
     ReducedTopK,
@@ -152,47 +157,28 @@ impl TokenBucket {
     }
 }
 
-/// One tenant's quota and scheduling weight.
-#[derive(Debug, Clone)]
-pub struct TenantQuota {
-    /// Tenant label (matches `LoadConfig::tenants`).
-    pub name: &'static str,
-    /// Weighted-fair-queueing weight (service share relative to the sum).
-    pub weight: f64,
-    /// Sustained admission rate (queries per virtual second).
-    pub rate_qps: f64,
-    /// Burst allowance (token-bucket capacity, in queries).
-    pub burst: f64,
-}
+/// Sustained admission rate of every tenant's token bucket (queries per
+/// virtual second).
+pub const TENANT_RATE_QPS: f64 = 2_000.0;
+/// Burst allowance of every tenant's token bucket (its capacity, in
+/// queries).
+pub const TENANT_BURST: f64 = 8.0;
 
-/// Brownout hysteresis thresholds.
-#[derive(Debug, Clone)]
-pub struct BrownoutConfig {
-    /// Queue depth at or above which pressure is counted.
-    pub high_water: usize,
-    /// Queue depth at or below which calm is counted.
-    pub low_water: usize,
-    /// Error budget the burn signal is computed against
-    /// (`failed / (budget × completed)`).
-    pub error_budget: f64,
-    /// Burn at or above which pressure is counted even with a short queue.
-    pub burn_high: f64,
-    /// Consecutive observations on the same side required before a tier
-    /// step — the hysteresis dwell that stops tier flapping.
-    pub dwell: usize,
-}
-
-impl Default for BrownoutConfig {
-    fn default() -> Self {
-        BrownoutConfig {
-            high_water: 8,
-            low_water: 2,
-            error_budget: 0.02,
-            burn_high: 1.0,
-            dwell: 3,
-        }
-    }
-}
+/// Queue depth at or above which the brownout controller counts pressure.
+pub const BROWNOUT_HIGH_WATER: usize = 8;
+/// Queue depth at or below which the brownout controller counts calm.
+pub const BROWNOUT_LOW_WATER: usize = 2;
+/// Error budget the burn signal is computed against
+/// (`failed / (budget × completed)`).
+pub const BROWNOUT_ERROR_BUDGET: f64 = 0.02;
+/// Burn at or above which pressure is counted even with a short queue.
+pub const BROWNOUT_BURN_HIGH: f64 = 1.0;
+/// Consecutive observations on the same side required before a tier step —
+/// the hysteresis dwell that stops tier flapping.
+pub const BROWNOUT_DWELL: usize = 3;
+/// Consecutive sheds that count as a shed storm and dump the flight
+/// recorder.
+pub const STORM_RUN: usize = 8;
 
 /// One recorded tier change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,17 +191,17 @@ pub struct TierTransition {
 
 /// The hysteretic brownout state machine.
 ///
-/// Per observation (one per dispatch): queue depth ≥ `high_water` *or*
-/// burn ≥ `burn_high` counts pressure; depth ≤ `low_water` *and* burn below
-/// the threshold counts calm; anything in between resets both streaks.
-/// `dwell` consecutive pressure observations step one tier **down**
-/// (full → reduced top-k → CPU-only); `dwell` consecutive calm
+/// Per observation (one per completion): queue depth ≥
+/// [`BROWNOUT_HIGH_WATER`] *or* burn ≥ [`BROWNOUT_BURN_HIGH`] counts
+/// pressure; depth ≤ [`BROWNOUT_LOW_WATER`] *and* burn below the threshold
+/// counts calm; anything in between resets both streaks.
+/// [`BROWNOUT_DWELL`] consecutive pressure observations step one tier
+/// **down** (full → reduced top-k → CPU-only); as many consecutive calm
 /// observations step one tier **up**. Stepping resets both streaks, so a
 /// recovery to [`Tier::Full`] from [`Tier::CpuOnly`] takes at least
-/// `2 × dwell` calm observations — load must really have drained.
-#[derive(Debug, Clone)]
+/// `2 × BROWNOUT_DWELL` calm observations — load must really have drained.
+#[derive(Debug, Clone, Default)]
 pub struct BrownoutController {
-    cfg: BrownoutConfig,
     tier: Tier,
     pressure: usize,
     calm: usize,
@@ -224,14 +210,8 @@ pub struct BrownoutController {
 
 impl BrownoutController {
     /// Starts at [`Tier::Full`].
-    pub fn new(cfg: BrownoutConfig) -> BrownoutController {
-        BrownoutController {
-            cfg,
-            tier: Tier::Full,
-            pressure: 0,
-            calm: 0,
-            transitions: Vec::new(),
-        }
+    pub fn new() -> BrownoutController {
+        BrownoutController::default()
     }
 
     /// The tier currently in force.
@@ -250,17 +230,13 @@ impl BrownoutController {
         if completed == 0 || failed == 0 {
             return 0.0;
         }
-        let allowed = self.cfg.error_budget * completed as f64;
-        if allowed <= 0.0 {
-            return f64::INFINITY;
-        }
-        failed as f64 / allowed
+        failed as f64 / (BROWNOUT_ERROR_BUDGET * completed as f64)
     }
 
     /// Feeds one observation; returns the (possibly new) tier in force.
     pub fn observe(&mut self, now_ns: u64, queue_depth: usize, burn: f64) -> Tier {
-        let pressured = queue_depth >= self.cfg.high_water || burn >= self.cfg.burn_high;
-        let calm = queue_depth <= self.cfg.low_water && burn < self.cfg.burn_high;
+        let pressured = queue_depth >= BROWNOUT_HIGH_WATER || burn >= BROWNOUT_BURN_HIGH;
+        let calm = queue_depth <= BROWNOUT_LOW_WATER && burn < BROWNOUT_BURN_HIGH;
         if pressured {
             self.pressure += 1;
             self.calm = 0;
@@ -271,7 +247,7 @@ impl BrownoutController {
             self.pressure = 0;
             self.calm = 0;
         }
-        if self.pressure >= self.cfg.dwell && self.tier != Tier::CpuOnly {
+        if self.pressure >= BROWNOUT_DWELL && self.tier != Tier::CpuOnly {
             self.tier = self.tier.down();
             self.pressure = 0;
             self.calm = 0;
@@ -279,7 +255,7 @@ impl BrownoutController {
                 at_ns: now_ns,
                 to: self.tier,
             });
-        } else if self.calm >= self.cfg.dwell && self.tier != Tier::Full {
+        } else if self.calm >= BROWNOUT_DWELL && self.tier != Tier::Full {
             self.tier = self.tier.up();
             self.pressure = 0;
             self.calm = 0;
@@ -292,35 +268,23 @@ impl BrownoutController {
     }
 }
 
-/// Everything that parameterizes the admission layer. `enabled: false`
-/// (the default in `LoadConfig::new`) reproduces the PR 7 FIFO server
+/// The admission settings a run can change; the quotas, brownout
+/// thresholds and storm run are the constants above. `enabled: false` (the
+/// default in `LoadConfig::new`) reproduces the PR 7 FIFO server
 /// byte-for-byte: no quotas, no deadlines, no shedding, no brownout.
 #[derive(Debug, Clone)]
 pub struct AdmissionConfig {
     /// Master switch (`snpgpu loadgen --admission`).
     pub enabled: bool,
-    /// Per-tenant quotas and weights. Tenants in the stream without an
-    /// entry get [`AdmissionConfig::DEFAULT_TENANT_RATE`] at weight 1.
-    pub quotas: Vec<TenantQuota>,
     /// Deadline = arrival + `deadline_slack` × (the template's SLO p99).
     pub deadline_slack: f64,
     /// Shed fraction above which the run exits `SHED_BUDGET_EXCEEDED` (7).
     pub shed_budget: f64,
     /// Hard cap on queued (admitted, not yet dispatched) queries.
     pub queue_cap: usize,
-    /// Brownout thresholds.
-    pub brownout: BrownoutConfig,
-    /// Consecutive sheds that count as a shed storm and dump the flight
-    /// recorder.
-    pub storm_run: usize,
 }
 
 impl AdmissionConfig {
-    /// Sustained per-tenant admission rate when no quota names the tenant.
-    pub const DEFAULT_TENANT_RATE: f64 = 2_000.0;
-    /// Burst allowance when no quota names the tenant.
-    pub const DEFAULT_TENANT_BURST: f64 = 8.0;
-
     /// Admission off: the legacy FIFO server semantics.
     pub fn disabled() -> AdmissionConfig {
         AdmissionConfig {
@@ -333,27 +297,10 @@ impl AdmissionConfig {
     pub fn standard() -> AdmissionConfig {
         AdmissionConfig {
             enabled: true,
-            quotas: Vec::new(),
             deadline_slack: 4.0,
             shed_budget: 0.5,
             queue_cap: 64,
-            brownout: BrownoutConfig::default(),
-            storm_run: 8,
         }
-    }
-
-    /// The quota for `tenant`, falling back to the defaults.
-    pub fn quota_for(&self, tenant: &str) -> TenantQuota {
-        self.quotas
-            .iter()
-            .find(|q| q.name == tenant)
-            .cloned()
-            .unwrap_or(TenantQuota {
-                name: "",
-                weight: 1.0,
-                rate_qps: Self::DEFAULT_TENANT_RATE,
-                burst: Self::DEFAULT_TENANT_BURST,
-            })
     }
 }
 
@@ -389,7 +336,6 @@ impl CostModel {
         use snp_core::{EngineOptions, ExecMode, GpuEngine, MixtureStrategy};
         let engine = GpuEngine::new(device.clone()).with_options(EngineOptions {
             mode: ExecMode::Full,
-            double_buffer: true,
             mixture: MixtureStrategy::Direct,
             cost_scale,
             ..Default::default()
@@ -444,43 +390,44 @@ mod tests {
         assert!((b.available(10_000_000_000) - 4.0).abs() < 1e-9);
     }
 
+    /// Feeds `n` observations at queue depth `depth` (no burn).
+    fn feed(bc: &mut BrownoutController, depth: usize, n: usize) -> Tier {
+        for _ in 0..n {
+            bc.observe(0, depth, 0.0);
+        }
+        bc.tier()
+    }
+
     #[test]
     fn brownout_steps_down_and_recovers_with_hysteresis() {
-        let cfg = BrownoutConfig {
-            dwell: 2,
-            ..BrownoutConfig::default()
-        };
-        let mut bc = BrownoutController::new(cfg);
+        let mut bc = BrownoutController::new();
         assert_eq!(
-            bc.observe(0, 20, 0.0),
+            feed(&mut bc, 20, BROWNOUT_DWELL - 1),
             Tier::Full,
-            "one observation is not enough"
+            "fewer observations than the dwell are not enough"
         );
-        assert_eq!(bc.observe(1, 20, 0.0), Tier::ReducedTopK);
-        assert_eq!(bc.observe(2, 20, 0.0), Tier::ReducedTopK);
-        assert_eq!(bc.observe(3, 20, 0.0), Tier::CpuOnly);
+        assert_eq!(feed(&mut bc, 20, 1), Tier::ReducedTopK);
+        assert_eq!(feed(&mut bc, 20, BROWNOUT_DWELL), Tier::CpuOnly);
         // Saturates at the bottom.
-        bc.observe(4, 20, 0.0);
-        bc.observe(5, 20, 0.0);
-        assert_eq!(bc.tier(), Tier::CpuOnly);
-        // Mid-band observations reset streaks and hold the tier.
-        assert_eq!(bc.observe(6, 5, 0.0), Tier::CpuOnly);
+        assert_eq!(feed(&mut bc, 20, 2 * BROWNOUT_DWELL), Tier::CpuOnly);
+        // A mid-band observation resets the calm streak and holds the tier.
+        feed(&mut bc, 0, BROWNOUT_DWELL - 1);
+        assert_eq!(feed(&mut bc, 5, 1), Tier::CpuOnly);
         // Calm observations recover one tier per dwell.
-        assert_eq!(bc.observe(7, 0, 0.0), Tier::CpuOnly);
-        assert_eq!(bc.observe(8, 0, 0.0), Tier::ReducedTopK);
-        assert_eq!(bc.observe(9, 0, 0.0), Tier::ReducedTopK);
-        assert_eq!(bc.observe(10, 0, 0.0), Tier::Full);
+        assert_eq!(feed(&mut bc, 0, BROWNOUT_DWELL - 1), Tier::CpuOnly);
+        assert_eq!(feed(&mut bc, 0, 1), Tier::ReducedTopK);
+        assert_eq!(feed(&mut bc, 0, BROWNOUT_DWELL), Tier::Full);
         assert_eq!(bc.transitions().len(), 4);
     }
 
     #[test]
     fn brownout_burn_alone_trips_pressure() {
-        let mut bc = BrownoutController::new(BrownoutConfig {
-            dwell: 1,
-            ..BrownoutConfig::default()
-        });
+        let mut bc = BrownoutController::new();
         let burn = bc.burn(3, 10); // 3/(0.02×10) = 15
-        assert!(burn > 1.0);
+        assert!(burn > BROWNOUT_BURN_HIGH);
+        for _ in 1..BROWNOUT_DWELL {
+            assert_eq!(bc.observe(0, 0, burn), Tier::Full);
+        }
         assert_eq!(bc.observe(0, 0, burn), Tier::ReducedTopK);
         assert_eq!(bc.burn(0, 10), 0.0);
     }

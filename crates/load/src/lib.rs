@@ -14,12 +14,14 @@
 //!   service tiers and result digests for the silent-corruption oracle.
 //! * [`admission`] — per-tenant token-bucket quotas, SLO-derived deadlines,
 //!   typed shedding with a provable feasibility bound, and the hysteretic
-//!   brownout controller (full → reduced top-k → CPU-only).
-//! * [`scheduler`] — weighted fair queueing across tenants with
+//!   brownout controller (full → reduced top-k → CPU-only); the quota,
+//!   brownout and shed-storm thresholds are constants.
+//! * [`scheduler`] — equal-share fair queueing across tenants with
 //!   earliest-deadline-first dispatch within each tenant; runs in FIFO
 //!   policy mode when admission is disabled, reproducing the legacy
 //!   single-FIFO server byte-for-byte.
-//! * [`runner`] — the replay engine in virtual time, per-query
+//! * [`runner`] — the replay engine in virtual time, in four stages (plan
+//!   → admission gate → execute → report), per-query
 //!   [`snp_trace::QueryCtx`]-tagged tracers merged into one Chrome
 //!   timeline, a bounded [`snp_trace::FlightRecorder`] that dumps a
 //!   post-mortem on the first typed fault, shed storm, or SLO breach, and a
@@ -45,8 +47,7 @@ pub mod whatif;
 pub mod workload;
 
 pub use admission::{
-    AdmissionConfig, BrownoutConfig, BrownoutController, CostModel, ShedReason, TenantQuota, Tier,
-    TierTransition, TokenBucket,
+    AdmissionConfig, BrownoutController, CostModel, ShedReason, Tier, TierTransition, TokenBucket,
 };
 pub use anatomy::{
     decompose_query, AnatomyReport, BandAnatomy, QueryAnatomy, Segment, SEGMENT_COUNT,
@@ -55,7 +56,7 @@ pub use arrival::{arrival_times, ArrivalKind};
 pub use runner::{
     run, saturation_sweep, AdmissionReport, FaultSpec, LoadConfig, LoadReport, Outcome,
     OutcomeCounts, Postmortem, QueryRecord, SweepPoint, SweepReport, TenantReport,
-    SWEEP_MULTIPLIERS,
+    SWEEP_MULTIPLIERS, TENANTS,
 };
 pub use scheduler::{QueuedQuery, Scheduler};
 pub use slo::{evaluate, percentile, Slo, SloOutcome, SloPolicy};

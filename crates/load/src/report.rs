@@ -61,7 +61,8 @@ fn admission_json(o: &mut Obj, a: &AdmissionReport) {
     });
     o.key("tenants").objs(&a.tenants, |t, tenant| {
         t.key("name").str(tenant.name);
-        t.key("weight").float(tenant.weight, 3);
+        // Every tenant gets an equal share; the key keeps the schema.
+        t.key("weight").float(1.0, 3);
         t.key("offered").int(tenant.offered);
         t.key("admitted").int(tenant.admitted);
         t.key("shed").int(tenant.shed);
@@ -169,8 +170,8 @@ impl LoadReport {
             for t in &a.tenants {
                 let _ = writeln!(
                     out,
-                    "  tenant {:<10} weight {:.1}: offered {:>3} admitted {:>3} shed {:>3} goodput {:>3}",
-                    t.name, t.weight, t.offered, t.admitted, t.shed, t.goodput
+                    "  tenant {:<10} weight 1.0: offered {:>3} admitted {:>3} shed {:>3} goodput {:>3}",
+                    t.name, t.offered, t.admitted, t.shed, t.goodput
                 );
             }
             let ratio = if a.tenant_goodput_ratio.is_finite() {

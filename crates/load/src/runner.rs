@@ -1,12 +1,17 @@
-//! The replay engine: arrivals → admission → two-level scheduler →
-//! GpuEngine runs, with per-query trace attribution, flight recording, and
-//! SLO judgment.
+//! The replay engine, in four stages with typed hand-offs:
 //!
-//! Dispatch runs through the [`Scheduler`] (WFQ across tenants, EDF within
-//! a tenant) on the simulator's virtual clock: the server picks its next
-//! query whenever it goes free, among everything that has arrived by then.
-//! With admission **disabled** (the default) the scheduler runs in FIFO
-//! policy mode and reproduces the original single-FIFO server exactly:
+//! 1. **plan** draws the seeded arrivals (times, template picks, tenants);
+//! 2. one admission **gate** admits each arrival to the [`Scheduler`] or
+//!    sheds it, typed, and owns every piece of state its decisions read;
+//! 3. **execute** serves one admitted query on its own engine;
+//! 4. **report** computes every metric, SLO verdict, count and the stream
+//!    track from the per-query records.
+//!
+//! Dispatch runs through the [`Scheduler`] (fair queueing across tenants,
+//! EDF within a tenant) on the simulator's virtual clock: the server picks
+//! its next query whenever it goes free, among everything that has arrived
+//! by then. With admission **disabled** (the default) the scheduler runs in
+//! FIFO policy mode and reproduces the original single-FIFO server exactly:
 //! query *i* starts at `max(arrival_i, done_{i-1})`, its service time is
 //! the engine's modeled end-to-end run time, and its end-to-end latency is
 //! `done_i − arrival_i`.
@@ -29,26 +34,25 @@
 
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use snp_core::{
-    CostScale, EngineOptions, ExecMode, FaultPlan, FaultProfile, GpuEngine, MixtureStrategy,
+    CostScale, EngineError, EngineOptions, ExecMode, FaultPlan, FaultProfile, GpuEngine,
+    MixtureStrategy,
 };
 use snp_gpu_model::DeviceSpec;
 use snp_trace::{merge_into, FlightRecorder, QueryCtx, TimeDomain, Trace, Tracer};
 
 use crate::admission::{
-    AdmissionConfig, BrownoutController, CostModel, ShedReason, TenantQuota, Tier, TierTransition,
-    TokenBucket,
+    AdmissionConfig, BrownoutController, CostModel, ShedReason, Tier, TierTransition, TokenBucket,
+    STORM_RUN, TENANT_BURST, TENANT_RATE_QPS,
 };
 use crate::anatomy::{decompose_query, AnatomyReport, QueryAnatomy};
 use crate::arrival::{arrival_times, ArrivalKind};
 use crate::scheduler::{QueuedQuery, Scheduler};
 use crate::slo::{evaluate, percentile, SloOutcome, SloPolicy};
-use crate::workload::{run_query_tier, Template, WorkloadSet};
+use crate::workload::{run_query_tier, ServiceReport, Template, WorkloadSet};
 
 /// Registry metrics the generator feeds (`snpgpu metrics` surfaces them).
 pub(crate) mod metrics {
-    use std::sync::Mutex;
-
-    use snp_trace::{registry, Histogram, LazyCounter, LazyHistogram};
+    use snp_trace::{LazyCounter, LazyHistogram};
 
     /// Queries replayed.
     pub static QUERIES: LazyCounter = LazyCounter::new("load.queries");
@@ -62,6 +66,13 @@ pub(crate) mod metrics {
     pub static LATENCY_FASTID: LazyHistogram = LazyHistogram::new("load.latency_ns.fastid");
     /// End-to-end latency by algorithm.
     pub static LATENCY_MIXTURE: LazyHistogram = LazyHistogram::new("load.latency_ns.mixture");
+    /// End-to-end latency by tenant, index-aligned with
+    /// [`TENANTS`](super::TENANTS) (the Prometheus renderer turns the
+    /// `|tenant=` suffix into a real `tenant` label).
+    pub static TENANT_LATENCY: [LazyHistogram; 2] = [
+        LazyHistogram::new("load.tenant.latency_ns|tenant=casework"),
+        LazyHistogram::new("load.tenant.latency_ns|tenant=research"),
+    ];
     /// Time queries spent waiting for the server.
     pub static QUEUE_WAIT: LazyHistogram = LazyHistogram::new("load.queue_wait_ns");
     /// Queries past every admission gate.
@@ -86,24 +97,11 @@ pub(crate) mod metrics {
             _ => &LATENCY_MIXTURE,
         }
     }
-
-    /// Per-tenant end-to-end latency histograms. Registry names are
-    /// `&'static str`, so each distinct tenant label is interned once
-    /// (`name|tenant=<label>` — the Prometheus renderer turns the suffix
-    /// into a real `tenant` label).
-    pub fn tenant_latency(tenant: &str) -> &'static Histogram {
-        static INTERNED: Mutex<Vec<(String, &'static Histogram)>> = Mutex::new(Vec::new());
-        let mut interned = INTERNED.lock().unwrap();
-        if let Some((_, h)) = interned.iter().find(|(t, _)| t == tenant) {
-            return h;
-        }
-        let name: &'static str =
-            Box::leak(format!("load.tenant.latency_ns|tenant={tenant}").into_boxed_str());
-        let h = registry().histogram(name);
-        interned.push((tenant.to_string(), h));
-        h
-    }
 }
+
+/// Tenant labels, assigned to arrivals round-robin. A label is a tenant:
+/// its token bucket, its latency histogram and its report row go by it.
+pub const TENANTS: [&str; 2] = ["casework", "research"];
 
 /// Deterministic fault injection for a load run.
 #[derive(Debug, Clone)]
@@ -133,15 +131,12 @@ pub struct LoadConfig {
     pub seed: u64,
     /// Arrival process.
     pub arrival: ArrivalKind,
-    /// Tenant labels, assigned round-robin. A label is a tenant: quotas,
-    /// latency histograms and the report's tenant rows all go by label.
-    pub tenants: Vec<&'static str>,
     /// Optional fault injection.
     pub fault: Option<FaultSpec>,
     /// Latency objectives.
     pub slo: SloPolicy,
-    /// Admission control, quotas, and brownout (disabled by default —
-    /// the legacy FIFO semantics).
+    /// Admission control (disabled by default — the legacy FIFO
+    /// semantics).
     pub admission: AdmissionConfig,
     /// Spans retained by the flight recorder.
     pub flight_capacity: usize,
@@ -159,7 +154,7 @@ pub struct LoadConfig {
     /// replay.
     pub cost_scale: CostScale,
     /// Scheduler policy override for what-if replay: `Some(true)` forces
-    /// strict arrival-order FIFO, `Some(false)` forces WFQ+EDF. `None`
+    /// strict arrival-order FIFO, `Some(false)` forces fair queueing + EDF. `None`
     /// keeps the default (FIFO exactly when admission is disabled).
     pub scheduler_fifo: Option<bool>,
 }
@@ -174,7 +169,6 @@ impl LoadConfig {
             queries: 64,
             seed: 42,
             arrival: ArrivalKind::Poisson,
-            tenants: vec!["casework", "research"],
             fault: None,
             slo: SloPolicy::default(),
             admission: AdmissionConfig::disabled(),
@@ -290,8 +284,6 @@ pub struct Postmortem {
 pub struct TenantReport {
     /// Tenant label.
     pub name: &'static str,
-    /// WFQ weight in force.
-    pub weight: f64,
     /// Queries this tenant offered.
     pub offered: usize,
     /// Queries admitted.
@@ -400,8 +392,7 @@ fn query_fault_seed(seed: u64, qid: u64) -> u64 {
     seed.wrapping_add((qid + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// One pre-resolved arrival (template picks draw in arrival order, so the
-/// stream is identical whatever the dispatch policy does later).
+/// One pre-resolved arrival, the plan stage's output.
 struct Planned {
     qid: u64,
     arrival_ns: u64,
@@ -409,384 +400,421 @@ struct Planned {
     tenant: usize,
 }
 
-/// Replays one seeded query stream. Deterministic: equal configs produce
-/// byte-identical reports (all clocks are virtual).
-pub fn run(cfg: &LoadConfig) -> LoadReport {
-    assert!(!cfg.templates.is_empty(), "no query templates selected");
-    assert!(!cfg.tenants.is_empty(), "need at least one tenant label");
+/// Stage 1: the seeded arrivals in arrival order. Template picks draw in
+/// arrival order, so the stream is identical whatever the dispatch policy
+/// does later; tenants go round-robin.
+fn plan(cfg: &LoadConfig) -> Vec<Planned> {
     let arrivals = arrival_times(cfg.arrival, cfg.rate_qps, cfg.queries, cfg.seed);
-    let set = WorkloadSet::build(cfg.seed);
     let mut pick = StdRng::seed_from_u64(cfg.seed ^ 0xA5A5_5A5A_D00D_F00D);
-    let planned: Vec<Planned> = arrivals
-        .iter()
+    arrivals
+        .into_iter()
         .enumerate()
-        .map(|(qid, &arrival_ns)| Planned {
+        .map(|(qid, arrival_ns)| Planned {
             qid: qid as u64,
             arrival_ns,
             template: cfg.templates[pick.random_range(0..cfg.templates.len())],
-            tenant: qid % cfg.tenants.len(),
+            tenant: qid % TENANTS.len(),
         })
-        .collect();
+        .collect()
+}
 
-    let admission = &cfg.admission;
-    let quotas: Vec<TenantQuota> = cfg.tenants.iter().map(|t| admission.quota_for(t)).collect();
-    let weights: Vec<f64> = quotas.iter().map(|q| q.weight).collect();
-    let mut buckets: Vec<TokenBucket> = quotas
-        .iter()
-        .map(|q| TokenBucket::new(q.rate_qps, q.burst))
-        .collect();
-    let cost = admission
-        .enabled
-        .then(|| CostModel::calibrate(&cfg.device, &set, cfg.cost_scale));
-    let mut brownout = BrownoutController::new(admission.brownout.clone());
-    let fifo = cfg.scheduler_fifo.unwrap_or(!admission.enabled);
-    let mut scheduler = Scheduler::new(&weights, fifo);
+/// The gate's verdict on one arrival.
+enum Admission {
+    /// Admitted: the scheduler takes it.
+    Admitted(QueuedQuery),
+    /// Shed at the door: the query's final record.
+    Shed(QueryRecord),
+}
 
-    let stream = if cfg.record_timeline {
-        Tracer::enabled()
+/// Stage 2, the one admission gate: the quota check, the queue cap, the
+/// feasibility bound, the brownout tier, the shed-storm count and the
+/// corruption oracle. With admission off it admits every arrival at
+/// deadline `u64::MAX` with estimate 0, and the brownout controller never
+/// observes, so the tier stays [`Tier::Full`].
+struct Gate<'a> {
+    cfg: &'a LoadConfig,
+    buckets: [TokenBucket; TENANTS.len()],
+    /// Calibrated exactly when admission is on.
+    cost: Option<CostModel>,
+    brownout: BrownoutController,
+    consecutive_sheds: usize,
+    /// Burn inputs: completions, and those that failed.
+    completed: usize,
+    failed: usize,
+    corruptions: usize,
+}
+
+impl<'a> Gate<'a> {
+    fn new(cfg: &'a LoadConfig, set: &WorkloadSet) -> Gate<'a> {
+        Gate {
+            cfg,
+            buckets: TENANTS.map(|_| TokenBucket::new(TENANT_RATE_QPS, TENANT_BURST)),
+            cost: cfg
+                .admission
+                .enabled
+                .then(|| CostModel::calibrate(&cfg.device, set, cfg.cost_scale)),
+            brownout: BrownoutController::new(),
+            consecutive_sheds: 0,
+            completed: 0,
+            failed: 0,
+            corruptions: 0,
+        }
+    }
+
+    /// The service tier in force.
+    fn tier(&self) -> Tier {
+        self.brownout.tier()
+    }
+
+    /// Admits `p` or sheds it at its arrival instant, given the queue and
+    /// the instant the server goes free.
+    fn admit(&mut self, p: &Planned, queue: &Scheduler, server_free: u64) -> Admission {
+        let mut q = QueuedQuery {
+            seq: p.qid,
+            tenant: p.tenant,
+            template: p.template,
+            arrival_ns: p.arrival_ns,
+            deadline_ns: u64::MAX,
+            est_ns: 0,
+        };
+        let Some(cost) = &self.cost else {
+            return Admission::Admitted(q);
+        };
+        let admission = &self.cfg.admission;
+        let tier = self.tier();
+        q.est_ns = cost.estimate_ns(p.template, tier);
+        let p99_objective = self.cfg.slo.for_algorithm(p.template.slug()).p99_ns;
+        q.deadline_ns = p
+            .arrival_ns
+            .saturating_add((admission.deadline_slack * p99_objective as f64) as u64);
+        let verdict = if !self.buckets[p.tenant].try_take(p.arrival_ns) {
+            Some(ShedReason::QuotaExceeded)
+        } else if queue.len() >= admission.queue_cap {
+            Some(ShedReason::QueueFull)
+        } else {
+            // Provable lower bound on this query's completion: the server
+            // is busy until `server_free`, every queued same-tenant query
+            // with an earlier EDF key precedes it, and the calibrated
+            // estimate is a clean-run lower bound.
+            let backlog = queue.backlog_before(p.tenant, q.deadline_ns, p.qid);
+            let bound = p
+                .arrival_ns
+                .max(server_free)
+                .saturating_add(backlog)
+                .saturating_add(q.est_ns);
+            (bound > q.deadline_ns).then_some(ShedReason::DeadlineUnmeetable)
+        };
+        let Some(reason) = verdict else {
+            self.consecutive_sheds = 0;
+            return Admission::Admitted(q);
+        };
+        self.consecutive_sheds += 1;
+        Admission::Shed(QueryRecord {
+            id: p.qid,
+            tenant: TENANTS[p.tenant],
+            template: p.template,
+            arrival_ns: p.arrival_ns,
+            start_ns: p.arrival_ns,
+            service_ns: 0,
+            queue_wait_ns: 0,
+            latency_ns: 0,
+            retries: 0,
+            tier,
+            deadline_ns: Some(q.deadline_ns),
+            outcome: Outcome::Shed(reason),
+        })
+    }
+
+    /// The run of consecutive sheds, once it is long enough to be a storm.
+    fn storm(&self) -> Option<usize> {
+        (self.consecutive_sheds >= STORM_RUN).then_some(self.consecutive_sheds)
+    }
+
+    /// Accounts one completion: the corruption oracle, then one brownout
+    /// observation at its done instant against the queue it left behind.
+    fn complete(&mut self, served: &Served, queue_depth: usize) {
+        let Some(cost) = &self.cost else { return };
+        let r = &served.record;
+        // Engine-run completions must reproduce the clean calibration
+        // digest — recovery guarantees results, so any drift here is a
+        // silent corruption.
+        let expected = cost.expected_digest(r.template, r.tier);
+        if r.tier != Tier::CpuOnly && served.digest.is_some_and(|d| d != expected) {
+            self.corruptions += 1;
+        }
+        self.completed += 1;
+        self.failed += usize::from(r.outcome.is_failure());
+        let before = self.brownout.transitions().len();
+        let burn = self.brownout.burn(self.failed, self.completed);
+        self.brownout
+            .observe(r.start_ns + r.service_ns, queue_depth, burn);
+        let steps = self.brownout.transitions().len() - before;
+        metrics::BROWNOUT_TRANSITIONS.add(steps as u64);
+    }
+}
+
+/// One served query, the execute stage's output.
+struct Served {
+    record: QueryRecord,
+    /// The result digest, when the engine returned a result.
+    digest: Option<u64>,
+    /// Whether the device was lost mid-run (the query may still complete).
+    device_lost: bool,
+    /// The query's own trace, when traced.
+    trace: Option<Trace>,
+}
+
+/// Stage 3: serves `q` at `tier` on its own engine, starting when the
+/// server goes free at `free_ns` or when `q` arrived, whichever is later.
+fn execute(
+    cfg: &LoadConfig,
+    set: &WorkloadSet,
+    q: &QueuedQuery,
+    tier: Tier,
+    free_ns: u64,
+) -> Served {
+    let tracer = if cfg.record_timeline || cfg.anatomy {
+        Tracer::enabled().with_query_ctx(QueryCtx::new(q.seq, TENANTS[q.tenant]))
     } else {
         Tracer::disabled()
     };
-    let stream_track = cfg
-        .record_timeline
-        .then(|| stream.track("loadgen · queries", TimeDomain::Virtual));
-    let recorder = FlightRecorder::new(cfg.flight_capacity);
-    let mut merged: Vec<(Trace, u64)> = Vec::new();
-    let mut anatomies: Vec<QueryAnatomy> = Vec::new();
-    let mut postmortem: Option<Postmortem> = None;
-
-    let n = planned.len();
-    // The run's one account, in the order queries resolve: a shed at its
-    // arrival, a dispatched query when it completes. Every count in the
-    // report and every per-query metric comes from these records after
-    // the loop, which keeps only the state its decisions read (scheduler,
-    // buckets, brownout and its burn inputs, the shed-storm run) and the
-    // corruption oracle's count.
-    let mut records: Vec<QueryRecord> = Vec::with_capacity(n);
-    let mut corruptions = 0usize;
-    let mut completed = 0usize;
-    let mut failed = 0usize;
-    let mut consecutive_sheds = 0usize;
-
-    let mut server_free = 0u64;
-    let mut next = 0usize;
-    while next < n || !scheduler.is_empty() {
-        // The instant of the next dispatch decision: when the server goes
-        // free, or — with an empty queue — when the next query arrives.
-        let t = if scheduler.is_empty() {
-            server_free.max(planned[next].arrival_ns)
-        } else {
-            server_free
-        };
-
-        // Admission: every arrival at or before `t` gets its verdict at
-        // its own arrival instant, in arrival order.
-        while next < n && planned[next].arrival_ns <= t {
-            let p = &planned[next];
-            next += 1;
-            if !admission.enabled {
-                scheduler.push(QueuedQuery {
-                    seq: p.qid,
-                    tenant: p.tenant,
-                    template: p.template,
-                    arrival_ns: p.arrival_ns,
-                    deadline_ns: u64::MAX,
-                    est_ns: 0,
-                });
-                continue;
-            }
-            let tier = brownout.tier();
-            let est_ns = cost
-                .as_ref()
-                .expect("cost model calibrated when admission is on")
-                .estimate_ns(p.template, tier);
-            let p99_objective = cfg.slo.for_algorithm(p.template.slug()).p99_ns;
-            let deadline_ns = p
-                .arrival_ns
-                .saturating_add((admission.deadline_slack * p99_objective as f64) as u64);
-            let verdict = if !buckets[p.tenant].try_take(p.arrival_ns) {
-                Some(ShedReason::QuotaExceeded)
-            } else if scheduler.len() >= admission.queue_cap {
-                Some(ShedReason::QueueFull)
-            } else {
-                // Provable lower bound on this query's completion: the
-                // server is busy until `server_free`, every queued
-                // same-tenant query with an earlier EDF key precedes it,
-                // and the calibrated estimate is a clean-run lower bound.
-                let backlog = scheduler.backlog_before(p.tenant, deadline_ns, p.qid);
-                let bound = p
-                    .arrival_ns
-                    .max(server_free)
-                    .saturating_add(backlog)
-                    .saturating_add(est_ns);
-                (bound > deadline_ns).then_some(ShedReason::DeadlineUnmeetable)
-            };
-            match verdict {
-                None => {
-                    scheduler.push(QueuedQuery {
-                        seq: p.qid,
-                        tenant: p.tenant,
-                        template: p.template,
-                        arrival_ns: p.arrival_ns,
-                        deadline_ns,
-                        est_ns,
-                    });
-                    consecutive_sheds = 0;
-                }
-                Some(reason) => {
-                    consecutive_sheds += 1;
-                    if let Some(track) = stream_track {
-                        stream.span_with(
-                            track,
-                            "shed",
-                            format!("q{} shed", p.qid),
-                            p.arrival_ns,
-                            p.arrival_ns,
-                            vec![
-                                ("query_id", p.qid.into()),
-                                ("tenant", cfg.tenants[p.tenant].into()),
-                                ("algorithm", p.template.slug().into()),
-                                ("shed_reason", reason.label().into()),
-                            ],
-                        );
-                    }
-                    if consecutive_sheds >= admission.storm_run && postmortem.is_none() {
-                        let reason_text = format!(
-                            "shed storm: {consecutive_sheds} consecutive sheds through query {} ({})",
-                            p.qid,
-                            reason.label()
-                        );
-                        let ctx = QueryCtx::new(p.qid, cfg.tenants[p.tenant]);
-                        postmortem = Some(Postmortem {
-                            json: recorder.postmortem(&reason_text, Some(&ctx)),
-                            reason: reason_text,
-                        });
-                    }
-                    records.push(QueryRecord {
-                        id: p.qid,
-                        tenant: cfg.tenants[p.tenant],
-                        template: p.template,
-                        arrival_ns: p.arrival_ns,
-                        start_ns: p.arrival_ns,
-                        service_ns: 0,
-                        queue_wait_ns: 0,
-                        latency_ns: 0,
-                        retries: 0,
-                        tier,
-                        deadline_ns: Some(deadline_ns),
-                        outcome: Outcome::Shed(reason),
-                    });
-                }
-            }
-        }
-
-        // Dispatch: the scheduler picks; the engine serves.
-        let Some(q) = scheduler.pop() else {
-            continue;
-        };
-        let qid = q.seq;
-        let tenant = cfg.tenants[q.tenant];
-        let template = q.template;
-        let tier = if admission.enabled {
-            brownout.tier()
-        } else {
-            Tier::Full
-        };
-        let ctx = QueryCtx::new(qid, tenant);
-        let tracer = if cfg.record_timeline || cfg.anatomy {
-            Tracer::enabled().with_query_ctx(ctx.clone())
-        } else {
-            Tracer::disabled()
-        };
-        let mut engine = GpuEngine::new(cfg.device.clone())
-            .with_options(EngineOptions {
-                mode: ExecMode::Full,
-                double_buffer: true,
-                mixture: MixtureStrategy::Direct,
-                cost_scale: cfg.cost_scale,
-                ..Default::default()
-            })
-            .with_tracer(tracer.clone());
-        if let Some(spec) = &cfg.fault {
-            let armed = spec.at_query.is_none_or(|at| at as u64 == qid);
-            if armed {
-                engine = engine.with_fault_plan(FaultPlan::new(
-                    query_fault_seed(cfg.seed, qid),
-                    spec.profile,
-                ));
-            }
-        }
-
-        let result = run_query_tier(template, &engine, &set, tier);
-        let (service_ns, retries, outcome) = match &result {
-            Ok(sr) => {
-                let retries = sr.recovery.as_ref().map_or(0, |r| r.retries);
-                let outcome = match &sr.recovery {
-                    None => Outcome::Clean,
-                    Some(r) if r.degraded() => Outcome::Degraded,
-                    Some(r) if r.retries + r.corruption_detected + r.stalls_absorbed > 0 => {
-                        Outcome::Recovered
-                    }
-                    Some(_) => Outcome::Clean,
-                };
-                (sr.service_ns, retries, outcome)
-            }
-            Err(e) => match e.device_fault() {
-                Some(f) => (0, 0, Outcome::Fault(f.kind.name().to_string())),
-                None => (0, 0, Outcome::Error(e.to_string())),
-            },
-        };
-
-        let start_ns = q.arrival_ns.max(t);
-        let done_ns = start_ns + service_ns;
-        server_free = done_ns;
-        let queue_wait_ns = start_ns - q.arrival_ns;
-        let latency_ns = done_ns - q.arrival_ns;
-
-        completed += 1;
-        if outcome.is_failure() {
-            failed += 1;
-        }
-        if let (Some(cost), Ok(sr)) = (&cost, &result) {
-            // Engine-run completions must reproduce the clean calibration
-            // digest — recovery guarantees results, so any drift here is a
-            // silent corruption.
-            if tier != Tier::CpuOnly && sr.digest != cost.expected_digest(template, tier) {
-                corruptions += 1;
-            }
-        }
-
-        if let Some(track) = stream_track {
-            stream.span_with(
-                track,
-                "query",
-                format!("q{qid} {}", template.slug()),
-                q.arrival_ns,
-                done_ns,
-                vec![
-                    ("query_id", qid.into()),
-                    ("tenant", tenant.into()),
-                    ("algorithm", template.slug().into()),
-                    ("queue_wait_ns", queue_wait_ns.into()),
-                    ("tier", tier.label().into()),
-                    ("outcome", outcome.label().into()),
-                ],
-            );
-        }
-        let trace = tracer.snapshot();
-        if cfg.anatomy {
-            anatomies.push(decompose_query(
-                qid,
-                queue_wait_ns,
-                service_ns,
-                tier,
-                trace.as_ref(),
-            ));
-        }
-        if cfg.record_timeline {
-            if let Some(trace) = trace {
-                recorder.absorb(&trace, start_ns);
-                merged.push((trace, start_ns));
-            }
-        }
-        if postmortem.is_none() {
-            let device_lost = result
-                .as_ref()
-                .ok()
-                .and_then(|sr| sr.recovery.as_ref())
-                .is_some_and(|r| r.device_lost);
-            let reason = match &outcome {
-                Outcome::Fault(kind) => Some(format!("typed fault on query {qid}: {kind}")),
-                _ if device_lost => Some(format!(
-                    "device lost on query {qid} (completed {})",
-                    outcome.label()
-                )),
-                _ => None,
-            };
-            if let Some(reason) = reason {
-                postmortem = Some(Postmortem {
-                    json: recorder.postmortem(&reason, Some(&ctx)),
-                    reason,
-                });
-            }
-        }
-
-        records.push(QueryRecord {
-            id: qid,
-            tenant,
-            template,
+    let mut engine = GpuEngine::new(cfg.device.clone())
+        .with_options(EngineOptions {
+            mode: ExecMode::Full,
+            mixture: MixtureStrategy::Direct,
+            cost_scale: cfg.cost_scale,
+            ..Default::default()
+        })
+        .with_tracer(tracer.clone());
+    let armed = cfg
+        .fault
+        .as_ref()
+        .filter(|spec| spec.at_query.is_none_or(|at| at as u64 == q.seq));
+    if let Some(spec) = armed {
+        engine = engine.with_fault_plan(FaultPlan::new(
+            query_fault_seed(cfg.seed, q.seq),
+            spec.profile,
+        ));
+    }
+    let result = run_query_tier(q.template, &engine, set, tier);
+    let (service_ns, retries, outcome) = outcome_of(&result);
+    let start_ns = q.arrival_ns.max(free_ns);
+    let served = result.ok();
+    Served {
+        record: QueryRecord {
+            id: q.seq,
+            tenant: TENANTS[q.tenant],
+            template: q.template,
             arrival_ns: q.arrival_ns,
             start_ns,
             service_ns,
-            queue_wait_ns,
-            latency_ns,
+            queue_wait_ns: start_ns - q.arrival_ns,
+            latency_ns: start_ns + service_ns - q.arrival_ns,
             retries,
             tier,
-            deadline_ns: admission.enabled.then_some(q.deadline_ns),
+            deadline_ns: cfg.admission.enabled.then_some(q.deadline_ns),
             outcome,
-        });
+        },
+        digest: served.as_ref().map(|sr| sr.digest),
+        device_lost: served
+            .and_then(|sr| sr.recovery)
+            .is_some_and(|r| r.device_lost),
+        trace: tracer.snapshot(),
+    }
+}
 
-        if admission.enabled {
-            let before = brownout.transitions().len();
-            brownout.observe(done_ns, scheduler.len(), brownout.burn(failed, completed));
-            let steps = brownout.transitions().len() - before;
-            metrics::BROWNOUT_TRANSITIONS.add(steps as u64);
+/// An engine run's service time, recovery retries and [`Outcome`].
+fn outcome_of(result: &Result<ServiceReport, EngineError>) -> (u64, u64, Outcome) {
+    match result {
+        Ok(sr) => {
+            let outcome = match &sr.recovery {
+                Some(r) if r.degraded() => Outcome::Degraded,
+                Some(r) if r.recovered() => Outcome::Recovered,
+                _ => Outcome::Clean,
+            };
+            let retries = sr.recovery.as_ref().map_or(0, |r| r.retries);
+            (sr.service_ns, retries, outcome)
+        }
+        Err(e) => match e.device_fault() {
+            Some(f) => (0, 0, Outcome::Fault(f.kind.name().to_string())),
+            None => (0, 0, Outcome::Error(e.to_string())),
+        },
+    }
+}
+
+/// What the run keeps besides its records: the latency anatomies, the
+/// flight-recorder ring, the per-query traces for the merged timeline, and
+/// the first post-mortem.
+struct Observer {
+    record_timeline: bool,
+    anatomy: bool,
+    recorder: FlightRecorder,
+    merged: Vec<(Trace, u64)>,
+    anatomies: Vec<QueryAnatomy>,
+    postmortem: Option<Postmortem>,
+}
+
+impl Observer {
+    fn new(cfg: &LoadConfig) -> Observer {
+        Observer {
+            record_timeline: cfg.record_timeline,
+            anatomy: cfg.anatomy,
+            recorder: FlightRecorder::new(cfg.flight_capacity),
+            merged: Vec::new(),
+            anatomies: Vec::new(),
+            postmortem: None,
         }
     }
 
-    assert_eq!(records.len(), n, "every planned query resolves to a record");
+    /// Dumps the flight recorder for `reason`, unless a post-mortem was
+    /// already dumped: a run keeps only its first.
+    fn dump(&mut self, reason: String, ctx: Option<QueryCtx>) {
+        if self.postmortem.is_none() {
+            let json = self.recorder.postmortem(&reason, ctx.as_ref());
+            self.postmortem = Some(Postmortem { reason, json });
+        }
+    }
+
+    /// Observes a shed; the gate's `storm` says whether it ends a storm.
+    fn shed(&mut self, r: &QueryRecord, storm: Option<usize>) {
+        if let (Some(run), Outcome::Shed(reason)) = (storm, &r.outcome) {
+            let reason = format!(
+                "shed storm: {run} consecutive sheds through query {} ({})",
+                r.id,
+                reason.label()
+            );
+            self.dump(reason, Some(QueryCtx::new(r.id, r.tenant)));
+        }
+    }
+
+    /// Observes a served query: its anatomy, its trace on the stream clock,
+    /// and a dump when it surfaced a typed fault or lost the device.
+    fn served(&mut self, served: Served) -> QueryRecord {
+        let r = served.record;
+        if self.anatomy {
+            let trace = served.trace.as_ref();
+            let anatomy = decompose_query(r.id, r.queue_wait_ns, r.service_ns, r.tier, trace);
+            self.anatomies.push(anatomy);
+        }
+        if let Some(trace) = served.trace.filter(|_| self.record_timeline) {
+            self.recorder.absorb(&trace, r.start_ns);
+            self.merged.push((trace, r.start_ns));
+        }
+        let reason = match &r.outcome {
+            Outcome::Fault(kind) => Some(format!("typed fault on query {}: {kind}", r.id)),
+            _ if served.device_lost => Some(format!(
+                "device lost on query {} (completed {})",
+                r.id,
+                r.outcome.label()
+            )),
+            _ => None,
+        };
+        if let Some(reason) = reason {
+            self.dump(reason, Some(QueryCtx::new(r.id, r.tenant)));
+        }
+        r
+    }
+}
+
+/// Replays one seeded query stream: plan, then admit / dispatch / execute
+/// on the virtual clock until every arrival has resolved, then report.
+/// Deterministic: equal configs produce byte-identical reports (all clocks
+/// are virtual).
+pub fn run(cfg: &LoadConfig) -> LoadReport {
+    assert!(!cfg.templates.is_empty(), "no query templates selected");
+    let planned = plan(cfg);
+    let set = WorkloadSet::build(cfg.seed);
+    let mut gate = Gate::new(cfg, &set);
+    let fifo = cfg.scheduler_fifo.unwrap_or(!cfg.admission.enabled);
+    let mut queue = Scheduler::new(TENANTS.len(), fifo);
+    let mut observer = Observer::new(cfg);
+    // The run's one account, in the order queries resolve: a shed at its
+    // arrival, a dispatched query when it completes.
+    let mut records = Vec::with_capacity(planned.len());
+    let mut arrivals = planned.iter().peekable();
+    let mut server_free = 0u64;
+    loop {
+        // The instant of the next dispatch decision: when the server goes
+        // free, or — with an empty queue — when the next query arrives.
+        let t = match arrivals.peek() {
+            _ if !queue.is_empty() => server_free,
+            Some(p) => server_free.max(p.arrival_ns),
+            None => break,
+        };
+        // Admission: every arrival at or before `t` gets its verdict at
+        // its own arrival instant, in arrival order.
+        while let Some(p) = arrivals.next_if(|p| p.arrival_ns <= t) {
+            match gate.admit(p, &queue, server_free) {
+                Admission::Admitted(q) => queue.push(q),
+                Admission::Shed(record) => {
+                    observer.shed(&record, gate.storm());
+                    records.push(record);
+                }
+            }
+        }
+        // Dispatch: the scheduler picks; the engine serves.
+        let Some(q) = queue.pop() else { continue };
+        let served = execute(cfg, &set, &q, gate.tier(), t);
+        server_free = served.record.start_ns + served.record.service_ns;
+        gate.complete(&served, queue.len());
+        records.push(observer.served(served));
+    }
+    assert_eq!(records.len(), planned.len(), "every planned query resolves");
+    report(cfg, records, &gate, observer)
+}
+
+/// Stage 4: the report, computed from the records in resolution order and
+/// from what the gate and the observer kept.
+fn report(
+    cfg: &LoadConfig,
+    mut records: Vec<QueryRecord>,
+    gate: &Gate,
+    mut observer: Observer,
+) -> LoadReport {
     records.iter().for_each(publish);
+    let stream = cfg.record_timeline.then(|| stream_track(&records));
     records.sort_by_key(|r| r.id);
 
     // Judge each algorithm against its objectives, over accepted queries.
-    let mut slo = Vec::new();
-    for slug in ["ld", "fastid", "mixture"] {
-        let of_alg: Vec<&QueryRecord> = records
-            .iter()
-            .filter(|r| r.template.slug() == slug && !r.outcome.is_shed())
-            .collect();
-        if of_alg.is_empty() {
-            continue;
-        }
-        let lat: Vec<u64> = of_alg.iter().map(|r| r.latency_ns).collect();
-        let qw: Vec<u64> = of_alg.iter().map(|r| r.queue_wait_ns).collect();
-        let failed = of_alg.iter().filter(|r| r.outcome.is_failure()).count();
-        slo.push(evaluate(
-            match slug {
-                "ld" => "ld",
-                "fastid" => "fastid",
-                _ => "mixture",
-            },
-            &lat,
-            &qw,
-            failed,
-            cfg.slo.for_algorithm(slug),
-        ));
-    }
+    let slo: Vec<SloOutcome> = ["ld", "fastid", "mixture"]
+        .into_iter()
+        .filter_map(|slug| {
+            let of_alg: Vec<&QueryRecord> = records
+                .iter()
+                .filter(|r| r.template.slug() == slug && !r.outcome.is_shed())
+                .collect();
+            if of_alg.is_empty() {
+                return None;
+            }
+            let lat: Vec<u64> = of_alg.iter().map(|r| r.latency_ns).collect();
+            let qw: Vec<u64> = of_alg.iter().map(|r| r.queue_wait_ns).collect();
+            let failed = of_alg.iter().filter(|r| r.outcome.is_failure()).count();
+            Some(evaluate(
+                slug,
+                &lat,
+                &qw,
+                failed,
+                cfg.slo.for_algorithm(slug),
+            ))
+        })
+        .collect();
     let breached = slo.iter().any(|o| o.breached);
-    if breached && postmortem.is_none() && cfg.record_timeline {
+    if breached && cfg.record_timeline {
         let reasons: Vec<String> = slo
             .iter()
             .filter(|o| o.breached)
             .map(|o| format!("{}: {}", o.algorithm, o.reasons.join("; ")))
             .collect();
-        let reason = format!("slo breach: {}", reasons.join(" | "));
-        postmortem = Some(Postmortem {
-            json: recorder.postmortem(&reason, None),
-            reason,
-        });
+        observer.dump(format!("slo breach: {}", reasons.join(" | ")), None);
     }
 
-    let timeline = if cfg.record_timeline {
-        let mut t = stream.snapshot().unwrap_or_default();
-        for (trace, start) in &merged {
+    let timeline = stream.map(|mut t| {
+        for (trace, start) in &observer.merged {
             merge_into(&mut t, trace, *start);
         }
-        Some(t)
-    } else {
-        None
-    };
-    let (flight_dropped_spans, _) = recorder.dropped();
+        t
+    });
+    let (flight_dropped_spans, _) = observer.recorder.dropped();
 
     let accepted: Vec<&QueryRecord> = records.iter().filter(|r| !r.outcome.is_shed()).collect();
     let mut all_lat: Vec<u64> = accepted.iter().map(|r| r.latency_ns).collect();
@@ -806,7 +834,7 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
         error: count(&|r| matches!(r.outcome, Outcome::Error(_))),
         shed: count(&|r| r.outcome.is_shed()),
     };
-    let admission_report = admission.enabled.then(|| {
+    let admission_report = cfg.admission.enabled.then(|| {
         let offered = records.len();
         let shed = outcomes.shed;
         let admitted = offered - shed;
@@ -817,15 +845,13 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
         } else {
             shed as f64 / offered as f64
         };
-        let tenants: Vec<TenantReport> = cfg
-            .tenants
+        let tenants: Vec<TenantReport> = TENANTS
             .iter()
             .map(|&name| {
                 let of = |f: fn(&QueryRecord) -> bool| count(&|r| r.tenant == name && f(r));
                 let admitted = of(|r| !r.outcome.is_shed());
                 TenantReport {
                     name,
-                    weight: admission.quota_for(name).weight,
                     offered: of(|_| true),
                     admitted,
                     shed: of(|r| r.outcome.is_shed()),
@@ -855,7 +881,7 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
             shed_queue_full: shed_for(ShedReason::QueueFull),
             shed_deadline: shed_for(ShedReason::DeadlineUnmeetable),
             shed_fraction,
-            shed_budget_exceeded: shed_fraction > admission.shed_budget,
+            shed_budget_exceeded: shed_fraction > cfg.admission.shed_budget,
             goodput,
             goodput_qps: if duration_ns == 0 {
                 0.0
@@ -863,9 +889,9 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
                 goodput as f64 * 1e9 / duration_ns as f64
             },
             tenant_goodput_ratio,
-            corruptions,
-            final_tier: brownout.tier(),
-            transitions: brownout.transitions().to_vec(),
+            corruptions: gate.corruptions,
+            final_tier: gate.tier(),
+            transitions: gate.brownout.transitions().to_vec(),
             tenants,
         }
     });
@@ -889,11 +915,41 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
         records,
         slo,
         admission: admission_report,
-        anatomy: cfg.anatomy.then(|| AnatomyReport::aggregate(&anatomies)),
+        anatomy: cfg
+            .anatomy
+            .then(|| AnatomyReport::aggregate(&observer.anatomies)),
         flight_dropped_spans,
         timeline,
-        postmortem,
+        postmortem: observer.postmortem,
     }
+}
+
+/// The `loadgen · queries` track, drawn from the records in resolution
+/// order: a shed is a zero-length span at its arrival; a served query spans
+/// arrival to done, with its queue wait, tier and outcome.
+fn stream_track(records: &[QueryRecord]) -> Trace {
+    let stream = Tracer::enabled();
+    let track = stream.track("loadgen · queries", TimeDomain::Virtual);
+    for r in records {
+        let mut args = vec![
+            ("query_id", r.id.into()),
+            ("tenant", r.tenant.into()),
+            ("algorithm", r.template.slug().into()),
+        ];
+        if let Outcome::Shed(reason) = r.outcome {
+            args.push(("shed_reason", reason.label().into()));
+            let name = format!("q{} shed", r.id);
+            stream.span_with(track, "shed", name, r.arrival_ns, r.arrival_ns, args);
+        } else {
+            args.push(("queue_wait_ns", r.queue_wait_ns.into()));
+            args.push(("tier", r.tier.label().into()));
+            args.push(("outcome", r.outcome.label().into()));
+            let name = format!("q{} {}", r.id, r.template.slug());
+            let done_ns = r.arrival_ns + r.latency_ns;
+            stream.span_with(track, "query", name, r.arrival_ns, done_ns, args);
+        }
+    }
+    stream.snapshot().unwrap_or_default()
 }
 
 /// Publishes one resolved query's registry metrics from its record.
@@ -919,11 +975,13 @@ fn publish(r: &QueryRecord) {
         // Latency histograms carry an exemplar per hit bucket: the query
         // id, tenant, and its stream-clock offset, so a p99 bucket links
         // straight to the flight-recorder span that caused it.
+        let tenant = TENANTS.iter().position(|&t| t == r.tenant);
         for h in [
-            metrics::latency_for(r.template.slug()).histogram(),
-            metrics::tenant_latency(r.tenant),
+            metrics::latency_for(r.template.slug()),
+            &metrics::TENANT_LATENCY[tenant.expect("a listed tenant")],
         ] {
-            h.record_with_exemplar(r.latency_ns, r.id, Some(r.tenant), r.start_ns);
+            h.histogram()
+                .record_with_exemplar(r.latency_ns, r.id, Some(r.tenant), r.start_ns);
         }
         metrics::QUEUE_WAIT.record(r.queue_wait_ns);
     }
@@ -1172,12 +1230,6 @@ mod tests {
         cfg.arrival = ArrivalKind::Bursty;
         cfg.rate_qps = 64_000.0;
         cfg.admission = AdmissionConfig {
-            brownout: crate::admission::BrownoutConfig {
-                high_water: 4,
-                low_water: 1,
-                dwell: 2,
-                ..Default::default()
-            },
             queue_cap: 64,
             ..AdmissionConfig::standard()
         };
@@ -1223,11 +1275,10 @@ mod tests {
         assert_eq!(a.shed_queue_full, shed_for(ShedReason::QueueFull));
         assert_eq!(a.shed_deadline, shed_for(ShedReason::DeadlineUnmeetable));
         assert_eq!(a.goodput, count(&good));
-        assert_eq!(a.tenants.len(), cfg.tenants.len());
-        for (t, name) in a.tenants.iter().zip(&cfg.tenants) {
-            let of = |f: &dyn Fn(&QueryRecord) -> bool| count(&|r| r.tenant == *name && f(r));
-            assert_eq!(t.name, *name);
-            assert_eq!(t.weight, cfg.admission.quota_for(name).weight);
+        assert_eq!(a.tenants.len(), TENANTS.len());
+        for (t, name) in a.tenants.iter().zip(TENANTS) {
+            let of = |f: &dyn Fn(&QueryRecord) -> bool| count(&|r| r.tenant == name && f(r));
+            assert_eq!(t.name, name);
             assert_eq!(t.offered, of(&|_| true));
             assert_eq!(t.admitted, of(&|r| !r.outcome.is_shed()));
             assert_eq!(t.shed, of(&|r| r.outcome.is_shed()));
@@ -1292,7 +1343,6 @@ mod tests {
         cfg.rate_qps = 500_000.0;
         cfg.admission = AdmissionConfig {
             queue_cap: 2,
-            storm_run: 4,
             shed_budget: 0.1,
             ..AdmissionConfig::standard()
         };

@@ -1,13 +1,13 @@
-//! The two-level dispatch queue: weighted fair queueing **across** tenants,
+//! The two-level dispatch queue: fair queueing **across** tenants,
 //! earliest-deadline-first **within** each tenant.
 //!
 //! Each tenant owns an EDF heap keyed by `(deadline, seq)` — `seq` (the
 //! stream-wide query id) breaks ties deterministically. Across tenants the
-//! scheduler runs least-attained-normalized-service fair queueing: each
-//! grant charges `est / weight` of virtual service to the tenant it went
-//! to, and the non-empty tenant with the least attained virtual service is
+//! scheduler runs least-attained-service fair queueing: each grant charges
+//! the query's estimate `est` of virtual service to the tenant it went to,
+//! and the non-empty tenant with the least attained virtual service is
 //! served next (ties by tenant index), so long-run service shares converge
-//! to the weights. A tenant that was idle re-enters at the current virtual
+//! to equal shares. A tenant that was idle re-enters at the current virtual
 //! time — idling never banks credit.
 //!
 //! With admission disabled the same structure runs in **FIFO policy
@@ -42,12 +42,11 @@ pub struct QueuedQuery {
 /// EDF key: earliest deadline first, ties by arrival sequence.
 type EdfKey = (u64, u64);
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct TenantLane {
-    weight: f64,
     /// Min-heap over `(deadline, seq)`, carrying the queued query.
     heap: BinaryHeap<Reverse<(EdfKey, QueuedQuery)>>,
-    /// Attained virtual service: advances by `est / weight` per grant.
+    /// Attained virtual service: advances by `est` per grant.
     vfinish: f64,
 }
 
@@ -64,22 +63,12 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// A scheduler over `weights.len()` tenant lanes. `fifo: true` ignores
-    /// weights and deadlines and dispatches in arrival order.
-    pub fn new(weights: &[f64], fifo: bool) -> Scheduler {
-        assert!(!weights.is_empty(), "need at least one tenant lane");
+    /// A scheduler over `tenants` lanes. `fifo: true` ignores deadlines
+    /// and dispatches in arrival order.
+    pub fn new(tenants: usize, fifo: bool) -> Scheduler {
+        assert!(tenants > 0, "need at least one tenant lane");
         Scheduler {
-            lanes: weights
-                .iter()
-                .map(|&w| {
-                    assert!(w > 0.0, "tenant weights must be positive");
-                    TenantLane {
-                        weight: w,
-                        heap: BinaryHeap::new(),
-                        vfinish: 0.0,
-                    }
-                })
-                .collect(),
+            lanes: (0..tenants).map(|_| TenantLane::default()).collect(),
             vtime: 0.0,
             len: 0,
             fifo,
@@ -94,11 +83,6 @@ impl Scheduler {
     /// Whether nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Queued queries for one tenant.
-    pub fn tenant_depth(&self, tenant: usize) -> usize {
-        self.lanes[tenant].heap.len()
     }
 
     /// Enqueues an admitted query.
@@ -156,7 +140,7 @@ impl Scheduler {
         self.len -= 1;
         if !self.fifo {
             let start = lane.vfinish;
-            lane.vfinish = start + q.est_ns as f64 / lane.weight;
+            lane.vfinish = start + q.est_ns as f64;
             self.vtime = self.vtime.max(start);
         }
         Some(q)
@@ -180,7 +164,7 @@ mod tests {
 
     #[test]
     fn fifo_mode_dispatches_in_arrival_order_across_tenants() {
-        let mut s = Scheduler::new(&[1.0, 1.0], true);
+        let mut s = Scheduler::new(2, true);
         for seq in [3u64, 0, 2, 1] {
             s.push(q(seq, (seq % 2) as usize, u64::MAX, 100));
         }
@@ -191,7 +175,7 @@ mod tests {
 
     #[test]
     fn edf_orders_within_a_tenant() {
-        let mut s = Scheduler::new(&[1.0], false);
+        let mut s = Scheduler::new(1, false);
         s.push(q(0, 0, 500, 10));
         s.push(q(1, 0, 100, 10));
         s.push(q(2, 0, 100, 10)); // same deadline: seq breaks the tie
@@ -201,21 +185,8 @@ mod tests {
     }
 
     #[test]
-    fn wfq_shares_service_by_weight() {
-        // Tenant 0 at weight 3 should get ~3x tenant 1's dispatches from a
-        // saturated queue.
-        let mut s = Scheduler::new(&[3.0, 1.0], false);
-        for seq in 0..40 {
-            s.push(q(seq, (seq % 2) as usize, u64::MAX, 100));
-        }
-        let first16: Vec<usize> = (0..16).filter_map(|_| s.pop()).map(|q| q.tenant).collect();
-        let t0 = first16.iter().filter(|&&t| t == 0).count();
-        assert_eq!(t0, 12, "weight-3 tenant gets 3/4 of service: {first16:?}");
-    }
-
-    #[test]
     fn equal_weights_interleave_fairly() {
-        let mut s = Scheduler::new(&[1.0, 1.0], false);
+        let mut s = Scheduler::new(2, false);
         for seq in 0..8 {
             s.push(q(seq, (seq % 2) as usize, u64::MAX, 100));
         }
@@ -226,7 +197,7 @@ mod tests {
 
     #[test]
     fn backlog_counts_only_earlier_edf_keys_of_the_same_tenant() {
-        let mut s = Scheduler::new(&[1.0, 1.0], false);
+        let mut s = Scheduler::new(2, false);
         s.push(q(0, 0, 100, 10));
         s.push(q(1, 0, 300, 20));
         s.push(q(2, 1, 50, 40)); // other tenant: not counted
@@ -238,7 +209,7 @@ mod tests {
 
     #[test]
     fn idle_tenant_reenters_at_current_virtual_time() {
-        let mut s = Scheduler::new(&[1.0, 1.0], false);
+        let mut s = Scheduler::new(2, false);
         // Tenant 0 works alone for a while…
         for seq in 0..6 {
             s.push(q(seq, 0, u64::MAX, 100));

@@ -30,8 +30,8 @@ pub enum Perturbation {
     /// Scale the admission deadline slack by this factor (more slack
     /// admits queries the feasibility bound would otherwise shed).
     AdmissionSlack(f64),
-    /// Flip the scheduler policy (FIFO ↔ WFQ+EDF) relative to the base
-    /// config.
+    /// Flip the scheduler policy (FIFO ↔ fair queueing + EDF) relative to
+    /// the base config.
     SchedulerFlip,
 }
 

@@ -4,9 +4,10 @@
 
 use proptest::prelude::*;
 use snp_gpu_model::devices;
+use snp_load::admission::{BROWNOUT_DWELL, TENANT_BURST, TENANT_RATE_QPS};
 use snp_load::{
-    run, AdmissionConfig, ArrivalKind, BrownoutConfig, BrownoutController, LoadConfig, Outcome,
-    QueuedQuery, Scheduler, Template, Tier, TokenBucket,
+    run, AdmissionConfig, ArrivalKind, BrownoutController, LoadConfig, Outcome, QueuedQuery,
+    Scheduler, Template, Tier, TokenBucket,
 };
 
 /// Strategy: a non-decreasing virtual arrival sequence (ns).
@@ -56,7 +57,7 @@ proptest! {
     fn edf_dispatch_is_ordered_by_deadline_then_seq(
         entries in prop::collection::vec((0u64..1_000_000, 1u64..1_000), 1..40),
     ) {
-        let mut s = Scheduler::new(&[1.0], false);
+        let mut s = Scheduler::new(1, false);
         for (seq, &(deadline_ns, est_ns)) in entries.iter().enumerate() {
             s.push(QueuedQuery {
                 seq: seq as u64,
@@ -78,10 +79,8 @@ proptest! {
     #[test]
     fn brownout_always_recovers_under_sustained_calm(
         observations in prop::collection::vec((0usize..64, 0.0f64..4.0), 0..60),
-        dwell in 1usize..5,
     ) {
-        let cfg = BrownoutConfig { dwell, ..BrownoutConfig::default() };
-        let mut bc = BrownoutController::new(cfg);
+        let mut bc = BrownoutController::new();
         let mut now = 0u64;
         for &(depth, burn) in &observations {
             now += 1;
@@ -89,7 +88,7 @@ proptest! {
         }
         // Two full tier steps (CPU-only → reduced → full) need 2×dwell calm
         // observations; give it that plus slack.
-        for _ in 0..(2 * dwell + 2) {
+        for _ in 0..(2 * BROWNOUT_DWELL + 2) {
             now += 1;
             bc.observe(now, 0, 0.0);
         }
@@ -159,8 +158,7 @@ proptest! {
                 continue;
             }
             let window_s = (*arrivals.iter().max().unwrap()) as f64 / 1e9;
-            let bound = AdmissionConfig::DEFAULT_TENANT_BURST
-                + AdmissionConfig::DEFAULT_TENANT_RATE * window_s;
+            let bound = TENANT_BURST + TENANT_RATE_QPS * window_s;
             prop_assert!(
                 tenant.admitted as f64 <= bound + 1e-6,
                 "tenant {} admitted {} > bound {:.3}",

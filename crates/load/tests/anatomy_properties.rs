@@ -83,7 +83,7 @@ proptest! {
         assert_exact(&anatomy_cfg(seed, rate, false, bursty));
     }
 
-    /// Admission mode (WFQ+EDF, quotas, brownout): shed queries are
+    /// Admission mode (fair queueing + EDF, quotas, brownout): shed queries are
     /// excluded, accepted ones still decompose exactly — including
     /// CpuOnly-tier queries that never touch the engine.
     #[test]

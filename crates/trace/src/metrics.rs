@@ -37,7 +37,8 @@ impl Counter {
         self.value.load(Ordering::Relaxed)
     }
 
-    /// Resets to zero (test isolation; see [`MetricsRegistry::reset`]).
+    /// Resets to zero. The registry is process-wide, so a test resets only
+    /// the metrics it alone records into.
     pub fn reset(&self) {
         self.value.store(0, Ordering::Relaxed);
     }
@@ -377,20 +378,6 @@ impl MetricsRegistry {
             })
             .collect()
     }
-
-    /// Zeroes every counter, gauge, and histogram (names stay registered).
-    /// Intended for test isolation; concurrent increments may land before
-    /// or after.
-    pub fn reset(&self) {
-        let map = self.lock();
-        for m in map.values() {
-            match m {
-                Metric::Counter(c) => c.reset(),
-                Metric::Gauge(g) => g.set(0.0),
-                Metric::Histogram(h) => h.reset(),
-            }
-        }
-    }
 }
 
 /// The process-wide metrics registry.
@@ -687,7 +674,7 @@ mod tests {
     }
 
     #[test]
-    fn histograms_intern_and_reset_via_registry() {
+    fn histograms_intern_via_registry() {
         static H: LazyHistogram = LazyHistogram::new("test.metrics.histo");
         H.reset();
         H.record(7);
@@ -704,8 +691,6 @@ mod tests {
             MetricValue::Histogram(s) => assert_eq!(s.count, 2),
             other => panic!("expected histogram, got {other:?}"),
         }
-        registry().reset();
-        assert_eq!(direct.count(), 0);
     }
 
     #[test]

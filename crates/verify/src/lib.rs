@@ -36,7 +36,7 @@
 //! let (q0, q1) = (gpu.create_queue(), gpu.create_queue());
 //! let src = gpu.create_virtual_buffer(1024).unwrap();
 //! let dst = gpu.create_virtual_buffer(1024).unwrap();
-//! let cost = KernelCost::Analytic { core_cycles: 1e5, active_cores: 4, traffic: Traffic::default() };
+//! let cost = KernelCost { core_cycles: 1e5, active_cores: 4, traffic: Traffic::default() };
 //! let ev = gpu.enqueue_virtual_write(q0, src, 0, 1024, &[]).unwrap();
 //! // Forget `&[ev]` and the kernel races the transfer on a real device:
 //! let k = gpu.enqueue_kernel_timed_on(q1, &cost, &[src], dst, &[]).unwrap();

@@ -274,7 +274,7 @@ mod tests {
     use snp_gpu_sim::macro_engine::Traffic;
 
     fn cost() -> KernelCost {
-        KernelCost::Analytic {
+        KernelCost {
             core_cycles: 100_000.0,
             active_cores: 4,
             traffic: Traffic::default(),

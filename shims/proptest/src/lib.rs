@@ -110,6 +110,14 @@ mod tests {
             prop_assert_eq!(b, 5);
             prop_assert_ne!(flag as u32, 2);
         }
+
+        /// Signed ranges draw within their bounds.
+        #[test]
+        fn signed_ranges(a in -5i32..6, b in i64::MIN..=i64::MAX, c in -128i16..=-1) {
+            prop_assert!((-5..6).contains(&a), "a was {}", a);
+            prop_assert!((i64::MIN..=i64::MAX).contains(&b));
+            prop_assert!((-128..=-1).contains(&c), "c was {}", c);
+        }
     }
 
     #[test]

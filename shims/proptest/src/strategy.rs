@@ -140,7 +140,7 @@ macro_rules! impl_range_strategy {
     )*};
 }
 
-impl_range_strategy!(u8, u16, u32, u64, usize);
+impl_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl Strategy for Range<f64> {
     type Value = f64;

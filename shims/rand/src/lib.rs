@@ -99,14 +99,17 @@ pub trait SampleRange<T> {
     fn sample<R: Rng + ?Sized>(self, rng: &mut R) -> T;
 }
 
+// The span and the offset are taken in the unsigned type of the same
+// width, so signed ranges such as `-5i32..6` work; for unsigned types both
+// wrapping operations are exact and the stream is unchanged.
 macro_rules! impl_sample_range_int {
-    ($($t:ty),*) => {$(
+    ($($t:ty => $u:ty),*) => {$(
         impl SampleRange<$t> for Range<$t> {
             #[inline]
             fn sample<R: Rng + ?Sized>(self, rng: &mut R) -> $t {
                 assert!(self.start < self.end, "empty range");
-                let span = (self.end - self.start) as u64;
-                self.start + (reduce(rng.next_u64(), span) as $t)
+                let span = (self.end as $u).wrapping_sub(self.start as $u) as u64;
+                self.start.wrapping_add(reduce(rng.next_u64(), span) as $u as $t)
             }
         }
         impl SampleRange<$t> for RangeInclusive<$t> {
@@ -114,17 +117,20 @@ macro_rules! impl_sample_range_int {
             fn sample<R: Rng + ?Sized>(self, rng: &mut R) -> $t {
                 let (lo, hi) = (*self.start(), *self.end());
                 assert!(lo <= hi, "empty range");
-                let span = (hi - lo) as u64;
+                let span = (hi as $u).wrapping_sub(lo as $u) as u64;
                 if span == u64::MAX {
                     return rng.next_u64() as $t;
                 }
-                lo + (reduce(rng.next_u64(), span + 1) as $t)
+                lo.wrapping_add(reduce(rng.next_u64(), span + 1) as $u as $t)
             }
         }
     )*};
 }
 
-impl_sample_range_int!(u8, u16, u32, u64, usize);
+impl_sample_range_int!(
+    u8 => u8, u16 => u16, u32 => u32, u64 => u64, usize => usize,
+    i8 => u8, i16 => u16, i32 => u32, i64 => u64, isize => usize
+);
 
 impl SampleRange<f64> for Range<f64> {
     #[inline]
@@ -236,6 +242,29 @@ mod tests {
             assert!((3..10).contains(&v));
             let w = r.random_range(0.25f64..=0.5);
             assert!((0.25..=0.5).contains(&w));
+        }
+    }
+
+    #[test]
+    fn signed_ranges_cover_their_ends() {
+        let mut r = StdRng::seed_from_u64(13);
+        let mut seen = [false; 7];
+        for _ in 0..1000 {
+            let v = r.random_range(-3i32..4);
+            assert!((-3..4).contains(&v));
+            seen[(v + 3) as usize] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "every value drawn: {seen:?}");
+        let mut ends = (false, false);
+        for _ in 0..10_000 {
+            let b = r.random_range(i8::MIN..=i8::MAX);
+            ends.0 |= b == i8::MIN;
+            ends.1 |= b == i8::MAX;
+        }
+        assert_eq!(ends, (true, true));
+        assert_eq!(r.random_range(-5i64..=-5), -5);
+        for _ in 0..1000 {
+            assert!(r.random_range(i64::MIN..i64::MAX) < i64::MAX);
         }
     }
 

@@ -12,7 +12,7 @@ use snp_repro::gpu_sim::{Gpu, KernelCost, SimError};
 use snp_repro::verify::{verify_command_log, Report, Severity};
 
 fn cost() -> KernelCost {
-    KernelCost::Analytic {
+    KernelCost {
         core_cycles: 50_000.0,
         active_cores: 4,
         traffic: Traffic::default(),
