@@ -21,7 +21,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 use rayon::prelude::*;
-use snp_bitmat::{CompareOp, CountMatrix};
+use snp_bitmat::CompareOp;
 use snp_cpu::CpuEngine;
 use snp_gpu_model::{DeviceSpec, InstrClass, KernelConfig, MatrixUnitSpec};
 use snp_gpu_sim::host::KernelCost;
@@ -521,8 +521,9 @@ impl KernelPlan {
 /// Functional execution of one pass on device word buffers: computes
 /// `c[i·n + j] = Σ_k popc(op(a[i·k_words + k], b[j·k_words + k]))` for the
 /// `m × n` output block. Overwrites `c`. The device rows are re-paired into
-/// 64-bit host rows and run through `snp-cpu`'s blocked popcount GEMM, so
-/// every simulated pass runs the tile schedule of the CPU baseline.
+/// 64-bit host rows and run through `snp-cpu`'s blocked popcount GEMM,
+/// whose fresh γ its tiles write once, and γ is copied into `c`. So every
+/// simulated pass runs the tile schedule of the CPU baseline.
 pub fn execute_gamma(
     op: CompareOp,
     a: &[u32],
@@ -550,13 +551,7 @@ pub fn execute_gamma(
         c.len(),
         m * n
     );
-    let mut gamma = CountMatrix::zeros(m, n);
-    CpuEngine::new().gamma_into(
-        &host_rows(a, m, k_words),
-        &host_rows(b, n, k_words),
-        op,
-        &mut gamma,
-    );
+    let gamma = CpuEngine::new().gamma(&host_rows(a, m, k_words), &host_rows(b, n, k_words), op);
     c[..m * n].copy_from_slice(gamma.as_slice());
 }
 

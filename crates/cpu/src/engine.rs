@@ -4,8 +4,8 @@
 use snp_bitmat::{BitMatrix, CompareOp, CountMatrix};
 
 use crate::blocking::CpuBlocking;
-use crate::gemm::gamma_blocked_into;
-use crate::parallel::gamma_parallel_into;
+use crate::gemm::{gamma_blocked, gamma_blocked_into};
+use crate::parallel::{gamma_parallel, gamma_parallel_into};
 use crate::symmetric::gamma_self_symmetric;
 
 /// A configured CPU comparison engine.
@@ -81,15 +81,19 @@ impl CpuEngine {
         self.parallel
     }
 
-    /// General comparison: `γ[i][j] = Σ_k popc(op(a[i][k], b[j][k]))`.
+    /// General comparison: `γ[i][j] = Σ_k popc(op(a[i][k], b[j][k]))`, in
+    /// a fresh output that the tiles write once, without zero-filling it
+    /// first.
     pub fn gamma(&self, a: &BitMatrix<u64>, b: &BitMatrix<u64>, op: CompareOp) -> CountMatrix {
-        let mut c = CountMatrix::zeros(a.rows(), b.rows());
-        self.gamma_into(a, b, op, &mut c);
-        c
+        if self.parallel {
+            gamma_parallel(a, b, op, &self.blocking)
+        } else {
+            gamma_blocked(a, b, op, &self.blocking)
+        }
     }
 
-    /// Like [`gamma`](Self::gamma) but accumulating into an existing output
-    /// (which must be zeroed by the caller if a fresh result is wanted).
+    /// Like [`gamma`](Self::gamma), but into an existing output of
+    /// `a.rows() × b.rows()`, whose every cell it overwrites.
     pub fn gamma_into(
         &self,
         a: &BitMatrix<u64>,
@@ -200,6 +204,38 @@ mod tests {
         let direct = e.mixture_analysis(&refs, &mixes, false);
         let pre = e.mixture_analysis(&refs, &mixes, true);
         assert_eq!(direct.first_mismatch(&pre), None);
+    }
+
+    #[test]
+    fn zero_width_operands_give_zero_counts() {
+        // No shared words, so no k_c block runs and every tile writes its
+        // zeros itself: into a fresh γ, and over a poisoned one. 100 and
+        // 150 rows are two row blocks of the default m_c = 96, so `ld_self`
+        // writes mirror pieces too.
+        let (a, b) = (
+            BitMatrix::<u64>::zeros(100, 0),
+            BitMatrix::<u64>::zeros(150, 0),
+        );
+        let zeros = CountMatrix::zeros(100, 150);
+        for engine in [CpuEngine::new(), CpuEngine::sequential()] {
+            let at = format!("parallel={}", engine.is_parallel());
+            for op in CompareOp::ALL {
+                let got = engine.gamma(&a, &b, op);
+                assert_eq!(got.first_mismatch(&zeros), None, "{at}, op {op}");
+                let poison = (0..100 * 150).map(|i| u32::MAX ^ i).collect();
+                let mut c = CountMatrix::from_vec(100, 150, poison);
+                engine.gamma_into(&a, &b, op, &mut c);
+                assert_eq!(c.first_mismatch(&zeros), None, "{at}, op {op}: gamma_into");
+            }
+            let got = engine.identity_search(&a, &b);
+            assert_eq!(got.first_mismatch(&zeros), None, "{at}");
+            let got = engine.ld_self(&b);
+            assert_eq!(
+                got.first_mismatch(&CountMatrix::zeros(150, 150)),
+                None,
+                "{at}"
+            );
+        }
     }
 
     #[test]

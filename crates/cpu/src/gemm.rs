@@ -1,7 +1,7 @@
 //! The blocked popcount-GEMM loop nest, shared by every schedule.
 //!
 //! Loop structure after BLIS (paper Fig. 3), computing
-//! `γ (m × n) += A (m × K) ⋄ Bᵀ` where both inputs store one sequence per
+//! `γ (m × n) = A (m × K) ⋄ Bᵀ` where both inputs store one sequence per
 //! row over `K` packed words. γ is cut into tiles, each one task of a
 //! schedule (sequential here, parallel in [`crate::parallel`]):
 //!
@@ -10,29 +10,39 @@
 //! pc loop:     K in steps of k_c      (Ã: m_c × k_c blocks, packed once per run)
 //! ir loop:     the block's Ã panels (m_r = MR)
 //! panel run:   the tile's full NR-row panels of B   (read in place, one call)
-//!   jr loop:   MR × NR popcount sums over k_c words, added into γ's rows
+//!   jr loop:   MR × NR popcount sums over k_c words, written into γ's rows
 //! ```
 //!
-//! B is never packed: one [`microkernel_run`] per Ã panel and `k_c` block
-//! reads all of the tile's full `NR`-row panels where they are
-//! ([`BView::rows`]) and adds each panel's sums straight into the Ã
-//! panel's row segments of γ. Only the last `n % NR` rows, which do not
-//! fill a panel, go through a zero-padded [`PackedPanels`] and a tile,
-//! which is clipped to the segments. Edge panels of Ã are zero-padded by
-//! the packer, and the run drops their rows. Each tile adds straight into
-//! its own row segments of `γ`, so the routines *add into* their output.
+//! B is never packed: one panel run per Ã panel and `k_c` block reads all
+//! of the tile's full `NR`-row panels where they are ([`BView::rows`]) and
+//! writes each panel's sums straight into the Ã panel's row segments of γ.
+//! Only the last `n % NR` rows, which do not fill a panel, go through a
+//! zero-padded [`PackedPanels`] and a tile, which is clipped to the
+//! segments. Edge panels of Ã are zero-padded by the packer, and the run
+//! drops their rows.
+//!
+//! γ is written once, as a BLIS kernel writes C when β = 0. A tile's first
+//! `k_c` block stores its sums
+//! ([`microkernel_store`](crate::microkernel::microkernel_store)) and so
+//! writes every cell of the tile; later blocks add theirs
+//! ([`microkernel_run`](crate::microkernel::microkernel_run)). Nothing
+//! zero-fills γ first: a fresh γ ([`gamma_blocked`]) is allocated
+//! uninitialized, and [`gamma_blocked_into`] overwrites its output.
 //!
 //! A symmetric self-comparison ([`crate::symmetric`]) runs the same tiles
 //! over the upper triangle: row block `ic` covers columns `ic..m`, and
 //! each tile also owns the lower-triangle pieces that mirror its columns
 //! past the diagonal block, which it fills once its sums are final.
 
+use std::mem::MaybeUninit;
+
 use snp_bitmat::{BitMatrix, CompareOp, CountMatrix, PackedPanels};
 
 use crate::blocking::{CpuBlocking, MR, NR};
-use crate::microkernel::{microkernel_run, microkernel_view, zero_tile, BView};
+use crate::microkernel::{microkernel_view, panel_run, zero_tile, BView, GammaCell};
 
-/// Adds `A ⋄ Bᵀ` into `c` using the blocked algorithm on one thread.
+/// Writes `A ⋄ Bᵀ` into `c` using the blocked algorithm on one thread,
+/// overwriting what `c` held.
 ///
 /// Panics if shapes disagree (`a`, `b` must share `words_per_row`; `c` must
 /// be `a.rows() × b.rows()`), or if `blocking` is invalid.
@@ -43,42 +53,94 @@ pub fn gamma_blocked_into(
     blocking: &CpuBlocking,
     c: &mut CountMatrix,
 ) {
-    check_shapes(a, b, c, blocking);
-    let a_packs = pack_a(a, blocking);
-    for mut tile in tiles(c, blocking, 1, false) {
-        run_tile(op, &a_packs, b, &mut tile);
-    }
+    check_shapes(a, b, (c.rows(), c.cols()), blocking);
+    // SAFETY: the tiles write only counts into `c`.
+    run_tiles(op, a, b, blocking, unsafe { overwrite(c) });
 }
 
-/// Convenience wrapper allocating a fresh output.
+/// [`gamma_blocked_into`] into a fresh output, which is never zero-filled.
 pub fn gamma_blocked(
     a: &BitMatrix<u64>,
     b: &BitMatrix<u64>,
     op: CompareOp,
     blocking: &CpuBlocking,
 ) -> CountMatrix {
-    let mut c = CountMatrix::zeros(a.rows(), b.rows());
-    gamma_blocked_into(a, b, op, blocking, &mut c);
-    c
+    check_shapes(a, b, (a.rows(), b.rows()), blocking);
+    // SAFETY: the tiles partition γ, and each tile writes all of its cells.
+    unsafe { fresh(a.rows(), b.rows(), |c| run_tiles(op, a, b, blocking, c)) }
+}
+
+/// Runs every tile of `c` on this thread, one per `m_c × n_c` block.
+fn run_tiles(
+    op: CompareOp,
+    a: &BitMatrix<u64>,
+    b: &BitMatrix<u64>,
+    blocking: &CpuBlocking,
+    c: &mut [MaybeUninit<u32>],
+) {
+    let a_packs = pack_a(a, blocking);
+    for mut tile in tiles(c, b.rows(), blocking, 1, false) {
+        run_tile(op, &a_packs, b, &mut tile);
+    }
+}
+
+/// A fresh `rows × cols` γ whose cells `fill` writes: the buffer is
+/// allocated, handed to `fill` uninitialized, and never zero-filled.
+///
+/// Panics if `rows × cols` overflows `usize`.
+///
+/// # Safety
+///
+/// `fill` must write every cell of the buffer it is given.
+pub(crate) unsafe fn fresh(
+    rows: usize,
+    cols: usize,
+    fill: impl FnOnce(&mut [MaybeUninit<u32>]),
+) -> CountMatrix {
+    let len = rows.checked_mul(cols).expect("γ size overflows usize");
+    let mut data = Vec::with_capacity(len);
+    fill(&mut data.spare_capacity_mut()[..len]);
+    // SAFETY: the capacity holds `len` cells, and the caller guarantees
+    // that `fill` wrote every one of them.
+    unsafe { data.set_len(len) };
+    CountMatrix::from_vec(rows, cols, data)
+}
+
+/// `c`'s cells, viewed as a buffer the loop nest overwrites.
+///
+/// # Safety
+///
+/// Only initialized values may be written through the view, so that `c`
+/// stays initialized.
+pub(crate) unsafe fn overwrite(c: &mut CountMatrix) -> &mut [MaybeUninit<u32>] {
+    let cells: *mut [u32] = c.as_mut_slice();
+    // SAFETY: `MaybeUninit<u32>` has the size and alignment of `u32`, so
+    // the view covers exactly `c`'s cells, and it borrows `c` for as long
+    // as it lives. The caller guarantees that every write through it
+    // stores a value, so `c` stays initialized.
+    unsafe { &mut *(cells as *mut [MaybeUninit<u32>]) }
 }
 
 /// One tile of `γ`: columns `jc..jc + n_blk` of the rows of row block
 /// `blk` (rows `blk·m_c..`), held as one mutable segment per row. A tile
 /// of a symmetric run also owns `mirror`: for each of its last
 /// `mirror.len()` columns `j`, the segment `γ[j][blk·m_c..]` of the lower
-/// triangle that holds the column's transpose.
+/// triangle that holds the column's transpose. The cells may be
+/// uninitialized until [`run_tile`] writes them.
 pub(crate) struct Tile<'c> {
     pub(crate) blk: usize,
     pub(crate) jc: usize,
     pub(crate) n_blk: usize,
-    pub(crate) rows: Vec<&'c mut [u32]>,
-    pub(crate) mirror: Vec<&'c mut [u32]>,
+    pub(crate) rows: Vec<&'c mut [MaybeUninit<u32>]>,
+    pub(crate) mirror: Vec<&'c mut [MaybeUninit<u32>]>,
 }
 
-/// Cuts `c` into tiles. Each row block is split into the fewest NR-aligned
-/// column ranges of at most `n_c` columns, or into more where that gives
-/// fewer than `min_tiles` tiles overall. The ranges of one row block
-/// differ in width by at most `NR`.
+/// Cuts `c`, a row-major γ of `n` columns, into tiles that partition it:
+/// every cell lies in exactly one tile's row segment or mirror piece. Each
+/// row block is split into the fewest NR-aligned column ranges of at most
+/// `n_c` columns, or into more where that gives fewer than `min_tiles`
+/// tiles overall. The ranges of one row block differ in width by at most
+/// `NR`.
 ///
 /// A row block covers columns `0..n`, or with `symmetric` (a square `c`
 /// holding a self-comparison) only `blk·m_c..n`, from its diagonal block
@@ -86,17 +148,18 @@ pub(crate) struct Tile<'c> {
 /// wide pieces, one per earlier row block, each handed to the tile of
 /// that block whose columns hold `j`.
 pub(crate) fn tiles<'c>(
-    c: &'c mut CountMatrix,
+    c: &'c mut [MaybeUninit<u32>],
+    n: usize,
     blocking: &CpuBlocking,
     min_tiles: usize,
     symmetric: bool,
 ) -> Vec<Tile<'c>> {
-    let (m, n, m_c) = (c.rows(), c.cols(), blocking.m_c);
+    let (m, m_c) = (c.len().checked_div(n).unwrap_or(0), blocking.m_c);
     let per_block = min_tiles.div_ceil(m.div_ceil(m_c).max(1));
     let mut tiles = Vec::new();
     let mut firsts = Vec::new(); // each row block's first tile
     let block_len = (m_c * n).max(1); // `chunks_mut` needs it non-zero
-    for (blk, block) in c.as_mut_slice().chunks_mut(block_len).enumerate() {
+    for (blk, block) in c.chunks_mut(block_len).enumerate() {
         let lo = if symmetric { blk * m_c } else { 0 };
         let panels = (n - lo).div_ceil(NR);
         let splits = (n - lo).div_ceil(blocking.n_c).max(per_block).min(panels);
@@ -148,14 +211,13 @@ pub(crate) fn pack_a(a: &BitMatrix<u64>, blocking: &CpuBlocking) -> Vec<Vec<Pack
         .collect()
 }
 
-/// Adds one tile's share of `A ⋄ Bᵀ` into its row segments: loops 1–2
-/// for each `k_c` block, with the Ã panel loop outside the B panel loop.
-/// One `MR × k_c` Ã panel stays in L1 while B's `NR`-row panels stream
-/// past it in place, all of the tile's full panels in one
-/// [`microkernel_run`], which adds them straight into the Ã panel's row
-/// segments. A ragged last B panel is packed zero-padded first and goes
-/// through a tile. Then the tile copies its finished columns into its
-/// mirror pieces, so a symmetric run must start from a zeroed `γ`.
+/// Writes one tile's share of `A ⋄ Bᵀ` into its row segments: loops 1–2
+/// for each `k_c` block, with the Ã panel loop outside the B panel loop
+/// ([`run_block`]). The first block stores its sums, which writes every
+/// cell of the segments, so the tile may start uninitialized; later
+/// blocks add theirs. With no shared words there is no block, and the
+/// tile writes zeros. Then the tile copies its finished columns into its
+/// mirror pieces, which writes every cell of those too.
 pub(crate) fn run_tile(
     op: CompareOp,
     a_packs: &[Vec<PackedPanels<u64>>],
@@ -163,32 +225,68 @@ pub(crate) fn run_tile(
     tile: &mut Tile<'_>,
 ) {
     let (jc, n_blk) = (tile.jc, tile.n_blk);
+    let mut blocks = a_packs.iter().map(|blocks| &blocks[tile.blk]);
+    let Some(first) = blocks.next() else {
+        for seg in tile.rows.iter_mut().chain(&mut tile.mirror) {
+            seg.fill(MaybeUninit::new(0));
+        }
+        return;
+    };
+    run_block(op, first, b, jc, 0, n_blk, &mut tile.rows);
+    let mut rows: Vec<&mut [u32]> = tile
+        .rows
+        .iter_mut()
+        .map(|seg| {
+            let cells: *mut [MaybeUninit<u32>] = &mut **seg;
+            // SAFETY: the first block stored a count into every cell of
+            // every segment: the panel run into columns `..n_blk − n_blk %
+            // NR` and the tail into the rest. `MaybeUninit<u32>` has the
+            // layout of `u32`, and the view reborrows the segment.
+            unsafe { &mut *(cells as *mut [u32]) }
+        })
+        .collect();
+    let mut pc = first.k();
+    for a_pack in blocks {
+        run_block(op, a_pack, b, jc, pc, n_blk, &mut rows);
+        pc += a_pack.k();
+    }
+    let first_col = n_blk - tile.mirror.len();
+    for (col, piece) in (first_col..).zip(&mut tile.mirror) {
+        for (out, row) in piece.iter_mut().zip(&rows) {
+            out.write(row[col]);
+        }
+    }
+}
+
+/// One `k_c` block of a tile: the `k` words of Ã block `a_pack` from word
+/// `pc` on, against B rows `jc..jc + n_blk`, written into the tile's row
+/// segments with the writeback of `C`. One `MR × k_c` Ã panel stays in L1
+/// while B's `NR`-row panels stream past it in place, all of the tile's
+/// full panels in one panel run. A ragged last B panel is packed
+/// zero-padded first and goes through a tile, clipped to the segments.
+fn run_block<C: GammaCell>(
+    op: CompareOp,
+    a_pack: &PackedPanels<u64>,
+    b: &BitMatrix<u64>,
+    jc: usize,
+    pc: usize,
+    n_blk: usize,
+    rows: &mut [&mut [C]],
+) {
+    let k = a_pack.k();
     let full = n_blk - n_blk % NR;
-    let mut pc = 0;
-    for blocks in a_packs {
-        let a_pack = &blocks[tile.blk];
-        let k = a_pack.k();
-        let tail =
-            (full < n_blk).then(|| PackedPanels::pack(b, jc + full, jc + n_blk, pc, pc + k, NR));
-        for (ip, segs) in tile.rows.chunks_mut(MR).enumerate() {
-            let a_panel = a_pack.panel(ip);
-            microkernel_run(op, k, a_panel, BView::rows(b, jc, pc), full / NR, segs);
-            if let Some(t) = &tail {
-                let mut acc = zero_tile();
-                microkernel_view(op, k, a_panel, BView::packed(t.panel(0)), &mut acc);
-                for (row, acc_row) in segs.iter_mut().zip(&acc) {
-                    for (o, &v) in row[full..].iter_mut().zip(acc_row) {
-                        *o += v;
-                    }
+    let tail = (full < n_blk).then(|| PackedPanels::pack(b, jc + full, jc + n_blk, pc, pc + k, NR));
+    for (ip, segs) in rows.chunks_mut(MR).enumerate() {
+        let a_panel = a_pack.panel(ip);
+        panel_run(op, k, a_panel, BView::rows(b, jc, pc), full / NR, segs);
+        if let Some(t) = &tail {
+            let mut acc = zero_tile();
+            microkernel_view(op, k, a_panel, BView::packed(t.panel(0)), &mut acc);
+            for (row, acc_row) in segs.iter_mut().zip(&acc) {
+                for (o, &v) in row[full..].iter_mut().zip(acc_row) {
+                    o.put(v);
                 }
             }
-        }
-        pc += k;
-    }
-    let first = n_blk - tile.mirror.len();
-    for (col, piece) in (first..).zip(&mut tile.mirror) {
-        for (out, row) in piece.iter_mut().zip(&tile.rows) {
-            *out = row[col];
         }
     }
 }
@@ -196,13 +294,12 @@ pub(crate) fn run_tile(
 pub(crate) fn check_shapes(
     a: &BitMatrix<u64>,
     b: &BitMatrix<u64>,
-    c: &CountMatrix,
+    c: (usize, usize),
     blocking: &CpuBlocking,
 ) {
     let (wa, wb) = (a.words_per_row(), b.words_per_row());
     assert_eq!(wa, wb, "operands disagree on packed width: {wa} vs {wb}");
-    let (shape, want) = ((c.rows(), c.cols()), (a.rows(), b.rows()));
-    assert_eq!(shape, want, "output must be A rows × B rows");
+    assert_eq!(c, (a.rows(), b.rows()), "output must be A rows × B rows");
     let viol = blocking.violations();
     assert!(viol.is_empty(), "invalid blocking: {viol:?}");
 }
@@ -261,17 +358,17 @@ mod tests {
     }
 
     #[test]
-    fn accumulates_into_existing_output() {
+    fn overwrites_existing_output() {
+        // β = 0: whatever `c` held, and however often the GEMM runs into
+        // it, it ends up holding exactly the counts.
         let a = matrix(5, 128, 6);
         let b = matrix(7, 128, 7);
-        let mut c = CountMatrix::zeros(5, 7);
-        gamma_blocked_into(&a, &b, CompareOp::And, &blocking_small(), &mut c);
-        gamma_blocked_into(&a, &b, CompareOp::And, &blocking_small(), &mut c);
+        let poison = (0..5 * 7).map(|i| u32::MAX ^ i).collect();
+        let mut c = CountMatrix::from_vec(5, 7, poison);
         let want = reference_gamma(&a, &b, CompareOp::And);
-        for i in 0..5 {
-            for j in 0..7 {
-                assert_eq!(c.get(i, j), 2 * want.get(i, j));
-            }
+        for _ in 0..2 {
+            gamma_blocked_into(&a, &b, CompareOp::And, &blocking_small(), &mut c);
+            assert_eq!(c.first_mismatch(&want), None);
         }
     }
 
@@ -286,25 +383,37 @@ mod tests {
 
     #[test]
     fn symmetric_tiles_own_every_cell_once() {
-        // Upper-triangle segments and mirror pieces together cover γ, each
-        // cell once, and one tile per m_c × n_c block is cut when one tile
-        // is enough.
+        // Upper-triangle segments and mirror pieces together partition γ:
+        // their address ranges, sorted, run end to end over the whole
+        // buffer. One tile per m_c × n_c block is cut when one tile is
+        // enough.
         let blocking = blocking_small();
         for m in [1usize, NR - 1, 2 * MR, 2 * MR + 1, 10 * MR - 1, 10 * MR + 3] {
-            let mut c = CountMatrix::zeros(m, m);
-            let cut = tiles(&mut c, &blocking, 1, true);
+            let mut c = vec![MaybeUninit::new(0u32); m * m];
+            let whole = c.as_ptr_range();
+            let cut = tiles(&mut c, m, &blocking, 1, true);
             let blocks: usize = (0..m)
                 .step_by(blocking.m_c)
                 .map(|ic| (m - ic).div_ceil(blocking.n_c))
                 .sum();
             assert_eq!(cut.len(), blocks, "m={m}");
-            for mut tile in cut {
+            let mut ranges = Vec::new();
+            for tile in &cut {
                 assert!(tile.mirror.iter().all(|p| p.len() == tile.rows.len()));
-                for seg in tile.rows.iter_mut().chain(&mut tile.mirror) {
-                    seg.iter_mut().for_each(|v| *v += 1);
-                }
+                ranges.extend(
+                    tile.rows
+                        .iter()
+                        .chain(&tile.mirror)
+                        .map(|s| s.as_ptr_range()),
+                );
             }
-            assert!(c.as_slice().iter().all(|&v| v == 1), "m={m}");
+            ranges.sort_by_key(|r| r.start);
+            let mut next = whole.start;
+            for r in ranges {
+                assert_eq!(r.start, next, "m={m}: a gap or an overlap");
+                next = r.end;
+            }
+            assert_eq!(next, whole.end, "m={m}");
         }
     }
 

@@ -6,7 +6,9 @@
 //! replaced by the three-instruction popcount sequence
 //! `γ += POPC(a ⋄ b)` over 64-bit words. A is packed, B is read in place,
 //! each Ã panel's sums go from registers straight into γ, and rayon runs
-//! tiles of γ, cut to fit any shape, across cores. LD compares a panel
+//! tiles of γ, cut to fit any shape, across cores. γ is written once, as
+//! BLIS writes C when β = 0: a tile's first `k_c` block stores its sums and
+//! later blocks add theirs, so no entry zero-fills γ. LD compares a panel
 //! with itself, so its γ is symmetric: its tiles cover only the upper
 //! triangle, and the tile that computes a block also writes the block's
 //! transpose below the diagonal.

@@ -8,12 +8,17 @@
 //! [`BView`], so the loop nests can hand over rows of a [`BitMatrix`]
 //! where they already are, or a packed panel.
 //!
-//! [`microkernel_run`] is the production path: one call is a *panel run*,
-//! one A panel against `panels` consecutive `NR`-row panels of B, adding
-//! each panel's `MR × NR` counts straight into the A panel's row segments
-//! of γ, as BLIS's kernel updates C from its registers. The release build
-//! targets baseline x86-64, where `count_ones()` lowers to a SWAR sequence,
-//! so the run picks its popcount instruction at run time, once per process
+//! The production path is a *panel run*: one call takes one A panel against
+//! `panels` consecutive `NR`-row panels of B, and writes each panel's
+//! `MR × NR` counts straight into the A panel's row segments of γ, as
+//! BLIS's kernel updates C from its registers. Like BLIS's `C := βC + AB`,
+//! a run has two writebacks. [`microkernel_store`] is β = 0: it stores the
+//! counts into cells it never reads, which may be uninitialized, so a
+//! fresh γ is never zero-filled. [`microkernel_run`] is β = 1: it adds the
+//! counts into cells that already hold sums. The loop nest stores a tile's
+//! first `k_c` block and adds the rest. The release build targets baseline
+//! x86-64, where `count_ones()` lowers to a SWAR sequence, so a run picks
+//! its popcount instruction at run time, once per process
 //! ([`Tier::detected`]), from three tiers that compute bit-identical counts:
 //!
 //! * [`Tier::Vpopcntq`] — AVX-512 `VPOPCNTQ`. One zmm register holds the
@@ -22,7 +27,8 @@
 //!   `VPTERNLOGQ`, popcounted by one `VPOPCNTQ` and added into its own u64
 //!   zmm accumulator. After the `k` steps of a panel, four permutes turn
 //!   the four accumulators into one 128-bit row of four u32 counts per A
-//!   row, and each row is added into γ with one vector load, add and store.
+//!   row. The store writeback writes each row with one 128-bit store; the
+//!   add writeback loads the row's cells, adds and stores.
 //! * [`Tier::Avx2`] — the 4-lane Harley–Seal tree of [`crate::simd`]
 //!   compiled with AVX2 enabled, so one [`W64x4`] is one ymm register.
 //! * [`Tier::Portable`] — the same tree as compiled for the build target;
@@ -30,17 +36,21 @@
 //!
 //! Both lane tiers copy each [`CSA_BLOCK`]-deep slab of a panel into a
 //! local packed array, run it through the tree, run the `k % CSA_BLOCK`
-//! remainder through the scalar loop, and add the panel's tile into γ.
+//! remainder through the scalar loop, and store or add the panel's tile
+//! into γ.
 //!
-//! Each tier has one body, and a run picks it once. [`microkernel`],
+//! Each tier has one body, and the type of γ's cells picks its writeback
+//! at compile time. A run picks the tier once. [`microkernel`],
 //! [`microkernel_view`] and [`microkernel_tier`] are the one-panel case of
-//! the same run, with a `u32` tile standing in for γ. Every entry point
+//! the add run, with a `u32` tile standing in for γ. Every entry point
 //! asserts all of a run's bounds once, before it enters `unsafe`; the tiers
 //! then read B and write γ without per-word bounds checks.
 //! [`microkernel_scalar`], one `count_ones()` per combined word in safe
 //! code, is the oracle every tier is tested against through
-//! [`microkernel_tier`] and [`microkernel_run_tier`].
+//! [`microkernel_tier`], [`microkernel_run_tier`] and
+//! [`microkernel_store_tier`].
 
+use std::mem::MaybeUninit;
 use std::sync::OnceLock;
 
 use snp_bitmat::{BitMatrix, CompareOp};
@@ -180,7 +190,39 @@ impl<'a> BView<'a> {
     }
 }
 
-/// The panel run, on the [`Tier::detected`] popcount instruction: for each
+/// A γ cell type, and how a panel run writes its counts into it.
+///
+/// A `u32` cell already holds a sum, and the run adds into it (BLIS's
+/// β = 1). A `MaybeUninit<u32>` cell may hold nothing yet, and the run
+/// stores into it without reading it (β = 0). [`GammaCell::ADDS`] is a
+/// constant, so each tier's one body compiles to two writebacks.
+pub(crate) trait GammaCell {
+    /// Whether the writeback reads the cell and adds into it.
+    const ADDS: bool;
+
+    /// Writes one count into the cell.
+    fn put(&mut self, count: u32);
+}
+
+impl GammaCell for u32 {
+    const ADDS: bool = true;
+
+    #[inline(always)]
+    fn put(&mut self, count: u32) {
+        *self += count;
+    }
+}
+
+impl GammaCell for MaybeUninit<u32> {
+    const ADDS: bool = false;
+
+    #[inline(always)]
+    fn put(&mut self, count: u32) {
+        self.write(count);
+    }
+}
+
+/// The add run, on the [`Tier::detected`] popcount instruction: for each
 /// panel `q < panels`, adds
 /// `Σ_p popc(op(a_panel[p·MR + i], b(q·NR + j, p)))` over `p` in `0..k`
 /// into `segs[i][q·NR + j]`, where `b(r, p)` is word `p` of row `r` of the
@@ -202,10 +244,7 @@ pub fn microkernel_run(
     panels: usize,
     segs: &mut [&mut [u32]],
 ) {
-    check_operands(k, a_panel, &b, panels, segs);
-    // SAFETY: `Tier::detected` returns only a tier this CPU supports, and
-    // `check_operands` asserted the run's bounds.
-    unsafe { dispatch(Tier::detected(), op, k, a_panel, b, panels, segs) }
+    panel_run(op, k, a_panel, b, panels, segs)
 }
 
 /// [`microkernel_run`] on a chosen tier: the seam that lets tests run
@@ -220,6 +259,71 @@ pub fn microkernel_run_tier(
     b: BView<'_>,
     panels: usize,
     segs: &mut [&mut [u32]],
+) {
+    panel_run_tier(tier, op, k, a_panel, b, panels, segs)
+}
+
+/// The store run: [`microkernel_run`], but it stores each count into
+/// `segs[i][q·NR + j]` instead of adding it, and never reads γ. So the
+/// segments may be uninitialized; the run initializes columns
+/// `0..panels·NR` of each one and leaves the rest alone.
+///
+/// Panics like [`microkernel_run`].
+#[inline]
+pub fn microkernel_store(
+    op: CompareOp,
+    k: usize,
+    a_panel: &[u64],
+    b: BView<'_>,
+    panels: usize,
+    segs: &mut [&mut [MaybeUninit<u32>]],
+) {
+    panel_run(op, k, a_panel, b, panels, segs)
+}
+
+/// [`microkernel_store`] on a chosen tier: the seam that lets tests run
+/// every tier's store writeback against [`microkernel_scalar`].
+///
+/// Panics like [`microkernel_store`], or if this CPU cannot run `tier`.
+pub fn microkernel_store_tier(
+    tier: Tier,
+    op: CompareOp,
+    k: usize,
+    a_panel: &[u64],
+    b: BView<'_>,
+    panels: usize,
+    segs: &mut [&mut [MaybeUninit<u32>]],
+) {
+    panel_run_tier(tier, op, k, a_panel, b, panels, segs)
+}
+
+/// The panel run on the [`Tier::detected`] popcount instruction, with the
+/// writeback of `C`: the body of [`microkernel_run`] and
+/// [`microkernel_store`], which the loop nest calls with either.
+#[inline]
+pub(crate) fn panel_run<C: GammaCell>(
+    op: CompareOp,
+    k: usize,
+    a_panel: &[u64],
+    b: BView<'_>,
+    panels: usize,
+    segs: &mut [&mut [C]],
+) {
+    check_operands(k, a_panel, &b, panels, segs);
+    // SAFETY: `Tier::detected` returns only a tier this CPU supports, and
+    // `check_operands` asserted the run's bounds.
+    unsafe { dispatch(Tier::detected(), op, k, a_panel, b, panels, segs) }
+}
+
+/// [`panel_run`] on a chosen tier.
+fn panel_run_tier<C: GammaCell>(
+    tier: Tier,
+    op: CompareOp,
+    k: usize,
+    a_panel: &[u64],
+    b: BView<'_>,
+    panels: usize,
+    segs: &mut [&mut [C]],
 ) {
     check_operands(k, a_panel, &b, panels, segs);
     assert!(
@@ -249,7 +353,8 @@ pub fn microkernel(
 
 /// Computes `acc[i][j] += Σ_p popc(op(a_panel[p·MR + i], b(j, p)))` for `p`
 /// in `0..k`, where `b(j, p)` is word `p` of row `j` of the view, on the
-/// [`Tier::detected`] popcount instruction: the one-panel run into a tile.
+/// [`Tier::detected`] popcount instruction: the one-panel add run into a
+/// tile.
 ///
 /// Panics if `a_panel` holds fewer than `k × MR` words or `b` does not
 /// cover `k` steps.
@@ -282,21 +387,21 @@ pub fn microkernel_tier(
     microkernel_run_tier(tier, op, k, a_panel, b, 1, &mut segs)
 }
 
-/// Runs one panel run on `tier`.
+/// Runs one panel run on `tier`, with the writeback of `C`.
 ///
 /// # Safety
 ///
 /// This CPU must support `tier` ([`Tier::available`]), and the operands
 /// must pass [`check_operands`].
 #[inline(always)]
-unsafe fn dispatch(
+unsafe fn dispatch<C: GammaCell>(
     tier: Tier,
     op: CompareOp,
     k: usize,
     a_panel: &[u64],
     b: BView<'_>,
     panels: usize,
-    segs: &mut [&mut [u32]],
+    segs: &mut [&mut [C]],
 ) {
     match tier {
         #[cfg(target_arch = "x86_64")]
@@ -308,9 +413,9 @@ unsafe fn dispatch(
             const A: i32 = 0xF0;
             const B: i32 = 0xCC;
             let run = match op {
-                CompareOp::And => vpopcntq::<{ A & B }>,
-                CompareOp::Xor => vpopcntq::<{ A ^ B }>,
-                CompareOp::AndNot => vpopcntq::<{ A & !B }>,
+                CompareOp::And => vpopcntq::<{ A & B }, C>,
+                CompareOp::Xor => vpopcntq::<{ A ^ B }, C>,
+                CompareOp::AndNot => vpopcntq::<{ A & !B }, C>,
             };
             // SAFETY: the caller guarantees `avx512f`, `avx512vpopcntdq` and
             // the run's bounds.
@@ -325,8 +430,9 @@ unsafe fn dispatch(
 }
 
 /// The [`Tier::Vpopcntq`] run for the operator whose `VPTERNLOGQ` truth
-/// table is `TABLE`. It reads A through safe slices. Each panel's four u64 sums stay in zmm
-/// registers across the `k` loop and go into γ through [`add_sums`].
+/// table is `TABLE`. It reads A through safe slices. Each panel's four u64
+/// sums stay in zmm registers across the `k` loop and go into γ through
+/// [`write_sums`].
 ///
 /// # Safety
 ///
@@ -334,12 +440,12 @@ unsafe fn dispatch(
 /// must pass [`check_operands`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-unsafe fn vpopcntq<const TABLE: i32>(
+unsafe fn vpopcntq<const TABLE: i32, C: GammaCell>(
     k: usize,
     a_panel: &[u64],
     b: BView<'_>,
     panels: usize,
-    segs: &mut [&mut [u32]],
+    segs: &mut [&mut [C]],
 ) {
     use std::arch::x86_64::*;
     const _: () = assert!(MR * 64 == 512, "one zmm register holds the MR A lanes");
@@ -362,27 +468,33 @@ unsafe fn vpopcntq<const TABLE: i32>(
         }
         // SAFETY: this function's own contract guarantees `avx512f`, and
         // `check_operands` asserted that every segment holds
-        // panels·NR ≥ col + NR words.
-        unsafe { add_sums(sums, segs, col) }
+        // panels·NR ≥ col + NR cells.
+        unsafe { write_sums(sums, segs, col) }
     }
 }
 
-/// Adds one panel's sums into γ: `segs[i][col + j] += sums[j][i]`.
+/// Writes one panel's sums into γ: `segs[i][col + j] = sums[j][i]` for
+/// `MaybeUninit` cells, `+=` for `u32` cells.
 ///
 /// Lane `i` of `sums[j]` is the u64 count of A row `i` against B row `j`;
 /// its low dword is the count, since a u32 γ cell must hold it anyway. Two
 /// `vpermt2d` pair up the low dwords of columns 0–1 and 2–3 per row, two
 /// `vpermt2q` put each row's four dwords into one 128-bit lane, and each
-/// row segment then takes one 128-bit load, add and store.
+/// row segment then takes one 128-bit store, after a load and an add when
+/// `C` adds.
 ///
 /// # Safety
 ///
 /// This CPU must support `avx512f`, and every segment must hold at least
-/// `col + NR` words.
+/// `col + NR` cells.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[inline]
-unsafe fn add_sums(sums: [std::arch::x86_64::__m512i; NR], segs: &mut [&mut [u32]], col: usize) {
+unsafe fn write_sums<C: GammaCell>(
+    sums: [std::arch::x86_64::__m512i; NR],
+    segs: &mut [&mut [C]],
+    col: usize,
+) {
     use std::arch::x86_64::*;
     const _: () = assert!(NR * 32 == 128, "one xmm register holds a row's NR counts");
     let low_dwords = _mm512_setr_epi32(0, 16, 2, 18, 4, 20, 6, 22, 8, 24, 10, 26, 12, 28, 14, 30);
@@ -402,11 +514,18 @@ unsafe fn add_sums(sums: [std::arch::x86_64::__m512i; NR], segs: &mut [&mut [u32
         _mm512_extracti32x4_epi32::<3>(rows_4_7),
     ];
     for (seg, row) in segs.iter_mut().zip(rows) {
-        // SAFETY: the caller guarantees that `seg` holds `col + NR` u32
-        // words, one unaligned 128-bit load and store from `col` on.
+        // SAFETY: `C` is `u32` or `MaybeUninit<u32>`, four bytes each, and
+        // the caller guarantees that `seg` holds `col + NR` cells, one
+        // unaligned 128-bit store from `col` on. Only a `u32` segment,
+        // whose cells are initialized, is loaded first.
         unsafe {
             let out = seg.as_mut_ptr().add(col).cast::<__m128i>();
-            _mm_storeu_si128(out, _mm_add_epi32(_mm_loadu_si128(out), row));
+            let row = if C::ADDS {
+                _mm_add_epi32(_mm_loadu_si128(out), row)
+            } else {
+                row
+            };
+            _mm_storeu_si128(out, row);
         }
     }
 }
@@ -419,13 +538,13 @@ unsafe fn add_sums(sums: [std::arch::x86_64::__m512i; NR], segs: &mut [&mut [u32
 /// [`check_operands`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn lane_avx2(
+unsafe fn lane_avx2<C: GammaCell>(
     op: CompareOp,
     k: usize,
     a_panel: &[u64],
     b: BView<'_>,
     panels: usize,
-    segs: &mut [&mut [u32]],
+    segs: &mut [&mut [C]],
 ) {
     // SAFETY: the caller guarantees the run's bounds.
     unsafe { lane(op, k, a_panel, b, panels, segs) }
@@ -439,13 +558,13 @@ unsafe fn lane_avx2(
 ///
 /// The operands must pass [`check_operands`].
 #[inline(always)]
-unsafe fn lane(
+unsafe fn lane<C: GammaCell>(
     op: CompareOp,
     k: usize,
     a_panel: &[u64],
     b: BView<'_>,
     panels: usize,
-    segs: &mut [&mut [u32]],
+    segs: &mut [&mut [C]],
 ) {
     // Monomorphize per operator so the combine compiles to a single
     // instruction (AND / XOR / ANDN) in the inner loop.
@@ -462,12 +581,12 @@ unsafe fn lane(
 
 /// See [`lane`], whose safety contract this shares.
 #[inline(always)]
-unsafe fn lane_impl(
+unsafe fn lane_impl<C: GammaCell>(
     k: usize,
     a_panel: &[u64],
     b: BView<'_>,
     panels: usize,
-    segs: &mut [&mut [u32]],
+    segs: &mut [&mut [C]],
     combine: impl Fn(u64, u64) -> u64 + Copy,
 ) {
     let combine_v =
@@ -503,7 +622,7 @@ unsafe fn lane_impl(
         scalar_steps(full, k, a_panel, b, col, &mut acc, combine);
         for (seg, acc_row) in segs.iter_mut().zip(&acc) {
             for (o, &v) in seg[col..col + NR].iter_mut().zip(acc_row) {
-                *o += v;
+                o.put(v);
             }
         }
     }
@@ -520,7 +639,7 @@ pub fn microkernel_scalar(
     b: BView<'_>,
     acc: &mut [[u32; NR]; MR],
 ) {
-    check_operands(k, a_panel, &b, 1, &[]);
+    check_operands::<u32>(k, a_panel, &b, 1, &[]);
     match op {
         CompareOp::And => scalar_steps(0, k, a_panel, b, 0, acc, |a, b| a & b),
         CompareOp::Xor => scalar_steps(0, k, a_panel, b, 0, acc, |a, b| a ^ b),
@@ -532,7 +651,7 @@ pub fn microkernel_scalar(
 /// holds `k` steps, `b` covers `panels` panels of `k` steps, and `segs` is
 /// at most `MR` segments of at least `panels·NR` words each.
 #[inline(always)]
-fn check_operands(k: usize, a_panel: &[u64], b: &BView<'_>, panels: usize, segs: &[&mut [u32]]) {
+fn check_operands<C>(k: usize, a_panel: &[u64], b: &BView<'_>, panels: usize, segs: &[&mut [C]]) {
     assert!(
         a_panel.len() >= k * MR,
         "A panel too short: {} < {}",

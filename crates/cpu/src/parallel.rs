@@ -8,21 +8,26 @@
 //! more tiles: γ is cut into tiles of `m_c` rows × NR-aligned columns, at
 //! least four per thread, so a square problem splits by rows and a wide
 //! one by columns. Ã is packed once per `pc` before the parallel region;
-//! each task then reads B in place and adds straight into its own row
-//! segments of γ. There is no per-task buffer and no writeback after the
-//! join.
+//! each task then reads B in place and writes straight into its own row
+//! segments of γ, storing its first `k_c` block and adding the rest. There
+//! is no per-task buffer, no zero-fill before the region and no writeback
+//! after the join: the tiles partition γ and each writes all of its cells,
+//! so a fresh γ ([`gamma_parallel`]) is allocated uninitialized, and
+//! [`gamma_parallel_into`] overwrites its output.
 //!
 //! The result is bit-identical to the sequential path: every `γ` cell is a
 //! sum of `u32` tile contributions, and integer addition is associative
 //! and commutative, so neither the loop order nor the task boundaries are
 //! observable in the output.
 
+use std::mem::MaybeUninit;
+
 use rayon::prelude::*;
 use snp_bitmat::{BitMatrix, CompareOp, CountMatrix};
 use snp_trace::{LazyCounter, TimeDomain, Tracer};
 
 use crate::blocking::CpuBlocking;
-use crate::gemm::{check_shapes, pack_a, run_tile, tiles};
+use crate::gemm::{check_shapes, fresh, overwrite, pack_a, run_tile, tiles};
 
 /// Registry name of the counter of parallel GEMM runs.
 pub const PARALLEL_RUNS_METRIC: &str = "cpu.parallel.runs";
@@ -58,8 +63,8 @@ pub struct ParallelStats {
     pub a_packs: usize,
 }
 
-/// Parallel version of [`crate::gemm::gamma_blocked_into`]. Produces
-/// results bit-identical to the sequential path.
+/// Parallel version of [`crate::gemm::gamma_blocked_into`]: overwrites
+/// `c` with results bit-identical to the sequential path.
 pub fn gamma_parallel_into(
     a: &BitMatrix<u64>,
     b: &BitMatrix<u64>,
@@ -94,14 +99,28 @@ pub fn gamma_parallel_into_traced(
     tracer: &Tracer,
 ) -> ParallelStats {
     let ParallelSchedule::Auto = schedule;
-    check_shapes(a, b, c, blocking);
+    check_shapes(a, b, (c.rows(), c.cols()), blocking);
+    // SAFETY: the tiles write only counts into `c`.
+    run_tiles(a, b, op, blocking, unsafe { overwrite(c) }, tracer)
+}
+
+/// Runs every tile of `c`, a row-major `a.rows() × b.rows()` γ, on the
+/// rayon pool.
+fn run_tiles(
+    a: &BitMatrix<u64>,
+    b: &BitMatrix<u64>,
+    op: CompareOp,
+    blocking: &CpuBlocking,
+    c: &mut [MaybeUninit<u32>],
+    tracer: &Tracer,
+) -> ParallelStats {
     if a.rows() == 0 || b.rows() == 0 {
         return ParallelStats::default();
     }
     let track = tracer.track("cpu parallel", TimeDomain::Wall);
     let run = tracer.begin_span(track, "run", "parallel gamma", tracer.wall_now_ns());
     let a_packs = pack_a(a, blocking);
-    let tiles = tiles(c, blocking, min_tiles(), false);
+    let tiles = tiles(c, b.rows(), blocking, min_tiles(), false);
     let stats = ParallelStats {
         tasks: tiles.len(),
         a_packs: a_packs.iter().map(Vec::len).sum(),
@@ -143,23 +162,28 @@ pub(crate) fn min_tiles() -> usize {
     TILES_PER_THREAD * rayon::current_num_threads()
 }
 
-/// Convenience wrapper allocating a fresh output.
+/// [`gamma_parallel_into`] into a fresh output, which is never
+/// zero-filled.
 pub fn gamma_parallel(
     a: &BitMatrix<u64>,
     b: &BitMatrix<u64>,
     op: CompareOp,
     blocking: &CpuBlocking,
 ) -> CountMatrix {
-    let mut c = CountMatrix::zeros(a.rows(), b.rows());
-    gamma_parallel_into(a, b, op, blocking, &mut c);
-    c
+    check_shapes(a, b, (a.rows(), b.rows()), blocking);
+    // SAFETY: the tiles partition γ, and each tile writes all of its cells.
+    unsafe {
+        fresh(a.rows(), b.rows(), |c| {
+            run_tiles(a, b, op, blocking, c, &Tracer::disabled());
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::blocking::{MR, NR};
-    use crate::gemm::gamma_blocked;
+    use crate::gemm::{gamma_blocked, gamma_blocked_into};
     use snp_bitmat::reference_gamma;
     use snp_trace::ArgValue;
 
@@ -362,35 +386,35 @@ mod tests {
         assert_eq!(par.first_mismatch(&want), None);
     }
 
-    #[test]
-    fn accumulates_like_sequential() {
-        let a = matrix(20, 256, 6);
-        let b = matrix(20, 256, 7);
-        let mut c = CountMatrix::zeros(20, 20);
-        gamma_parallel_into(&a, &b, CompareOp::And, &blocking_small(), &mut c);
-        gamma_parallel_into(&a, &b, CompareOp::Xor, &blocking_small(), &mut c);
-        let want_and = reference_gamma(&a, &b, CompareOp::And);
-        let want_xor = reference_gamma(&a, &b, CompareOp::Xor);
-        for i in 0..20 {
-            for j in 0..20 {
-                assert_eq!(c.get(i, j), want_and.get(i, j) + want_xor.get(i, j));
-            }
-        }
+    /// A γ that holds no counts: every cell differs from its neighbours
+    /// and from any count these tests produce.
+    fn poisoned(m: usize, n: usize) -> CountMatrix {
+        CountMatrix::from_vec(m, n, (0..m * n).map(|i| u32::MAX ^ i as u32).collect())
     }
 
     #[test]
-    fn wide_tiles_accumulate_into_existing_output() {
+    fn overwrites_like_sequential() {
+        let a = matrix(20, 256, 6);
+        let b = matrix(20, 256, 7);
+        let mut c = poisoned(20, 20);
+        gamma_parallel_into(&a, &b, CompareOp::And, &blocking_small(), &mut c);
+        let mut seq = poisoned(20, 20);
+        gamma_blocked_into(&a, &b, CompareOp::And, &blocking_small(), &mut seq);
+        assert_eq!(c.first_mismatch(&seq), None);
+        gamma_parallel_into(&a, &b, CompareOp::Xor, &blocking_small(), &mut c);
+        let want_xor = reference_gamma(&a, &b, CompareOp::Xor);
+        assert_eq!(c.first_mismatch(&want_xor), None);
+    }
+
+    #[test]
+    fn wide_tiles_overwrite_existing_output() {
         let a = matrix(8, 200, 8);
         let b = matrix(120, 200, 9);
-        let mut c = CountMatrix::zeros(8, 120);
+        let mut c = poisoned(8, 120);
+        let want = reference_gamma(&a, &b, CompareOp::AndNot);
         for _ in 0..2 {
             gamma_parallel_into(&a, &b, CompareOp::AndNot, &blocking_small(), &mut c);
-        }
-        let want = reference_gamma(&a, &b, CompareOp::AndNot);
-        for i in 0..8 {
-            for j in 0..120 {
-                assert_eq!(c.get(i, j), 2 * want.get(i, j));
-            }
+            assert_eq!(c.first_mismatch(&want), None);
         }
     }
 }

@@ -8,7 +8,9 @@
 //! the rows `ic..ic + m_c` cover only columns `ic..m`. The tile that
 //! computes a column `j` past its diagonal block also writes the column's
 //! transpose `γ[j][ic..ic + m_c]`, in the same task, so there is no second
-//! pass over `γ`.
+//! pass over `γ`. The row segments and mirror pieces partition γ, and each
+//! tile writes all of its cells, so γ is allocated uninitialized and never
+//! zero-filled.
 //!
 //! The mirror is all transposed accesses, so its order matters. A γ row
 //! of a 1024-SNP panel is 4 KiB, each on its own page. A tile writes one
@@ -18,11 +20,13 @@
 //! page, and misses the TLB: on a 1019-SNP panel that order cost ~0.8 ms
 //! where this one costs ~0.2 ms (2-vCPU AVX-512 host, EXPERIMENTS.md).
 
+use std::mem::MaybeUninit;
+
 use rayon::prelude::*;
 use snp_bitmat::{BitMatrix, CompareOp, CountMatrix};
 
 use crate::blocking::{CpuBlocking, MR, NR};
-use crate::gemm::{check_shapes, pack_a, run_tile, tiles};
+use crate::gemm::{check_shapes, fresh, pack_a, run_tile, tiles};
 use crate::parallel::min_tiles;
 
 // A diagonal block starts on a row-block boundary, a multiple of `m_c` and
@@ -56,19 +60,23 @@ pub fn gamma_self_symmetric(
         op_is_symmetric(op),
         "operator {op} is not symmetric; use the general engine for AND-NOT"
     );
-    let mut c = CountMatrix::zeros(a.rows(), a.rows());
-    check_shapes(a, a, &c, blocking);
+    let m = a.rows();
+    check_shapes(a, a, (m, m), blocking);
     let a_packs = pack_a(a, blocking);
-    if parallel {
-        tiles(&mut c, blocking, min_tiles(), true)
-            .into_par_iter()
-            .for_each(|mut tile| run_tile(op, &a_packs, a, &mut tile));
-    } else {
-        for mut tile in tiles(&mut c, blocking, 1, true) {
-            run_tile(op, &a_packs, a, &mut tile);
+    let fill = |c: &mut [MaybeUninit<u32>]| {
+        if parallel {
+            tiles(c, m, blocking, min_tiles(), true)
+                .into_par_iter()
+                .for_each(|mut tile| run_tile(op, &a_packs, a, &mut tile));
+        } else {
+            for mut tile in tiles(c, m, blocking, 1, true) {
+                run_tile(op, &a_packs, a, &mut tile);
+            }
         }
-    }
-    c
+    };
+    // SAFETY: the tiles' row segments and mirror pieces partition γ, and
+    // each tile writes all of its cells.
+    unsafe { fresh(m, m, fill) }
 }
 
 #[cfg(test)]

@@ -1,15 +1,18 @@
 //! Every popcount tier this host supports must be bit-identical to the
 //! one-popcount-per-word oracle on every operator, shared-dimension length
 //! and bit pattern, on both B views (a packed panel and rows of a matrix
-//! read in place), and in a panel run that adds several B panels straight
-//! into γ: the tiers are pure performance transformations.
+//! read in place), and in a panel run over several B panels with either
+//! writeback: adding into γ, or storing into γ without reading it. The
+//! tiers are pure performance transformations.
+
+use std::mem::MaybeUninit;
 
 use proptest::prelude::*;
 use snp_bitmat::{BitMatrix, CompareOp, PackedPanels};
 use snp_cpu::blocking::{MR, NR};
 use snp_cpu::microkernel::{
-    microkernel, microkernel_run, microkernel_run_tier, microkernel_scalar, microkernel_tier,
-    microkernel_view, zero_tile, BView, Tier,
+    microkernel, microkernel_run, microkernel_run_tier, microkernel_scalar, microkernel_store,
+    microkernel_store_tier, microkernel_tier, microkernel_view, zero_tile, BView, Tier,
 };
 
 /// SplitMix64 words; `fill` picks random, sparse, dense or all-ones bits.
@@ -34,6 +37,26 @@ fn words(n: usize, seed: u64, fill: usize) -> Vec<u64> {
 
 fn available_tiers() -> Vec<Tier> {
     Tier::ALL.into_iter().filter(|t| t.available()).collect()
+}
+
+/// Runs `store` on row segments that hold `start`, and reads them back.
+fn stored(start: &[Vec<u32>], store: impl FnOnce(&mut [&mut [MaybeUninit<u32>]])) -> Vec<Vec<u32>> {
+    let mut cells: Vec<Vec<MaybeUninit<u32>>> = start
+        .iter()
+        .map(|seg| seg.iter().copied().map(MaybeUninit::new).collect())
+        .collect();
+    let mut segs: Vec<&mut [MaybeUninit<u32>]> = cells.iter_mut().map(Vec::as_mut_slice).collect();
+    store(&mut segs);
+    cells
+        .iter()
+        .map(|seg| {
+            seg.iter()
+                // SAFETY: every cell started initialized, and a store run
+                // writes only counts.
+                .map(|cell| unsafe { cell.assume_init() })
+                .collect()
+        })
+        .collect()
 }
 
 proptest! {
@@ -166,6 +189,55 @@ proptest! {
         microkernel_run(op, k, &a, view, panels, &mut segs);
         prop_assert_eq!(&production, &oracle, "production ({}), op {}", Tier::detected(), op);
     }
+
+    /// The store run (β = 0) on the same panels, into 1..=MR row segments
+    /// poisoned with values no count reaches, `slack` columns past the last
+    /// panel. Every tier must store what the oracle counts panel by panel,
+    /// whatever the segments held, and leave the slack columns alone.
+    #[test]
+    fn every_available_tier_stores_panels_like_the_scalar_oracle(
+        k in 0usize..=24,
+        panels in 1usize..=5,
+        n_segs in 1usize..=MR,
+        slack in 0usize..=2,
+        word_off in 1usize..=3,
+        extra in 1usize..=3,
+        row_off in 0usize..=2,
+        op_i in 0usize..3,
+        seed in any::<u64>(),
+        fill in 0usize..4,
+    ) {
+        let op = CompareOp::ALL[op_i];
+        let wpr = word_off + k + extra;
+        let rows = row_off + panels * NR + 1;
+        let m = BitMatrix::from_words(rows, wpr * 64, wpr, words(rows * wpr, !seed, fill));
+        let view = BView::rows(&m, row_off, word_off);
+        let a = words(k * MR, seed, fill);
+        let poison: Vec<Vec<u32>> = (0..n_segs)
+            .map(|i| (0..panels * NR + slack).map(|c| u32::MAX ^ (i * 64 + c) as u32).collect())
+            .collect();
+
+        let mut oracle = poison.clone();
+        for q in 0..panels {
+            let mut tile = zero_tile();
+            let panel = BView::rows(&m, row_off + q * NR, word_off);
+            microkernel_scalar(op, k, &a, panel, &mut tile);
+            for (seg, counts) in oracle.iter_mut().zip(&tile) {
+                seg[q * NR..(q + 1) * NR].copy_from_slice(counts);
+            }
+        }
+        for tier in available_tiers() {
+            let got = stored(&poison, |segs| {
+                microkernel_store_tier(tier, op, k, &a, view, panels, segs)
+            });
+            prop_assert_eq!(
+                &got, &oracle,
+                "tier {}, op {}, k {}, {} panel(s) into {} segment(s)", tier, op, k, panels, n_segs
+            );
+        }
+        let production = stored(&poison, |segs| microkernel_store(op, k, &a, view, panels, segs));
+        prop_assert_eq!(&production, &oracle, "production ({}), op {}", Tier::detected(), op);
+    }
 }
 
 #[test]
@@ -285,6 +357,40 @@ fn avx2_rejects_a_short_row_segment() {
 #[should_panic(expected = "row segment shorter")]
 fn portable_rejects_a_short_row_segment() {
     short_row_segment(Tier::Portable);
+}
+
+/// [`short_row_segment`] for the store run.
+fn short_store_segment(tier: Tier) {
+    let words = [0u64; 2 * NR * 3];
+    let mut long = [MaybeUninit::<u32>::uninit(); 2 * NR];
+    let mut short = [MaybeUninit::<u32>::uninit(); 2 * NR - 1];
+    microkernel_store_tier(
+        tier,
+        CompareOp::And,
+        3,
+        &[0u64; 3 * MR],
+        BView::new(&words, 3, 1),
+        2,
+        &mut [&mut long[..], &mut short[..]],
+    );
+}
+
+#[test]
+#[should_panic(expected = "row segment shorter")]
+fn vpopcntq_store_rejects_a_short_row_segment() {
+    short_store_segment(Tier::Vpopcntq);
+}
+
+#[test]
+#[should_panic(expected = "row segment shorter")]
+fn avx2_store_rejects_a_short_row_segment() {
+    short_store_segment(Tier::Avx2);
+}
+
+#[test]
+#[should_panic(expected = "row segment shorter")]
+fn portable_store_rejects_a_short_row_segment() {
+    short_store_segment(Tier::Portable);
 }
 
 #[test]
