@@ -38,7 +38,6 @@ mod matrix;
 mod ops;
 mod pack;
 mod reference;
-mod transpose;
 mod word;
 
 pub use count::CountMatrix;
@@ -46,5 +45,4 @@ pub use matrix::BitMatrix;
 pub use ops::{dot, CompareOp};
 pub use pack::PackedPanels;
 pub use reference::{reference_gamma, reference_gamma_self};
-pub use transpose::transpose;
 pub use word::Word;

@@ -260,12 +260,6 @@ impl<W: Word> BitMatrix<W> {
     pub fn convert<V: Word>(&self) -> BitMatrix<V> {
         BitMatrix::<V>::from_fn(self.rows, self.cols, |r, c| self.get(r, c))
     }
-
-    /// Physical size of the packed payload in bytes (what a device transfer
-    /// must move).
-    pub fn payload_bytes(&self) -> usize {
-        self.data.len() * (W::BITS as usize / 8)
-    }
 }
 
 #[cfg(test)]
@@ -405,8 +399,9 @@ mod tests {
     }
 
     #[test]
-    fn payload_bytes_accounts_for_padding_words() {
+    fn zeros_padded_stores_every_padding_word() {
         let m = BitMatrix::<u32>::zeros_padded(4, 40, 8);
-        assert_eq!(m.payload_bytes(), 4 * 8 * 4);
+        assert_eq!(m.words_per_row(), 8);
+        assert_eq!(m.words().len(), 4 * 8);
     }
 }

@@ -1,8 +1,10 @@
-//! Minimal `--key value` argument parsing (no external dependencies), plus
-//! the algorithm × device matrix selection shared by the matrix-shaped
-//! subcommands (`trace`, `lint`, `chaos`, `profile`).
+//! Minimal `--key value` argument parsing (no external dependencies): the
+//! typed getters every subcommand checks its options through, and the
+//! algorithm × device matrix selection that `lint`, `chaos`, `profile`,
+//! `loadgen`, `whatif` and `metrics` take as a positional token.
 
 use std::collections::BTreeMap;
+use std::str::FromStr;
 
 use snp_gpu_model::config::Algorithm;
 use snp_gpu_model::{devices, DeviceSpec};
@@ -34,6 +36,17 @@ impl std::error::Error for ArgError {}
 /// `"true"`.
 const FLAG_KEYS: &[&str] = &["deep", "admission", "anatomy"];
 
+/// The range a bounded float option must lie in. NaN lies in none.
+#[derive(Debug, Clone, Copy)]
+pub enum Range {
+    /// (0, ∞): rates, slack factors, latency objectives.
+    Positive,
+    /// [0, 1]: shed and error budgets.
+    Fraction,
+    /// [0, 0.5): a per-site genotyping error rate.
+    ErrorRate,
+}
+
 impl Args {
     /// Parses a token stream: `command --key value --key2 value2 …`.
     /// Names in `FLAG_KEYS` are value-less boolean flags.
@@ -59,7 +72,7 @@ impl Args {
             } else if args.positional.is_none() {
                 args.positional = Some(tok);
             } else {
-                return Err(ArgError(format!("unexpected positional argument {tok:?}")));
+                return Err(unexpected_positional(&tok));
             }
         }
         Ok(args)
@@ -80,13 +93,34 @@ impl Args {
         self.get(key).unwrap_or(default)
     }
 
-    /// A parsed numeric option with a default.
-    pub fn get_parse<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| ArgError(format!("option --{key}: cannot parse {v:?}"))),
+    /// A parsed option, `None` when absent.
+    pub fn get_opt<T: FromStr>(&self, key: &str) -> Result<Option<T>, ArgError> {
+        let parse = |v: &str| {
+            v.parse()
+                .map_err(|_| ArgError(format!("option --{key}: cannot parse {v:?}")))
+        };
+        self.get(key).map(parse).transpose()
+    }
+
+    /// A parsed option with a default.
+    pub fn get_parse<T: FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
+        Ok(self.get_opt(key)?.unwrap_or(default))
+    }
+
+    /// A float option that must lie in `range`, `None` when absent.
+    pub fn get_bounded(&self, key: &str, range: Range) -> Result<Option<f64>, ArgError> {
+        let Some(v) = self.get_opt::<f64>(key)? else {
+            return Ok(None);
+        };
+        let (within, what) = match range {
+            Range::Positive => (v > 0.0, "positive"),
+            Range::Fraction => ((0.0..=1.0).contains(&v), "in [0, 1]"),
+            Range::ErrorRate => ((0.0..0.5).contains(&v), "in [0, 0.5)"),
+        };
+        if within {
+            Ok(Some(v))
+        } else {
+            Err(ArgError(format!("--{key} must be {what}, got {v}")))
         }
     }
 
@@ -94,14 +128,40 @@ impl Args {
     /// default. Zero is rejected here, once for every command, because no
     /// workload generator or tiler accepts an empty dimension.
     pub fn get_size(&self, key: &str, default: usize) -> Result<usize, ArgError> {
+        self.get_at_least(key, default, 1)
+    }
+
+    /// A count option with a default that must be at least `min`.
+    pub fn get_at_least(&self, key: &str, default: usize, min: usize) -> Result<usize, ArgError> {
         match self.get_parse(key, default)? {
-            0 => Err(ArgError(format!("--{key} must be at least 1"))),
+            n if n < min => Err(ArgError(format!("--{key} must be at least {min}"))),
             n => Ok(n),
         }
     }
 
-    /// Errors on unknown option names (catches typos).
+    /// `--device NAME` (default Titan V) as a GPU.
+    pub fn device(&self) -> Result<DeviceSpec, ArgError> {
+        gpu(self.get_or("device", "Titan V"))
+    }
+
+    /// Errors on unknown option names (catches typos) and on a positional
+    /// token: for the commands that take none.
     pub fn expect_only(&self, allowed: &[&str]) -> Result<(), ArgError> {
+        self.expect_options(allowed)?;
+        match &self.positional {
+            Some(tok) => Err(unexpected_positional(tok)),
+            None => Ok(()),
+        }
+    }
+
+    /// Errors on unknown option names, then expands the positional
+    /// algorithm selection (default `all`): for the matrix-shaped commands.
+    pub fn expect_selection(&self, allowed: &[&str]) -> Result<Vec<Algorithm>, ArgError> {
+        self.expect_options(allowed)?;
+        algorithm_selection(self.positional.as_deref().unwrap_or("all"))
+    }
+
+    fn expect_options(&self, allowed: &[&str]) -> Result<(), ArgError> {
         for key in self.options.keys() {
             if !allowed.contains(&key.as_str()) {
                 return Err(ArgError(format!(
@@ -116,6 +176,10 @@ impl Args {
         }
         Ok(())
     }
+}
+
+fn unexpected_positional(tok: &str) -> ArgError {
+    ArgError(format!("unexpected positional argument {tok:?}"))
 }
 
 /// Expands an algorithm selection token — `ld`, `fastid` (alias `search`),
@@ -138,16 +202,20 @@ pub fn algorithm_selection(sel: &str) -> Result<Vec<Algorithm>, ArgError> {
     })
 }
 
+/// Looks up one GPU by name, rejecting names that resolve to non-GPU
+/// devices.
+fn gpu(name: &str) -> Result<DeviceSpec, ArgError> {
+    devices::by_name(name)
+        .filter(|d| d.shared_mem_bytes > 0)
+        .ok_or_else(|| ArgError(format!("unknown GPU device {name:?} (try: snpgpu devices)")))
+}
+
 /// Expands a device selection token — `all` or one device name — into GPU
-/// specs, rejecting names that resolve to non-GPU devices.
+/// specs.
 pub fn device_selection(sel: &str) -> Result<Vec<DeviceSpec>, ArgError> {
     match sel {
         "all" => Ok(devices::all_gpus()),
-        name => Ok(vec![devices::by_name(name)
-            .filter(|d| d.shared_mem_bytes > 0)
-            .ok_or_else(|| {
-                ArgError(format!("unknown GPU device {name:?} (try: snpgpu devices)"))
-            })?]),
+        name => Ok(vec![gpu(name)?]),
     }
 }
 

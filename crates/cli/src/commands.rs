@@ -1,5 +1,6 @@
-//! The `snpgpu` subcommands. Each returns its report as a `String` so the
-//! command layer is directly testable.
+//! The `snpgpu` subcommands. Each reads and checks all of its options,
+//! makes one library call and renders the result as a [`CmdReport`], so
+//! the command layer is directly testable.
 
 use std::fmt::Write as _;
 
@@ -13,6 +14,7 @@ use snp_cpu::CpuEngine;
 use snp_gpu_model::config::ProblemShape;
 use snp_gpu_model::peak::peak;
 use snp_gpu_model::{devices, DeviceSpec, InstrClass, WordOpKind};
+use snp_load::Verdict;
 use snp_microbench::recover_parameters;
 use snp_popgen::forensic::{
     generate_database, generate_mixtures, generate_queries, DatabaseConfig,
@@ -21,9 +23,10 @@ use snp_popgen::ld_stats::ld_pair;
 use snp_popgen::population::{generate_panel, PanelConfig};
 use snp_popgen::IdentityScorer;
 use snp_trace::json::{self, Obj, Val};
+use snp_trace::{Trace, Tracer};
 use snp_verify::Severity;
 
-use crate::args::{algorithm_selection, algorithm_slug, device_selection, ArgError, Args};
+use crate::args::{algorithm_selection, algorithm_slug, device_selection, ArgError, Args, Range};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -33,7 +36,7 @@ USAGE: snpgpu <command> [--option value]...
 
 COMMANDS:
   devices                      list modeled devices (Table I summary)
-  config    --device D --algorithm ld|search|mixture [--m N --n N --snps N]
+  config    --device D --algorithm ld|fastid|mixture [--m N --n N --snps N]
                                show the derived kernel configuration
   microbench --device D        recover hardware parameters (§V-C/§V-D)
   ld        --device D [--snps N --samples N --seed S]
@@ -44,10 +47,6 @@ COMMANDS:
                                FastID mixture analysis
   cpu       [--snps N --samples N --seed S]
                                run the real multithreaded CPU engine (wall time)
-  trace     --algo ld|fastid|mixture [--device D --out F --summary F ...]
-                               run a workload with tracing on; write a Chrome
-                               trace_event JSON timeline (open in Perfetto or
-                               chrome://tracing) plus a text summary
   lint      [ld|fastid|mixture|all] [--device D|all --json F --deep]
                                statically verify the command DAG (race
                                detection) and the planned kernel (ISA and
@@ -104,12 +103,17 @@ COMMANDS:
                                run a small seeded load and dump the live
                                metrics registry in Prometheus text format
 
+ld / search / mixture also accept --trace F [--summary F]: record the run
+and write a Chrome trace_event JSON timeline (open in Perfetto or
+chrome://tracing) and a text summary with the metrics registry.
+
 Fault profiles: none, transient, corruption, stall, loss, mixed.
 ld / search / mixture also accept --fault-profile P [--fault-seed S] to run
 under fault injection (P may also be loss@N: lose the device at command N);
 a run that finishes on the CPU fallback exits 2. loadgen accepts the same
-profiles (--fault-at Q arms the plan only for query Q). --fault-seed and
---fault-at require --fault-profile.
+profiles except bare loss, whose command 9 no query reaches (--fault-at Q
+arms the plan only for query Q). --fault-seed and --fault-at require
+--fault-profile; --summary requires --trace.
 Devices: gtx-980, titan-v, vega-64, tc100 (case- and separator-insensitive).
 
 EXIT CODES: 0 success, 1 usage/planning error, 2 degraded success (device
@@ -147,17 +151,15 @@ impl ExitCode {
     pub fn code(self) -> u8 {
         self as u8
     }
+}
 
-    /// Severity rank for combining overload-chaos cells: silent corruption
-    /// dominates, then a blown shed budget, then a latency breach. This is
-    /// deliberately *not* the numeric code order — corruption (5) outranks
-    /// shed-budget (7).
-    fn overload_severity(self) -> u8 {
-        match self {
-            ExitCode::Corruption => 3,
-            ExitCode::ShedBudgetExceeded => 2,
-            ExitCode::SloBreach => 1,
-            _ => 0,
+impl From<Verdict> for ExitCode {
+    fn from(verdict: Verdict) -> ExitCode {
+        match verdict {
+            Verdict::Ok => ExitCode::Ok,
+            Verdict::SloBreach => ExitCode::SloBreach,
+            Verdict::ShedBudgetExceeded => ExitCode::ShedBudgetExceeded,
+            Verdict::Corruption => ExitCode::Corruption,
         }
     }
 }
@@ -169,6 +171,15 @@ pub struct CmdReport {
     pub text: String,
     /// Process exit code (see [`ExitCode`]).
     pub exit: ExitCode,
+}
+
+impl CmdReport {
+    fn ok(text: String) -> CmdReport {
+        CmdReport {
+            text,
+            exit: ExitCode::Ok,
+        }
+    }
 }
 
 /// A command failure: printable message plus its exit code.
@@ -209,57 +220,66 @@ fn engine_err(e: EngineError) -> CliError {
     }
 }
 
-fn device_arg(args: &Args) -> Result<DeviceSpec, ArgError> {
-    let name = args.get_or("device", "Titan V");
-    devices::by_name(name)
-        .filter(|d| d.shared_mem_bytes > 0)
-        .ok_or_else(|| ArgError(format!("unknown GPU device {name:?} (try: snpgpu devices)")))
+/// Writes one output file; every file a command writes goes through here.
+fn write_file(path: &str, data: &str) -> Result<(), CliError> {
+    std::fs::write(path, data).map_err(|e| ArgError(format!("cannot write {path}: {e}")).into())
 }
 
-/// Dispatches a parsed command line, returning text only (exit codes
-/// collapse to generic failure). Prefer [`run_full`] in binaries.
-pub fn run(args: &Args) -> Result<String, ArgError> {
-    match run_full(args) {
-        Ok(report) if report.exit == ExitCode::Ok || report.exit == ExitCode::Degraded => {
-            Ok(report.text)
-        }
-        Ok(report) => Err(ArgError(report.text)),
-        Err(e) => Err(ArgError(e.message)),
+/// Writes `--json F`, when given, from `json()`, and names it on the
+/// report's last line as `label: F`.
+fn write_json(
+    args: &Args,
+    text: &mut String,
+    label: &str,
+    json: impl FnOnce() -> String,
+) -> Result<(), CliError> {
+    if let Some(path) = args.get("json") {
+        write_file(path, &json())?;
+        let _ = writeln!(text, "{label}: {path}");
     }
+    Ok(())
+}
+
+/// Writes `trace` to `path` as validated Chrome trace_event JSON and
+/// returns the report line naming it.
+fn write_timeline(path: &str, trace: &Trace, kind: &str) -> Result<String, CliError> {
+    let json = snp_trace::chrome::export_chrome_trace(trace);
+    let stats = snp_trace::chrome::validate(&json)
+        .map_err(|e| ArgError(format!("internal: timeline failed validation: {e}")))?;
+    write_file(path, &json)?;
+    Ok(format!(
+        "timeline: {path} ({} slices, {} counter events, {} tracks; {kind})\n",
+        stats.slices,
+        stats.counters,
+        trace.tracks.len()
+    ))
 }
 
 /// Dispatches a parsed command line with the full exit-code taxonomy.
 pub fn run_full(args: &Args) -> Result<CmdReport, CliError> {
-    let simple = |r: Result<String, ArgError>| -> Result<CmdReport, CliError> {
-        Ok(CmdReport {
-            text: r?,
-            exit: ExitCode::Ok,
-        })
-    };
     match args.command.as_deref() {
-        Some("devices") => simple(cmd_devices(args)),
-        Some("config") => simple(cmd_config(args)),
-        Some("microbench") => simple(cmd_microbench(args)),
+        Some("devices") => cmd_devices(args),
+        Some("config") => cmd_config(args),
+        Some("microbench") => cmd_microbench(args),
         Some("ld") => cmd_ld(args),
         Some("search") => cmd_search(args),
         Some("mixture") => cmd_mixture(args),
-        Some("cpu") => simple(cmd_cpu(args)),
-        Some("trace") => simple(cmd_trace(args)),
-        Some("lint") => simple(cmd_lint(args)),
+        Some("cpu") => cmd_cpu(args),
+        Some("lint") => cmd_lint(args),
         Some("chaos") => cmd_chaos(args),
         Some("profile") => cmd_profile(args),
         Some("loadgen") => cmd_loadgen(args),
         Some("whatif") => cmd_whatif(args),
-        Some("metrics") => simple(cmd_metrics(args)),
+        Some("metrics") => cmd_metrics(args),
         Some(other) => Err(CliError {
             message: format!("unknown command {other:?}\n\n{USAGE}"),
             exit: ExitCode::Error,
         }),
-        None => simple(Ok(USAGE.to_string())),
+        None => Ok(CmdReport::ok(USAGE.to_string())),
     }
 }
 
-fn cmd_devices(args: &Args) -> Result<String, ArgError> {
+fn cmd_devices(args: &Args) -> Result<CmdReport, CliError> {
     args.expect_only(&[])?;
     let mut out = String::new();
     for d in devices::all_devices() {
@@ -290,24 +310,15 @@ fn cmd_devices(args: &Args) -> Result<String, ArgError> {
             mma,
         );
     }
-    Ok(out)
+    Ok(CmdReport::ok(out))
 }
 
-fn algorithm_arg(args: &Args) -> Result<Algorithm, ArgError> {
-    match args.get_or("algorithm", "ld") {
-        "ld" => Ok(Algorithm::LinkageDisequilibrium),
-        "search" => Ok(Algorithm::IdentitySearch),
-        "mixture" => Ok(Algorithm::MixtureAnalysis),
-        other => Err(ArgError(format!(
-            "unknown algorithm {other:?} (ld|search|mixture)"
-        ))),
-    }
-}
-
-fn cmd_config(args: &Args) -> Result<String, ArgError> {
+fn cmd_config(args: &Args) -> Result<CmdReport, CliError> {
     args.expect_only(&["device", "algorithm", "m", "n", "snps"])?;
-    let dev = device_arg(args)?;
-    let alg = algorithm_arg(args)?;
+    let dev = args.device()?;
+    let [alg] = algorithm_selection(args.get_or("algorithm", "ld"))?[..] else {
+        return Err(ArgError("--algorithm takes one of ld|fastid|mixture, not all".into()).into());
+    };
     let m = args.get_size("m", 10_000)?;
     let n = args.get_size("n", 10_000)?;
     let snps = args.get_size("snps", 10_000)?;
@@ -339,12 +350,12 @@ fn cmd_config(args: &Args) -> Result<String, ArgError> {
         "thread groups per cluster = {} (= L_fn)",
         cfg.groups_per_cluster
     );
-    Ok(out)
+    Ok(CmdReport::ok(out))
 }
 
-fn cmd_microbench(args: &Args) -> Result<String, ArgError> {
+fn cmd_microbench(args: &Args) -> Result<CmdReport, CliError> {
     args.expect_only(&["device"])?;
-    let dev = device_arg(args)?;
+    let dev = args.device()?;
     let r = recover_parameters(&dev);
     let mut out = String::new();
     let _ = writeln!(
@@ -373,7 +384,7 @@ fn cmd_microbench(args: &Args) -> Result<String, ArgError> {
             shared.join(", ")
         }
     );
-    Ok(out)
+    Ok(CmdReport::ok(out))
 }
 
 /// Parses `--fault-profile NAME` for the workload commands and `loadgen`.
@@ -411,44 +422,102 @@ fn fault_profile_arg<'a>(
     Ok(Some((name, profile)))
 }
 
-/// The workload commands' `--fault-profile P [--fault-seed S]` as an armed
-/// [`FaultPlan`].
-fn fault_args(args: &Args) -> Result<Option<FaultPlan>, ArgError> {
-    let Some((_, profile)) = fault_profile_arg(args, "fault-seed")? else {
-        return Ok(None);
-    };
-    let seed = args.get_parse("fault-seed", 42u64)?;
-    Ok(Some(FaultPlan::new(seed, profile)))
+/// The options the workload commands (`ld`, `search`, `mixture`) share
+/// besides the device and the data shape.
+const HARNESS_OPTIONS: [&str; 4] = ["fault-profile", "fault-seed", "trace", "summary"];
+
+/// What a workload command runs its engine under: `--fault-profile P
+/// [--fault-seed S]` as an armed plan, and `--trace F [--summary F]` with
+/// the tracer that records the run for them.
+struct Harness {
+    fault: Option<FaultPlan>,
+    /// The timeline path and the optional summary path.
+    trace: Option<(String, Option<String>)>,
+    tracer: Tracer,
 }
 
-/// Folds a run's recovery summary into the report: appends the summary
-/// line when a plan was armed and downgrades the exit to `DEGRADED` when
-/// the run finished on the CPU fallback.
-fn finish_workload(mut text: String, recovery: Option<&RecoverySummary>) -> CmdReport {
-    let mut exit = ExitCode::Ok;
-    if let Some(rec) = recovery {
-        use std::fmt::Write as _;
-        let _ = writeln!(text, "{}", rec.render_line());
-        if rec.degraded() {
-            exit = ExitCode::Degraded;
+impl Harness {
+    fn parse(args: &Args) -> Result<Harness, ArgError> {
+        let fault = match fault_profile_arg(args, "fault-seed")? {
+            Some((_, profile)) => Some(FaultPlan::new(
+                args.get_parse("fault-seed", 42u64)?,
+                profile,
+            )),
+            None => None,
+        };
+        let summary = args.get("summary").map(str::to_string);
+        let trace = match args.get("trace") {
+            Some(path) => Some((path.to_string(), summary)),
+            None if summary.is_some() => return Err(ArgError("--summary requires --trace".into())),
+            None => None,
+        };
+        let tracer = match trace {
+            Some(_) => Tracer::enabled(),
+            None => Tracer::disabled(),
+        };
+        Ok(Harness {
+            fault,
+            trace,
+            tracer,
+        })
+    }
+
+    /// The engine for one run on `dev`, with the device's mixture strategy.
+    fn engine(&self, dev: &DeviceSpec) -> GpuEngine {
+        let engine = GpuEngine::new(dev.clone())
+            .with_options(EngineOptions {
+                mixture: MixtureStrategy::for_device(dev),
+                ..Default::default()
+            })
+            .with_tracer(self.tracer.clone());
+        match &self.fault {
+            Some(plan) => engine.with_fault_plan(plan.clone()),
+            None => engine,
         }
     }
-    CmdReport { text, exit }
+
+    /// Finishes a workload report: appends the recovery line when a plan
+    /// was armed (exit DEGRADED when the run finished on the CPU
+    /// fallback), then writes the trace artifacts and names them.
+    fn finish(
+        &self,
+        mut text: String,
+        recovery: Option<&RecoverySummary>,
+    ) -> Result<CmdReport, CliError> {
+        let mut exit = ExitCode::Ok;
+        if let Some(rec) = recovery {
+            let _ = writeln!(text, "{}", rec.render_line());
+            if rec.degraded() {
+                exit = ExitCode::Degraded;
+            }
+        }
+        if let Some((path, summary)) = &self.trace {
+            let trace = self.tracer.snapshot().expect("tracing was enabled");
+            text += &write_timeline(path, &trace, "validated Chrome trace_event JSON")?;
+            if let Some(summary) = summary {
+                let mut view = snp_trace::summary::render_summary(&trace);
+                view.push('\n');
+                view.push_str(&snp_trace::summary::render_metrics(snp_trace::registry()));
+                write_file(summary, &view)?;
+                let _ = writeln!(
+                    text,
+                    "summary:  {summary} (hierarchical text view + metrics registry)"
+                );
+            }
+        }
+        Ok(CmdReport { text, exit })
+    }
 }
 
 fn cmd_ld(args: &Args) -> Result<CmdReport, CliError> {
-    args.expect_only(&[
-        "device",
-        "snps",
-        "samples",
-        "seed",
-        "fault-profile",
-        "fault-seed",
-    ])?;
-    let dev = device_arg(args)?;
-    let snps = args.get_size("snps", 256)?;
+    let own = ["device", "snps", "samples", "seed"];
+    args.expect_only(&[&own[..], &HARNESS_OPTIONS].concat())?;
+    let dev = args.device()?;
+    // The report names the strongest pair of distinct SNPs.
+    let snps = args.get_at_least("snps", 256, 2)?;
     let samples = args.get_size("samples", 2048)?;
     let seed = args.get_parse("seed", 42u64)?;
+    let harness = Harness::parse(args)?;
     let panel = generate_panel(
         &PanelConfig {
             snps,
@@ -457,11 +526,10 @@ fn cmd_ld(args: &Args) -> Result<CmdReport, CliError> {
         },
         seed,
     );
-    let mut engine = GpuEngine::new(dev.clone());
-    if let Some(plan) = fault_args(args)? {
-        engine = engine.with_fault_plan(plan);
-    }
-    let run = engine.ld_self(&panel.matrix).map_err(engine_err)?;
+    let run = harness
+        .engine(&dev)
+        .ld_self(&panel.matrix)
+        .map_err(engine_err)?;
     let gamma = run.gamma.expect("full mode");
     // Strongest off-diagonal pair.
     let mut best = (0usize, 1usize, -1.0f64);
@@ -491,26 +559,19 @@ fn cmd_ld(args: &Args) -> Result<CmdReport, CliError> {
         "strongest pair: SNP {} ~ SNP {} with r² = {:.3}",
         best.0, best.1, best.2
     );
-    Ok(finish_workload(out, run.recovery.as_ref()))
+    harness.finish(out, run.recovery.as_ref())
 }
 
 fn cmd_search(args: &Args) -> Result<CmdReport, CliError> {
-    args.expect_only(&[
-        "device",
-        "profiles",
-        "snps",
-        "queries",
-        "noise",
-        "seed",
-        "fault-profile",
-        "fault-seed",
-    ])?;
-    let dev = device_arg(args)?;
+    let own = ["device", "profiles", "snps", "queries", "noise", "seed"];
+    args.expect_only(&[&own[..], &HARNESS_OPTIONS].concat())?;
+    let dev = args.device()?;
     let profiles = args.get_size("profiles", 10_000)?;
     let snps = args.get_size("snps", 512)?;
     let queries = args.get_size("queries", 8)?;
-    let noise = args.get_parse("noise", 0.01f64)?;
+    let noise = args.get_bounded("noise", Range::ErrorRate)?.unwrap_or(0.01);
     let seed = args.get_parse("seed", 42u64)?;
+    let harness = Harness::parse(args)?;
     let db = generate_database(
         &DatabaseConfig {
             profiles,
@@ -521,11 +582,8 @@ fn cmd_search(args: &Args) -> Result<CmdReport, CliError> {
     );
     let planted = queries.div_ceil(2);
     let qs = generate_queries(&db, queries, planted, noise, seed + 1);
-    let mut engine = GpuEngine::new(dev.clone());
-    if let Some(plan) = fault_args(args)? {
-        engine = engine.with_fault_plan(plan);
-    }
-    let run = engine
+    let run = harness
+        .engine(&dev)
         .identity_search(&qs.queries, &db.profiles)
         .map_err(engine_err)?;
     let gamma = run.gamma.expect("full mode");
@@ -553,36 +611,25 @@ fn cmd_search(args: &Args) -> Result<CmdReport, CliError> {
             "  query {q}: profile {best} at {d} differences, log LR {lr:>8.1} -> {verdict}{truth}"
         );
     }
-    Ok(finish_workload(out, run.recovery.as_ref()))
-}
-
-/// `--contributors`: each contributor is a distinct database profile, so
-/// there can be at most `profiles` of them.
-fn contributors_arg(args: &Args, default: usize, profiles: usize) -> Result<usize, ArgError> {
-    let contributors = args.get_size("contributors", default)?;
-    if contributors > profiles {
-        return Err(ArgError(format!(
-            "--contributors ({contributors}) must not exceed --profiles ({profiles})"
-        )));
-    }
-    Ok(contributors)
+    harness.finish(out, run.recovery.as_ref())
 }
 
 fn cmd_mixture(args: &Args) -> Result<CmdReport, CliError> {
-    args.expect_only(&[
-        "device",
-        "profiles",
-        "snps",
-        "contributors",
-        "seed",
-        "fault-profile",
-        "fault-seed",
-    ])?;
-    let dev = device_arg(args)?;
+    let own = ["device", "profiles", "snps", "contributors", "seed"];
+    args.expect_only(&[&own[..], &HARNESS_OPTIONS].concat())?;
+    let dev = args.device()?;
     let profiles = args.get_size("profiles", 5_000)?;
     let snps = args.get_size("snps", 512)?;
-    let contributors = contributors_arg(args, 3, profiles)?;
+    // Each contributor is a distinct database profile.
+    let contributors = args.get_size("contributors", 3)?;
+    if contributors > profiles {
+        return Err(ArgError(format!(
+            "--contributors ({contributors}) must not exceed --profiles ({profiles})"
+        ))
+        .into());
+    }
     let seed = args.get_parse("seed", 42u64)?;
+    let harness = Harness::parse(args)?;
     let db = generate_database(
         &DatabaseConfig {
             profiles,
@@ -592,21 +639,8 @@ fn cmd_mixture(args: &Args) -> Result<CmdReport, CliError> {
         seed,
     );
     let (mixtures, matrix) = generate_mixtures(&db, 1, contributors, seed + 1);
-    let strategy = if dev.fused_andnot {
-        MixtureStrategy::Direct
-    } else {
-        MixtureStrategy::PreNegate
-    };
-    let mut engine = GpuEngine::new(dev.clone()).with_options(EngineOptions {
-        mode: ExecMode::Full,
-        double_buffer: true,
-        mixture: strategy,
-        ..Default::default()
-    });
-    if let Some(plan) = fault_args(args)? {
-        engine = engine.with_fault_plan(plan);
-    }
-    let run = engine
+    let run = harness
+        .engine(&dev)
         .mixture_analysis(&db.profiles, &matrix)
         .map_err(engine_err)?;
     let gamma = run.gamma.expect("full mode");
@@ -615,7 +649,8 @@ fn cmd_mixture(args: &Args) -> Result<CmdReport, CliError> {
     let _ = writeln!(
         out,
         "mixture analysis on {} (strategy {:?}, chosen for this microarchitecture):",
-        dev.name, strategy
+        dev.name,
+        MixtureStrategy::for_device(&dev)
     );
     let _ = writeln!(out, "  planted contributors: {:?}", {
         let mut c = mixtures[0].contributors.clone();
@@ -632,10 +667,10 @@ fn cmd_mixture(args: &Args) -> Result<CmdReport, CliError> {
         run.timing.kernel_ns as f64 / 1e6,
         run.kernel_word_ops_per_sec / 1e9
     );
-    Ok(finish_workload(out, run.recovery.as_ref()))
+    harness.finish(out, run.recovery.as_ref())
 }
 
-fn cmd_cpu(args: &Args) -> Result<String, ArgError> {
+fn cmd_cpu(args: &Args) -> Result<CmdReport, CliError> {
     args.expect_only(&["snps", "samples", "seed"])?;
     let snps = args.get_size("snps", 512)?;
     let samples = args.get_size("samples", 4096)?;
@@ -665,155 +700,7 @@ fn cmd_cpu(args: &Args) -> Result<String, ArgError> {
         model.time_ns_for_bits(WordOpKind::And, snps, snps, samples) / 1e6
     );
     let _ = writeln!(out, "γ[0][0] = {} (self count)", gamma.get(0, 0));
-    Ok(out)
-}
-
-fn cmd_trace(args: &Args) -> Result<String, ArgError> {
-    args.expect_only(&[
-        "algo",
-        "algorithm",
-        "device",
-        "snps",
-        "samples",
-        "profiles",
-        "queries",
-        "contributors",
-        "seed",
-        "out",
-        "summary",
-    ])?;
-    let dev = device_arg(args)?;
-    let algo = args
-        .get("algo")
-        .or_else(|| args.get("algorithm"))
-        .unwrap_or("ld");
-    let seed = args.get_parse("seed", 42u64)?;
-    let tracer = snp_trace::Tracer::enabled();
-    let engine = GpuEngine::new(dev.clone())
-        .with_options(EngineOptions {
-            mode: ExecMode::Full,
-            double_buffer: true,
-            mixture: if dev.fused_andnot {
-                MixtureStrategy::Direct
-            } else {
-                MixtureStrategy::PreNegate
-            },
-            ..Default::default()
-        })
-        .with_tracer(tracer.clone());
-    let (label, timing, passes) = match algo {
-        "ld" => {
-            let snps = args.get_size("snps", 128)?;
-            let samples = args.get_size("samples", 1024)?;
-            let panel = generate_panel(
-                &PanelConfig {
-                    snps,
-                    samples,
-                    ..Default::default()
-                },
-                seed,
-            );
-            let run = engine
-                .ld_self(&panel.matrix)
-                .map_err(|e| ArgError(e.to_string()))?;
-            (
-                format!("LD scan: {snps} SNPs x {samples} haplotypes"),
-                run.timing,
-                run.passes,
-            )
-        }
-        "fastid" | "search" => {
-            let profiles = args.get_size("profiles", 2_000)?;
-            let snps = args.get_size("snps", 256)?;
-            let queries = args.get_size("queries", 4)?;
-            let db = generate_database(
-                &DatabaseConfig {
-                    profiles,
-                    snps,
-                    ..Default::default()
-                },
-                seed,
-            );
-            let qs = generate_queries(&db, queries, queries.div_ceil(2), 0.01, seed + 1);
-            let run = engine
-                .identity_search(&qs.queries, &db.profiles)
-                .map_err(|e| ArgError(e.to_string()))?;
-            (
-                format!("FastID identity search: {queries} queries vs {profiles} profiles"),
-                run.timing,
-                run.passes,
-            )
-        }
-        "mixture" => {
-            let profiles = args.get_size("profiles", 1_000)?;
-            let snps = args.get_size("snps", 256)?;
-            let contributors = contributors_arg(args, 2, profiles)?;
-            let db = generate_database(
-                &DatabaseConfig {
-                    profiles,
-                    snps,
-                    ..Default::default()
-                },
-                seed,
-            );
-            let (_mixtures, matrix) = generate_mixtures(&db, 1, contributors, seed + 1);
-            let run = engine
-                .mixture_analysis(&db.profiles, &matrix)
-                .map_err(|e| ArgError(e.to_string()))?;
-            (
-                format!(
-                    "FastID mixture analysis: {profiles} profiles, {contributors} contributors"
-                ),
-                run.timing,
-                run.passes,
-            )
-        }
-        other => {
-            return Err(ArgError(format!(
-                "unknown algo {other:?} (ld|fastid|mixture)"
-            )))
-        }
-    };
-
-    let trace = tracer.snapshot().expect("tracing was enabled");
-    let json = snp_trace::chrome::export_chrome_trace(&trace);
-    let stats = snp_trace::chrome::validate(&json)
-        .map_err(|e| ArgError(format!("internal: emitted trace failed validation: {e}")))?;
-    let out_path = args.get_or("out", "trace.json");
-    std::fs::write(out_path, &json)
-        .map_err(|e| ArgError(format!("cannot write {out_path}: {e}")))?;
-    let mut summary_text = snp_trace::summary::render_summary(&trace);
-    summary_text.push('\n');
-    summary_text.push_str(&snp_trace::summary::render_metrics(snp_trace::registry()));
-    let summary_path = args.get_or("summary", "trace.txt");
-    std::fs::write(summary_path, &summary_text)
-        .map_err(|e| ArgError(format!("cannot write {summary_path}: {e}")))?;
-
-    let mut out = String::new();
-    let _ = writeln!(out, "{label} on {}", dev.name);
-    let _ = writeln!(
-        out,
-        "modeled end-to-end {:.2} ms ({} pass(es), kernel {:.3} ms)",
-        timing.end_to_end_ns as f64 / 1e6,
-        passes,
-        timing.kernel_ns as f64 / 1e6
-    );
-    let _ = writeln!(
-        out,
-        "timeline: {out_path} ({} slices, {} counter events, {} tracks; validated Chrome trace_event JSON)",
-        stats.slices,
-        stats.counters,
-        trace.tracks.len()
-    );
-    let _ = writeln!(
-        out,
-        "summary:  {summary_path} (hierarchical text view + metrics registry)"
-    );
-    let _ = writeln!(
-        out,
-        "open the timeline at https://ui.perfetto.dev or chrome://tracing"
-    );
-    Ok(out)
+    Ok(CmdReport::ok(out))
 }
 
 /// A problem shape guaranteeing a multi-chunk, double-buffered command
@@ -829,10 +716,9 @@ fn lint_shape(dev: &DeviceSpec) -> ProblemShape {
     }
 }
 
-fn cmd_lint(args: &Args) -> Result<String, ArgError> {
-    args.expect_only(&["device", "json", "deep"])?;
+fn cmd_lint(args: &Args) -> Result<CmdReport, CliError> {
+    let algorithms = args.expect_selection(&["device", "json", "deep"])?;
     let deep = args.flag("deep");
-    let algorithms = algorithm_selection(args.positional.as_deref().unwrap_or("all"))?;
     let devs = device_selection(args.get_or("device", "all"))?;
 
     let mut out = String::new();
@@ -841,11 +727,7 @@ fn cmd_lint(args: &Args) -> Result<String, ArgError> {
     for dev in &devs {
         for &alg in &algorithms {
             let shape = lint_shape(dev);
-            let mixture = if dev.fused_andnot {
-                MixtureStrategy::Direct
-            } else {
-                MixtureStrategy::PreNegate
-            };
+            let mixture = MixtureStrategy::for_device(dev);
             let engine = GpuEngine::new(dev.clone()).with_options(EngineOptions {
                 mode: ExecMode::TimingOnly,
                 double_buffer: true,
@@ -853,9 +735,10 @@ fn cmd_lint(args: &Args) -> Result<String, ArgError> {
                 verify: true,
                 ..Default::default()
             });
-            let run = engine
-                .run_shape(shape, alg)
-                .map_err(|e| ArgError(format!("{} / {}: {e}", dev.name, alg.name())))?;
+            let run = engine.run_shape(shape, alg).map_err(|e| CliError {
+                exit: engine_exit(&e),
+                message: format!("{} / {}: {e}", dev.name, alg.name()),
+            })?;
             let mut report = run.verify_report.expect("verification was enabled");
             let op = compare_op(alg, mixture);
             let plan = KernelPlan::new(dev, &run.config, op, shape.m, shape.n, shape.k_words);
@@ -896,8 +779,8 @@ fn cmd_lint(args: &Args) -> Result<String, ArgError> {
             targets.push((dev, alg, report, figures));
         }
     }
-    if let Some(path) = args.get("json") {
-        let json = json::document(|o| {
+    write_json(args, &mut out, "machine-readable report", || {
+        json::document(|o| {
             o.key("targets")
                 .objs(&targets, |t, (dev, alg, report, figures)| {
                     t.key("device").str(&dev.name);
@@ -917,14 +800,13 @@ fn cmd_lint(args: &Args) -> Result<String, ArgError> {
                         });
                     }
                 });
-        });
-        std::fs::write(path, json).map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
-        let _ = writeln!(out, "machine-readable report: {path}");
-    }
+        })
+    })?;
     if blocking > 0 {
         return Err(ArgError(format!(
             "lint failed: {blocking} target(s) with blocking findings\n\n{out}"
-        )));
+        ))
+        .into());
     }
     let _ = writeln!(
         out,
@@ -936,7 +818,7 @@ fn cmd_lint(args: &Args) -> Result<String, ArgError> {
             ""
         },
     );
-    Ok(out)
+    Ok(CmdReport::ok(out))
 }
 
 /// One analyzer report as lint JSON: its counts, then every diagnostic.
@@ -978,8 +860,7 @@ fn chaos_matrix(rows: usize, cols: usize, salt: u64) -> BitMatrix<u64> {
 }
 
 fn cmd_chaos(args: &Args) -> Result<CmdReport, CliError> {
-    args.expect_only(&["device", "profile", "seed", "json"])?;
-    let algorithms = algorithm_selection(args.positional.as_deref().unwrap_or("all"))?;
+    let algorithms = args.expect_selection(&["device", "profile", "seed", "json"])?;
     let devs = device_selection(args.get_or("device", "all"))?;
     let profiles: Vec<&str> = match args.get_or("profile", "all") {
         "all" => FaultProfile::NAMES.to_vec(),
@@ -1096,8 +977,8 @@ fn cmd_chaos(args: &Args) -> Result<CmdReport, CliError> {
         "{} cell(s): {corruptions} silent corruption(s), {hazards} hazard(s)",
         cells.len()
     );
-    if let Some(path) = args.get("json") {
-        let json = json::document(|o| {
+    write_json(args, &mut out, "machine-readable report", || {
+        json::document(|o| {
             o.key("seed").int(seed);
             o.key("cells").objs(
                 &cells,
@@ -1112,11 +993,8 @@ fn cmd_chaos(args: &Args) -> Result<CmdReport, CliError> {
             );
             o.key("silent_corruptions").int(corruptions);
             o.key("hazards").int(hazards);
-        });
-        std::fs::write(path, json)
-            .map_err(|e| CliError::from(ArgError(format!("cannot write {path}: {e}"))))?;
-        let _ = writeln!(out, "machine-readable report: {path}");
-    }
+        })
+    })?;
     if exit == ExitCode::Ok {
         let _ = writeln!(
             out,
@@ -1186,8 +1064,7 @@ fn profile_cell_json(o: &mut Obj, c: &snp_core::CellProfile) {
 }
 
 fn cmd_profile(args: &Args) -> Result<CmdReport, CliError> {
-    args.expect_only(&["device", "m", "n", "snps", "json"])?;
-    let algorithms = algorithm_selection(args.positional.as_deref().unwrap_or("all"))?;
+    let algorithms = args.expect_selection(&["device", "m", "n", "snps", "json"])?;
     let devs = device_selection(args.get_or("device", "all"))?;
     let m = args.get_size("m", 2048)?;
     let n = args.get_size("n", 2048)?;
@@ -1289,8 +1166,8 @@ fn cmd_profile(args: &Args) -> Result<CmdReport, CliError> {
         "\n{} cell(s) profiled, {violations} drift violation(s)",
         cells.len()
     );
-    if let Some(path) = args.get("json") {
-        let json = json::document(|o| {
+    write_json(args, &mut out, "machine-readable report", || {
+        json::document(|o| {
             o.key("shape").obj(|o| {
                 o.key("m").int(m);
                 o.key("n").int(n);
@@ -1303,11 +1180,8 @@ fn cmd_profile(args: &Args) -> Result<CmdReport, CliError> {
             });
             o.key("cells").objs(&cells, profile_cell_json);
             o.key("drift_violations").int(violations);
-        });
-        std::fs::write(path, json)
-            .map_err(|e| CliError::from(ArgError(format!("cannot write {path}: {e}"))))?;
-        let _ = writeln!(out, "machine-readable report: {path}");
-    }
+        })
+    })?;
     let exit = if violations > 0 {
         ExitCode::Error
     } else {
@@ -1317,15 +1191,24 @@ fn cmd_profile(args: &Args) -> Result<CmdReport, CliError> {
 }
 
 /// Parses loadgen's `--fault-profile P [--fault-at Q]` into a
-/// [`snp_load::FaultSpec`].
-fn loadgen_fault(args: &Args) -> Result<Option<snp_load::FaultSpec>, ArgError> {
+/// [`snp_load::FaultSpec`]. Each query runs on a fresh plan, so a fault
+/// that cannot fire within a stream of `queries` queries is a usage error.
+fn loadgen_fault(args: &Args, queries: usize) -> Result<Option<snp_load::FaultSpec>, ArgError> {
     let Some((name, profile)) = fault_profile_arg(args, "fault-at")? else {
         return Ok(None);
     };
-    let at_query = match args.get("fault-at") {
-        None => None,
-        Some(_) => Some(args.get_parse("fault-at", 0usize)?),
-    };
+    if let ("loss", Some(at)) = (name, profile.device_loss_at) {
+        return Err(ArgError(format!(
+            "--fault-profile loss loses the device at host command {at}, which no \
+             loadgen query reaches; use loss@N"
+        )));
+    }
+    let at_query = args.get_opt("fault-at")?;
+    if let Some(at) = at_query.filter(|&at| at >= queries) {
+        return Err(ArgError(format!(
+            "--fault-at ({at}) must be less than --queries ({queries})"
+        )));
+    }
     Ok(Some(snp_load::FaultSpec {
         profile_name: name.to_string(),
         profile,
@@ -1338,20 +1221,12 @@ fn loadgen_fault(args: &Args) -> Result<Option<snp_load::FaultSpec>, ArgError> {
 /// per-algorithm; the overrides are blanket, which is what a smoke test or
 /// an injected-breach check wants).
 fn loadgen_slo(args: &Args) -> Result<snp_load::SloPolicy, ArgError> {
+    let p50_ms = args.get_bounded("slo-p50-ms", Range::Positive)?;
+    let p99_ms = args.get_bounded("slo-p99-ms", Range::Positive)?;
+    let budget = args.get_bounded("error-budget", Range::Fraction)?;
     let mut policy = snp_load::SloPolicy::default();
-    let p50_ms: Option<f64> = match args.get("slo-p50-ms") {
-        None => None,
-        Some(_) => Some(args.get_parse("slo-p50-ms", 0.0f64)?),
-    };
-    let p99_ms: Option<f64> = match args.get("slo-p99-ms") {
-        None => None,
-        Some(_) => Some(args.get_parse("slo-p99-ms", 0.0f64)?),
-    };
-    let budget: Option<f64> = match args.get("error-budget") {
-        None => None,
-        Some(_) => Some(args.get_parse("error-budget", 0.0f64)?),
-    };
-    let apply = |slo: &mut snp_load::Slo| {
+    let per_algorithm = policy.per_algorithm.iter_mut().map(|(_, slo)| slo);
+    for slo in per_algorithm.chain([&mut policy.default]) {
         if let Some(ms) = p50_ms {
             slo.p50_ns = (ms * 1e6) as u64;
         }
@@ -1361,11 +1236,7 @@ fn loadgen_slo(args: &Args) -> Result<snp_load::SloPolicy, ArgError> {
         if let Some(b) = budget {
             slo.error_budget = b;
         }
-    };
-    for (_, slo) in policy.per_algorithm.iter_mut() {
-        apply(slo);
     }
-    apply(&mut policy.default);
     Ok(policy)
 }
 
@@ -1387,64 +1258,41 @@ fn loadgen_admission(args: &Args, implied: bool) -> Result<snp_load::AdmissionCo
     if implied {
         adm.shed_budget = 0.9;
     }
-    adm.deadline_slack = args.get_parse("deadline-slack", adm.deadline_slack)?;
-    adm.shed_budget = args.get_parse("shed-budget", adm.shed_budget)?;
+    let slack = args.get_bounded("deadline-slack", Range::Positive)?;
+    adm.deadline_slack = slack.unwrap_or(adm.deadline_slack);
+    let budget = args.get_bounded("shed-budget", Range::Fraction)?;
+    adm.shed_budget = budget.unwrap_or(adm.shed_budget);
     adm.queue_cap = args.get_size("queue-cap", adm.queue_cap)?;
-    if adm.deadline_slack.is_nan() || adm.deadline_slack <= 0.0 {
-        return Err(ArgError(format!(
-            "--deadline-slack must be positive, got {}",
-            adm.deadline_slack
-        )));
-    }
-    if adm.shed_budget.is_nan() || !(0.0..=1.0).contains(&adm.shed_budget) {
-        return Err(ArgError(format!(
-            "--shed-budget must be in [0, 1], got {}",
-            adm.shed_budget
-        )));
-    }
     Ok(adm)
 }
 
-/// Builds the load config shared by `loadgen` and `metrics`.
-fn loadgen_config(args: &Args, default_queries: usize) -> Result<snp_load::LoadConfig, ArgError> {
-    let algorithms = algorithm_selection(args.positional.as_deref().unwrap_or("all"))?;
-    let dev = device_arg(args)?;
-    let rate = args.get_parse("rate", 2_000.0f64)?;
-    // `rate <= 0.0` alone would let NaN through (NaN compares false both ways).
-    if rate.is_nan() || rate <= 0.0 {
-        return Err(ArgError(format!("--rate must be positive, got {rate}")));
-    }
-    let arrival_name = args.get_or("arrival", "poisson");
-    let arrival = snp_load::ArrivalKind::by_name(arrival_name).ok_or_else(|| {
+/// Builds the load config shared by `loadgen`, `whatif` and `metrics`.
+fn loadgen_config(
+    args: &Args,
+    algorithms: &[Algorithm],
+    default_queries: usize,
+) -> Result<snp_load::LoadConfig, ArgError> {
+    let mut cfg = snp_load::LoadConfig::new(args.device()?, snp_load::templates_for(algorithms));
+    cfg.rate_qps = args
+        .get_bounded("rate", Range::Positive)?
+        .unwrap_or(cfg.rate_qps);
+    let arrival = args.get_or("arrival", cfg.arrival.name());
+    cfg.arrival = snp_load::ArrivalKind::by_name(arrival).ok_or_else(|| {
         ArgError(format!(
-            "unknown arrival process {arrival_name:?} (poisson|bursty)"
+            "unknown arrival process {arrival:?} (poisson|bursty)"
         ))
     })?;
-    let mut cfg = snp_load::LoadConfig::new(dev, snp_load::templates_for(&algorithms));
-    cfg.rate_qps = rate;
     cfg.queries = args.get_size("queries", default_queries)?;
     cfg.seed = args.get_parse("seed", 42u64)?;
-    cfg.arrival = arrival;
-    cfg.fault = loadgen_fault(args)?;
+    cfg.fault = loadgen_fault(args, cfg.queries)?;
     cfg.slo = loadgen_slo(args)?;
     cfg.flight_capacity = args.get_size("flight-capacity", cfg.flight_capacity)?;
     cfg.anatomy = args.flag("anatomy");
     Ok(cfg)
 }
 
-/// Exit code for one loadgen run: silent corruption dominates, then a blown
-/// shed budget, then the latency SLOs.
-fn loadgen_exit(report: &snp_load::LoadReport) -> ExitCode {
-    match &report.admission {
-        Some(adm) if adm.corruptions > 0 => ExitCode::Corruption,
-        Some(adm) if adm.shed_budget_exceeded => ExitCode::ShedBudgetExceeded,
-        _ if report.breached => ExitCode::SloBreach,
-        _ => ExitCode::Ok,
-    }
-}
-
 fn cmd_loadgen(args: &Args) -> Result<CmdReport, CliError> {
-    args.expect_only(&[
+    let algorithms = args.expect_selection(&[
         "device",
         "rate",
         "queries",
@@ -1466,42 +1314,52 @@ fn cmd_loadgen(args: &Args) -> Result<CmdReport, CliError> {
         "trace",
         "flight",
     ])?;
-    let write = |path: &str, data: &str| -> Result<(), CliError> {
-        std::fs::write(path, data)
-            .map_err(|e| CliError::from(ArgError(format!("cannot write {path}: {e}"))))
-    };
     let mode = args.get_or("mode", "run");
+    let default_queries = match mode {
+        "run" => 64,
+        "sweep" | "chaos" if args.get("trace").is_some() || args.get("flight").is_some() => {
+            return Err(
+                ArgError("--trace/--flight are per-run artifacts; use --mode run".into()).into(),
+            )
+        }
+        "sweep" | "chaos" => 48,
+        other => return Err(ArgError(format!("unknown mode {other:?} (run|sweep|chaos)")).into()),
+    };
+    let mut cfg = loadgen_config(args, &algorithms, default_queries)?;
+    cfg.admission = loadgen_admission(args, mode == "chaos")?;
     match mode {
-        "run" => {
-            let mut cfg = loadgen_config(args, 64)?;
-            cfg.admission = loadgen_admission(args, false)?;
+        "sweep" => {
+            let sweep = snp_load::saturation_sweep(&cfg, &snp_load::SWEEP_MULTIPLIERS);
+            let mut text = sweep.render_text();
+            write_json(args, &mut text, "slo report", || sweep.to_json())?;
+            let exit = if sweep.breached() {
+                ExitCode::SloBreach
+            } else {
+                ExitCode::Ok
+            };
+            Ok(CmdReport { text, exit })
+        }
+        "chaos" => {
+            let chaos = snp_load::overload_chaos(&cfg);
+            let mut text = chaos.render_text();
+            write_json(args, &mut text, "admission report", || chaos.to_json())?;
+            Ok(CmdReport {
+                text,
+                exit: chaos.verdict().into(),
+            })
+        }
+        _ => {
             let report = snp_load::run(&cfg);
             let mut text = report.render_text();
-            if let Some(path) = args.get("json") {
-                write(path, &report.to_json())?;
-                let _ = writeln!(text, "slo report: {path}");
-            }
+            write_json(args, &mut text, "slo report", || report.to_json())?;
             if let Some(path) = args.get("trace") {
                 let timeline = report.timeline.as_ref().expect("run mode records");
-                let json = snp_trace::chrome::export_chrome_trace(timeline);
-                let stats = snp_trace::chrome::validate(&json).map_err(|e| {
-                    CliError::from(ArgError(format!(
-                        "internal: merged timeline failed validation: {e}"
-                    )))
-                })?;
-                write(path, &json)?;
-                let _ = writeln!(
-                    text,
-                    "timeline: {path} ({} slices, {} counter events, {} tracks; query-attributed)",
-                    stats.slices,
-                    stats.counters,
-                    timeline.tracks.len()
-                );
+                text += &write_timeline(path, timeline, "query-attributed")?;
             }
             if let Some(path) = args.get("flight") {
                 match &report.postmortem {
                     Some(pm) => {
-                        write(path, &pm.json)?;
+                        write_file(path, &pm.json)?;
                         let _ = writeln!(text, "flight-recorder dump: {path} ({})", pm.reason);
                     }
                     None => {
@@ -1514,145 +1372,14 @@ fn cmd_loadgen(args: &Args) -> Result<CmdReport, CliError> {
             }
             Ok(CmdReport {
                 text,
-                exit: loadgen_exit(&report),
+                exit: report.verdict().into(),
             })
         }
-        "sweep" => {
-            if args.get("trace").is_some() || args.get("flight").is_some() {
-                return Err(CliError::from(ArgError(
-                    "--trace/--flight are per-run artifacts; use --mode run".into(),
-                )));
-            }
-            let mut cfg = loadgen_config(args, 48)?;
-            cfg.admission = loadgen_admission(args, false)?;
-            let sweep = snp_load::saturation_sweep(&cfg, &snp_load::SWEEP_MULTIPLIERS);
-            let mut text = sweep.render_text();
-            if let Some(path) = args.get("json") {
-                write(path, &sweep.to_json())?;
-                let _ = writeln!(text, "slo report: {path}");
-            }
-            let exit = if sweep.breached() {
-                ExitCode::SloBreach
-            } else {
-                ExitCode::Ok
-            };
-            Ok(CmdReport { text, exit })
-        }
-        "chaos" => {
-            if args.get("trace").is_some() || args.get("flight").is_some() {
-                return Err(CliError::from(ArgError(
-                    "--trace/--flight are per-run artifacts; use --mode run".into(),
-                )));
-            }
-            let algorithms = algorithm_selection(args.positional.as_deref().unwrap_or("all"))?;
-            let mut base = loadgen_config(args, 48)?;
-            base.admission = loadgen_admission(args, true)?;
-            // The combined-failure matrix: bursty arrivals at 8x the
-            // offered rate, plus a device loss mid-stream unless the caller
-            // pinned a different fault.
-            base.rate_qps *= 8.0;
-            base.arrival = snp_load::ArrivalKind::Bursty;
-            if base.fault.is_none() {
-                base.fault = Some(snp_load::FaultSpec {
-                    profile_name: "loss@2".to_string(),
-                    profile: FaultProfile {
-                        device_loss_at: Some(2),
-                        ..FaultProfile::none()
-                    },
-                    at_query: Some(base.queries / 3),
-                });
-            }
-            let fault = base.fault.as_ref().expect("chaos always arms a fault");
-            let mut text = String::new();
-            let _ = writeln!(
-                text,
-                "overload-chaos: {} cell(s) on {} — bursty arrivals at {:.0} q/s (8x), \
-                 fault {} at query {}, admission on (shed budget {:.0}%)",
-                algorithms.len(),
-                base.device.name,
-                base.rate_qps,
-                fault.profile_name,
-                fault.at_query.unwrap_or(0),
-                base.admission.shed_budget * 100.0,
-            );
-            let mut worst = ExitCode::Ok;
-            let mut cells: Vec<(&'static str, ExitCode, snp_load::LoadReport)> = Vec::new();
-            for &alg in &algorithms {
-                let mut cfg = base.clone();
-                cfg.templates = snp_load::templates_for(&[alg]);
-                let report = snp_load::run(&cfg);
-                let exit = loadgen_exit(&report);
-                if exit.overload_severity() > worst.overload_severity() {
-                    worst = exit;
-                }
-                {
-                    let adm = report
-                        .admission
-                        .as_ref()
-                        .expect("chaos runs with admission on");
-                    let ratio = if adm.tenant_goodput_ratio.is_finite() {
-                        format!("{:.2}", adm.tenant_goodput_ratio)
-                    } else {
-                        "inf (starved tenant)".to_string()
-                    };
-                    let _ = writeln!(
-                        text,
-                        "  cell {:<8} offered {:>3}, admitted {:>3}, shed {:>5.1}%, \
-                         goodput {:>8.1} q/s, tenant ratio {}, corruptions {}, \
-                         final tier {}, exit {}",
-                        algorithm_slug(alg),
-                        adm.offered,
-                        adm.admitted,
-                        adm.shed_fraction * 100.0,
-                        adm.goodput_qps,
-                        ratio,
-                        adm.corruptions,
-                        adm.final_tier.label(),
-                        exit.code(),
-                    );
-                }
-                cells.push((algorithm_slug(alg), exit, report));
-            }
-            let corruptions: usize = cells
-                .iter()
-                .map(|(_, _, r)| r.admission.as_ref().map_or(0, |a| a.corruptions))
-                .sum();
-            let _ = writeln!(
-                text,
-                "verdict: {} silent corruption(s) across {} cell(s), worst exit {}",
-                corruptions,
-                cells.len(),
-                worst.code(),
-            );
-            if let Some(path) = args.get("json") {
-                let json = json::document(|o| {
-                    o.key("schema_version").int(1);
-                    o.key("kind").str("overload-chaos");
-                    o.key("device").str(&base.device.name);
-                    o.key("rate_qps").float(base.rate_qps, 3);
-                    o.key("arrival").str("bursty");
-                    o.key("fault_profile").str(&fault.profile_name);
-                    o.key("silent_corruptions").int(corruptions);
-                    o.key("worst_exit").int(worst.code());
-                    o.key("cells").objs(&cells, |c, (slug, exit, report)| {
-                        c.key("algorithm").str(slug);
-                        c.key("exit").int(exit.code());
-                        c.key("report").obj(|r| report.write_json(r));
-                    });
-                });
-                write(path, &json)?;
-                let _ = writeln!(text, "admission report: {path}");
-            }
-            Ok(CmdReport { text, exit: worst })
-        }
-        other => Err(CliError::from(ArgError(format!(
-            "unknown mode {other:?} (run|sweep|chaos)"
-        )))),
     }
 }
 
 fn cmd_whatif(args: &Args) -> Result<CmdReport, CliError> {
-    args.expect_only(&[
+    let algorithms = args.expect_selection(&[
         "device",
         "rate",
         "queries",
@@ -1665,25 +1392,18 @@ fn cmd_whatif(args: &Args) -> Result<CmdReport, CliError> {
         "perturb",
         "json",
     ])?;
-    let mut cfg = loadgen_config(args, 24)?;
+    let mut cfg = loadgen_config(args, &algorithms, 24)?;
     cfg.admission = loadgen_admission(args, false)?;
     let perturbations = match args.get("perturb") {
         None => snp_load::default_perturbations(),
-        Some(spec) => {
-            let mut ps = Vec::new();
-            for tok in spec.split(',') {
-                ps.push(snp_load::Perturbation::parse(tok.trim()).map_err(ArgError)?);
-            }
-            ps
-        }
+        Some(spec) => spec
+            .split(',')
+            .map(|tok| snp_load::Perturbation::parse(tok.trim()).map_err(ArgError))
+            .collect::<Result<_, _>>()?,
     };
     let report = snp_load::run_whatif(&cfg, &perturbations);
     let mut text = report.render_text();
-    if let Some(path) = args.get("json") {
-        std::fs::write(path, report.to_json())
-            .map_err(|e| CliError::from(ArgError(format!("cannot write {path}: {e}"))))?;
-        let _ = writeln!(text, "what-if report: {path}");
-    }
+    write_json(args, &mut text, "what-if report", || report.to_json())?;
     // A confirmation miss means observation perturbed virtual timing — an
     // internal modeling error, not a property of the workload.
     let exit = if report.confirmation.within_5_percent {
@@ -1694,14 +1414,13 @@ fn cmd_whatif(args: &Args) -> Result<CmdReport, CliError> {
     Ok(CmdReport { text, exit })
 }
 
-fn cmd_metrics(args: &Args) -> Result<String, ArgError> {
-    args.expect_only(&["device", "seed", "queries", "out"])?;
-    let mut cfg = loadgen_config(args, 12)?;
+fn cmd_metrics(args: &Args) -> Result<CmdReport, CliError> {
+    let algorithms = args.expect_selection(&["device", "seed", "queries", "out"])?;
+    let mut cfg = loadgen_config(args, &algorithms, 12)?;
     // Populate the registry with a small seeded load; skip per-query
     // tracing — this command is about the metrics substrate.
     cfg.record_timeline = false;
     let report = snp_load::run(&cfg);
-    let exposition = snp_trace::render_registry();
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -1710,38 +1429,55 @@ fn cmd_metrics(args: &Args) -> Result<String, ArgError> {
         report.device,
         report.seed
     );
-    out.push_str(&exposition);
-    if let Some(path) = args.get("out") {
-        std::fs::write(path, &out).map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
-        Ok(format!("prometheus exposition: {path}\n"))
-    } else {
-        Ok(out)
+    out.push_str(&snp_trace::render_registry());
+    match args.get("out") {
+        Some(path) => {
+            write_file(path, &out)?;
+            Ok(CmdReport::ok(format!("prometheus exposition: {path}\n")))
+        }
+        None => Ok(CmdReport::ok(out)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn run_line(line: &str) -> Result<String, ArgError> {
-        run(&Args::parse(line.split_whitespace().map(str::to_string)).unwrap())
+    fn run_line(line: &str) -> Result<CmdReport, CliError> {
+        run_full(&Args::parse(line.split_whitespace().map(str::to_string))?)
+    }
+
+    /// Runs `line`, asserting it exits OK, and returns its report text.
+    fn ok_text(line: &str) -> String {
+        let report = run_line(line).unwrap_or_else(|e| panic!("{line}: {}", e.message));
+        assert_eq!(report.exit, ExitCode::Ok, "{line}:\n{}", report.text);
+        report.text
+    }
+
+    /// Runs `line`, asserting it is a usage error (exit 1), and returns
+    /// the message.
+    fn usage_err(line: &str) -> String {
+        let err = run_line(line).expect_err(line);
+        assert_eq!(err.exit, ExitCode::Error, "{line}");
+        err.message
     }
 
     #[test]
     fn no_command_prints_usage() {
-        let out = run_line("").unwrap();
-        assert!(out.contains("USAGE"));
+        assert!(ok_text("").contains("USAGE"));
     }
 
     #[test]
     fn unknown_command_errors_with_usage() {
-        let err = run_line("frobnicate").unwrap_err();
-        assert!(err.to_string().contains("unknown command"));
+        assert!(usage_err("frobnicate").contains("unknown command"));
+        // The workload commands' --trace replaced the trace subcommand.
+        assert!(usage_err("trace --algo ld").starts_with("unknown command \"trace\""));
     }
 
     #[test]
     fn devices_lists_all_five() {
-        let out = run_line("devices").unwrap();
+        let out = ok_text("devices");
         for name in ["GTX 980", "Titan V", "Vega 64", "TC100", "Xeon"] {
             assert!(out.contains(name), "missing {name} in:\n{out}");
         }
@@ -1751,23 +1487,29 @@ mod tests {
 
     #[test]
     fn config_reports_table2_values() {
-        let out = run_line("config --device titan-v --algorithm ld").unwrap();
+        let out = ok_text("config --device titan-v --algorithm ld");
         assert!(out.contains("n_r = 1024"));
         assert!(out.contains("k_c = 383"));
         assert!(out.contains("core grid = 80 x 1"));
+        // One algorithm parser: `fastid` is `search`.
+        assert_eq!(
+            ok_text("config --device vega-64 --algorithm fastid"),
+            ok_text("config --device vega-64 --algorithm search")
+        );
     }
 
     #[test]
     fn config_rejects_unknown_algorithm_and_device() {
-        assert!(run_line("config --algorithm nope").is_err());
-        assert!(run_line("config --device GTX9999").is_err());
+        usage_err("config --algorithm nope");
+        usage_err("config --algorithm all");
+        usage_err("config --device GTX9999");
         // The CPU row is not a GPU target.
-        assert!(run_line("config --device xeon-e5-2620-v2").is_err());
+        usage_err("config --device xeon-e5-2620-v2");
     }
 
     #[test]
     fn ld_command_runs_and_reports() {
-        let out = run_line("ld --device gtx-980 --snps 48 --samples 512 --seed 7").unwrap();
+        let out = ok_text("ld --device gtx-980 --snps 48 --samples 512 --seed 7");
         assert!(out.contains("LD scan"));
         assert!(out.contains("strongest pair"));
     }
@@ -1775,8 +1517,7 @@ mod tests {
     #[test]
     fn search_command_identifies_planted_queries() {
         let out =
-            run_line("search --device vega-64 --profiles 400 --snps 256 --queries 4 --noise 0.0")
-                .unwrap();
+            ok_text("search --device vega-64 --profiles 400 --snps 256 --queries 4 --noise 0.0");
         assert!(out.contains("MATCH"));
         assert!(out.contains("[planted: correct]"));
         assert!(!out.contains("WRONG PROFILE"));
@@ -1784,8 +1525,7 @@ mod tests {
 
     #[test]
     fn mixture_command_recovers_contributors() {
-        let out = run_line("mixture --device titan-v --profiles 300 --snps 384 --contributors 2")
-            .unwrap();
+        let out = ok_text("mixture --device titan-v --profiles 300 --snps 384 --contributors 2");
         assert!(out.contains("planted contributors"));
         // The planted set must appear inside the consistent set line.
         let planted: Vec<usize> = out
@@ -1809,7 +1549,7 @@ mod tests {
 
     #[test]
     fn cpu_command_runs_for_real() {
-        let out = run_line("cpu --snps 64 --samples 512").unwrap();
+        let out = ok_text("cpu --snps 64 --samples 512");
         assert!(out.contains("real CPU engine"));
         assert!(out.contains("wall time"));
         let tier = out
@@ -1822,7 +1562,6 @@ mod tests {
     #[test]
     fn zero_sizes_are_usage_errors_not_panics() {
         for (line, key) in [
-            ("ld --snps 0", "snps"),
             ("ld --samples 0", "samples"),
             ("search --profiles 0", "profiles"),
             ("search --queries 0", "queries"),
@@ -1830,54 +1569,79 @@ mod tests {
             ("mixture --profiles 0", "profiles"),
             ("mixture --contributors 0", "contributors"),
             ("mixture --snps 0", "snps"),
-            ("trace --algo ld --snps 0", "snps"),
-            ("trace --algo ld --samples 0", "samples"),
-            ("trace --algo fastid --profiles 0", "profiles"),
-            ("trace --algo fastid --queries 0", "queries"),
-            ("trace --algo fastid --snps 0", "snps"),
-            ("trace --algo mixture --profiles 0", "profiles"),
-            ("trace --algo mixture --contributors 0", "contributors"),
-            ("trace --algo mixture --snps 0", "snps"),
             ("profile --m 0", "m"),
             ("profile --n 0", "n"),
             ("cpu --snps 0", "snps"),
         ] {
-            let args = Args::parse(line.split_whitespace().map(str::to_string)).unwrap();
-            let err = run_full(&args).expect_err(line);
-            assert_eq!(err.exit, ExitCode::Error, "{line}");
-            assert_eq!(err.message, format!("--{key} must be at least 1"), "{line}");
-        }
-    }
-
-    #[test]
-    fn contributors_above_profiles_are_usage_errors_not_panics() {
-        for line in [
-            "mixture --profiles 2 --contributors 3",
-            "trace --algo mixture --profiles 2 --contributors 3",
-        ] {
-            let args = Args::parse(line.split_whitespace().map(str::to_string)).unwrap();
-            let err = run_full(&args).expect_err(line);
-            assert_eq!(err.exit, ExitCode::Error, "{line}");
             assert_eq!(
-                err.message, "--contributors (3) must not exceed --profiles (2)",
+                usage_err(line),
+                format!("--{key} must be at least 1"),
                 "{line}"
             );
         }
     }
 
     #[test]
-    fn trace_command_writes_validated_artifacts() {
+    fn contributors_above_profiles_are_usage_errors_not_panics() {
+        assert_eq!(
+            usage_err("mixture --profiles 2 --contributors 3"),
+            "--contributors (3) must not exceed --profiles (2)"
+        );
+    }
+
+    #[test]
+    fn out_of_range_values_are_usage_errors_not_panics() {
+        for (line, message) in [
+            ("search --noise 2", "--noise must be in [0, 0.5), got 2"),
+            ("search --noise -1", "--noise must be in [0, 0.5), got -1"),
+            ("search --noise nan", "--noise must be in [0, 0.5), got NaN"),
+            ("search --noise 0.5", "--noise must be in [0, 0.5), got 0.5"),
+            ("ld --snps 0", "--snps must be at least 2"),
+            ("ld --snps 1 --samples 1", "--snps must be at least 2"),
+            ("devices bogus", "unexpected positional argument \"bogus\""),
+            (
+                "config bogus --device titan-v",
+                "unexpected positional argument \"bogus\"",
+            ),
+            (
+                "loadgen ld --queries 4 --slo-p99-ms -5",
+                "--slo-p99-ms must be positive, got -5",
+            ),
+            (
+                "loadgen ld --queries 4 --slo-p50-ms nan",
+                "--slo-p50-ms must be positive, got NaN",
+            ),
+            (
+                "loadgen ld --queries 4 --error-budget 7",
+                "--error-budget must be in [0, 1], got 7",
+            ),
+            ("loadgen ld --rate nan", "--rate must be positive, got NaN"),
+            (
+                "loadgen ld --admission --deadline-slack 0",
+                "--deadline-slack must be positive, got 0",
+            ),
+            (
+                "loadgen ld --admission --shed-budget 1.5",
+                "--shed-budget must be in [0, 1], got 1.5",
+            ),
+        ] {
+            assert_eq!(usage_err(line), message, "{line}");
+        }
+    }
+
+    #[test]
+    fn workload_trace_writes_validated_artifacts() {
         let dir = std::env::temp_dir();
         let out = dir.join("snpgpu_test_trace.json");
         let summary = dir.join("snpgpu_test_trace.txt");
         let line = format!(
-            "trace --algo ld --device gtx-980 --snps 48 --samples 512 --out {} --summary {}",
+            "ld --device gtx-980 --snps 48 --samples 512 --trace {} --summary {}",
             out.display(),
             summary.display()
         );
-        let report = run_line(&line).unwrap();
+        let report = ok_text(&line);
+        assert!(report.contains("strongest pair"), "{report}");
         assert!(report.contains("validated Chrome trace_event JSON"));
-        assert!(report.contains("perfetto"));
         let json = std::fs::read_to_string(&out).unwrap();
         let stats = snp_trace::chrome::validate(&json).unwrap();
         assert!(stats.slices > 0, "timeline must contain slices");
@@ -1888,25 +1652,27 @@ mod tests {
     }
 
     #[test]
-    fn trace_command_supports_fastid_and_rejects_unknown_algo() {
-        let dir = std::env::temp_dir();
-        let out = dir.join("snpgpu_test_trace_fastid.json");
-        let summary = dir.join("snpgpu_test_trace_fastid.txt");
+    fn search_trace_writes_the_timeline_alone_and_summary_needs_trace() {
+        let out = std::env::temp_dir().join("snpgpu_test_trace_fastid.json");
         let line = format!(
-            "trace --algo fastid --device titan-v --profiles 300 --snps 128 --queries 2 --out {} --summary {}",
-            out.display(),
-            summary.display()
+            "search --device tc100 --profiles 300 --snps 128 --queries 2 --trace {}",
+            out.display()
         );
-        let report = run_line(&line).unwrap();
-        assert!(report.contains("FastID identity search"));
+        let report = ok_text(&line);
+        assert!(report.contains("timeline: "), "{report}");
+        assert!(!report.contains("summary: "), "{report}");
+        let json = std::fs::read_to_string(&out).unwrap();
         let _ = std::fs::remove_file(&out);
-        let _ = std::fs::remove_file(&summary);
-        assert!(run_line("trace --algo nope").is_err());
+        snp_trace::chrome::validate(&json).unwrap();
+        assert_eq!(
+            usage_err("mixture --profiles 64 --snps 64 --summary s.txt"),
+            "--summary requires --trace"
+        );
     }
 
     #[test]
     fn lint_passes_clean_for_all_algorithms_and_devices() {
-        let out = run_line("lint all --device all").unwrap();
+        let out = ok_text("lint all --device all");
         for dev in ["GTX 980", "Titan V", "Vega 64"] {
             assert!(out.contains(dev), "missing {dev} in:\n{out}");
         }
@@ -1917,8 +1683,10 @@ mod tests {
     #[test]
     fn lint_single_algorithm_writes_json_report() {
         let path = std::env::temp_dir().join("snpgpu_test_lint.json");
-        let line = format!("lint ld --device titan-v --json {}", path.display());
-        let out = run_line(&line).unwrap();
+        let out = ok_text(&format!(
+            "lint ld --device titan-v --json {}",
+            path.display()
+        ));
         assert!(out.contains("Titan V / Linkage disequilibrium"));
         let json = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
@@ -1960,20 +1728,20 @@ mod tests {
 
     #[test]
     fn lint_rejects_unknown_target_and_device() {
-        assert!(run_line("lint nope").is_err());
-        assert!(run_line("lint ld --device xeon-e5-2620-v2").is_err());
+        usage_err("lint nope");
+        usage_err("lint ld --device xeon-e5-2620-v2");
     }
 
     #[test]
     fn chaos_single_cell_reports_recovery() {
-        let out = run_line("chaos fastid --device gtx-980 --profile mixed --seed 7").unwrap();
+        let out = ok_text("chaos fastid --device gtx-980 --profile mixed --seed 7");
         assert!(out.contains("0 silent corruption(s)"), "{out}");
         assert!(out.contains("0 hazard(s)"), "{out}");
     }
 
     #[test]
     fn chaos_loss_profile_degrades_and_resumes_midway() {
-        let out = run_line("chaos ld --device titan-v --profile loss").unwrap();
+        let out = ok_text("chaos ld --device titan-v --profile loss");
         assert!(out.contains("degraded"), "{out}");
         assert!(out.contains("resume@"), "{out}");
         assert!(
@@ -1985,13 +1753,10 @@ mod tests {
     #[test]
     fn chaos_writes_json_and_uses_exit_codes() {
         let path = std::env::temp_dir().join("snpgpu_test_chaos.json");
-        let line = format!(
+        ok_text(&format!(
             "chaos mixture --device vega-64 --profile transient --json {}",
             path.display()
-        );
-        let report =
-            run_full(&Args::parse(line.split_whitespace().map(str::to_string)).unwrap()).unwrap();
-        assert_eq!(report.exit, ExitCode::Ok);
+        ));
         let json = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         for key in ["\"cells\"", "\"outcome\"", "\"silent_corruptions\":0"] {
@@ -2001,19 +1766,11 @@ mod tests {
 
     #[test]
     fn workload_under_device_loss_exits_degraded() {
-        let report = run_full(
-            &Args::parse(
-                "ld --device gtx-980 --fault-profile loss@3"
-                    .split_whitespace()
-                    .map(str::to_string),
-            )
-            .unwrap(),
-        )
-        .unwrap();
+        let report = run_line("ld --device gtx-980 --fault-profile loss@3").unwrap();
         assert_eq!(report.exit, ExitCode::Degraded);
         assert!(report.text.contains("DEVICE LOST"), "{}", report.text);
         // The degraded run still computes the right answer (CPU fallback).
-        let clean = run_line("ld --device gtx-980").unwrap();
+        let clean = ok_text("ld --device gtx-980");
         let pair = |s: &str| {
             s.lines()
                 .find(|l| l.starts_with("strongest pair"))
@@ -2024,28 +1781,23 @@ mod tests {
 
     #[test]
     fn chaos_rejects_unknown_profile_and_target() {
-        assert!(run_line("chaos nope").is_err());
-        assert!(run_line("chaos ld --profile gamma-rays").is_err());
+        usage_err("chaos nope");
+        usage_err("chaos ld --profile gamma-rays");
     }
 
     #[test]
     fn typo_in_option_is_caught() {
-        let err = run_line("ld --snsp 100").unwrap_err();
-        assert!(err.to_string().contains("--snsp"));
+        assert!(usage_err("ld --snsp 100").contains("--snsp"));
     }
 
     #[test]
     fn loadgen_run_reports_and_writes_json() {
         let path = std::env::temp_dir().join("snpgpu_test_loadgen.json");
-        let line = format!("loadgen ld --queries 12 --json {}", path.display());
-        let report =
-            run_full(&Args::parse(line.split_whitespace().map(str::to_string)).unwrap()).unwrap();
-        assert_eq!(report.exit, ExitCode::Ok, "{}", report.text);
-        assert!(
-            report.text.contains("loadgen: 12 queries"),
-            "{}",
-            report.text
-        );
+        let text = ok_text(&format!(
+            "loadgen ld --queries 12 --json {}",
+            path.display()
+        ));
+        assert!(text.contains("loadgen: 12 queries"), "{text}");
         let json = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         let doc = snp_trace::json::parse(&json).expect("valid slo-report.json");
@@ -2057,17 +1809,26 @@ mod tests {
 
     #[test]
     fn loadgen_breach_exits_with_slo_code() {
-        let report = run_full(
-            &Args::parse(
-                "loadgen ld --queries 12 --slo-p99-ms 0.000001"
-                    .split_whitespace()
-                    .map(str::to_string),
-            )
-            .unwrap(),
-        )
-        .unwrap();
+        let report = run_line("loadgen ld --queries 12 --slo-p99-ms 0.000001").unwrap();
         assert_eq!(report.exit, ExitCode::SloBreach, "{}", report.text);
         assert!(report.text.contains("BREACH"), "{}", report.text);
+    }
+
+    #[test]
+    fn loadgen_verdicts_map_to_their_exit_codes_in_severity_order() {
+        use snp_load::Verdict;
+        let rising = [
+            Verdict::Ok,
+            Verdict::SloBreach,
+            Verdict::ShedBudgetExceeded,
+            Verdict::Corruption,
+        ];
+        for pair in rising.windows(2) {
+            assert!(pair[0] < pair[1], "{pair:?}");
+        }
+        for v in rising {
+            assert_eq!(ExitCode::from(v).code(), v.exit_code(), "{v:?}");
+        }
     }
 
     #[test]
@@ -2077,8 +1838,7 @@ mod tests {
             "loadgen fastid --queries 16 --fault-profile loss@2 --fault-at 5 --flight {}",
             path.display()
         );
-        let report =
-            run_full(&Args::parse(line.split_whitespace().map(str::to_string)).unwrap()).unwrap();
+        let report = run_line(&line).unwrap();
         assert!(
             report.text.contains("flight-recorder dump:"),
             "{}",
@@ -2125,11 +1885,8 @@ mod tests {
                 "fault-at",
             ),
         ] {
-            let args = Args::parse(line.split_whitespace().map(str::to_string)).unwrap();
-            let err = run_full(&args).unwrap_err();
-            assert_eq!(err.exit, ExitCode::Error, "{line}");
             let want = format!("--{option} requires --fault-profile");
-            assert_eq!(err.message, want, "{line}");
+            assert_eq!(usage_err(line), want, "{line}");
         }
         // Both parse `loss@N` as before: a bad index is a usage error, and a
         // tuning option next to a profile is accepted.
@@ -2137,24 +1894,52 @@ mod tests {
             "ld --device gtx-980 --fault-profile loss@x",
             "loadgen ld --queries 8 --fault-profile loss@x --fault-at 3",
         ] {
-            let err = run_line(line).unwrap_err();
-            assert_eq!(err.to_string(), "bad command index in \"loss@x\"", "{line}");
+            assert_eq!(usage_err(line), "bad command index in \"loss@x\"", "{line}");
         }
         let seeded = run_line("ld --device gtx-980 --fault-profile loss@3 --fault-seed 7").unwrap();
-        assert!(seeded.contains("DEVICE LOST"), "{seeded}");
+        assert!(seeded.text.contains("DEVICE LOST"), "{}", seeded.text);
+    }
+
+    #[test]
+    fn loadgen_rejects_faults_that_cannot_fire() {
+        // Bare `loss` loses the device at host command 9, past the end of
+        // every loadgen query, in every mode.
+        for mode in ["run", "sweep", "chaos"] {
+            let line = format!("loadgen ld --mode {mode} --queries 8 --fault-profile loss");
+            assert!(usage_err(&line).ends_with("use loss@N"), "{line}");
+        }
+        // A query index past the stream arms no query.
+        for at in [8, 9] {
+            let line = format!("loadgen ld --queries 8 --fault-profile loss@2 --fault-at {at}");
+            let want = format!("--fault-at ({at}) must be less than --queries (8)");
+            assert_eq!(usage_err(&line), want, "{line}");
+        }
+        let report = run_line("loadgen ld --queries 8 --fault-profile loss@2 --fault-at 7");
+        assert!(report.is_ok());
+    }
+
+    #[test]
+    fn loadgen_chaos_header_names_the_armed_queries() {
+        let every = ok_text("loadgen ld --mode chaos --queries 12 --fault-profile transient");
+        assert!(every.contains("fault transient on every query"), "{every}");
+        let one =
+            ok_text("loadgen ld --mode chaos --queries 12 --fault-profile stall --fault-at 5");
+        assert!(one.contains("fault stall at query 5"), "{one}");
+        let default = ok_text("loadgen ld --mode chaos --queries 12");
+        assert!(default.contains("fault loss@2 at query 4"), "{default}");
     }
 
     #[test]
     fn loadgen_sweep_rejects_per_run_artifacts() {
-        let err = run_line("loadgen ld --mode sweep --trace t.json").unwrap_err();
-        assert!(err.to_string().contains("per-run artifacts"), "{err}");
+        let err = usage_err("loadgen ld --mode sweep --trace t.json");
+        assert!(err.contains("per-run artifacts"), "{err}");
     }
 
     #[test]
     fn metrics_emits_prometheus_exposition() {
         // The registry is process-global and shared across parallel tests,
         // so assert structure, not exact counter values.
-        let out = run_line("metrics --queries 8").unwrap();
+        let out = ok_text("metrics --queries 8");
         assert!(
             out.contains("# registry snapshot after 8 seeded queries"),
             "{out}"
@@ -2184,13 +1969,8 @@ mod tests {
     fn loadgen_admission_sheds_typed_and_respects_budget_exit() {
         // Saturating bursty load with admission on: sheds are typed and the
         // tiny shed budget flips the exit to 7 (SHED_BUDGET_EXCEEDED).
-        let report = run_full(
-            &Args::parse(
-                "loadgen ld --admission --rate 50000 --arrival bursty --queries 32 --shed-budget 0.05"
-                    .split_whitespace()
-                    .map(str::to_string),
-            )
-            .unwrap(),
+        let report = run_line(
+            "loadgen ld --admission --rate 50000 --arrival bursty --queries 32 --shed-budget 0.05",
         )
         .unwrap();
         assert_eq!(report.exit, ExitCode::ShedBudgetExceeded, "{}", report.text);
@@ -2200,7 +1980,7 @@ mod tests {
 
     #[test]
     fn loadgen_anatomy_appends_the_budget_table() {
-        let out = run_line("loadgen ld --anatomy --queries 12 --rate 4000").unwrap();
+        let out = ok_text("loadgen ld --anatomy --queries 12 --rate 4000");
         assert!(out.contains("latency anatomy"), "{out}");
         assert!(out.contains("sched_queue"), "{out}");
         assert!(out.contains("p99+"), "{out}");
@@ -2214,11 +1994,8 @@ mod tests {
             path.display()
         );
         let run_once = || {
-            let report =
-                run_full(&Args::parse(line.split_whitespace().map(str::to_string)).unwrap())
-                    .unwrap();
-            assert_eq!(report.exit, ExitCode::Ok, "{}", report.text);
-            assert!(report.text.contains("within 5%"), "{}", report.text);
+            let text = ok_text(&line);
+            assert!(text.contains("within 5%"), "{text}");
             std::fs::read_to_string(&path).unwrap()
         };
         let first = run_once();
@@ -2231,36 +2008,30 @@ mod tests {
 
     #[test]
     fn whatif_rejects_malformed_perturbations() {
-        let err = run_line("whatif ld --perturb warp:2").unwrap_err();
-        assert!(
-            err.to_string().contains("unknown perturbation kind"),
-            "{err}"
-        );
-        let err = run_line("whatif ld --perturb kernel:zero").unwrap_err();
-        assert!(err.to_string().contains("not a number"), "{err}");
+        let err = usage_err("whatif ld --perturb warp:2");
+        assert!(err.contains("unknown perturbation kind"), "{err}");
+        let err = usage_err("whatif ld --perturb kernel:zero");
+        assert!(err.contains("not a number"), "{err}");
     }
 
     #[test]
     fn loadgen_admission_knobs_require_the_flag() {
-        let err = run_line("loadgen ld --shed-budget 0.5").unwrap_err();
-        assert!(err.to_string().contains("requires --admission"), "{err}");
-        let err = run_line("loadgen ld --admission --queue-cap 0").unwrap_err();
-        assert!(err.to_string().contains("--queue-cap"), "{err}");
+        let err = usage_err("loadgen ld --shed-budget 0.5");
+        assert!(err.contains("requires --admission"), "{err}");
+        let err = usage_err("loadgen ld --admission --queue-cap 0");
+        assert!(err.contains("--queue-cap"), "{err}");
     }
 
     #[test]
     fn loadgen_chaos_matrix_survives_overload_plus_device_loss() {
         let path = std::env::temp_dir().join("snpgpu_test_overload_chaos.json");
-        let line = format!("loadgen all --mode chaos --json {}", path.display());
-        let report =
-            run_full(&Args::parse(line.split_whitespace().map(str::to_string)).unwrap()).unwrap();
-        assert_eq!(report.exit, ExitCode::Ok, "{}", report.text);
+        let text = ok_text(&format!(
+            "loadgen all --mode chaos --json {}",
+            path.display()
+        ));
         assert!(
-            report
-                .text
-                .contains("0 silent corruption(s) across 3 cell(s)"),
-            "{}",
-            report.text
+            text.contains("0 silent corruption(s) across 3 cell(s)"),
+            "{text}"
         );
         let json = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
@@ -2281,6 +2052,186 @@ mod tests {
                 .as_num()
                 .expect("ratio is finite");
             assert!(ratio <= 2.0, "tenant goodput ratio {ratio} > 2");
+        }
+    }
+
+    /// A small valid line per command, and the options each class of
+    /// malformed element draws on: size options, bounded float options
+    /// (with a value outside their range), and name-valued options.
+    struct Base {
+        line: &'static str,
+        sizes: &'static [&'static str],
+        floats: &'static [(&'static str, &'static str)],
+        names: &'static [&'static str],
+        /// A tuning option given without the option it tunes.
+        dependent: &'static str,
+    }
+
+    const BASES: &[Base] = &[
+        Base {
+            line: "devices",
+            sizes: &[],
+            floats: &[],
+            names: &[],
+            dependent: "",
+        },
+        Base {
+            line: "config",
+            sizes: &["m", "n", "snps"],
+            floats: &[],
+            names: &["device", "algorithm"],
+            dependent: "",
+        },
+        Base {
+            line: "microbench",
+            sizes: &[],
+            floats: &[],
+            names: &["device"],
+            dependent: "",
+        },
+        Base {
+            line: "ld --samples 64",
+            sizes: &["snps"],
+            floats: &[],
+            names: &["device", "fault-profile"],
+            dependent: "--fault-seed 7",
+        },
+        Base {
+            line: "search --profiles 32 --snps 64",
+            sizes: &["queries"],
+            floats: &[("noise", "0.5"), ("noise", "-0.01"), ("noise", "nan")],
+            names: &["device", "fault-profile"],
+            dependent: "--summary s.txt",
+        },
+        Base {
+            line: "mixture --profiles 32 --snps 64",
+            sizes: &["contributors"],
+            floats: &[],
+            names: &["device", "fault-profile"],
+            dependent: "--fault-seed 7",
+        },
+        Base {
+            line: "cpu --samples 64",
+            sizes: &["snps"],
+            floats: &[],
+            names: &[],
+            dependent: "",
+        },
+        Base {
+            line: "lint ld",
+            sizes: &[],
+            floats: &[],
+            names: &["device"],
+            dependent: "",
+        },
+        Base {
+            line: "chaos ld --device titan-v",
+            sizes: &[],
+            floats: &[],
+            names: &["profile"],
+            dependent: "",
+        },
+        Base {
+            line: "profile ld --device titan-v",
+            sizes: &["m", "n", "snps"],
+            floats: &[],
+            names: &[],
+            dependent: "",
+        },
+        Base {
+            line: "loadgen ld --admission",
+            sizes: &["queries", "queue-cap", "flight-capacity"],
+            floats: &[
+                ("rate", "0"),
+                ("rate", "nan"),
+                ("slo-p50-ms", "-1"),
+                ("slo-p99-ms", "0"),
+                ("error-budget", "1.5"),
+                ("deadline-slack", "-2"),
+                ("shed-budget", "nan"),
+            ],
+            names: &["device", "arrival", "mode", "fault-profile"],
+            dependent: "--fault-at 1",
+        },
+        Base {
+            line: "whatif ld --queries 4",
+            sizes: &["queue-cap"],
+            floats: &[("rate", "-inf"), ("deadline-slack", "0")],
+            names: &["device", "arrival", "perturb"],
+            dependent: "--shed-budget 0.5",
+        },
+        Base {
+            line: "metrics ld",
+            sizes: &["queries"],
+            floats: &[],
+            names: &["device"],
+            dependent: "",
+        },
+    ];
+
+    /// `base` with one malformed element: `class` picks among the classes
+    /// that apply to the command, `pick` among the options the class draws
+    /// on, and `at` where the element goes among the base line's options.
+    fn malformed(base: &Base, class: usize, pick: usize, at: usize) -> Vec<String> {
+        let mut tokens: Vec<String> = base.line.split_whitespace().map(str::to_string).collect();
+        let nth = |options: &[&'static str]| options.get(pick % options.len().max(1)).copied();
+        let mut elements = vec![format!("--bogus-{pick} 1"), "--seed 1 --seed 2".to_string()];
+        elements.extend(nth(base.sizes).map(|k| format!("--{k} 12x")));
+        elements.extend(nth(base.sizes).map(|k| format!("--{k} 0")));
+        let float = base.floats.get(pick % base.floats.len().max(1));
+        elements.extend(float.map(|(k, v)| format!("--{k} {v}")));
+        elements.extend(nth(base.names).map(|k| format!("--{k} nope")));
+        elements.extend((!base.dependent.is_empty()).then(|| base.dependent.to_string()));
+        if base.line.starts_with("mixture") {
+            elements.push("--contributors 33".to_string());
+        }
+        match class % (elements.len() + 3) {
+            0 => tokens[0] = "frobnicate".to_string(),
+            // A valued option as the last token has no value.
+            1 => tokens.push("--seed".to_string()),
+            2 => tokens.insert(1, "bogus".to_string()),
+            c => {
+                // Options are read in any order: insert at an option boundary.
+                let first = tokens.iter().position(|t| t.starts_with("--"));
+                let boundaries: Vec<usize> = (first.unwrap_or(tokens.len())..=tokens.len())
+                    .filter(|&i| i == tokens.len() || tokens[i].starts_with("--"))
+                    .collect();
+                let i = boundaries[at % boundaries.len()];
+                let element = elements[c - 3].split_whitespace().map(str::to_string);
+                tokens.splice(i..i, element);
+            }
+        }
+        tokens
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// One malformed element in an otherwise valid command line is a
+        /// usage error with a message: never a panic, never a run.
+        #[test]
+        fn malformed_command_lines_are_typed_usage_errors(
+            command in 0..BASES.len(),
+            class in 0usize..64,
+            pick in 0usize..64,
+            at in 0usize..8,
+        ) {
+            let tokens = malformed(&BASES[command], class, pick, at);
+            let line = tokens.join(" ");
+            let result = Args::parse(tokens).map_err(CliError::from).and_then(|a| run_full(&a));
+            let err = result.map(|r| r.text).expect_err(&line);
+            prop_assert_eq!(err.exit, ExitCode::Error, "{}", line);
+            prop_assert!(!err.message.is_empty(), "{}", line);
+        }
+    }
+
+    #[test]
+    fn malformed_bases_are_valid() {
+        // The property's errors come from the malformed element alone.
+        for base in BASES {
+            let report =
+                run_line(base.line).unwrap_or_else(|e| panic!("{}: {}", base.line, e.message));
+            assert_eq!(report.exit, ExitCode::Ok, "{}", base.line);
         }
     }
 }

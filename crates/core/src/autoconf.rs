@@ -23,6 +23,19 @@ pub enum MixtureStrategy {
     PreNegate,
 }
 
+impl MixtureStrategy {
+    /// The strategy for `dev` (§VI-E-1): AND-NOT directly where the ISA
+    /// fuses it into one logic instruction, pre-negation where it would
+    /// cost a separate NOT.
+    pub fn for_device(dev: &DeviceSpec) -> MixtureStrategy {
+        if dev.fused_andnot {
+            MixtureStrategy::Direct
+        } else {
+            MixtureStrategy::PreNegate
+        }
+    }
+}
+
 /// Chooses the kernel configuration for a device/algorithm/problem triple:
 /// the Table II preset when the device is one of the paper's three, else the
 /// analytical derivation. The returned configuration is always validated
@@ -130,6 +143,15 @@ mod tests {
         assert_eq!(
             compare_op(MixtureAnalysis, MixtureStrategy::PreNegate),
             CompareOp::And
+        );
+        // NVIDIA's LOP3 fuses AND-NOT; Vega pays a separate NOT.
+        assert_eq!(
+            MixtureStrategy::for_device(&devices::titan_v()),
+            MixtureStrategy::Direct
+        );
+        assert_eq!(
+            MixtureStrategy::for_device(&devices::vega_64()),
+            MixtureStrategy::PreNegate
         );
     }
 

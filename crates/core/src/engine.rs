@@ -330,11 +330,6 @@ impl GpuEngine {
         self
     }
 
-    /// The armed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
-    }
-
     /// Records every run on `tracer`: a run-level span plus the per-command
     /// device timeline (see [`Gpu::with_tracer`]) and timing-cache counter
     /// samples. The default is a disabled tracer, which costs nothing.

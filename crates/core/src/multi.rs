@@ -59,14 +59,6 @@ pub struct MultiRunReport {
     pub failover_rows: usize,
 }
 
-impl MultiRunReport {
-    /// Aggregate kernel throughput across all devices (word-ops per second
-    /// of concurrent kernel execution, bounded by the slowest shard).
-    pub fn aggregate_word_ops_per_sec(&self) -> f64 {
-        self.word_ops as f64 / (self.end_to_end_ns.max(1) as f64 * 1e-9)
-    }
-}
-
 impl MultiGpuEngine {
     /// Builds an engine over `devices` (at least one).
     pub fn new(devices: Vec<DeviceSpec>) -> Self {

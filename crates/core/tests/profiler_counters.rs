@@ -88,11 +88,7 @@ proptest! {
             Algorithm::IdentitySearch,
             Algorithm::MixtureAnalysis,
         ][alg_i];
-        let mixture = if dev.fused_andnot {
-            MixtureStrategy::Direct
-        } else {
-            MixtureStrategy::PreNegate
-        };
+        let mixture = MixtureStrategy::for_device(&dev);
         let op = snp_core::compare_op(alg, mixture);
         let shape = ProblemShape { m: 256, n: 256, k_words };
         let cfg = snp_core::config_for(&dev, alg, shape);

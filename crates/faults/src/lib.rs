@@ -376,11 +376,6 @@ impl FaultPlan {
         self.lost
     }
 
-    /// Host commands consulted so far.
-    pub fn commands_seen(&self) -> u64 {
-        self.cursor
-    }
-
     /// A uniform draw in `[0, 1)` for (command, kind-lane) — lanes keep the
     /// per-kind decisions independent of each other.
     fn unit(&self, index: u64, lane: u64) -> f64 {

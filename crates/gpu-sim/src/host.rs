@@ -682,11 +682,6 @@ impl Gpu {
         }
     }
 
-    /// Size of a buffer in words.
-    pub fn buffer_words(&self, id: BufferId) -> Result<usize, SimError> {
-        Ok(self.state.borrow().slot(id, false)?.len_words)
-    }
-
     /// The one scheduling path of every `enqueue_*` entry point.
     ///
     /// It first validates the command: the queue handle, then (through

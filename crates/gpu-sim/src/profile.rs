@@ -47,12 +47,6 @@ impl KernelProfile {
         self.traffic.total() as f64 / (self.time.total_ns / 1e9)
     }
 
-    /// Achieved bandwidth as a fraction of the device's effective DRAM
-    /// peak.
-    pub fn bandwidth_fraction(&self, dev: &DeviceSpec) -> f64 {
-        self.achieved_bandwidth_bytes_s() / dev.memory.effective_bandwidth_bytes_s()
-    }
-
     /// Whether the bandwidth bound (not compute) set this launch's time.
     pub fn memory_bound(&self) -> bool {
         self.time.memory_ns > self.time.compute_ns

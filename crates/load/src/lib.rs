@@ -24,12 +24,14 @@
 //!   → admission gate → execute → report), per-query
 //!   [`snp_trace::QueryCtx`]-tagged tracers merged into one Chrome
 //!   timeline, a bounded [`snp_trace::FlightRecorder`] that dumps a
-//!   post-mortem on the first typed fault, shed storm, or SLO breach, and a
+//!   post-mortem on the first typed fault, shed storm, or SLO breach, a
 //!   saturation sweep that steps offered load until the latency knee
-//!   appears.
+//!   appears, and the overload-chaos matrix (8x bursty load plus a device
+//!   fault, one cell per algorithm).
 //! * [`slo`] — per-algorithm latency objectives and error-budget burn,
 //!   judged on exact (not bucketed) percentiles.
-//! * [`report`] — byte-reproducible `slo-report.json` and text rendering.
+//! * [`report`] — byte-reproducible `slo-report.json` and text rendering,
+//!   and each run's [`Verdict`].
 //!
 //! The arrival model, queue semantics, and SLO math are documented in
 //! `DESIGN.md` §13; the admission architecture in §15.
@@ -53,10 +55,11 @@ pub use anatomy::{
     decompose_query, AnatomyReport, BandAnatomy, QueryAnatomy, Segment, SEGMENT_COUNT,
 };
 pub use arrival::{arrival_times, ArrivalKind};
+pub use report::Verdict;
 pub use runner::{
-    run, saturation_sweep, AdmissionReport, FaultSpec, LoadConfig, LoadReport, Outcome,
-    OutcomeCounts, Postmortem, QueryRecord, SweepPoint, SweepReport, TenantReport,
-    SWEEP_MULTIPLIERS, TENANTS,
+    overload_chaos, run, saturation_sweep, AdmissionReport, ChaosCell, ChaosReport, FaultSpec,
+    LoadConfig, LoadReport, Outcome, OutcomeCounts, Postmortem, QueryRecord, SweepPoint,
+    SweepReport, TenantReport, CHAOS_RATE_MULTIPLIER, SWEEP_MULTIPLIERS, TENANTS,
 };
 pub use scheduler::{QueuedQuery, Scheduler};
 pub use slo::{evaluate, percentile, Slo, SloOutcome, SloPolicy};

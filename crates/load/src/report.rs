@@ -10,8 +10,34 @@ use std::fmt::Write as _;
 
 use snp_trace::json::{self, Obj, Val};
 
-use crate::runner::{AdmissionReport, LoadReport, SweepReport};
+use crate::runner::{AdmissionReport, ChaosReport, LoadReport, SweepReport, CHAOS_RATE_MULTIPLIER};
 use crate::slo::SloOutcome;
+
+/// A load run's verdict, in rising severity: silent corruption outranks a
+/// blown shed budget, which outranks a latency breach.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Verdict {
+    /// Every objective held.
+    Ok,
+    /// A latency objective or error budget was breached.
+    SloBreach,
+    /// Admission shed more of the offered load than its budget allows.
+    ShedBudgetExceeded,
+    /// The corruption oracle caught a wrong result.
+    Corruption,
+}
+
+impl Verdict {
+    /// The `snpgpu` exit code for this verdict (README "Exit codes").
+    pub fn exit_code(self) -> u8 {
+        match self {
+            Verdict::Ok => 0,
+            Verdict::Corruption => 5,
+            Verdict::SloBreach => 6,
+            Verdict::ShedBudgetExceeded => 7,
+        }
+    }
+}
 
 fn slo_json(o: &mut Obj, s: &SloOutcome) {
     o.key("algorithm").str(s.algorithm);
@@ -72,6 +98,23 @@ fn admission_json(o: &mut Obj, a: &AdmissionReport) {
 }
 
 impl LoadReport {
+    /// The run's verdict: the most severe one that applies.
+    pub fn verdict(&self) -> Verdict {
+        let adm = self.admission.as_ref();
+        [
+            (self.breached, Verdict::SloBreach),
+            (
+                adm.is_some_and(|a| a.shed_budget_exceeded),
+                Verdict::ShedBudgetExceeded,
+            ),
+            (adm.is_some_and(|a| a.corruptions > 0), Verdict::Corruption),
+        ]
+        .into_iter()
+        .filter_map(|(hit, verdict)| hit.then_some(verdict))
+        .max()
+        .unwrap_or(Verdict::Ok)
+    }
+
     /// The `slo-report.json` document for a single run. Deterministic for
     /// a fixed config: no wall-clock content, fixed-precision floats.
     pub fn to_json(&self) -> String {
@@ -322,6 +365,98 @@ impl SweepReport {
     /// Whether any point breached its SLO.
     pub fn breached(&self) -> bool {
         self.points.iter().any(|p| p.report.breached)
+    }
+}
+
+impl ChaosReport {
+    /// The worst cell's verdict.
+    pub fn verdict(&self) -> Verdict {
+        let cells = self.cells.iter().map(|c| c.report.verdict());
+        cells.max().unwrap_or(Verdict::Ok)
+    }
+
+    /// Silent corruptions caught across every cell.
+    fn corruptions(&self) -> usize {
+        let cells = self
+            .cells
+            .iter()
+            .filter_map(|c| c.report.admission.as_ref());
+        cells.map(|a| a.corruptions).sum()
+    }
+
+    /// The overload-chaos document: the scenario, the verdict, and each
+    /// cell's run report.
+    pub fn to_json(&self) -> String {
+        let cfg = &self.config;
+        let fault = cfg.fault.as_ref().expect("overload-chaos arms a fault");
+        json::document(|o| {
+            o.key("schema_version").int(1);
+            o.key("kind").str("overload-chaos");
+            o.key("device").str(&cfg.device.name);
+            o.key("rate_qps").float(cfg.rate_qps, 3);
+            o.key("arrival").str(cfg.arrival.name());
+            o.key("fault_profile").str(&fault.profile_name);
+            o.key("silent_corruptions").int(self.corruptions());
+            o.key("worst_exit").int(self.verdict().exit_code());
+            o.key("cells").objs(&self.cells, |c, cell| {
+                c.key("algorithm").str(cell.algorithm);
+                c.key("exit").int(cell.report.verdict().exit_code());
+                c.key("report").obj(|r| cell.report.write_json(r));
+            });
+        })
+    }
+
+    /// The human-readable matrix: the scenario, one row per cell, the
+    /// verdict.
+    pub fn render_text(&self) -> String {
+        let cfg = &self.config;
+        let fault = cfg.fault.as_ref().expect("overload-chaos arms a fault");
+        let armed = match fault.at_query {
+            Some(q) => format!("at query {q}"),
+            None => "on every query".to_string(),
+        };
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "overload-chaos: {} cell(s) on {} — bursty arrivals at {:.0} q/s ({}x), \
+             fault {} {armed}, admission on (shed budget {:.0}%)",
+            self.cells.len(),
+            cfg.device.name,
+            cfg.rate_qps,
+            CHAOS_RATE_MULTIPLIER,
+            fault.profile_name,
+            cfg.admission.shed_budget * 100.0,
+        );
+        for cell in &self.cells {
+            let adm = cell.report.admission.as_ref().expect("admission is on");
+            let ratio = if adm.tenant_goodput_ratio.is_finite() {
+                format!("{:.2}", adm.tenant_goodput_ratio)
+            } else {
+                "inf (starved tenant)".to_string()
+            };
+            let _ = writeln!(
+                out,
+                "  cell {:<8} offered {:>3}, admitted {:>3}, shed {:>5.1}%, \
+                 goodput {:>8.1} q/s, tenant ratio {ratio}, corruptions {}, \
+                 final tier {}, exit {}",
+                cell.algorithm,
+                adm.offered,
+                adm.admitted,
+                adm.shed_fraction * 100.0,
+                adm.goodput_qps,
+                adm.corruptions,
+                adm.final_tier.label(),
+                cell.report.verdict().exit_code(),
+            );
+        }
+        let _ = writeln!(
+            out,
+            "verdict: {} silent corruption(s) across {} cell(s), worst exit {}",
+            self.corruptions(),
+            self.cells.len(),
+            self.verdict().exit_code(),
+        );
+        out
     }
 }
 

@@ -1040,6 +1040,61 @@ pub fn saturation_sweep(cfg: &LoadConfig, multipliers: &[f64]) -> SweepReport {
     SweepReport { points, knee }
 }
 
+/// One overload-chaos cell: one algorithm's templates under the scenario.
+#[derive(Debug, Clone)]
+pub struct ChaosCell {
+    /// The algorithm slug (`ld`, `fastid`, `mixture`).
+    pub algorithm: &'static str,
+    /// The cell's run report (admission on).
+    pub report: LoadReport,
+}
+
+/// The overload-chaos matrix: every algorithm replayed under overload and
+/// a device fault at once.
+#[derive(Debug, Clone)]
+pub struct ChaosReport {
+    /// The scenario every cell ran (its templates are all the cells').
+    pub config: LoadConfig,
+    /// One cell per algorithm, in template order.
+    pub cells: Vec<ChaosCell>,
+}
+
+/// The offered-load multiple overload-chaos runs at.
+pub const CHAOS_RATE_MULTIPLIER: f64 = 8.0;
+
+/// Runs the combined overload + fault scenario: bursty arrivals at
+/// [`CHAOS_RATE_MULTIPLIER`] × `cfg.rate_qps` through the admission gate,
+/// and `cfg.fault` — by default the device lost at host command 2 of
+/// query `queries / 3`. Each run of `cfg.templates` sharing an algorithm
+/// is one cell.
+pub fn overload_chaos(cfg: &LoadConfig) -> ChaosReport {
+    let mut config = cfg.clone();
+    config.rate_qps *= CHAOS_RATE_MULTIPLIER;
+    config.arrival = ArrivalKind::Bursty;
+    config.admission.enabled = true;
+    config.fault.get_or_insert_with(|| FaultSpec {
+        profile_name: "loss@2".to_string(),
+        profile: FaultProfile {
+            device_loss_at: Some(2),
+            ..FaultProfile::none()
+        },
+        at_query: Some(cfg.queries / 3),
+    });
+    let cells = config
+        .templates
+        .chunk_by(|a, b| a.slug() == b.slug())
+        .map(|templates| {
+            let mut cell = config.clone();
+            cell.templates = templates.to_vec();
+            ChaosCell {
+                algorithm: templates[0].slug(),
+                report: run(&cell),
+            }
+        })
+        .collect();
+    ChaosReport { config, cells }
+}
+
 impl SweepReport {
     /// Minimum goodput of the points past the knee, as a fraction of the
     /// knee point's goodput — the "stays up past saturation" figure.

@@ -64,20 +64,6 @@ pub fn ld_pair(gamma: &CountMatrix, samples: usize, a: usize, b: usize) -> LdPai
     }
 }
 
-/// Computes `r²` for every pair into a dense `snps × snps` matrix of `f64`.
-/// Row-major; symmetric by construction.
-pub fn r2_matrix(gamma: &CountMatrix, samples: usize) -> Vec<f64> {
-    let s = gamma.rows();
-    assert_eq!(s, gamma.cols(), "self-comparison matrix must be square");
-    let mut out = vec![0.0; s * s];
-    for a in 0..s {
-        for b in 0..s {
-            out[a * s + b] = ld_pair(gamma, samples, a, b).r2;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,7 +149,7 @@ mod tests {
     }
 
     #[test]
-    fn r2_matrix_is_symmetric_with_unit_diagonal() {
+    fn ld_pair_is_symmetric_with_unit_diagonal() {
         use crate::population::{generate_panel, PanelConfig};
         let p = generate_panel(
             &PanelConfig {
@@ -174,15 +160,15 @@ mod tests {
             22,
         );
         let g = reference_gamma_self(&p.matrix, CompareOp::And);
-        let r2 = r2_matrix(&g, 300);
+        let r2 = |a, b| ld_pair(&g, 300, a, b).r2;
         for a in 0..12 {
             // Polymorphic loci correlate perfectly with themselves.
             let pa = g.get(a, a);
             if pa > 0 && (pa as usize) < 300 {
-                assert!((r2[a * 12 + a] - 1.0).abs() < 1e-9);
+                assert!((r2(a, a) - 1.0).abs() < 1e-9);
             }
             for b in 0..12 {
-                assert!((r2[a * 12 + b] - r2[b * 12 + a]).abs() < 1e-12);
+                assert!((r2(a, b) - r2(b, a)).abs() < 1e-12);
             }
         }
     }

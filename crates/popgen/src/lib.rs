@@ -39,6 +39,6 @@ pub use freq::FrequencySpectrum;
 pub use kinship::{
     classify_pairs, generate_family, ibs, FamilyStudy, KinshipClassifier, Relationship,
 };
-pub use ld_stats::{ld_pair, r2_matrix, LdPair};
+pub use ld_stats::{ld_pair, LdPair};
 pub use population::{generate_independent, generate_panel, random_dense, Panel, PanelConfig};
 pub use scoring::IdentityScorer;

@@ -17,8 +17,8 @@
 //! time as separate processes), and [`summary::render_summary`] renders an
 //! indented text tree nested by time containment. The matching
 //! [`chrome::validate`] checks an emitted document is schema-well-formed —
-//! CI runs it against the artifacts of real `snpgpu trace` and `snpgpu
-//! loadgen` invocations.
+//! CI runs it against the artifacts of real `snpgpu ld --trace`, `snpgpu
+//! search --trace` and `snpgpu loadgen` invocations.
 //!
 //! [`json`] is the workspace's one JSON writer — every report and trace
 //! document goes through it — next to the reader the validator uses.

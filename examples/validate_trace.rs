@@ -1,6 +1,7 @@
 //! Standalone validator for Chrome `trace_event` JSON emitted by
-//! `snpgpu trace` — CI runs it against a freshly generated artifact to
-//! prove the file parses and is schema-well-formed.
+//! `snpgpu ld|search|mixture --trace` and `snpgpu loadgen --trace|--flight`
+//! — CI runs it against freshly generated artifacts to prove each file
+//! parses and is schema-well-formed.
 //!
 //! ```text
 //! cargo run --example validate_trace -- trace.json
