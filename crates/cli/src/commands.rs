@@ -23,6 +23,7 @@ use snp_popgen::ld_stats::ld_pair;
 use snp_popgen::population::{generate_panel, PanelConfig};
 use snp_popgen::IdentityScorer;
 use snp_trace::json::{self, Obj, Val};
+use snp_trace::summary::fmt_sig3;
 use snp_trace::{Trace, Tracer};
 use snp_verify::Severity;
 
@@ -87,7 +88,10 @@ COMMANDS:
                                admission on) and fails on any silent
                                corruption; --anatomy appends the per-query
                                latency-anatomy table (percentile bands x
-                               named critical-path segments) to the report
+                               named critical-path segments) to the report;
+                               --trace/--flight need --mode run,
+                               --flight-capacity is rejected by --mode sweep
+                               and --arrival by --mode chaos
   whatif    [ld|fastid|mixture|all] [--device D --rate Q --queries N --seed S
             --arrival poisson|bursty --admission --deadline-slack X
             --shed-budget F --queue-cap N
@@ -663,9 +667,9 @@ fn cmd_mixture(args: &Args) -> Result<CmdReport, CliError> {
     );
     let _ = writeln!(
         out,
-        "  modeled kernel {:.3} ms at {:.0} G word-ops/s",
+        "  modeled kernel {:.3} ms at {} G word-ops/s",
         run.timing.kernel_ns as f64 / 1e6,
-        run.kernel_word_ops_per_sec / 1e9
+        fmt_sig3(run.kernel_word_ops_per_sec / 1e9)
     );
     harness.finish(out, run.recovery.as_ref())
 }
@@ -840,7 +844,7 @@ fn lint_report_json(o: &mut Obj, report: &snp_verify::Report) {
 }
 
 /// Shrinks a device's memory so the chaos workload needs several chunks —
-/// checkpointing, loss-resume, and failover are only exercised multi-chunk.
+/// checkpointing and loss-resume are only exercised multi-chunk.
 fn chaos_device(base: &DeviceSpec) -> DeviceSpec {
     let mut d = base.clone();
     d.max_alloc_bytes = d.max_alloc_bytes.min(1 << 17);
@@ -1321,6 +1325,18 @@ fn cmd_loadgen(args: &Args) -> Result<CmdReport, CliError> {
             return Err(
                 ArgError("--trace/--flight are per-run artifacts; use --mode run".into()).into(),
             )
+        }
+        "sweep" if args.get("flight-capacity").is_some() => {
+            return Err(ArgError(
+                "--flight-capacity sizes a run's flight recorder; use --mode run|chaos".into(),
+            )
+            .into())
+        }
+        "chaos" if args.get("arrival").is_some() => {
+            return Err(ArgError(
+                "--arrival is fixed in --mode chaos (always bursty); use --mode run|sweep".into(),
+            )
+            .into())
         }
         "sweep" | "chaos" => 48,
         other => return Err(ArgError(format!("unknown mode {other:?} (run|sweep|chaos)")).into()),
@@ -1936,6 +1952,23 @@ mod tests {
     }
 
     #[test]
+    fn loadgen_modes_reject_the_options_they_ignore() {
+        // A sweep dumps no flight recorder; chaos always arrives bursty.
+        let err = usage_err("loadgen ld --mode sweep --flight-capacity 3");
+        assert!(err.starts_with("--flight-capacity"), "{err}");
+        let err = usage_err("loadgen ld --mode chaos --arrival poisson");
+        assert!(err.starts_with("--arrival"), "{err}");
+        // Each is still accepted by the modes that use it.
+        for line in [
+            "loadgen ld --queries 4 --flight-capacity 3 --arrival poisson",
+            "loadgen ld --mode chaos --queries 4 --flight-capacity 3",
+            "loadgen ld --mode sweep --queries 4 --arrival poisson",
+        ] {
+            assert!(run_line(line).is_ok(), "{line}");
+        }
+    }
+
+    #[test]
     fn metrics_emits_prometheus_exposition() {
         // The registry is process-global and shared across parallel tests,
         // so assert structure, not exact counter values.
@@ -2063,7 +2096,8 @@ mod tests {
         sizes: &'static [&'static str],
         floats: &'static [(&'static str, &'static str)],
         names: &'static [&'static str],
-        /// A tuning option given without the option it tunes.
+        /// A tuning option given without the option it tunes, or in a mode
+        /// that ignores it.
         dependent: &'static str,
     }
 
@@ -2152,6 +2186,20 @@ mod tests {
             ],
             names: &["device", "arrival", "mode", "fault-profile"],
             dependent: "--fault-at 1",
+        },
+        Base {
+            line: "loadgen ld --mode sweep --queries 4",
+            sizes: &[],
+            floats: &[],
+            names: &[],
+            dependent: "--flight-capacity 3",
+        },
+        Base {
+            line: "loadgen ld --mode chaos --queries 4",
+            sizes: &[],
+            floats: &[],
+            names: &[],
+            dependent: "--arrival poisson",
         },
         Base {
             line: "whatif ld --queries 4",

@@ -33,7 +33,7 @@ use snp_trace::{TimeDomain, Tracer};
 use crate::autoconf::{compare_op, config_for, word_op_kind, MixtureStrategy};
 use crate::cpu_model::CpuModel;
 use crate::kernel::{execute_gamma, lowering_for, KernelPlan, Lowering};
-use crate::recovery::{metrics, QueueHealth, RecoveryPolicy, RecoverySummary};
+use crate::recovery::{backoff_for, metrics, QueueHealth, RecoverySummary, MAX_RETRIES};
 use crate::streaming::{merge_topk, reduction_cost, topk_of_row, Match, TopKReport};
 use crate::tiling::{plan_passes, Chunk, PlanError, TilePlan};
 
@@ -59,11 +59,6 @@ pub struct EngineOptions {
     /// and fail the run on any ordering hazard. Defaults to on in debug
     /// builds, off in release builds.
     pub verify: bool,
-    /// Retry/checkpoint/fallback tunables. Inert unless a
-    /// [`FaultPlan`] is armed on the engine via
-    /// [`GpuEngine::with_fault_plan`] — the fault-free fast path never
-    /// consults them.
-    pub recovery: RecoveryPolicy,
     /// Collect per-launch hardware-counter profiles
     /// ([`RunReport::kernel_profiles`]). Off by default: profiles are
     /// cheap to gather (the simulator computes the counters anyway) but
@@ -83,7 +78,6 @@ impl Default for EngineOptions {
             double_buffer: true,
             mixture: MixtureStrategy::Direct,
             verify: cfg!(debug_assertions),
-            recovery: RecoveryPolicy::default(),
             profile: false,
             cost_scale: CostScale::default(),
         }
@@ -509,7 +503,6 @@ impl GpuEngine {
         let recovering = self.faults.as_ref().map(|faults| {
             gpu.set_fault_plan(faults.clone());
             Recovering {
-                policy: self.options.recovery,
                 summary: RecoverySummary {
                     total_chunks: plan.passes(),
                     ..Default::default()
@@ -901,7 +894,6 @@ struct Lanes {
 
 /// What the recovering schedule carries through a run.
 struct Recovering {
-    policy: RecoveryPolicy,
     summary: RecoverySummary,
     /// One circuit breaker per lane.
     health: [QueueHealth; 2],
@@ -934,16 +926,16 @@ impl Lanes {
                     return Ok(v);
                 }
                 Err(SimError::DeviceFault(fault)) if fault.kind.is_transient() => {
-                    if rec.health[lane].fail(&rec.policy) {
+                    if rec.health[lane].fail() {
                         rec.summary.quarantined_queues += 1;
                         metrics::QUEUE_QUARANTINED.add(1);
                         *queue = gpu.create_queue_labeled(LANES[lane]);
                         rec.health[lane] = QueueHealth::default();
                     }
-                    if attempt >= rec.policy.max_retries {
+                    if attempt >= MAX_RETRIES {
                         return Err(EngineError::Device(SimError::DeviceFault(fault)));
                     }
-                    let back = rec.policy.backoff_for(attempt);
+                    let back = backoff_for(attempt);
                     let back_start = gpu.now_ns();
                     gpu.advance_host_ns(back);
                     if gpu.tracer().is_enabled() {
@@ -1144,11 +1136,11 @@ impl Pass<'_> {
     }
 
     /// Reads `words` words of `buf` back into the staging buffer once `dep`
-    /// completes. A recovering run blocks on the read and, in Full mode
-    /// with checksums on, verifies it against a device-side checksum: the
-    /// device sees the uncorrupted buffer, so a mismatch pinpoints link
-    /// corruption and the chunk is simply re-read. This is the only
-    /// defense against the *silent* fault class.
+    /// completes. A recovering run blocks on the read and, in Full mode,
+    /// verifies it against a device-side checksum: the device sees the
+    /// uncorrupted buffer, so a mismatch pinpoints link corruption and the
+    /// chunk is simply re-read. This is the only defense against the
+    /// *silent* fault class.
     fn readback(
         &mut self,
         buf: BufferId,
@@ -1163,8 +1155,7 @@ impl Pass<'_> {
                     .read(q, buf, &mut self.down, words, &[dep], recovering)
             })?;
             self.out_events.push(ev);
-            let checksums = self.lanes.recovering.as_ref().map(|r| r.policy.checksums);
-            if !(self.dev.full && checksums == Some(true)) {
+            if !(self.dev.full && recovering) {
                 return Ok(ev);
             }
             let (device_sum, ev_sum) = self.lanes.enqueue(&self.dev.gpu, XFER, |q| {
@@ -1178,7 +1169,7 @@ impl Pass<'_> {
             rec.summary.corruption_detected += 1;
             metrics::CORRUPTION_DETECTED.add(1);
             rereads += 1;
-            if rereads > rec.policy.max_retries {
+            if rereads > MAX_RETRIES {
                 return Err(EngineError::Device(SimError::DeviceFault(DeviceFault {
                     kind: FaultKind::ReadCorruption,
                     op: FaultOp::Read,
@@ -1189,8 +1180,8 @@ impl Pass<'_> {
     }
 
     /// Device loss at chunk `resume`: finishes the remaining chunks on the
-    /// CPU engine (Full mode with fallback enabled) or surfaces the typed
-    /// fault. The checkpointed prefix is never recomputed. Returns the
+    /// CPU engine in Full mode, or surfaces the typed fault in timing-only
+    /// mode. The checkpointed prefix is never recomputed. Returns the
     /// modeled CPU time, charged to the host clock.
     fn fall_back(&mut self, resume: usize, err: EngineError) -> Result<u64, EngineError> {
         let gpu = &self.dev.gpu;
@@ -1213,7 +1204,7 @@ impl Pass<'_> {
                 vec![("resume_chunk", resume.into())],
             );
         }
-        if !(rec.policy.cpu_fallback && self.dev.full) {
+        if !self.dev.full {
             return Err(err);
         }
         let (cpu, model) = (CpuEngine::new(), CpuModel::ivy_bridge_workstation());

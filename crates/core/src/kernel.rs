@@ -520,10 +520,10 @@ impl KernelPlan {
 
 /// Functional execution of one pass on device word buffers: computes
 /// `c[i·n + j] = Σ_k popc(op(a[i·k_words + k], b[j·k_words + k]))` for the
-/// `m × n` output block. Overwrites `c`. The device rows are re-paired into
-/// 64-bit host rows and run through `snp-cpu`'s blocked popcount GEMM,
-/// whose fresh γ its tiles write once, and γ is copied into `c`. So every
-/// simulated pass runs the tile schedule of the CPU baseline.
+/// `m × n` output block. Overwrites `c[..m·n]`. The device rows are
+/// re-paired into 64-bit host rows and run through `snp-cpu`'s blocked
+/// popcount GEMM, whose tiles write each count once, straight into `c`. So
+/// every simulated pass runs the tile schedule of the CPU baseline.
 pub fn execute_gamma(
     op: CompareOp,
     a: &[u32],
@@ -551,8 +551,8 @@ pub fn execute_gamma(
         c.len(),
         m * n
     );
-    let gamma = CpuEngine::new().gamma(&host_rows(a, m, k_words), &host_rows(b, n, k_words), op);
-    c[..m * n].copy_from_slice(gamma.as_slice());
+    let (a, b) = (host_rows(a, m, k_words), host_rows(b, n, k_words));
+    CpuEngine::new().gamma_into(&a, &b, op, &mut c[..m * n]);
 }
 
 /// Functional execution of one pass in the matrix unit's evaluation order:

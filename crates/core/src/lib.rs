@@ -56,7 +56,7 @@ pub use profile::{
     profile_cell, relative_drift, BandwidthReport, CellProfile, DriftReport, FuUtilization,
     Occupancy, Roofline, RooflineBound, ANALYTIC_DRIFT_TOLERANCE, ENGINE_DRIFT_TOLERANCE,
 };
-pub use recovery::{QueueHealth, RecoveryPolicy, RecoverySummary};
+pub use recovery::{QueueHealth, RecoverySummary};
 pub use snp_faults::{DeviceFault, FaultKind, FaultPlan, FaultProfile, FaultStats};
 pub use snp_gpu_model::config::Algorithm;
 pub use snp_gpu_sim::host::CostScale;

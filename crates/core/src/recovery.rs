@@ -1,18 +1,23 @@
-//! Recovery policy and accounting for fault-tolerant engine runs.
+//! Recovery constants and accounting for fault-tolerant engine runs.
 //!
 //! The engine's tile-pass loop (engine.rs) pipelines its chunks on a
 //! healthy device. When a [`FaultPlan`](snp_faults::FaultPlan) is armed on
 //! the engine, the same loop takes its *recovering* schedule, for either
 //! sink, built from the pieces in this module (DESIGN.md §10):
 //!
-//! * bounded per-chunk **retry** with exponential virtual-time backoff;
-//! * chunk-granular **checkpointing** — a chunk whose readback checksum
-//!   verified is never recomputed, so device loss resumes from the last
-//!   verified chunk, not from chunk zero;
-//! * per-queue **circuit breaking** — a queue that keeps failing is
-//!   quarantined and replaced;
-//! * **CPU fallback** — on permanent device loss the remaining chunks run
-//!   on the BLIS-style CPU engine and the run completes degraded.
+//! * bounded per-chunk **retry** ([`MAX_RETRIES`]) with exponential
+//!   virtual-time backoff from [`BACKOFF_NS`];
+//! * chunk-granular **checkpointing** — a Full-mode readback is always
+//!   checksum-verified, and a verified chunk is never recomputed, so device
+//!   loss resumes from the last verified chunk, not from chunk zero;
+//! * per-queue **circuit breaking** — a queue that fails
+//!   [`QUARANTINE_AFTER`] times in a row is quarantined and replaced;
+//! * **CPU fallback** — on permanent device loss the remaining chunks of a
+//!   Full-mode run finish on the BLIS-style CPU engine and the run completes
+//!   degraded; a timing-only run surfaces the loss as a typed error.
+//!
+//! This is the workspace's one recovery path: a multi-device run has no
+//! failover of its own (see [`crate::multi`]).
 //!
 //! Every action is counted both in the returned [`RecoverySummary`] and on
 //! process-wide `engine.recovery.*` metrics (snp-trace), and the summary
@@ -52,49 +57,23 @@ pub mod metrics {
     /// Queues quarantined by the circuit breaker.
     pub static QUEUE_QUARANTINED: LazyCounter =
         LazyCounter::new("engine.recovery.queue_quarantined");
-    /// Rows re-sharded onto surviving devices by multi-device failover.
-    pub static FAILOVER_ROWS: LazyCounter = LazyCounter::new("engine.recovery.failover_rows");
 }
 
-/// Tunables for the recovery layer. `Copy`, embedded in `EngineOptions`,
-/// and inert unless a fault plan is armed on the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// Retries per command before the fault is surfaced (total attempts =
-    /// `max_retries + 1`).
-    pub max_retries: u32,
-    /// Base backoff charged to the host clock before retry `i`
-    /// (doubling each attempt: `backoff_ns << i`, capped at 20 doublings).
-    pub backoff_ns: u64,
-    /// Consecutive failures on one queue before the circuit breaker
-    /// quarantines it and enqueues on a fresh replacement queue.
-    pub quarantine_after: u32,
-    /// Verify every functional readback against a device-side checksum and
-    /// re-read on mismatch (the only defense against silent corruption).
-    pub checksums: bool,
-    /// Fall back to the CPU engine for remaining chunks on permanent
-    /// device loss (otherwise loss surfaces as a typed error).
-    pub cpu_fallback: bool,
-}
+/// Retries per command before a transient fault surfaces (at most
+/// `MAX_RETRIES + 1` attempts); a corrupted readback is re-read as often.
+pub const MAX_RETRIES: u32 = 3;
 
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            max_retries: 3,
-            backoff_ns: 10_000,
-            quarantine_after: 3,
-            checksums: true,
-            cpu_fallback: true,
-        }
-    }
-}
+/// Backoff charged to the host clock before the first retry of a command;
+/// it doubles with each further attempt.
+pub const BACKOFF_NS: u64 = 10_000;
 
-impl RecoveryPolicy {
-    /// Backoff before retry attempt `attempt` (0-based): exponential,
-    /// overflow-safe.
-    pub fn backoff_for(&self, attempt: u32) -> u64 {
-        self.backoff_ns.saturating_mul(1u64 << attempt.min(20))
-    }
+/// Consecutive failures on one queue before the circuit breaker quarantines
+/// it and enqueues on a fresh replacement queue.
+pub const QUARANTINE_AFTER: u32 = 3;
+
+/// Backoff before retry attempt `attempt` (0-based, below [`MAX_RETRIES`]).
+pub(crate) fn backoff_for(attempt: u32) -> u64 {
+    BACKOFF_NS << attempt
 }
 
 /// What the recovery layer did during one run. Attached to run reports as
@@ -172,7 +151,7 @@ impl RecoverySummary {
 }
 
 /// Per-queue consecutive-failure tracker — the circuit breaker. A success
-/// resets the count; `quarantine_after` consecutive failures trip it.
+/// resets the count; [`QUARANTINE_AFTER`] consecutive failures trip it.
 #[derive(Debug, Clone, Default)]
 pub struct QueueHealth {
     consecutive_failures: u32,
@@ -187,9 +166,9 @@ impl QueueHealth {
 
     /// Records a failed command; returns `true` if this failure trips the
     /// breaker (the caller should quarantine and replace the queue).
-    pub fn fail(&mut self, policy: &RecoveryPolicy) -> bool {
+    pub fn fail(&mut self) -> bool {
         self.consecutive_failures += 1;
-        if !self.quarantined && self.consecutive_failures >= policy.quarantine_after {
+        if !self.quarantined && self.consecutive_failures >= QUARANTINE_AFTER {
             self.quarantined = true;
             return true;
         }
@@ -207,38 +186,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backoff_doubles_and_saturates() {
-        let p = RecoveryPolicy {
-            backoff_ns: 100,
-            ..Default::default()
-        };
-        assert_eq!(p.backoff_for(0), 100);
-        assert_eq!(p.backoff_for(1), 200);
-        assert_eq!(p.backoff_for(3), 800);
-        // Deep attempts cap the shift instead of overflowing.
-        assert_eq!(p.backoff_for(63), 100 * (1 << 20));
-        let huge = RecoveryPolicy {
-            backoff_ns: u64::MAX / 2,
-            ..Default::default()
-        };
-        assert_eq!(huge.backoff_for(10), u64::MAX);
+    fn backoff_doubles_per_attempt() {
+        assert_eq!(backoff_for(0), BACKOFF_NS);
+        assert_eq!(backoff_for(1), 2 * BACKOFF_NS);
+        assert_eq!(backoff_for(3), 8 * BACKOFF_NS);
     }
 
     #[test]
     fn circuit_breaker_trips_once_after_threshold() {
-        let p = RecoveryPolicy {
-            quarantine_after: 3,
-            ..Default::default()
-        };
         let mut h = QueueHealth::default();
-        assert!(!h.fail(&p));
-        assert!(!h.fail(&p));
+        for _ in 1..QUARANTINE_AFTER {
+            assert!(!h.fail());
+        }
         h.ok(); // success resets the streak
-        assert!(!h.fail(&p));
-        assert!(!h.fail(&p));
-        assert!(h.fail(&p), "third consecutive failure trips");
+        for _ in 1..QUARANTINE_AFTER {
+            assert!(!h.fail());
+        }
+        assert!(
+            h.fail(),
+            "the QUARANTINE_AFTER-th consecutive failure trips"
+        );
         assert!(h.is_quarantined());
-        assert!(!h.fail(&p), "a tripped breaker does not re-trip");
+        assert!(!h.fail(), "a tripped breaker does not re-trip");
     }
 
     #[test]

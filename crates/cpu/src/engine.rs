@@ -2,11 +2,13 @@
 //! popcount-GEMM.
 
 use snp_bitmat::{BitMatrix, CompareOp, CountMatrix};
+use snp_trace::Tracer;
 
 use crate::blocking::CpuBlocking;
-use crate::gemm::{gamma_blocked, gamma_blocked_into};
-use crate::parallel::{gamma_parallel, gamma_parallel_into};
+use crate::gemm::{check_shapes, gamma_blocked, overwrite};
+use crate::parallel::gamma_parallel;
 use crate::symmetric::gamma_self_symmetric;
+use crate::{gemm, parallel};
 
 /// A configured CPU comparison engine.
 ///
@@ -92,19 +94,21 @@ impl CpuEngine {
         }
     }
 
-    /// Like [`gamma`](Self::gamma), but into an existing output of
-    /// `a.rows() × b.rows()`, whose every cell it overwrites.
-    pub fn gamma_into(
-        &self,
-        a: &BitMatrix<u64>,
-        b: &BitMatrix<u64>,
-        op: CompareOp,
-        c: &mut CountMatrix,
-    ) {
+    /// Like [`gamma`](Self::gamma), but into `c`, a row-major
+    /// `a.rows() × b.rows()` γ whose every cell it overwrites.
+    pub fn gamma_into(&self, a: &BitMatrix<u64>, b: &BitMatrix<u64>, op: CompareOp, c: &mut [u32]) {
+        assert_eq!(
+            c.len(),
+            a.rows() * b.rows(),
+            "output must hold A rows × B rows cells"
+        );
+        check_shapes(a, b, (a.rows(), b.rows()), &self.blocking);
+        // SAFETY: the tiles write only counts into `c`.
+        let cells = unsafe { overwrite(c) };
         if self.parallel {
-            gamma_parallel_into(a, b, op, &self.blocking, c);
+            parallel::run_tiles(a, b, op, &self.blocking, cells, &Tracer::disabled());
         } else {
-            gamma_blocked_into(a, b, op, &self.blocking, c);
+            gemm::run_tiles(op, a, b, &self.blocking, cells);
         }
     }
 
@@ -222,10 +226,9 @@ mod tests {
             for op in CompareOp::ALL {
                 let got = engine.gamma(&a, &b, op);
                 assert_eq!(got.first_mismatch(&zeros), None, "{at}, op {op}");
-                let poison = (0..100 * 150).map(|i| u32::MAX ^ i).collect();
-                let mut c = CountMatrix::from_vec(100, 150, poison);
+                let mut c: Vec<u32> = (0..100 * 150).map(|i| u32::MAX ^ i).collect();
                 engine.gamma_into(&a, &b, op, &mut c);
-                assert_eq!(c.first_mismatch(&zeros), None, "{at}, op {op}: gamma_into");
+                assert_eq!(c, zeros.as_slice(), "{at}, op {op}: gamma_into");
             }
             let got = engine.identity_search(&a, &b);
             assert_eq!(got.first_mismatch(&zeros), None, "{at}");

@@ -55,7 +55,7 @@ pub fn gamma_blocked_into(
 ) {
     check_shapes(a, b, (c.rows(), c.cols()), blocking);
     // SAFETY: the tiles write only counts into `c`.
-    run_tiles(op, a, b, blocking, unsafe { overwrite(c) });
+    run_tiles(op, a, b, blocking, unsafe { overwrite(c.as_mut_slice()) });
 }
 
 /// [`gamma_blocked_into`] into a fresh output, which is never zero-filled.
@@ -70,8 +70,9 @@ pub fn gamma_blocked(
     unsafe { fresh(a.rows(), b.rows(), |c| run_tiles(op, a, b, blocking, c)) }
 }
 
-/// Runs every tile of `c` on this thread, one per `m_c × n_c` block.
-fn run_tiles(
+/// Runs every tile of `c`, a row-major `a.rows() × b.rows()` γ, on this
+/// thread, one per `m_c × n_c` block.
+pub(crate) fn run_tiles(
     op: CompareOp,
     a: &BitMatrix<u64>,
     b: &BitMatrix<u64>,
@@ -112,8 +113,8 @@ pub(crate) unsafe fn fresh(
 ///
 /// Only initialized values may be written through the view, so that `c`
 /// stays initialized.
-pub(crate) unsafe fn overwrite(c: &mut CountMatrix) -> &mut [MaybeUninit<u32>] {
-    let cells: *mut [u32] = c.as_mut_slice();
+pub(crate) unsafe fn overwrite(c: &mut [u32]) -> &mut [MaybeUninit<u32>] {
+    let cells: *mut [u32] = c;
     // SAFETY: `MaybeUninit<u32>` has the size and alignment of `u32`, so
     // the view covers exactly `c`'s cells, and it borrows `c` for as long
     // as it lives. The caller guarantees that every write through it

@@ -101,12 +101,19 @@ pub fn gamma_parallel_into_traced(
     let ParallelSchedule::Auto = schedule;
     check_shapes(a, b, (c.rows(), c.cols()), blocking);
     // SAFETY: the tiles write only counts into `c`.
-    run_tiles(a, b, op, blocking, unsafe { overwrite(c) }, tracer)
+    run_tiles(
+        a,
+        b,
+        op,
+        blocking,
+        unsafe { overwrite(c.as_mut_slice()) },
+        tracer,
+    )
 }
 
 /// Runs every tile of `c`, a row-major `a.rows() × b.rows()` γ, on the
 /// rayon pool.
-fn run_tiles(
+pub(crate) fn run_tiles(
     a: &BitMatrix<u64>,
     b: &BitMatrix<u64>,
     op: CompareOp,

@@ -225,7 +225,7 @@ impl FaultProfile {
     }
 
     /// Permanent device loss partway through the command stream, forcing
-    /// checkpoint-resume on the CPU (or failover in multi-device runs).
+    /// checkpoint-resume on the CPU.
     pub fn loss() -> Self {
         FaultProfile {
             device_loss_at: Some(9),

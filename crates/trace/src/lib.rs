@@ -9,8 +9,8 @@
 //!   separated. A disabled tracer (the default everywhere) turns every
 //!   recording call into a branch-and-return no-op.
 //! * **Metrics** — a process-wide [`registry`] of named
-//!   [`Counter`]s and [`Gauge`]s. Hot paths use [`LazyCounter`] statics so
-//!   an increment costs one relaxed atomic add after first touch.
+//!   [`Counter`]s and [`Histogram`]s. Hot paths use [`LazyCounter`] statics
+//!   so an increment costs one relaxed atomic add after first touch.
 //!
 //! Exporters: [`chrome::export_chrome_trace`] writes Chrome `trace_event`
 //! JSON (loadable in Perfetto / `chrome://tracing`, with virtual and wall
@@ -38,8 +38,8 @@ pub mod summary;
 
 pub use flight::{merge_into, FlightRecorder};
 pub use metrics::{
-    bucket_upper_bound, registry, Counter, Exemplar, Gauge, Histogram, HistogramSnapshot,
-    LazyCounter, LazyHistogram, MetricValue, MetricsRegistry,
+    bucket_upper_bound, registry, Counter, Exemplar, Histogram, HistogramSnapshot, LazyCounter,
+    LazyHistogram, MetricValue, MetricsRegistry,
 };
 pub use prometheus::{render_prometheus, render_registry};
 pub use span::{

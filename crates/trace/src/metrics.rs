@@ -1,4 +1,4 @@
-//! Process-wide counters/gauges registry.
+//! Process-wide counters/histograms registry.
 //!
 //! Hot paths keep their cost at one atomic add: a [`LazyCounter`] resolves
 //! its registry entry once (through a `OnceLock`) and then increments a
@@ -41,26 +41,6 @@ impl Counter {
     /// the metrics it alone records into.
     pub fn reset(&self) {
         self.value.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A last-value-wins gauge holding an `f64`.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    bits: AtomicU64,
-}
-
-impl Gauge {
-    /// Sets the gauge.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
 
@@ -279,7 +259,6 @@ impl HistogramSnapshot {
 
 enum Metric {
     Counter(&'static Counter),
-    Gauge(&'static Gauge),
     Histogram(&'static Histogram),
 }
 
@@ -288,8 +267,6 @@ enum Metric {
 pub enum MetricValue {
     /// Counter reading.
     Counter(u64),
-    /// Gauge reading.
-    Gauge(f64),
     /// Histogram reading.
     Histogram(HistogramSnapshot),
 }
@@ -300,7 +277,6 @@ impl MetricValue {
     pub fn as_f64(&self) -> f64 {
         match self {
             MetricValue::Counter(v) => *v as f64,
-            MetricValue::Gauge(v) => *v,
             MetricValue::Histogram(h) => h.mean(),
         }
     }
@@ -329,22 +305,6 @@ impl MetricsRegistry {
             .or_insert_with(|| Metric::Counter(Box::leak(Box::default())))
         {
             Metric::Counter(c) => c,
-            Metric::Gauge(_) => panic!("metric {name:?} is registered as a gauge"),
-            Metric::Histogram(_) => panic!("metric {name:?} is registered as a histogram"),
-        }
-    }
-
-    /// The gauge registered under `name`, creating it on first use.
-    ///
-    /// Panics if `name` is already registered as another kind.
-    pub fn gauge(&self, name: &'static str) -> &'static Gauge {
-        let mut map = self.lock();
-        match map
-            .entry(name)
-            .or_insert_with(|| Metric::Gauge(Box::leak(Box::default())))
-        {
-            Metric::Gauge(g) => g,
-            Metric::Counter(_) => panic!("metric {name:?} is registered as a counter"),
             Metric::Histogram(_) => panic!("metric {name:?} is registered as a histogram"),
         }
     }
@@ -360,7 +320,6 @@ impl MetricsRegistry {
         {
             Metric::Histogram(h) => h,
             Metric::Counter(_) => panic!("metric {name:?} is registered as a counter"),
-            Metric::Gauge(_) => panic!("metric {name:?} is registered as a gauge"),
         }
     }
 
@@ -371,7 +330,6 @@ impl MetricsRegistry {
             .map(|(name, m)| {
                 let v = match m {
                     Metric::Counter(c) => MetricValue::Counter(c.get()),
-                    Metric::Gauge(g) => MetricValue::Gauge(g.get()),
                     Metric::Histogram(h) => MetricValue::Histogram(h.snapshot()),
                 };
                 (*name, v)
@@ -497,14 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn gauges_hold_last_value() {
-        let g = registry().gauge("test.metrics.gauge");
-        g.set(2.5);
-        g.set(7.25);
-        assert_eq!(g.get(), 7.25);
-    }
-
-    #[test]
     fn snapshot_contains_sorted_names() {
         registry().counter("test.metrics.snap.b").reset();
         registry().counter("test.metrics.snap.a").reset();
@@ -531,13 +481,12 @@ mod tests {
     #[should_panic(expected = "registered as a counter")]
     fn kind_mismatch_panics() {
         registry().counter("test.metrics.kind");
-        registry().gauge("test.metrics.kind");
+        registry().histogram("test.metrics.kind");
     }
 
     #[test]
     fn metric_value_widens() {
         assert_eq!(MetricValue::Counter(4).as_f64(), 4.0);
-        assert_eq!(MetricValue::Gauge(0.5).as_f64(), 0.5);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! [`render_prometheus`] renders the whole registry in the Prometheus
 //! text exposition format (version 0.0.4): counters gain the conventional
-//! `_total` suffix, gauges render as-is, and histograms expand into
-//! cumulative `_bucket{le="…"}` series (one per non-empty bucket, plus the
-//! mandatory `+Inf`) with `_sum`/`_count`. Dot-separated registry names are
+//! `_total` suffix, and histograms expand into cumulative
+//! `_bucket{le="…"}` series (one per non-empty bucket, plus the mandatory
+//! `+Inf`) with `_sum`/`_count`. Dot-separated registry names are
 //! sanitized to the `[a-zA-Z_:][a-zA-Z0-9_:]*` charset Prometheus requires,
 //! so `engine.recovery.retries` exposes as `engine_recovery_retries_total`.
 //!
@@ -38,20 +38,6 @@ pub fn sanitize_name(name: &str) -> String {
         }
     }
     out
-}
-
-/// Formats a gauge value the way Prometheus expects (`NaN`/`+Inf`/`-Inf`
-/// spellings for the non-finite cases).
-fn fmt_value(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else if v == f64::INFINITY {
-        "+Inf".to_string()
-    } else if v == f64::NEG_INFINITY {
-        "-Inf".to_string()
-    } else {
-        format!("{v}")
-    }
 }
 
 /// Escapes a label value per the exposition format (backslash, quote,
@@ -171,10 +157,6 @@ pub fn render_prometheus(snapshot: &[(&'static str, MetricValue)]) -> String {
                 );
                 let _ = writeln!(out, "{name}_total{} {v}", label_str(&labels));
             }
-            MetricValue::Gauge(v) => {
-                emit_type(&mut out, &mut last_type, &name, "gauge");
-                let _ = writeln!(out, "{name}{} {}", label_str(&labels), fmt_value(*v));
-            }
             MetricValue::Histogram(h) => {
                 render_histogram(&mut out, &mut last_type, &name, &labels, h)
             }
@@ -209,7 +191,6 @@ mod tests {
         t.record(100);
         vec![
             ("engine.recovery.retries", MetricValue::Counter(42)),
-            ("load.inflight", MetricValue::Gauge(2.5)),
             (
                 "load.latency_ns.fastid",
                 MetricValue::Histogram(h.snapshot()),
@@ -290,14 +271,6 @@ mod tests {
         assert_eq!(sanitize_name("load.latency-ns/p99"), "load_latency_ns_p99");
         assert_eq!(sanitize_name("9lives"), "_9lives");
         assert_eq!(sanitize_name("ok_name:sub"), "ok_name:sub");
-    }
-
-    #[test]
-    fn gauge_special_values_spell_like_prometheus() {
-        assert_eq!(fmt_value(f64::NAN), "NaN");
-        assert_eq!(fmt_value(f64::INFINITY), "+Inf");
-        assert_eq!(fmt_value(f64::NEG_INFINITY), "-Inf");
-        assert_eq!(fmt_value(0.25), "0.25");
     }
 
     #[test]

@@ -23,6 +23,17 @@ pub fn fmt_ns(ns: u64) -> String {
     }
 }
 
+/// Formats `x` with three significant digits in fixed notation (`0.0512`,
+/// `3.58`, `1862`), so a small nonzero rate never prints as `0`.
+pub fn fmt_sig3(x: f64) -> String {
+    let magnitude = if x == 0.0 || !x.is_finite() {
+        0
+    } else {
+        x.abs().log10().floor() as i32
+    };
+    format!("{x:.*}", (2 - magnitude).max(0) as usize)
+}
+
 fn write_span(out: &mut String, ev: &TraceEvent, depth: usize) {
     let indent = "  ".repeat(depth + 1);
     let _ = write!(
@@ -145,9 +156,6 @@ pub fn render_metrics(registry: &MetricsRegistry) -> String {
             MetricValue::Counter(v) => {
                 let _ = writeln!(out, "  {name} = {v}");
             }
-            MetricValue::Gauge(v) => {
-                let _ = writeln!(out, "  {name} = {v}");
-            }
             MetricValue::Histogram(h) => {
                 let _ = writeln!(
                     out,
@@ -169,6 +177,16 @@ pub fn render_metrics(registry: &MetricsRegistry) -> String {
 mod tests {
     use super::*;
     use crate::span::Tracer;
+
+    #[test]
+    fn three_significant_digits_keep_small_rates_nonzero() {
+        assert_eq!(fmt_sig3(0.051_234), "0.0512");
+        assert_eq!(fmt_sig3(0.179), "0.179");
+        assert_eq!(fmt_sig3(3.5849), "3.58");
+        assert_eq!(fmt_sig3(42.26), "42.3");
+        assert_eq!(fmt_sig3(1862.4), "1862");
+        assert_eq!(fmt_sig3(0.0), "0.00");
+    }
 
     #[test]
     fn nesting_follows_time_containment() {

@@ -10,6 +10,7 @@
 use snp_repro::core::{EngineOptions, ExecMode, GpuEngine, MixtureStrategy};
 use snp_repro::gpu_model::devices;
 use snp_repro::popgen::forensic::{generate_database, generate_mixtures, DatabaseConfig};
+use snp_trace::summary::fmt_sig3;
 
 fn main() {
     let db = generate_database(
@@ -42,10 +43,10 @@ fn main() {
             .mixture_analysis(&db.profiles, &mixture_matrix)
             .expect("mixture");
         println!(
-            "\nstrategy {:?}: kernel {:.2} ms ({:.0} G word-ops/s modeled on {})",
+            "\nstrategy {:?}: kernel {:.2} ms ({} G word-ops/s modeled on {})",
             strategy,
             run.timing.kernel_ns as f64 / 1e6,
-            run.kernel_word_ops_per_sec / 1e9,
+            fmt_sig3(run.kernel_word_ops_per_sec / 1e9),
             dev.name
         );
         results.push(run);

@@ -3,14 +3,15 @@
 //! fault-free oracle or a typed `DeviceFault` error — never silently
 //! corrupted data — and the recovery counters reconcile exactly with the
 //! number of injected faults. Deterministic companions pin down the
-//! checkpoint-resume guarantee (device loss resumes from the last verified
-//! chunk, not from chunk zero) and multi-device failover.
+//! checkpoint-resume guarantee (a Full-mode device loss resumes from the
+//! last verified chunk on the CPU, not from chunk zero) and the typed error
+//! chain of a timing-only loss, which has no results to finish on the CPU.
 
 use proptest::prelude::*;
-use snp_repro::bitmat::{reference_gamma, BitMatrix, CompareOp, CountMatrix};
+use snp_repro::bitmat::{BitMatrix, CountMatrix};
 use snp_repro::core::{
-    dgx2_like, Algorithm, EngineError, EngineOptions, ExecMode, FaultKind, FaultPlan, FaultProfile,
-    GpuEngine, Match, MixtureStrategy, MultiGpuEngine, RecoveryPolicy, RecoverySummary, Timing,
+    Algorithm, EngineError, EngineOptions, ExecMode, FaultKind, FaultPlan, FaultProfile, GpuEngine,
+    Match, MixtureStrategy, RecoverySummary, Timing,
 };
 use snp_repro::gpu_model::{devices, DeviceSpec};
 
@@ -37,7 +38,6 @@ fn full_options() -> EngineOptions {
         double_buffer: true,
         mixture: MixtureStrategy::Direct,
         verify: true,
-        recovery: RecoveryPolicy::default(),
         profile: false,
         cost_scale: snp_core::CostScale::default(),
     }
@@ -192,13 +192,16 @@ fn device_loss_resumes_from_checkpoint_not_chunk_zero() {
 }
 
 #[test]
-fn device_loss_without_fallback_is_a_typed_error_with_source_chain() {
+fn timing_only_device_loss_is_a_typed_error_with_source_chain() {
     let a = matrix(8, 320, 9);
     let b = matrix(9000, 320, 10);
-    let mut opts = full_options();
-    opts.recovery.cpu_fallback = false;
+    // A timing-only run has no results for the CPU to finish, so its loss
+    // surfaces instead of falling back.
     let err = GpuEngine::new(tiny_device())
-        .with_options(opts)
+        .with_options(EngineOptions {
+            mode: ExecMode::TimingOnly,
+            ..full_options()
+        })
         .with_fault_plan(FaultPlan::new(
             0,
             FaultProfile {
@@ -207,7 +210,7 @@ fn device_loss_without_fallback_is_a_typed_error_with_source_chain() {
             },
         ))
         .compare(&a, &b, Algorithm::IdentitySearch)
-        .expect_err("loss without fallback must surface");
+        .expect_err("a timing-only loss must surface");
     let fault = err.device_fault().expect("typed DeviceFault");
     assert_eq!(fault.kind, FaultKind::DeviceLoss);
     // The full source chain: EngineError -> SimError -> DeviceFault.
@@ -215,55 +218,6 @@ fn device_loss_without_fallback_is_a_typed_error_with_source_chain() {
     let sim = err.source().expect("EngineError::source");
     let leaf = sim.source().expect("SimError::source");
     assert!(leaf.to_string().contains("device_loss"), "{leaf}");
-}
-
-#[test]
-fn multi_device_failover_reshards_onto_survivors() {
-    let a = matrix(8, 320, 11);
-    let b = matrix(300, 320, 12);
-    let want = reference_gamma(&a, &b, CompareOp::Xor);
-    let lossy = FaultPlan::new(
-        0,
-        FaultProfile {
-            device_loss_at: Some(3),
-            ..FaultProfile::none()
-        },
-    );
-    let multi = MultiGpuEngine::new(vec![devices::titan_v(), devices::titan_v()])
-        .with_options(full_options())
-        .with_device_faults(vec![Some(lossy), None])
-        .identity_search(&a, &b)
-        .expect("survivor absorbs the lost shard");
-    assert_eq!(multi.gamma.unwrap().first_mismatch(&want), None);
-    assert_eq!(multi.lost_devices, vec![0]);
-    assert_eq!(
-        multi.failover_rows, multi.shard_rows[0],
-        "the whole lost shard fails over"
-    );
-}
-
-#[test]
-fn all_devices_lost_falls_back_to_cpu() {
-    let a = matrix(8, 320, 13);
-    let b = matrix(200, 320, 14);
-    let want = reference_gamma(&a, &b, CompareOp::Xor);
-    let lossy = || {
-        Some(FaultPlan::new(
-            0,
-            FaultProfile {
-                device_loss_at: Some(3),
-                ..FaultProfile::none()
-            },
-        ))
-    };
-    let multi = MultiGpuEngine::new(vec![devices::titan_v(), devices::titan_v()])
-        .with_options(full_options())
-        .with_device_faults(vec![lossy(), lossy()])
-        .identity_search(&a, &b)
-        .expect("CPU engine is the last resort");
-    assert_eq!(multi.gamma.unwrap().first_mismatch(&want), None);
-    assert_eq!(multi.lost_devices, vec![0, 1]);
-    assert_eq!(multi.failover_rows, b.rows());
 }
 
 #[test]
@@ -285,28 +239,6 @@ fn streaming_topk_recovers_to_oracle_lists() {
         assert_eq!(run.matches.unwrap(), clean, "top-k lists diverged");
         assert!(run.recovery.is_some());
     }
-}
-
-#[test]
-fn dgx2_sized_group_survives_one_loss() {
-    let a = matrix(4, 256, 17);
-    let b = matrix(640, 256, 18);
-    let want = reference_gamma(&a, &b, CompareOp::Xor);
-    let mut plans: Vec<Option<FaultPlan>> = vec![None; 16];
-    plans[5] = Some(FaultPlan::new(
-        0,
-        FaultProfile {
-            device_loss_at: Some(2),
-            ..FaultProfile::none()
-        },
-    ));
-    let multi = MultiGpuEngine::new(dgx2_like())
-        .with_options(full_options())
-        .with_device_faults(plans)
-        .identity_search(&a, &b)
-        .expect("15 survivors absorb one lost shard");
-    assert_eq!(multi.gamma.unwrap().first_mismatch(&want), None);
-    assert_eq!(multi.lost_devices, vec![5]);
 }
 
 proptest! {
