@@ -172,10 +172,6 @@ impl MultiGpuEngine {
     ) -> Result<MultiRunReport, EngineError> {
         let shard_rows = self.shard_rows(b.rows(), algorithm);
         let mut per_device = Vec::with_capacity(self.devices.len());
-        let mut gamma = match self.options.mode {
-            ExecMode::Full => Some(CountMatrix::zeros(a.rows(), b.rows())),
-            ExecMode::TimingOnly => None,
-        };
         let mut lo = 0usize;
         let mut end_to_end = 0u64;
         let mut word_ops = 0u128;
@@ -185,16 +181,22 @@ impl MultiGpuEngine {
                 continue;
             }
             let run = self.run_shard(dev, a, b, lo, rows, algorithm)?;
-            if let (Some(g), Some(shard_g)) = (gamma.as_mut(), run.gamma.as_ref()) {
-                for r in 0..a.rows() {
-                    g.row_mut(r)[lo..lo + rows].copy_from_slice(shard_g.row(r));
-                }
-            }
             end_to_end = end_to_end.max(run.timing.end_to_end_ns);
             word_ops += run.word_ops;
             per_device.push(run);
             lo += rows;
         }
+        // Each row of γ is the same row of every shard's γ, in device order;
+        // zero-row placeholders hold none.
+        let gamma = (self.options.mode == ExecMode::Full).then(|| {
+            let mut cells = Vec::with_capacity(a.rows() * b.rows());
+            for r in 0..a.rows() {
+                for shard in per_device.iter().filter_map(|run| run.gamma.as_ref()) {
+                    cells.extend_from_slice(shard.row(r));
+                }
+            }
+            CountMatrix::from_vec(a.rows(), b.rows(), cells)
+        });
         Ok(MultiRunReport {
             gamma,
             per_device,

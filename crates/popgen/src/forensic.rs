@@ -11,6 +11,7 @@ use rand::{RngExt, SeedableRng};
 use snp_bitmat::BitMatrix;
 
 use crate::freq::FrequencySpectrum;
+use crate::sampler::{threshold, words};
 
 /// Configuration of a synthetic forensic reference database.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,15 +56,20 @@ pub fn generate_database(cfg: &DatabaseConfig, seed: u64) -> Database {
     assert!(cfg.profiles > 0 && cfg.snps > 0);
     let mut rng = StdRng::seed_from_u64(seed);
     let site_maf = cfg.spectrum.sample_n(&mut rng, cfg.snps);
+    let sites = site_thresholds(&site_maf);
     let mut profiles = BitMatrix::zeros(cfg.profiles, cfg.snps);
     for r in 0..cfg.profiles {
-        for (c, &maf) in site_maf.iter().enumerate() {
-            if rng.random_bool(maf) {
-                profiles.set(r, c, true);
-            }
+        let row = profiles.row_mut(r);
+        for (w, bits) in row.iter_mut().zip(words(&mut rng, &sites)) {
+            *w = bits;
         }
     }
     Database { profiles, site_maf }
+}
+
+/// The [`threshold`] of each site's MAF.
+fn site_thresholds(site_maf: &[f64]) -> Vec<u64> {
+    site_maf.iter().map(|&maf| threshold(maf)).collect()
 }
 
 /// A query set with ground truth for identity search.
@@ -94,27 +100,29 @@ pub fn generate_queries(
     assert!((0.0..=0.5).contains(&noise));
     let mut rng = StdRng::seed_from_u64(seed);
     let snps = db.profiles.cols();
+    // Noise 0 draws nothing: a planted query is then an exact copy.
+    let flips = (noise > 0.0).then(|| vec![threshold(noise); snps]);
+    let sites = site_thresholds(&db.site_maf);
     let mut queries = BitMatrix::zeros(total, snps);
     let mut truth = Vec::with_capacity(total);
     for q in 0..total {
+        let row = queries.row_mut(q);
         if q < planted {
             let src = rng.random_range(0..db.profiles.rows());
             truth.push(Some(src));
-            for c in 0..snps {
-                let mut bit = db.profiles.get(src, c);
-                if noise > 0.0 && rng.random_bool(noise) {
-                    bit = !bit;
+            let src_row = row.iter_mut().zip(db.profiles.row(src));
+            match &flips {
+                Some(t) => {
+                    for ((w, &s), flip) in src_row.zip(words(&mut rng, t)) {
+                        *w = s ^ flip;
+                    }
                 }
-                if bit {
-                    queries.set(q, c, true);
-                }
+                None => src_row.for_each(|(w, &s)| *w = s),
             }
         } else {
             truth.push(None);
-            for (c, &maf) in db.site_maf.iter().enumerate() {
-                if rng.random_bool(maf) {
-                    queries.set(q, c, true);
-                }
+            for (w, bits) in row.iter_mut().zip(words(&mut rng, &sites)) {
+                *w = bits;
             }
         }
     }
@@ -157,17 +165,13 @@ pub fn generate_mixtures(
                 contributors.push(c);
             }
         }
-        let mut profile = vec![false; snps];
+        let row = matrix.row_mut(i);
         for &c in &contributors {
-            for (s, p) in profile.iter_mut().enumerate() {
-                *p |= db.profiles.get(c, s);
+            for (w, &bits) in row.iter_mut().zip(db.profiles.row(c)) {
+                *w |= bits;
             }
         }
-        for (s, &p) in profile.iter().enumerate() {
-            if p {
-                matrix.set(i, s, true);
-            }
-        }
+        let profile = (0..snps).map(|s| matrix.get(i, s)).collect();
         mixtures.push(Mixture {
             profile,
             contributors,

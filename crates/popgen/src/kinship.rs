@@ -13,6 +13,8 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use snp_bitmat::{BitMatrix, CountMatrix};
 
+use crate::sampler::{threshold, words};
+
 /// Identity-by-state similarity from an XOR difference count over `sites`.
 pub fn ibs(xor_differences: u32, sites: usize) -> f64 {
     assert!(sites > 0, "need at least one site");
@@ -57,14 +59,17 @@ pub fn generate_family(
     assert!((0.0..=1.0).contains(&carrier_freq));
     let mut rng = StdRng::seed_from_u64(seed);
     let total = founders + children;
+    let carriers = vec![threshold(carrier_freq); sites];
     let mut profiles = BitMatrix::zeros(total, sites);
     for r in 0..founders {
-        for c in 0..sites {
-            if rng.random_bool(carrier_freq) {
-                profiles.set(r, c, true);
-            }
+        let row = profiles.row_mut(r);
+        for (w, bits) in row.iter_mut().zip(words(&mut rng, &carriers)) {
+            *w = bits;
         }
     }
+    // A set bit of the mask takes the site from parent 1, a clear one from
+    // parent 2.
+    let coin = vec![threshold(0.5); sites];
     let mut parents = Vec::with_capacity(children);
     for child in 0..children {
         let row = founders + child;
@@ -73,12 +78,14 @@ pub fn generate_family(
         while p2 == p1 {
             p2 = rng.random_range(0..founders);
         }
-        for c in 0..sites {
-            let src = if rng.random_bool(0.5) { p1 } else { p2 };
-            if profiles.get(src, c) {
-                profiles.set(row, c, true);
-            }
-        }
+        let inherited: Vec<u64> = profiles
+            .row(p1)
+            .iter()
+            .zip(profiles.row(p2))
+            .zip(words(&mut rng, &coin))
+            .map(|((&a, &b), mask)| (a & mask) | (b & !mask))
+            .collect();
+        profiles.row_mut(row).copy_from_slice(&inherited);
         parents.push((row, p1, p2));
     }
     FamilyStudy {

@@ -32,6 +32,7 @@ pub mod freq;
 pub mod kinship;
 pub mod ld_stats;
 pub mod population;
+mod sampler;
 pub mod scoring;
 
 pub use forensic::{Database, DatabaseConfig, Mixture, QuerySet};

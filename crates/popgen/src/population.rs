@@ -13,6 +13,7 @@ use rand::{RngExt, SeedableRng};
 use snp_bitmat::BitMatrix;
 
 use crate::freq::FrequencySpectrum;
+use crate::sampler::{threshold, words};
 
 /// Configuration of a synthetic LD panel.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,7 +63,9 @@ pub fn generate_panel(cfg: &PanelConfig, seed: u64) -> Panel {
     let mut block_of = vec![0usize; cfg.snps];
     let mut block = 0usize;
     let mut in_block = 0usize;
-    let mut prev: Vec<bool> = vec![false; cfg.samples];
+    let flips = vec![threshold(cfg.within_block_flip); cfg.samples];
+    let mut head = vec![0u64; cfg.samples];
+    let mut prev = vec![0u64; matrix.words_per_row()];
     #[allow(clippy::needless_range_loop)] // s indexes both the matrix and block_of
     for s in 0..cfg.snps {
         let fresh = s == 0 || in_block >= cfg.block_len;
@@ -71,23 +74,16 @@ pub fn generate_panel(cfg: &PanelConfig, seed: u64) -> Panel {
                 block += 1;
             }
             in_block = 0;
-            let maf = cfg.spectrum.sample(&mut rng);
-            for (j, p) in prev.iter_mut().enumerate() {
-                *p = rng.random_bool(maf);
-                if *p {
-                    matrix.set(s, j, true);
-                }
+            head.fill(threshold(cfg.spectrum.sample(&mut rng)));
+            for (p, bits) in prev.iter_mut().zip(words(&mut rng, &head)) {
+                *p = bits;
             }
         } else {
-            for (j, p) in prev.iter_mut().enumerate() {
-                if rng.random_bool(cfg.within_block_flip) {
-                    *p = !*p;
-                }
-                if *p {
-                    matrix.set(s, j, true);
-                }
+            for (p, flip) in prev.iter_mut().zip(words(&mut rng, &flips)) {
+                *p ^= flip;
             }
         }
+        matrix.row_mut(s).copy_from_slice(&prev);
         block_of[s] = block;
         in_block += 1;
     }

@@ -3,7 +3,8 @@
 //! The build environment cannot fetch crates.io dependencies, so this crate
 //! implements the subset of proptest this workspace's property tests use:
 //! the [`Strategy`](strategy::Strategy) trait with `prop_map`/`prop_flat_map`,
-//! range and tuple strategies, `any::<T>()`, `prop::collection::vec`,
+//! range strategies (integer, and half-open or closed `f64`), tuple
+//! strategies, `any::<T>()`, `prop::collection::vec`,
 //! [`ProptestConfig`](test_runner::ProptestConfig),
 //! and the `proptest!`/`prop_assert!`/`prop_assert_eq!` macros.
 //!
@@ -117,6 +118,15 @@ mod tests {
             prop_assert!((-5..6).contains(&a), "a was {}", a);
             prop_assert!((i64::MIN..=i64::MAX).contains(&b));
             prop_assert!((-128..=-1).contains(&c), "c was {}", c);
+        }
+
+        /// Closed float ranges draw within their bounds, a one-point range
+        /// included.
+        #[test]
+        fn closed_f64_ranges(p in 0.0f64..=0.5, q in -1.5f64..=-0.25, one in 1.0f64..=1.0) {
+            prop_assert!((0.0..=0.5).contains(&p), "p was {}", p);
+            prop_assert!((-1.5..=-0.25).contains(&q), "q was {}", q);
+            prop_assert_eq!(one, 1.0);
         }
     }
 

@@ -149,6 +149,13 @@ impl Strategy for Range<f64> {
     }
 }
 
+impl Strategy for RangeInclusive<f64> {
+    type Value = f64;
+    fn generate(&self, rng: &mut TestRng) -> f64 {
+        rng.random_range(self.clone())
+    }
+}
+
 macro_rules! impl_tuple_strategy {
     ($(($($s:ident . $idx:tt),+))*) => {$(
         impl<$($s: Strategy),+> Strategy for ($($s,)+) {
