@@ -3,7 +3,9 @@
 //! Each case regenerates one output and compares it with its committed file
 //! under `results/`: the ten `snp-bench` reports (`<report>.txt`), and the
 //! stdout (`<case>.txt`) and exit code of seeded `snpgpu` command lines,
-//! with the `--json` report (`<case>.json`) of those that write one. Every
+//! with the `--json` report (`<case>.json`) of those that write one and
+//! the loadgen timeline (`<case>.trace.json`) and flight-recorder dump
+//! (`<case>.flight.json`) of those that write them. Every
 //! number in them is virtual (modeled) time or a seeded count, so any
 //! difference is a moved value that the change must explain. A failure names each one: the differing
 //! lines of a report, or the JSON path of a changed value with its old and
@@ -39,13 +41,13 @@ report_cases!(
 );
 
 /// One test per seeded `snpgpu` command line that writes a `--json`
-/// report: it must exit `Ok`, its stdout must equal `results/<case>.txt`
-/// and its report `results/<case>.json`.
+/// report: it must exit with the given code, its stdout must equal
+/// `results/<case>.txt` and its report `results/<case>.json`.
 macro_rules! cli_cases {
-    ($($case:ident: $line:literal),* $(,)?) => {$(
+    ($($case:ident: $line:literal => $exit:ident),* $(,)?) => {$(
         #[test]
         fn $case() {
-            check_cli(stringify!($case), $line);
+            check_cli(stringify!($case), $line, snp_cli::ExitCode::$exit);
         }
     )*};
 }
@@ -57,7 +59,7 @@ macro_rules! text_cases {
     ($($case:ident: $line:literal => $exit:ident),* $(,)?) => {$(
         #[test]
         fn $case() {
-            let report = run_cli($line, std::iter::empty());
+            let report = run_cli($line, |name| panic!("text case with a <{name}> file"));
             assert_eq!(report.exit, snp_cli::ExitCode::$exit, "snpgpu {}:\n{}", $line, report.text);
             check(concat!(stringify!($case), ".txt"), &report.text);
         }
@@ -65,15 +67,21 @@ macro_rules! text_cases {
 }
 
 cli_cases!(
-    lint_all: "lint all --device all",
-    lint_all_deep: "lint all --device all --deep",
-    profile_all: "profile all --device all",
-    chaos_all: "chaos all --device all --profile all --seed 42",
-    loadgen_chaos_titan_v: "loadgen all --device titan-v --mode chaos --seed 42",
-    loadgen_chaos_tc100: "loadgen all --device tc100 --mode chaos --seed 42",
-    whatif_titan_v: "whatif all --device titan-v --queries 24 --rate 8000 --seed 42",
-    loadgen_anatomy_titan_v: "loadgen all --device titan-v --queries 64 --seed 42 --anatomy",
-    loadgen_sweep_admission_titan_v: "loadgen all --device titan-v --mode sweep --admission --seed 42",
+    lint_all: "lint all --device all" => Ok,
+    lint_all_deep: "lint all --device all --deep" => Ok,
+    profile_all: "profile all --device all" => Ok,
+    chaos_all: "chaos all --device all --profile all --seed 42" => Ok,
+    loadgen_chaos_titan_v: "loadgen all --device titan-v --mode chaos --seed 42" => Ok,
+    loadgen_chaos_tc100: "loadgen all --device tc100 --mode chaos --seed 42" => Ok,
+    whatif_titan_v: "whatif all --device titan-v --queries 24 --rate 8000 --seed 42" => Ok,
+    loadgen_anatomy_titan_v: "loadgen all --device titan-v --queries 64 --seed 42 --anatomy" => Ok,
+    loadgen_sweep_admission_titan_v: "loadgen all --device titan-v --mode sweep --admission --seed 42" => Ok,
+    // The three post-mortem triggers, each with a window small enough to
+    // drop spans: the device lost on query 3, a shed storm through query
+    // 23, and the SLO breach judged at the end of the run.
+    loadgen_loss_flight_titan_v: "loadgen all --device titan-v --queries 12 --seed 42 --fault-profile loss@2 --fault-at 3 --flight-capacity 16 --trace <trace> --flight <flight>" => Ok,
+    loadgen_storm_flight_titan_v: "loadgen all --device titan-v --queries 96 --seed 7 --admission --arrival bursty --rate 64000 --shed-budget 1 --flight-capacity 16 --flight <flight>" => Ok,
+    loadgen_slo_flight_titan_v: "loadgen all --device titan-v --queries 24 --seed 42 --slo-p99-ms 0.05 --flight-capacity 16 --flight <flight>" => SloBreach,
 );
 
 text_cases!(
@@ -86,34 +94,47 @@ text_cases!(
     mixture_titan_v: "mixture --device titan-v --profiles 300 --snps 384 --contributors 2" => Ok,
 );
 
-/// Runs `snpgpu <line> <extra>` in this process.
-fn run_cli(line: &str, extra: impl IntoIterator<Item = String>) -> snp_cli::CmdReport {
-    let tokens = line.split_whitespace().map(str::to_string).chain(extra);
+/// Runs `snpgpu <line>` in this process, with each `<name>` token replaced
+/// by the path `file(name)`.
+fn run_cli(line: &str, file: impl Fn(&str) -> String) -> snp_cli::CmdReport {
+    let tokens = line
+        .split_whitespace()
+        .map(|token| placeholder(token).map_or_else(|| token.to_string(), &file));
     let args = snp_cli::Args::parse(tokens).unwrap();
     snp_cli::run_full(&args).unwrap_or_else(|e| panic!("snpgpu {line} failed: {}", e.message))
 }
 
-/// Runs `snpgpu <line> --json <temp file>`, asserts it exits `Ok`, and
-/// checks its stdout, with the temp path as `<json>`, and the JSON it
-/// wrote.
-fn check_cli(case: &str, line: &str) {
+/// The `name` of a `<name>` token.
+fn placeholder(token: &str) -> Option<&str> {
+    token.strip_prefix('<')?.strip_suffix('>')
+}
+
+/// Runs `snpgpu <line> --json <json>` with each `<name>` token a temp file,
+/// asserts its exit code, and checks its stdout, with each temp path shown
+/// as its `<name>`, and every file it wrote: the report as `<case>.json`,
+/// any other `<name>` as `<case>.<name>.json`.
+fn check_cli(case: &str, line: &str, exit: snp_cli::ExitCode) {
     let dir = std::env::temp_dir().join(format!("snp-golden-{}-{case}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("report.json").display().to_string();
-    let report = run_cli(line, ["--json".to_string(), path.clone()]);
-    assert_eq!(
-        report.exit,
-        snp_cli::ExitCode::Ok,
-        "snpgpu {line}:\n{}",
-        report.text
-    );
-    let got = std::fs::read_to_string(&path).unwrap();
+    let file = |name: &str| dir.join(format!("{name}.json")).display().to_string();
+    let line = format!("{line} --json <json>");
+    let report = run_cli(&line, file);
+    assert_eq!(report.exit, exit, "snpgpu {line}:\n{}", report.text);
+    let mut text = report.text;
+    let mut written = Vec::new();
+    for name in line.split_whitespace().filter_map(placeholder) {
+        text = text.replace(&file(name), &format!("<{name}>"));
+        let pinned = match name {
+            "json" => format!("{case}.json"),
+            _ => format!("{case}.{name}.json"),
+        };
+        written.push((pinned, std::fs::read_to_string(file(name)).unwrap()));
+    }
     std::fs::remove_dir_all(&dir).unwrap();
-    check(
-        &format!("{case}.txt"),
-        &report.text.replace(&path, "<json>"),
-    );
-    check(&format!("{case}.json"), &got);
+    check(&format!("{case}.txt"), &text);
+    for (pinned, got) in written {
+        check(&pinned, &got);
+    }
 }
 
 /// Compares `got` with `results/<file>`, or rewrites that file when
