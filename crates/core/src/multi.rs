@@ -124,6 +124,7 @@ impl MultiGpuEngine {
             gamma: None,
             timing: Timing::default(),
             word_ops: 0,
+            kernel_bytes: 0,
             passes: 0,
             config: crate::autoconf::config_for(
                 dev,
@@ -137,7 +138,6 @@ impl MultiGpuEngine {
             kernel_word_ops_per_sec: 0.0,
             verify_report: None,
             recovery: None,
-            kernel_profiles: None,
         }
     }
 

@@ -1,7 +1,8 @@
-//! Profiler counter reconciliation: the hardware-counter records attached
-//! to kernel launches must agree with the engine's own timing accounting
-//! (`Timing::busy_ns`/`validate`), the bandwidth floor, and — for one tiny
-//! hand-computed kernel — exact pinned values.
+//! Profiler counter reconciliation: the global-memory bytes a run's
+//! kernels were charged for must agree with the engine's own timing
+//! accounting (`Timing::busy_ns`/`validate`) and the bandwidth floor, and —
+//! for one tiny hand-computed kernel — the static counters take exact
+//! pinned values.
 
 use proptest::prelude::*;
 use snp_bitmat::BitMatrix;
@@ -18,11 +19,11 @@ fn gpu_by_index(i: usize) -> snp_gpu_model::DeviceSpec {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Per-launch profiles reconcile with the run's timing: the summed
-    /// launch wall times reproduce `Timing::kernel_ns` (within per-launch
-    /// rounding), every launch respects its bandwidth floor, achieved
-    /// bandwidth never exceeds the device peak, and the timing passes its
-    /// own phase-sum validation.
+    /// The run's kernel bytes reconcile with its timing: they cover every
+    /// γ cell written once and every operand word read at least once, the
+    /// kernel time covers their bandwidth floor plus one launch overhead
+    /// per pass (so achieved bandwidth never exceeds the device peak), and
+    /// the timing passes its own phase-sum validation.
     #[test]
     fn profiles_reconcile_with_timing(
         dev_i in 0usize..3,
@@ -39,38 +40,25 @@ proptest! {
         ][alg_i];
         let engine = GpuEngine::new(dev.clone()).with_options(EngineOptions {
             mode: ExecMode::TimingOnly,
-            profile: true,
             ..Default::default()
         });
         let run = engine
             .run_shape(ProblemShape { m, n, k_words }, alg)
             .unwrap();
         prop_assert!(run.timing.validate().is_ok(), "{:?}", run.timing.validate());
-
-        let profiles = run.kernel_profiles.as_ref().expect("profiling was on");
-        prop_assert_eq!(profiles.len(), run.passes);
-        let total: f64 = profiles.iter().map(|p| p.time.total_ns).sum();
-        // Each launch's duration is rounded to whole virtual ns on the
-        // event timeline, so the sums agree within one ns per launch.
-        prop_assert!(
-            (total - run.timing.kernel_ns as f64).abs() <= run.passes as f64 + 1.0,
-            "profiles sum {total} vs kernel_ns {}", run.timing.kernel_ns
-        );
         prop_assert!(run.timing.kernel_ns <= run.timing.busy_ns());
 
+        let (m, n, k) = (m as u64, n as u64, k_words as u64);
+        prop_assert!(run.kernel_bytes >= m * n * 4 + (m + n) * k * 4, "{}", run.kernel_bytes);
+        // Each launch is priced at max(compute, memory) plus the launch
+        // constant, rounded up to whole virtual ns.
         let peak_bw = dev.memory.effective_bandwidth_bytes_s();
-        for p in profiles {
-            // The launch can never beat its own bandwidth bound.
-            prop_assert!(p.time.total_ns >= p.time.memory_ns);
-            prop_assert!(p.time.total_ns >= p.time.compute_ns);
-            prop_assert!(p.achieved_bandwidth_bytes_s() <= peak_bw * (1.0 + 1e-9));
-            if p.memory_bound() {
-                // Bandwidth-bound launches sit on the memory floor (plus
-                // the fixed launch overhead).
-                let floor = p.time.memory_ns + dev.transfer.kernel_launch_ns as f64;
-                prop_assert!((p.time.total_ns - floor).abs() < 1e-6);
-            }
-        }
+        let floor_ns = run.kernel_bytes as f64 / peak_bw * 1e9
+            + run.passes as f64 * dev.transfer.kernel_launch_ns as f64;
+        prop_assert!(
+            run.timing.kernel_ns as f64 >= floor_ns * (1.0 - 1e-9),
+            "kernel_ns {} below its bandwidth floor {floor_ns}", run.timing.kernel_ns
+        );
     }
 
     /// Static per-pipeline issue counters and measured busy cycles never
@@ -115,40 +103,26 @@ proptest! {
     }
 }
 
-/// A functional run with profiling enabled carries one profile per pass and
-/// matches the timing-only accounting invariants.
+/// A functional run counts the same kernel bytes as the timing-only run of
+/// the same shape: both issue the same command stream.
 #[test]
-fn full_run_collects_profiles() {
+fn full_and_timing_only_runs_count_the_same_kernel_bytes() {
     let dev = devices::gtx_980();
     let panel = BitMatrix::<u64>::from_fn(40, 512, |r, c| (r * 13 + c * 5) % 7 == 0);
-    let run = GpuEngine::new(dev)
-        .with_options(EngineOptions {
-            profile: true,
-            ..Default::default()
-        })
-        .ld_self(&panel)
-        .unwrap();
-    assert!(run.gamma.is_some());
-    let profiles = run.kernel_profiles.expect("profiling was on");
-    assert_eq!(profiles.len(), run.passes);
-    assert!(profiles.iter().all(|p| p.time.total_ns > 0.0));
-}
-
-/// Profiling stays off (and free) by default.
-#[test]
-fn profiles_absent_by_default() {
-    let dev = devices::titan_v();
-    let run = GpuEngine::new(dev)
-        .run_shape(
-            ProblemShape {
-                m: 64,
-                n: 64,
-                k_words: 4,
-            },
-            Algorithm::LinkageDisequilibrium,
-        )
-        .unwrap();
-    assert!(run.kernel_profiles.is_none());
+    let run = |mode| {
+        GpuEngine::new(dev.clone())
+            .with_options(EngineOptions {
+                mode,
+                ..Default::default()
+            })
+            .ld_self(&panel)
+            .unwrap()
+    };
+    let (full, timing) = (run(ExecMode::Full), run(ExecMode::TimingOnly));
+    assert!(full.gamma.is_some());
+    assert!(full.kernel_bytes > 0);
+    assert_eq!(full.kernel_bytes, timing.kernel_bytes);
+    assert_eq!(full.timing, timing.timing);
 }
 
 /// Pinned values for one hand-computed tiny kernel on the GTX 980

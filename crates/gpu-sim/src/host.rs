@@ -24,7 +24,6 @@ use snp_gpu_model::DeviceSpec;
 use snp_trace::{TimeDomain, Tracer, TrackId};
 
 use crate::macro_engine::{kernel_time, Traffic};
-use crate::profile::KernelProfile;
 
 /// Handle to a device buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -263,9 +262,6 @@ struct State {
     events: Vec<EventRecord>,
     log: Vec<CommandRecord>,
     profiled: Vec<bool>,
-    /// Hardware-counter profiles of kernel launches, keyed by event index
-    /// (kernels are a sparse subset of events; indices ascend).
-    kernel_profiles: Vec<(usize, KernelProfile)>,
     link_free_ns: u64,
     compute_free_ns: u64,
     faults: Option<FaultPlan>,
@@ -486,7 +482,6 @@ impl Gpu {
                 events: Vec::new(),
                 log: Vec::new(),
                 profiled: Vec::new(),
-                kernel_profiles: Vec::new(),
                 link_free_ns: init,
                 compute_free_ns: init,
                 faults: None,
@@ -718,30 +713,19 @@ impl Gpu {
             }
             Work::Kernel(_) => (CommandKind::Kernel, FaultOp::Kernel, false, 0),
         };
-        let (duration, kernel_profile) = match work {
+        let duration = match work {
             Work::Kernel(cost) => {
-                let KernelCost {
-                    core_cycles,
-                    active_cores,
-                    traffic,
-                } = cost;
-                let time = kernel_time(&self.spec, core_cycles, active_cores, traffic);
-                let profile = KernelProfile {
-                    core_cycles,
-                    active_cores,
-                    traffic,
-                    time,
-                };
-                (
-                    st.cost_scale.kernel_ns(time.total_ns.ceil() as u64),
-                    Some(profile),
-                )
+                let time = kernel_time(
+                    &self.spec,
+                    cost.core_cycles,
+                    cost.active_cores,
+                    cost.traffic,
+                );
+                st.cost_scale.kernel_ns(time.total_ns.ceil() as u64)
             }
-            _ => (
-                st.cost_scale
-                    .transfer_ns(self.spec.transfer.transfer_ns(bytes)),
-                None,
-            ),
+            _ => st
+                .cost_scale
+                .transfer_ns(self.spec.transfer.transfer_ns(bytes)),
         };
         let effect = Self::consult_faults(st, op, corruptible)?;
 
@@ -785,9 +769,6 @@ impl Gpu {
             writes,
             profile,
         });
-        if let Some(p) = kernel_profile {
-            st.kernel_profiles.push((event.0, p));
-        }
         Ok(Scheduled { event, end, effect })
     }
 
@@ -1016,29 +997,6 @@ impl Gpu {
             .ok_or(SimError::InvalidHandle("event"))?;
         st.profiled[ev.0] = true;
         Ok(profile)
-    }
-
-    /// Hardware-counter profile of a kernel launch event, or `None` for
-    /// transfer events (and unknown handles). Unlike
-    /// [`event_profile`](Self::event_profile) this does not mark the event
-    /// as consumed — profiling is observation, not synchronization.
-    pub fn kernel_profile(&self, ev: EventId) -> Option<KernelProfile> {
-        let st = self.state.borrow();
-        st.kernel_profiles
-            .binary_search_by_key(&ev.0, |(idx, _)| *idx)
-            .ok()
-            .map(|i| st.kernel_profiles[i].1.clone())
-    }
-
-    /// Profiles of every kernel launched so far, in enqueue order, each
-    /// paired with the launch's event.
-    pub fn kernel_profiles(&self) -> Vec<(EventId, KernelProfile)> {
-        self.state
-            .borrow()
-            .kernel_profiles
-            .iter()
-            .map(|(idx, p)| (EventId(*idx), p.clone()))
-            .collect()
     }
 
     /// Snapshot of the full command log accumulated so far: one record per

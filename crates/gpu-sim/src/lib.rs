@@ -61,7 +61,7 @@ pub use macro_engine::{
     supports_program, timing_cache_stats, BlockPath, CritPath, KernelTime, TimingCacheStats,
     Traffic,
 };
-pub use profile::{program_counters, KernelProfile, ProgramCounters};
+pub use profile::{program_counters, ProgramCounters};
 pub use snp_faults::{
     checksum_words, DeviceFault, FaultKind, FaultOp, FaultPlan, FaultProfile, FaultStats, Injection,
 };

@@ -1,57 +1,22 @@
-//! Per-launch hardware-counter records.
+//! Static hardware counters of a kernel program.
 //!
 //! Real profilers (nvprof/rocprof, which the paper's evaluation leaned on)
 //! expose what the hardware already counts: instructions issued per class,
-//! cycles each functional-unit pipeline was busy, shared-memory replays,
-//! bytes moved, resident occupancy. The simulator computes every one of
-//! these quantities on the way to a kernel's nanosecond total, and this
-//! module keeps them. The host prices every launch analytically, from
-//! cycles the static model derived from program structure, and attaches a
-//! [`KernelProfile`] (cycles, cores, bytes, priced time) to each kernel
-//! event ([`crate::host::Gpu::kernel_profile`]). A launch's per-program
-//! counters ([`ProgramCounters`]) are exact static sums; the detailed
-//! engine's counters come from the cycle-stepped run itself
+//! cycles each functional-unit pipeline was busy, shared-memory replays.
+//! The host prices every launch analytically from a
+//! [`KernelCost`](crate::host::KernelCost) — the static model's cycles per
+//! core, the active cores and the global traffic — and the engine sums each
+//! run's launch traffic itself. A launch's per-program counters
+//! ([`ProgramCounters`]) are exact static sums over its [`Program`]; the
+//! detailed engine's counters come from the cycle-stepped run itself
 //! (`DetailedResult::pipeline_busy`), which callers run directly. Roofline
 //! classification and model-drift reconciliation are *derived* views built
-//! on top of these records by `snp-core::profile`.
+//! on these by `snp-core::profile`.
 
 use snp_gpu_model::{DeviceSpec, InstrClass};
 
 use crate::isa::Program;
-use crate::macro_engine::{pipeline_issue_cycles, KernelTime, Traffic};
-
-/// Hardware-counter record of one kernel launch, attached to its event:
-/// what the launch was charged for and its priced time. Callers holding
-/// the launch's [`Program`] can recover its instruction and pipeline
-/// counters with [`program_counters`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct KernelProfile {
-    /// Cycles one core spent (all active cores do equal work).
-    pub core_cycles: f64,
-    /// Concurrently active compute cores.
-    pub active_cores: u32,
-    /// Global-memory traffic the launch was charged for.
-    pub traffic: Traffic,
-    /// The launch's wall-time breakdown (compute vs bandwidth bound,
-    /// launch overhead, applied scaling efficiency).
-    pub time: KernelTime,
-}
-
-impl KernelProfile {
-    /// Achieved global-memory bandwidth over the launch's modeled wall
-    /// time, in bytes/s (0 when the launch moved no bytes).
-    pub fn achieved_bandwidth_bytes_s(&self) -> f64 {
-        if self.time.total_ns <= 0.0 {
-            return 0.0;
-        }
-        self.traffic.total() as f64 / (self.time.total_ns / 1e9)
-    }
-
-    /// Whether the bandwidth bound (not compute) set this launch's time.
-    pub fn memory_bound(&self) -> bool {
-        self.time.memory_ns > self.time.compute_ns
-    }
-}
+use crate::macro_engine::pipeline_issue_cycles;
 
 /// Static per-launch counters recovered from a kernel's [`Program`] — the
 /// static-model analogue of what the detailed engine measures. All values

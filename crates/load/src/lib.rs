@@ -21,13 +21,13 @@
 //!   policy mode when admission is disabled, reproducing the legacy
 //!   single-FIFO server byte-for-byte.
 //! * [`runner`] — the replay engine in virtual time, in four stages (plan
-//!   → admission gate → execute → report), per-query
-//!   [`snp_trace::QueryCtx`]-tagged tracers merged into one Chrome
-//!   timeline, a bounded [`snp_trace::FlightRecorder`] that dumps a
-//!   post-mortem on the first typed fault, shed storm, or SLO breach, a
-//!   saturation sweep that steps offered load until the latency knee
-//!   appears, and the overload-chaos matrix (8x bursty load plus a device
-//!   fault, one cell per algorithm).
+//!   → admission gate → execute → report), keeping each query's
+//!   [`snp_trace::QueryCtx`]-tagged trace, from which the report builds
+//!   one Chrome timeline and the post-mortem of the first typed fault,
+//!   device loss, shed storm, or SLO breach on demand; a saturation sweep
+//!   that steps offered load until the latency knee appears, and the
+//!   overload-chaos matrix (8x bursty load plus a device fault, one cell
+//!   per algorithm).
 //! * [`slo`] — per-algorithm latency objectives and error-budget burn,
 //!   judged on exact (not bucketed) percentiles.
 //! * [`report`] — byte-reproducible `slo-report.json` and text rendering,

@@ -153,7 +153,8 @@ impl LoadReport {
         });
         o.key("anatomy")
             .opt(self.anatomy.as_ref(), |v, a| v.obj(|o| a.write_json(o)));
-        o.key("flight_dropped_spans").int(self.flight_dropped_spans);
+        o.key("flight_dropped_spans")
+            .int(self.flight_dropped_spans());
         o.key("algorithms").objs(&self.slo, slo_json);
         o.key("slo_breached").bool(self.breached);
         let reason = self.postmortem.as_ref().map(|p| p.reason.as_str());
@@ -234,11 +235,11 @@ impl LoadReport {
                 a.transitions.len()
             );
         }
-        if self.flight_dropped_spans > 0 {
+        let dropped = self.flight_dropped_spans();
+        if dropped > 0 {
             let _ = writeln!(
                 out,
-                "flight recorder dropped {} span(s) (raise --flight-capacity to keep more)",
-                self.flight_dropped_spans
+                "flight recorder dropped {dropped} span(s) (raise --flight-capacity to keep more)"
             );
         }
         let _ = writeln!(

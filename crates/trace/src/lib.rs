@@ -22,6 +22,9 @@
 //!
 //! [`json`] is the workspace's one JSON writer — every report and trace
 //! document goes through it — next to the reader the validator uses.
+//! [`merge_into`] places per-query traces on one stream clock, and
+//! [`postmortem`] renders the last *N* spans of such a timeline as a
+//! flight-recorder dump; both work on traces their caller already keeps.
 //!
 //! The span model, metric naming scheme, and the virtual-ns → trace-track
 //! mapping are documented in `DESIGN.md` §8.
@@ -36,7 +39,7 @@ pub mod prometheus;
 pub mod span;
 pub mod summary;
 
-pub use flight::{merge_into, FlightRecorder};
+pub use flight::{merge_into, postmortem};
 pub use metrics::{
     bucket_upper_bound, registry, Counter, Exemplar, Histogram, HistogramSnapshot, LazyCounter,
     LazyHistogram, MetricValue, MetricsRegistry,

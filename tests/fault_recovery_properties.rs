@@ -38,7 +38,6 @@ fn full_options() -> EngineOptions {
         double_buffer: true,
         mixture: MixtureStrategy::Direct,
         verify: true,
-        profile: false,
         cost_scale: snp_core::CostScale::default(),
     }
 }

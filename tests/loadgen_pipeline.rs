@@ -67,8 +67,8 @@ fn impossible_slo_breaches_and_is_reported() {
 fn merged_timeline_validates_and_attributes_every_query() {
     let cfg = base_cfg();
     let report = run(&cfg);
-    let timeline = report.timeline.as_ref().expect("run records a timeline");
-    let json = snp_trace::chrome::export_chrome_trace(timeline);
+    let timeline = report.timeline().expect("run records a timeline");
+    let json = snp_trace::chrome::export_chrome_trace(&timeline);
     snp_trace::chrome::validate(&json).expect("merged timeline is a valid Chrome trace");
     for qid in 0..cfg.queries as u64 {
         assert!(
@@ -91,10 +91,11 @@ fn seeded_device_loss_dump_names_the_failing_query() {
     });
     let report = run(&cfg);
     let pm = report.postmortem.as_ref().expect("device loss must dump");
-    snp_trace::chrome::validate(&pm.json).expect("post-mortem bundle is a valid Chrome trace");
+    let json = report.postmortem_json().unwrap();
+    snp_trace::chrome::validate(&json).expect("post-mortem bundle is a valid Chrome trace");
     assert!(pm.reason.contains("query 7"), "{}", pm.reason);
     assert!(
-        pm.json.contains("\"query_id\":7"),
+        json.contains("\"query_id\":7"),
         "dump spans must carry the failing query's id"
     );
 }
