@@ -225,6 +225,44 @@ mod tests {
         assert_ne!(a.next_u64(), c.next_u64());
     }
 
+    /// The raw stream, as seeding and stepping produce it: every seeded
+    /// input, pinned digest and golden file in the workspace rests on it.
+    #[test]
+    fn first_draws_are_pinned() {
+        for (seed, want) in [
+            (
+                0,
+                [
+                    0x99ec_5f36_cb75_f2b4,
+                    0xbf6e_1f78_4956_452a,
+                    0x1a5f_849d_4933_e6e0,
+                    0x6aa5_94f1_262d_2d2c,
+                ],
+            ),
+            (
+                42,
+                [
+                    0x1578_0b2e_0c2e_c716,
+                    0x6104_d986_6d11_3a7e,
+                    0xae17_5332_39e4_99a1,
+                    0xecb8_ad47_03b3_60a1,
+                ],
+            ),
+            (
+                u64::MAX,
+                [
+                    0x8f55_20d5_2a7e_ad08,
+                    0xc476_a018_caa1_802d,
+                    0x81de_31c0_d260_469e,
+                    0xbf65_8d7e_065f_3c2f,
+                ],
+            ),
+        ] {
+            let mut r = StdRng::seed_from_u64(seed);
+            assert_eq!([(); 4].map(|_| r.next_u64()), want, "seed {seed}");
+        }
+    }
+
     #[test]
     fn f64_is_unit_interval() {
         let mut r = StdRng::seed_from_u64(7);
