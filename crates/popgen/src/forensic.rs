@@ -6,12 +6,12 @@
 //! genotyping noise), and DNA mixtures formed as the union of contributor
 //! profiles (a site shows the minor allele if any contributor carries it).
 
-use rand::rngs::StdRng;
+use rand::rngs::{Jump, Lanes, StdRng};
 use rand::{RngExt, SeedableRng};
 use snp_bitmat::BitMatrix;
 
 use crate::freq::FrequencySpectrum;
-use crate::sampler::{threshold, words};
+use crate::sampler::{lane_rows_avx512, lanes_run, threshold, words, LANES};
 
 /// Configuration of a synthetic forensic reference database.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,7 +58,28 @@ pub fn generate_database(cfg: &DatabaseConfig, seed: u64) -> Database {
     let site_maf = cfg.spectrum.sample_n(&mut rng, cfg.snps);
     let sites = site_thresholds(&site_maf);
     let mut profiles = BitMatrix::zeros(cfg.profiles, cfg.snps);
-    for r in 0..cfg.profiles {
+    // Each row draws once per site, so row `r` starts `r · snps` draws into
+    // the stream. Where the lanes run, the rows split into LANES runs of `q`,
+    // lane `l` jumped to run `l`'s first row; the `profiles % LANES` rows
+    // left over follow the last run on `rng`.
+    let q = cfg.profiles / LANES;
+    let mut first_scalar = 0;
+    if q > 0 && lanes_run() {
+        let run = Jump::ahead((q * cfg.snps) as u64);
+        let mut lanes = Lanes::new(std::array::from_fn(|_| {
+            let lane = rng.clone();
+            rng.jump(&run);
+            lane
+        }));
+        let thresholds = |_, c: usize| [sites[c]; LANES];
+        lane_rows_avx512(&mut lanes, q, cfg.snps, thresholds, |i, w, bits| {
+            for (l, bits) in bits.into_iter().enumerate() {
+                profiles.row_mut(l * q + i)[w] = bits;
+            }
+        });
+        first_scalar = LANES * q;
+    }
+    for r in first_scalar..cfg.profiles {
         let row = profiles.row_mut(r);
         for (w, bits) in row.iter_mut().zip(words(&mut rng, &sites)) {
             *w = bits;

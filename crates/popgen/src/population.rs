@@ -8,12 +8,12 @@
 //! non-random association the statistic is designed to detect. Block
 //! boundaries re-draw an independent SNP, so cross-block LD is near zero.
 
-use rand::rngs::StdRng;
+use rand::rngs::{Jump, Lanes, StdRng};
 use rand::{RngExt, SeedableRng};
 use snp_bitmat::BitMatrix;
 
 use crate::freq::FrequencySpectrum;
-use crate::sampler::{threshold, words};
+use crate::sampler::{lane_rows_avx512, lanes_run, threshold, words, LANES};
 
 /// Configuration of a synthetic LD panel.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,20 +60,48 @@ pub fn generate_panel(cfg: &PanelConfig, seed: u64) -> Panel {
     assert!((0.0..=0.5).contains(&cfg.within_block_flip));
     let mut rng = StdRng::seed_from_u64(seed);
     let mut matrix = BitMatrix::zeros(cfg.snps, cfg.samples);
-    let mut block_of = vec![0usize; cfg.snps];
-    let mut block = 0usize;
-    let mut in_block = 0usize;
-    let flips = vec![threshold(cfg.within_block_flip); cfg.samples];
+    let flip = threshold(cfg.within_block_flip);
+    // Where the lanes run, they take the full blocks in groups of LANES,
+    // lane `l` of a group its block `l`; the blocks left over, the short
+    // last one included, follow on `rng`.
+    let groups = if lanes_run() {
+        cfg.snps / cfg.block_len / LANES
+    } else {
+        0
+    };
+    if groups > 0 {
+        let block = Jump::ahead((cfg.block_len * cfg.samples) as u64);
+        let mut rows = vec![[0u64; LANES]; matrix.words_per_row()];
+        for g in 0..groups {
+            // A head's MAF may take any number of draws, so the group's
+            // heads are walked in order: each samples its MAF, hands the
+            // state at its first bit draw to its lane, and jumps `rng` over
+            // the block's `block_len · samples` bit draws to the next head.
+            let mut head = [0; LANES];
+            let mut lanes = Lanes::new(std::array::from_fn(|l| {
+                head[l] = threshold(cfg.spectrum.sample(&mut rng));
+                let lane = rng.clone();
+                rng.jump(&block);
+                lane
+            }));
+            // A head row draws at its lane's head threshold; each later row
+            // is the row above XOR flips.
+            let thresholds = |i, _| if i == 0 { head } else { [flip; LANES] };
+            let first = g * LANES * cfg.block_len;
+            let put = |i, w: usize, bits: [u64; LANES]| {
+                for (l, (row, bits)) in rows[w].iter_mut().zip(bits).enumerate() {
+                    *row = if i == 0 { bits } else { *row ^ bits };
+                    matrix.row_mut(first + l * cfg.block_len + i)[w] = *row;
+                }
+            };
+            lane_rows_avx512(&mut lanes, cfg.block_len, cfg.samples, thresholds, put);
+        }
+    }
+    let flips = vec![flip; cfg.samples];
     let mut head = vec![0u64; cfg.samples];
     let mut prev = vec![0u64; matrix.words_per_row()];
-    #[allow(clippy::needless_range_loop)] // s indexes both the matrix and block_of
-    for s in 0..cfg.snps {
-        let fresh = s == 0 || in_block >= cfg.block_len;
-        if fresh {
-            if s != 0 {
-                block += 1;
-            }
-            in_block = 0;
+    for s in groups * LANES * cfg.block_len..cfg.snps {
+        if s % cfg.block_len == 0 {
             head.fill(threshold(cfg.spectrum.sample(&mut rng)));
             for (p, bits) in prev.iter_mut().zip(words(&mut rng, &head)) {
                 *p = bits;
@@ -84,9 +112,8 @@ pub fn generate_panel(cfg: &PanelConfig, seed: u64) -> Panel {
             }
         }
         matrix.row_mut(s).copy_from_slice(&prev);
-        block_of[s] = block;
-        in_block += 1;
     }
+    let block_of = (0..cfg.snps).map(|s| s / cfg.block_len).collect();
     Panel { matrix, block_of }
 }
 

@@ -1,5 +1,5 @@
 //! Bernoulli bits a 64-bit word at a time, from the draws `random_bool`
-//! makes.
+//! makes, on one generator or on eight at once.
 //!
 //! `random_bool(p)` draws one `next_u64` `x` and returns
 //! `(x >> 11) as f64 · 2⁻⁵³ < p`. Both sides are exact in `f64`: the 53-bit
@@ -12,7 +12,16 @@
 //! per-bit loop `if rng.random_bool(p[c]) { m.set(r, c, true) }` over the
 //! row's columns would, and a ragged last word draws only its own columns,
 //! so the padding stays zero.
+//!
+//! [`lane_rows`] makes the same words on [`LANES`] generators at once, one
+//! draw per lane per column. Started at the draw index a row has in the
+//! sequential stream (the `rand` shim's `Jump` gets there exactly), a lane
+//! writes the words [`words`] would. Its eight u64 lanes fill one 512-bit
+//! register, and only that build of it beats [`words`]: callers take it
+//! through [`lane_rows_avx512`] where [`lanes_run`], and use [`words`]
+//! everywhere else.
 
+use rand::rngs::Lanes;
 use rand::Rng;
 
 /// `⌈p · 2⁵³⌉`: `random_bool(p)` is `true` exactly when `next_u64() >> 11`
@@ -35,6 +44,83 @@ pub(crate) fn words<'a, R: Rng + ?Sized>(
             bits | u64::from((rng.next_u64() >> 11) < t) << i
         })
     })
+}
+
+/// Generators [`lane_rows_avx512`] steps at once: eight u64 lanes are one
+/// 512-bit register.
+pub(crate) const LANES: usize = 8;
+
+/// The words of `rows` rows of `cols` columns on each of `L` lanes. In row
+/// `i`, lane `l` sets column `c` when its draw is below
+/// `threshold(i, c)[l]`, one draw per lane per column in column order, and
+/// a ragged last word draws only its own columns: each lane draws exactly
+/// as [`words`] does over its rows. `put(i, w, bits)` takes word `w` of row
+/// `i`, lane `l`'s in `bits[l]`.
+#[inline(always)]
+pub(crate) fn lane_rows<const L: usize>(
+    lanes: &mut Lanes<L>,
+    rows: usize,
+    cols: usize,
+    threshold: impl Fn(usize, usize) -> [u64; L],
+    mut put: impl FnMut(usize, usize, [u64; L]),
+) {
+    for i in 0..rows {
+        for (w, first) in (0..cols).step_by(64).enumerate() {
+            let mut bits = [0; L];
+            for b in 0..(cols - first).min(64) {
+                let t = threshold(i, first + b);
+                let x = lanes.next_u64s();
+                for l in 0..L {
+                    bits[l] |= u64::from((x[l] >> 11) < t[l]) << b;
+                }
+            }
+            put(i, w, bits);
+        }
+    }
+}
+
+/// Whether this CPU runs [`lane_rows_avx512`].
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn lanes_run() -> bool {
+    // std caches the answer after the first query.
+    is_x86_feature_detected!("avx512f")
+}
+
+/// Whether this CPU runs [`lane_rows_avx512`].
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) fn lanes_run() -> bool {
+    false
+}
+
+/// [`lane_rows`] on [`LANES`] lanes, compiled for AVX-512. Panics unless
+/// [`lanes_run`]; callers ask first, since without AVX-512 [`words`] is
+/// faster than any build of the lanes.
+pub(crate) fn lane_rows_avx512(
+    lanes: &mut Lanes<LANES>,
+    rows: usize,
+    cols: usize,
+    threshold: impl Fn(usize, usize) -> [u64; LANES],
+    put: impl FnMut(usize, usize, [u64; LANES]),
+) {
+    assert!(lanes_run(), "the lane kernel needs avx512f");
+    // SAFETY: the assert above checked that this CPU supports avx512f.
+    #[cfg(target_arch = "x86_64")]
+    unsafe {
+        avx512(lanes, rows, cols, threshold, put)
+    }
+}
+
+/// The AVX-512 build of [`lane_rows`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn avx512(
+    lanes: &mut Lanes<LANES>,
+    rows: usize,
+    cols: usize,
+    threshold: impl Fn(usize, usize) -> [u64; LANES],
+    put: impl FnMut(usize, usize, [u64; LANES]),
+) {
+    lane_rows(lanes, rows, cols, threshold, put)
 }
 
 #[cfg(test)]
@@ -109,6 +195,84 @@ mod tests {
         }
         assert_eq!(packed[2] >> 2, 0, "the ragged word's padding is zero");
         assert_eq!(a.next_u64(), b.next_u64(), "both drew 130 times");
+    }
+
+    /// Lanes started at eight seeds, with the same generators apart.
+    fn lanes_and_gens(seed: u64) -> (Lanes<LANES>, [StdRng; LANES]) {
+        let gens = std::array::from_fn(|l| StdRng::seed_from_u64(seed + l as u64));
+        (Lanes::new(gens.clone()), gens)
+    }
+
+    /// A lane kernel under test: [`lane_rows`] or [`lane_rows_avx512`].
+    type Kernel = fn(
+        &mut Lanes<LANES>,
+        usize,
+        usize,
+        &dyn Fn(usize, usize) -> [u64; LANES],
+        &mut dyn FnMut(usize, usize, [u64; LANES]),
+    );
+
+    /// Runs `kernel` (the lane body or its AVX-512 entry) at every row
+    /// count in 0..=40 and at widths on either side of each word boundary
+    /// up to 200, with a threshold per row, column and lane taken from the
+    /// compare's edges and random values; each lane's rows must be what
+    /// [`words`] draws from its generator, which must end where the lane
+    /// does.
+    fn check_lanes_against_words(kernel: Kernel) {
+        let mut pick = StdRng::seed_from_u64(11);
+        for rows in 0..=40 {
+            let random_cols: usize = pick.random_range(1..=200);
+            for cols in [1, 63, 64, 65, 127, 128, 200, random_cols] {
+                let edges = [0, 1, 1 << 52, (1 << 53) - 1, 1 << 53];
+                let t: Vec<Vec<[u64; LANES]>> = (0..rows)
+                    .map(|_| {
+                        (0..cols)
+                            .map(|_| {
+                                std::array::from_fn(|_| match pick.random_range(0..10) {
+                                    e @ 0..5 => edges[e],
+                                    _ => pick.random_range(0..=1 << 53),
+                                })
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let (mut lanes, mut gens) = lanes_and_gens(pick.next_u64() >> 8);
+                let wpr = cols.div_ceil(64);
+                let mut got = vec![vec![[0u64; LANES]; wpr]; rows];
+                kernel(
+                    &mut lanes,
+                    rows,
+                    cols,
+                    &|i, c| t[i][c],
+                    &mut |i, w, bits| got[i][w] = bits,
+                );
+                for (l, gen) in gens.iter_mut().enumerate() {
+                    for (i, row) in got.iter().enumerate() {
+                        let lane_t: Vec<u64> = t[i].iter().map(|t| t[l]).collect();
+                        let want: Vec<u64> = words(gen, &lane_t).collect();
+                        let lane_row: Vec<u64> = row.iter().map(|w| w[l]).collect();
+                        assert_eq!(lane_row, want, "{rows} × {cols}: lane {l}, row {i}");
+                    }
+                }
+                assert_eq!(lanes, Lanes::new(gens), "{rows} × {cols}: same draw counts");
+            }
+        }
+    }
+
+    #[test]
+    fn lane_body_draws_as_words_does() {
+        check_lanes_against_words(|lanes, rows, cols, t, put| lane_rows(lanes, rows, cols, t, put));
+    }
+
+    #[test]
+    fn avx512_lanes_draw_as_words_does() {
+        if !lanes_run() {
+            eprintln!("no avx512f: only the lane body is checked");
+            return;
+        }
+        check_lanes_against_words(|lanes, rows, cols, t, put| {
+            lane_rows_avx512(lanes, rows, cols, t, put)
+        });
     }
 
     #[test]

@@ -236,11 +236,13 @@ fn noise() -> impl Strategy<Value = f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Databases, and planted, noisy and non-member queries on them.
+    /// Databases, and planted, noisy and non-member queries on them. From
+    /// 8 profiles on, the database's rows split over the eight lanes where
+    /// the CPU runs them, the `profiles % 8` left over drawn after them.
     #[test]
     fn databases_and_queries_match_the_per_bit_code(
         spectrum in spectrum(),
-        profiles in 1usize..=7,
+        profiles in 1usize..=40,
         snps in cols(),
         (total, planted) in (0usize..=7, 0usize..=7),
         noise in noise(),
@@ -285,12 +287,32 @@ proptest! {
     #[test]
     fn panels_match_the_per_bit_code(
         spectrum in spectrum(),
-        snps in 1usize..=45,
+        snps in 1usize..=200,
         samples in cols(),
         block_len in 1usize..=20,
         within_block_flip in 0.0f64..=0.5,
         seed in any::<u64>(),
     ) {
+        let cfg = PanelConfig { snps, samples, spectrum, block_len, within_block_flip };
+        let panel = generate_panel(&cfg, seed);
+        let want = per_bit::generate_panel(&cfg, seed);
+        prop_assert_eq!(&panel.matrix, &want.matrix);
+        prop_assert_eq!(&panel.block_of, &want.block_of);
+    }
+
+    /// Panels of 8 to 17 full blocks and a short last one: one or two
+    /// groups of eight blocks on the lanes where the CPU runs them, then
+    /// the full blocks left over and the short one.
+    #[test]
+    fn panels_of_lane_groups_match_the_per_bit_code(
+        spectrum in spectrum(),
+        (block_len, short) in (1usize..=20).prop_flat_map(|b| (Just(b), 0..b)),
+        full_blocks in 8usize..=17,
+        samples in cols(),
+        within_block_flip in 0.0f64..=0.5,
+        seed in any::<u64>(),
+    ) {
+        let snps = full_blocks * block_len + short;
         let cfg = PanelConfig { snps, samples, spectrum, block_len, within_block_flip };
         let panel = generate_panel(&cfg, seed);
         let want = per_bit::generate_panel(&cfg, seed);
