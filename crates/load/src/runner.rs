@@ -128,9 +128,9 @@ pub struct LoadConfig {
     /// Spans (and counter samples) in the post-mortem window.
     pub flight_capacity: usize,
     /// Keep each served query's trace, from which the report builds the
-    /// merged timeline and the post-mortem dump on demand; an SLO breach
-    /// triggers a post-mortem only with this on. Sweeps turn it off to keep
-    /// points cheap.
+    /// merged timeline and the post-mortem dump on demand. Sweeps turn it
+    /// off to keep points cheap; every trigger, an SLO breach included,
+    /// records its reason either way.
     pub record_timeline: bool,
     /// Decompose every accepted query's latency into named segments and
     /// aggregate the percentile-band [`AnatomyReport`]. Independent of
@@ -825,7 +825,7 @@ fn report(
         })
         .collect();
     let breached = slo.iter().any(|o| o.breached);
-    if breached && cfg.record_timeline {
+    if breached {
         let reasons: Vec<String> = slo
             .iter()
             .filter(|o| o.breached)
@@ -1230,6 +1230,37 @@ mod tests {
             "overload did not raise p99: {p99s:?}"
         );
         assert!(sweep.knee.is_some(), "no knee found: {p99s:?}");
+    }
+
+    #[test]
+    fn every_breaching_sweep_point_names_its_reason() {
+        // `loadgen all --device titan-v --mode sweep --queries 24 --seed 42
+        // --slo-p99-ms 0.05`: every point breaches its p99 objective.
+        let mut cfg = LoadConfig::new(
+            devices::titan_v(),
+            vec![
+                Template::Ld,
+                Template::FastId,
+                Template::FastIdTopK,
+                Template::Mixture,
+            ],
+        );
+        cfg.queries = 24;
+        cfg.seed = 42;
+        let per_algorithm = cfg.slo.per_algorithm.iter_mut().map(|(_, slo)| slo);
+        for slo in per_algorithm.chain([&mut cfg.slo.default]) {
+            slo.p99_ns = 50_000;
+        }
+        let sweep = saturation_sweep(&cfg, &SWEEP_MULTIPLIERS);
+        assert!(sweep.points.iter().all(|p| p.report.breached));
+        for p in &sweep.points {
+            let reason = p.report.postmortem.as_ref().map(|pm| pm.reason.as_str());
+            assert!(
+                reason.is_some_and(|r| r.starts_with("slo breach: ")),
+                "{} qps: {reason:?}",
+                p.rate_qps
+            );
+        }
     }
 
     #[test]
