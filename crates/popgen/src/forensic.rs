@@ -63,8 +63,7 @@ pub fn generate_database(cfg: &DatabaseConfig, seed: u64) -> Database {
     // lane `l` jumped to run `l`'s first row; the `profiles % LANES` rows
     // left over follow the last run on `rng`.
     let q = cfg.profiles / LANES;
-    let mut first_scalar = 0;
-    if q > 0 && lanes_run() {
+    let first_scalar = if q > 0 && lanes_run() {
         let run = Jump::ahead((q * cfg.snps) as u64);
         let mut lanes = Lanes::new(std::array::from_fn(|_| {
             let lane = rng.clone();
@@ -77,8 +76,10 @@ pub fn generate_database(cfg: &DatabaseConfig, seed: u64) -> Database {
                 profiles.row_mut(l * q + i)[w] = bits;
             }
         });
-        first_scalar = LANES * q;
-    }
+        LANES * q
+    } else {
+        0
+    };
     for r in first_scalar..cfg.profiles {
         let row = profiles.row_mut(r);
         for (w, bits) in row.iter_mut().zip(words(&mut rng, &sites)) {

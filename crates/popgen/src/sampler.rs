@@ -103,11 +103,13 @@ pub(crate) fn lane_rows_avx512(
     put: impl FnMut(usize, usize, [u64; LANES]),
 ) {
     assert!(lanes_run(), "the lane kernel needs avx512f");
-    // SAFETY: the assert above checked that this CPU supports avx512f.
     #[cfg(target_arch = "x86_64")]
+    // SAFETY: the assert above checked that this CPU supports avx512f.
     unsafe {
         avx512(lanes, rows, cols, threshold, put)
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    lane_rows(lanes, rows, cols, threshold, put)
 }
 
 /// The AVX-512 build of [`lane_rows`].
@@ -197,12 +199,6 @@ mod tests {
         assert_eq!(a.next_u64(), b.next_u64(), "both drew 130 times");
     }
 
-    /// Lanes started at eight seeds, with the same generators apart.
-    fn lanes_and_gens(seed: u64) -> (Lanes<LANES>, [StdRng; LANES]) {
-        let gens = std::array::from_fn(|l| StdRng::seed_from_u64(seed + l as u64));
-        (Lanes::new(gens.clone()), gens)
-    }
-
     /// A lane kernel under test: [`lane_rows`] or [`lane_rows_avx512`].
     type Kernel = fn(
         &mut Lanes<LANES>,
@@ -236,7 +232,10 @@ mod tests {
                             .collect()
                     })
                     .collect();
-                let (mut lanes, mut gens) = lanes_and_gens(pick.next_u64() >> 8);
+                let seed = pick.next_u64() >> 8;
+                let mut gens: [StdRng; LANES] =
+                    std::array::from_fn(|l| StdRng::seed_from_u64(seed + l as u64));
+                let mut lanes = Lanes::new(gens.clone());
                 let wpr = cols.div_ceil(64);
                 let mut got = vec![vec![[0u64; LANES]; wpr]; rows];
                 kernel(

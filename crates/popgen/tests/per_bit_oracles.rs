@@ -228,6 +228,28 @@ fn spectrum() -> impl Strategy<Value = FrequencySpectrum> {
         })
 }
 
+/// A `block_len` of 1 to 20 and a panel's SNP count: in half the cases
+/// any of 1 to 200, in the other half 8 to 17 full blocks and a last one
+/// of 0 to `block_len − 1` SNPs, so one or two groups of eight blocks run
+/// on the lanes where the CPU has them, and full and short blocks follow.
+fn blocks() -> impl Strategy<Value = (usize, usize)> {
+    (
+        1usize..=20,
+        any::<bool>(),
+        1usize..=200,
+        8usize..=17,
+        0usize..20,
+    )
+        .prop_map(|(block_len, groups, snps, full, short)| {
+            let snps = if groups {
+                full * block_len + short % block_len
+            } else {
+                snps
+            };
+            (block_len, snps)
+        })
+}
+
 /// Half the cases noiseless (no flip draws at all), half noisy.
 fn noise() -> impl Strategy<Value = f64> {
     (any::<bool>(), 0.0f64..=0.5).prop_map(|(noisy, p)| if noisy { p } else { 0.0 })
@@ -287,32 +309,11 @@ proptest! {
     #[test]
     fn panels_match_the_per_bit_code(
         spectrum in spectrum(),
-        snps in 1usize..=200,
-        samples in cols(),
-        block_len in 1usize..=20,
-        within_block_flip in 0.0f64..=0.5,
-        seed in any::<u64>(),
-    ) {
-        let cfg = PanelConfig { snps, samples, spectrum, block_len, within_block_flip };
-        let panel = generate_panel(&cfg, seed);
-        let want = per_bit::generate_panel(&cfg, seed);
-        prop_assert_eq!(&panel.matrix, &want.matrix);
-        prop_assert_eq!(&panel.block_of, &want.block_of);
-    }
-
-    /// Panels of 8 to 17 full blocks and a short last one: one or two
-    /// groups of eight blocks on the lanes where the CPU runs them, then
-    /// the full blocks left over and the short one.
-    #[test]
-    fn panels_of_lane_groups_match_the_per_bit_code(
-        spectrum in spectrum(),
-        (block_len, short) in (1usize..=20).prop_flat_map(|b| (Just(b), 0..b)),
-        full_blocks in 8usize..=17,
+        (block_len, snps) in blocks(),
         samples in cols(),
         within_block_flip in 0.0f64..=0.5,
         seed in any::<u64>(),
     ) {
-        let snps = full_blocks * block_len + short;
         let cfg = PanelConfig { snps, samples, spectrum, block_len, within_block_flip };
         let panel = generate_panel(&cfg, seed);
         let want = per_bit::generate_panel(&cfg, seed);

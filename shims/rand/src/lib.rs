@@ -224,13 +224,13 @@ pub mod rngs {
             self.jump(&Jump::ahead(n));
         }
 
-        /// Moves the generator ahead by `jump`'s distance, in at most 256
-        /// steps of a copy of the state: `r(T)·s`, the XOR of `Tⁱ·s` over
-        /// the coefficients `i` set in `r`.
+        /// Moves the generator ahead by `jump`'s distance, in 256 steps of
+        /// a copy of the state: `r(T)·s`, the XOR of `Tⁱ·s` over the
+        /// coefficients `i` set in `r`.
         pub fn jump(&mut self, jump: &Jump) {
             let mut acc = [[0u64; 1]; 4];
             let mut copy = self.0.clone();
-            for i in 0..=poly::degree(&jump.0) {
+            for i in 0..256 {
                 if jump.0[i / 64] >> (i % 64) & 1 == 1 {
                     for (a, w) in acc.iter_mut().zip(&copy.s) {
                         a[0] ^= w[0];
@@ -352,14 +352,6 @@ mod poly {
         0x04b4_edcf_2625_9f85,
         0x0003_c03c_3f3e_cb19,
     ];
-
-    /// The index of the highest coefficient set, 0 for the zero polynomial.
-    pub(crate) fn degree(a: &Poly) -> usize {
-        (0..4)
-            .rev()
-            .find(|&w| a[w] != 0)
-            .map_or(0, |w| w * 64 + 63 - a[w].leading_zeros() as usize)
-    }
 
     /// `a · x mod P`.
     pub(crate) fn times_x(a: Poly) -> Poly {
