@@ -24,7 +24,7 @@ use snp_popgen::population::{generate_panel, PanelConfig};
 use snp_popgen::IdentityScorer;
 use snp_trace::json::{self, Obj, Val};
 use snp_trace::summary::fmt_sig3;
-use snp_trace::{Trace, Tracer};
+use snp_trace::{Metrics, Trace, Tracer};
 use snp_verify::Severity;
 
 use crate::args::{algorithm_selection, algorithm_slug, device_selection, ArgError, Args, Range};
@@ -104,12 +104,12 @@ COMMANDS:
                                under different observation settings (exit 1
                                if prediction and replay disagree by over 5%)
   metrics   [ld|fastid|mixture|all] [--device D --seed S --queries N --out F]
-                               run a small seeded load and dump the live
-                               metrics registry in Prometheus text format
+                               run a small seeded load and dump its
+                               metrics in Prometheus text format
 
 ld / search / mixture also accept --trace F [--summary F]: record the run
 and write a Chrome trace_event JSON timeline (open in Perfetto or
-chrome://tracing) and a text summary with the metrics registry.
+chrome://tracing) and a text summary with the run's metrics.
 
 Fault profiles: none, transient, corruption, stall, loss, mixed.
 ld / search / mixture also accept --fault-profile P [--fault-seed S] to run
@@ -482,11 +482,13 @@ impl Harness {
 
     /// Finishes a workload report: appends the recovery line when a plan
     /// was armed (exit DEGRADED when the run finished on the CPU
-    /// fallback), then writes the trace artifacts and names them.
+    /// fallback), then writes the trace artifacts, the summary with the
+    /// run's `metrics`, and names them.
     fn finish(
         &self,
         mut text: String,
         recovery: Option<&RecoverySummary>,
+        metrics: &Metrics,
     ) -> Result<CmdReport, CliError> {
         let mut exit = ExitCode::Ok;
         if let Some(rec) = recovery {
@@ -501,7 +503,7 @@ impl Harness {
             if let Some(summary) = summary {
                 let mut view = snp_trace::summary::render_summary(&trace);
                 view.push('\n');
-                view.push_str(&snp_trace::summary::render_metrics(snp_trace::registry()));
+                view.push_str(&snp_trace::summary::render_metrics(metrics));
                 write_file(summary, &view)?;
                 let _ = writeln!(
                     text,
@@ -563,7 +565,7 @@ fn cmd_ld(args: &Args) -> Result<CmdReport, CliError> {
         "strongest pair: SNP {} ~ SNP {} with r² = {:.3}",
         best.0, best.1, best.2
     );
-    harness.finish(out, run.recovery.as_ref())
+    harness.finish(out, run.recovery.as_ref(), &run.metrics)
 }
 
 fn cmd_search(args: &Args) -> Result<CmdReport, CliError> {
@@ -615,7 +617,7 @@ fn cmd_search(args: &Args) -> Result<CmdReport, CliError> {
             "  query {q}: profile {best} at {d} differences, log LR {lr:>8.1} -> {verdict}{truth}"
         );
     }
-    harness.finish(out, run.recovery.as_ref())
+    harness.finish(out, run.recovery.as_ref(), &run.metrics)
 }
 
 fn cmd_mixture(args: &Args) -> Result<CmdReport, CliError> {
@@ -671,7 +673,7 @@ fn cmd_mixture(args: &Args) -> Result<CmdReport, CliError> {
         run.timing.kernel_ns as f64 / 1e6,
         fmt_sig3(run.kernel_word_ops_per_sec / 1e9)
     );
-    harness.finish(out, run.recovery.as_ref())
+    harness.finish(out, run.recovery.as_ref(), &run.metrics)
 }
 
 fn cmd_cpu(args: &Args) -> Result<CmdReport, CliError> {
@@ -1434,8 +1436,8 @@ fn cmd_whatif(args: &Args) -> Result<CmdReport, CliError> {
 fn cmd_metrics(args: &Args) -> Result<CmdReport, CliError> {
     let algorithms = args.expect_selection(&["device", "seed", "queries", "out"])?;
     let mut cfg = loadgen_config(args, &algorithms, 12)?;
-    // Populate the registry with a small seeded load; skip per-query
-    // tracing — this command is about the metrics substrate.
+    // A small seeded load whose metrics the command renders; skip
+    // per-query tracing — this command is about the metrics substrate.
     cfg.record_timeline = false;
     let report = snp_load::run(&cfg);
     let mut out = String::new();
@@ -1446,7 +1448,7 @@ fn cmd_metrics(args: &Args) -> Result<CmdReport, CliError> {
         report.device,
         report.seed
     );
-    out.push_str(&snp_trace::render_registry());
+    out.push_str(&snp_trace::render_prometheus(&report.metrics));
     match args.get("out") {
         Some(path) => {
             write_file(path, &out)?;
@@ -1984,32 +1986,89 @@ mod tests {
 
     #[test]
     fn metrics_emits_prometheus_exposition() {
-        // The registry is process-global and shared across parallel tests,
-        // so assert structure, not exact counter values.
-        let out = ok_text("metrics --queries 8");
-        assert!(
-            out.contains("# registry snapshot after 8 seeded queries"),
-            "{out}"
+        // Every value is the command's own run's, so the exposition is
+        // exact whatever else the process ran. The memo's lines depend on
+        // the process-wide timing memo, and the schedule's task and pack
+        // counts on the host's thread count: those two come from a second
+        // run of the same config, which must agree with the first.
+        let line = "metrics --queries 8";
+        let out = ok_text(line);
+        let args = Args::parse(line.split_whitespace().map(str::to_string)).unwrap();
+        let algorithms = args.expect_selection(&["queries"]).unwrap();
+        let mut cfg = loadgen_config(&args, &algorithms, 12).unwrap();
+        cfg.record_timeline = false;
+        let again = snp_load::run(&cfg).metrics;
+        let count = |name| again.counter(name).expect(name);
+        let (tasks, a_packs) = (count("cpu.parallel.tasks"), count("cpu.parallel.a_packs"));
+        let got: Vec<&str> = out
+            .lines()
+            .filter(|l| !l.contains("sim_timing_cache"))
+            .collect();
+        let want = format!(
+            "\
+# registry snapshot after 8 seeded queries on Titan V (seed 42)
+# TYPE cpu_parallel_a_packs_total counter
+cpu_parallel_a_packs_total {a_packs}
+# TYPE cpu_parallel_runs_total counter
+cpu_parallel_runs_total 8
+# TYPE cpu_parallel_tasks_total counter
+cpu_parallel_tasks_total {tasks}
+# TYPE load_latency_ns_fastid histogram
+load_latency_ns_fastid_bucket{{le=\"57343\"}} 2 # {{query_id=\"7\",tenant=\"research\"}} 55813 6864937
+load_latency_ns_fastid_bucket{{le=\"+Inf\"}} 2
+load_latency_ns_fastid_sum 111626
+load_latency_ns_fastid_count 2
+# TYPE load_latency_ns_ld histogram
+load_latency_ns_ld_bucket{{le=\"53247\"}} 5 # {{query_id=\"5\",tenant=\"research\"}} 50646 5281188
+load_latency_ns_ld_bucket{{le=\"+Inf\"}} 5
+load_latency_ns_ld_sum 253230
+load_latency_ns_ld_count 5
+# TYPE load_latency_ns_mixture histogram
+load_latency_ns_mixture_bucket{{le=\"131071\"}} 1 # {{query_id=\"2\",tenant=\"casework\"}} 125927 851776
+load_latency_ns_mixture_bucket{{le=\"+Inf\"}} 1
+load_latency_ns_mixture_sum 125927
+load_latency_ns_mixture_count 1
+# TYPE load_queries_total counter
+load_queries_total 8
+# TYPE load_queue_wait_ns histogram
+load_queue_wait_ns_bucket{{le=\"0\"}} 8
+load_queue_wait_ns_bucket{{le=\"+Inf\"}} 8
+load_queue_wait_ns_sum 0
+load_queue_wait_ns_count 8
+# TYPE load_retries_total counter
+load_retries_total 0
+# TYPE load_tenant_latency_ns histogram
+load_tenant_latency_ns_bucket{{tenant=\"casework\",le=\"53247\"}} 2 # {{query_id=\"4\",tenant=\"casework\"}} 50646 4546916
+load_tenant_latency_ns_bucket{{tenant=\"casework\",le=\"57343\"}} 3 # {{query_id=\"6\",tenant=\"casework\"}} 55813 5916349
+load_tenant_latency_ns_bucket{{tenant=\"casework\",le=\"131071\"}} 4 # {{query_id=\"2\",tenant=\"casework\"}} 125927 851776
+load_tenant_latency_ns_bucket{{tenant=\"casework\",le=\"+Inf\"}} 4
+load_tenant_latency_ns_sum{{tenant=\"casework\"}} 283032
+load_tenant_latency_ns_count{{tenant=\"casework\"}} 4
+load_tenant_latency_ns_bucket{{tenant=\"research\",le=\"53247\"}} 3 # {{query_id=\"5\",tenant=\"research\"}} 50646 5281188
+load_tenant_latency_ns_bucket{{tenant=\"research\",le=\"57343\"}} 4 # {{query_id=\"7\",tenant=\"research\"}} 55813 6864937
+load_tenant_latency_ns_bucket{{tenant=\"research\",le=\"+Inf\"}} 4
+load_tenant_latency_ns_sum{{tenant=\"research\"}} 207751
+load_tenant_latency_ns_count{{tenant=\"research\"}} 4
+# TYPE sim_profile_kernel_chunk_ns histogram
+sim_profile_kernel_chunk_ns_bucket{{le=\"8191\"}} 2
+sim_profile_kernel_chunk_ns_bucket{{le=\"18431\"}} 4
+sim_profile_kernel_chunk_ns_bucket{{le=\"20479\"}} 9
+sim_profile_kernel_chunk_ns_bucket{{le=\"98303\"}} 10
+sim_profile_kernel_chunk_ns_bucket{{le=\"+Inf\"}} 10
+sim_profile_kernel_chunk_ns_sum 241312
+sim_profile_kernel_chunk_ns_count 10"
         );
-        assert!(out.contains("# TYPE load_latency_ns_ld histogram"), "{out}");
-        assert!(out.contains("load_queries_total"), "{out}");
-        assert!(out.contains("load_queue_wait_ns_bucket"), "{out}");
-        // Per-tenant latency series render with a tenant label, sharing
-        // one TYPE line per family.
-        assert!(
-            out.contains("load_tenant_latency_ns_count{tenant=\"casework\"}"),
-            "{out}"
-        );
-        assert!(
-            out.contains("load_tenant_latency_ns_count{tenant=\"research\"}"),
-            "{out}"
-        );
-        assert_eq!(
-            out.matches("# TYPE load_tenant_latency_ns histogram")
-                .count(),
-            1,
-            "{out}"
-        );
+        assert_eq!(got, want.lines().collect::<Vec<_>>(), "{out}");
+        // One lookup per pass, each a hit or a miss of the shared memo.
+        let memo: u64 = ["hits", "misses"]
+            .iter()
+            .filter_map(|kind| {
+                let prefix = format!("sim_timing_cache_{kind}_total ");
+                out.lines().find_map(|l| l.strip_prefix(prefix.as_str()))
+            })
+            .map(|n| n.parse::<u64>().unwrap())
+            .sum();
+        assert_eq!(memo, 8, "{out}");
     }
 
     #[test]

@@ -27,12 +27,13 @@ use snp_faults::{checksum_words, DeviceFault, FaultKind, FaultOp, FaultPlan};
 use snp_gpu_model::config::{Algorithm, ProblemShape};
 use snp_gpu_model::{DeviceSpec, KernelConfig};
 use snp_gpu_sim::host::{BufferId, CostScale, EventId, Gpu, KernelCost, QueueId, SimError};
-use snp_trace::{TimeDomain, Tracer};
+use snp_gpu_sim::macro_engine::{TIMING_CACHE_HITS_METRIC, TIMING_CACHE_MISSES_METRIC};
+use snp_trace::{Metrics, TimeDomain, Tracer};
 
 use crate::autoconf::{compare_op, config_for, word_op_kind, MixtureStrategy};
 use crate::cpu_model::CpuModel;
 use crate::kernel::{execute_gamma, lowering_for, KernelPlan, Lowering};
-use crate::recovery::{backoff_for, metrics, QueueHealth, RecoverySummary, MAX_RETRIES};
+use crate::recovery::{backoff_for, QueueHealth, RecoverySummary, MAX_RETRIES};
 use crate::streaming::{merge_topk, reduction_cost, topk_of_row, Match, TopKReport};
 use crate::tiling::{plan_passes, Chunk, PlanError, TilePlan};
 
@@ -187,7 +188,17 @@ pub struct RunReport {
     /// [`RecoverySummary::degraded`] distinguishes a run that finished on
     /// the CPU after device loss from one that recovered fully on-device.
     pub recovery: Option<RecoverySummary>,
+    /// This run's metrics (DESIGN.md §8.2): each chunk's kernel time
+    /// (`sim.profile.kernel_chunk_ns`), each host GEMM's parallel schedule
+    /// (`cpu.parallel.*`), its timing-memo lookups
+    /// (`sim.timing_cache.{hits,misses}`) and its recovery
+    /// (`engine.recovery.*`).
+    pub metrics: Metrics,
 }
+
+/// Metric name of the distribution of per-chunk kernel times, in virtual
+/// ns; the run's trace samples the same values on its counter track.
+const KERNEL_CHUNK_METRIC: &str = "sim.profile.kernel_chunk_ns";
 
 /// Errors from an engine run.
 #[derive(Debug)]
@@ -439,6 +450,7 @@ impl GpuEngine {
                 full_readback_bytes: (m * n * 4) as u64,
                 topk_readback_bytes: readback_bytes,
                 recovery: run.recovery,
+                metrics: run.metrics,
             }),
             (_, Sink::Gamma(_)) => unreachable!("`drive` returns the sink it was given"),
         }
@@ -538,7 +550,11 @@ impl GpuEngine {
         let mut pass = Pass {
             spec: &self.spec,
             dev,
-            lanes: Lanes { queues, recovering },
+            lanes: Lanes {
+                queues,
+                recovering,
+                metrics: Metrics::new(),
+            },
             sink,
             a,
             b,
@@ -599,9 +615,11 @@ impl GpuEngine {
             ..
         } = pass;
         gpu.finish_all();
+        let mut metrics = lanes.metrics;
         let recovery = lanes.recovering.map(|Recovering { mut summary, .. }| {
             summary.injected = gpu.fault_stats();
             summary.stalls_absorbed = summary.injected.queue_stalls;
+            summary.record(&mut metrics);
             summary
         });
         let duration = |&e: &EventId| gpu.event_profile(e).map(|p| p.duration_ns()).unwrap_or(0);
@@ -611,7 +629,7 @@ impl GpuEngine {
             .iter()
             .map(|e| {
                 let d = duration(e);
-                crate::profile::metrics::KERNEL_CHUNK_NS.record(d);
+                metrics.record(KERNEL_CHUNK_METRIC, d);
                 d
             })
             .sum();
@@ -667,7 +685,7 @@ impl GpuEngine {
                 if let Ok(p) = gpu.event_profile(e) {
                     self.tracer.counter(
                         run_track,
-                        "sim.profile.kernel_chunk_ns",
+                        KERNEL_CHUNK_METRIC,
                         p.end_ns,
                         p.duration_ns() as f64,
                     );
@@ -688,6 +706,7 @@ impl GpuEngine {
             kernel_word_ops_per_sec: word_ops as f64 / (kernel_ns.max(1) as f64 * 1e-9),
             verify_report,
             recovery,
+            metrics,
         };
         Ok((run, sink))
     }
@@ -859,11 +878,12 @@ impl Device {
     }
 }
 
-/// The run's queues, and the recovering schedule's state when a fault plan
-/// is armed.
+/// The run's queues, the recovering schedule's state when a fault plan is
+/// armed, and the metrics the run records as it goes.
 struct Lanes {
     queues: [QueueId; 2],
     recovering: Option<Recovering>,
+    metrics: Metrics,
 }
 
 /// What the recovering schedule carries through a run.
@@ -902,7 +922,6 @@ impl Lanes {
                 Err(SimError::DeviceFault(fault)) if fault.kind.is_transient() => {
                     if rec.health[lane].fail() {
                         rec.summary.quarantined_queues += 1;
-                        metrics::QUEUE_QUARANTINED.add(1);
                         *queue = gpu.create_queue_labeled(LANES[lane]);
                         rec.health[lane] = QueueHealth::default();
                     }
@@ -930,10 +949,11 @@ impl Lanes {
                         );
                     }
                     rec.summary.backoff_ns += back;
-                    metrics::BACKOFF_NS.add(back);
-                    metrics::BACKOFF_DELAY_NS.record(back);
+                    // Single delays show whether the backoff escalated or
+                    // every fault cleared on its first retry.
+                    self.metrics
+                        .record("engine.recovery.backoff_delay_ns", back);
                     rec.summary.retries += 1;
-                    metrics::RETRIES.add(1);
                     match fault.kind {
                         FaultKind::TransferTimeout => rec.summary.retries_timeout += 1,
                         _ => rec.summary.retries_launch += 1,
@@ -1024,13 +1044,25 @@ impl Pass<'_> {
         }
         // The slot's output buffers must drain before they are rewritten.
         deps.extend(self.last_read[slot]);
+        let memo = if kplan.memo_hit {
+            TIMING_CACHE_HITS_METRIC
+        } else {
+            TIMING_CACHE_MISSES_METRIC
+        };
+        self.lanes.metrics.add(memo, 1);
         let (op, a_buf, b_buf, c_buf) = (self.op, self.a_buf, self.b_bufs[slot], self.c_bufs[slot]);
+        // The kernel's function runs only in Full mode, and only once its
+        // launch succeeds.
+        let mut gemm = None;
         let ev_k = self.lanes.enqueue(&self.dev.gpu, COMP, |q| {
             self.dev
                 .kernel(q, &kplan.cost(), &[a_buf, b_buf], c_buf, &deps, |r, out| {
-                    execute_gamma(op, r[0], r[1], out, m_len, n_len, k)
+                    gemm = Some(execute_gamma(op, r[0], r[1], out, m_len, n_len, k));
                 })
         })?;
+        if let Some(stats) = gemm {
+            stats.record(&mut self.lanes.metrics);
+        }
         self.word_ops += kplan.word_ops;
         self.kernel_bytes += kplan.traffic.total();
         self.kernel_events.push(ev_k);
@@ -1075,7 +1107,6 @@ impl Pass<'_> {
         self.sink.absorb_readback(mc, nc, &self.down);
         if let Some(rec) = &mut self.lanes.recovering {
             rec.summary.verified_chunks += 1;
-            metrics::CHECKPOINT_CHUNKS.add(1);
         }
         Ok(())
     }
@@ -1144,7 +1175,6 @@ impl Pass<'_> {
             }
             let rec = self.lanes.recovering.as_mut().expect("checksummed above");
             rec.summary.corruption_detected += 1;
-            metrics::CORRUPTION_DETECTED.add(1);
             rereads += 1;
             if rereads > MAX_RETRIES {
                 return Err(EngineError::Device(SimError::DeviceFault(DeviceFault {
@@ -1170,7 +1200,6 @@ impl Pass<'_> {
             .expect("only an armed fault plan loses the device");
         rec.summary.device_lost = true;
         rec.summary.resumed_from_chunk = Some(resume);
-        metrics::DEVICE_LOSS.add(1);
         if tracer.is_enabled() {
             tracer.span_with(
                 gpu.host_track(),
@@ -1193,16 +1222,18 @@ impl Pass<'_> {
                 self.plan.m_chunks[ci / n_chunks],
                 self.plan.n_chunks[ci % n_chunks],
             );
-            let sub = cpu.gamma(
+            self.down.resize(mc.len() * nc.len(), 0);
+            let stats = cpu.gamma_into(
                 &self.a.row_slice(mc.lo, mc.hi),
                 &self.b.row_slice(nc.lo, nc.hi),
                 self.op,
+                &mut self.down,
             );
+            stats.record(&mut self.lanes.metrics);
             self.sink
-                .absorb_rows(mc, nc, (0..mc.len()).map(|r| &sub.row(r)[..nc.len()]));
+                .absorb_rows(mc, nc, self.down.chunks_exact(nc.len()));
             ns += model.time_ns(kind, mc.len(), nc.len(), self.a.words_per_row());
             rec.summary.cpu_fallback_chunks += 1;
-            metrics::CPU_FALLBACK_CHUNKS.add(1);
         }
         let fallback_ns = ns.ceil() as u64;
         let start = gpu.now_ns();
@@ -1377,6 +1408,45 @@ mod tests {
     }
 
     #[test]
+    fn run_metrics_count_the_parallel_stats_of_its_passes() {
+        // The multi-pass run above: one host GEMM per chunk, each counted
+        // once on the run's metrics, exactly as its `ParallelStats` read.
+        let mut dev = devices::gtx_980();
+        dev.name = "GTX tiny".into();
+        dev.max_alloc_bytes = 1 << 17;
+        dev.global_mem_bytes = 1 << 20;
+        let a = matrix(48, 700, 8);
+        let b = matrix(900, 700, 9);
+        let run = GpuEngine::new(dev.clone()).identity_search(&a, &b).unwrap();
+        let shape = ProblemShape {
+            m: a.rows(),
+            n: b.rows(),
+            k_words: 2 * a.words_per_row(),
+        };
+        let cfg = config_for(&dev, Algorithm::IdentitySearch, shape);
+        let plan = plan_passes(&dev, &cfg, shape.m, shape.n, shape.k_words, 0, true).unwrap();
+        let mut want = Metrics::new();
+        for mc in &plan.m_chunks {
+            for nc in &plan.n_chunks {
+                let mut c = vec![0; mc.len() * nc.len()];
+                let (a, b) = (a.row_slice(mc.lo, mc.hi), b.row_slice(nc.lo, nc.hi));
+                CpuEngine::new()
+                    .gamma_into(&a, &b, CompareOp::Xor, &mut c)
+                    .record(&mut want);
+            }
+        }
+        assert!(run.passes > 1);
+        assert_eq!(want.counter("cpu.parallel.runs"), Some(run.passes as u64));
+        for name in [
+            "cpu.parallel.runs",
+            "cpu.parallel.tasks",
+            "cpu.parallel.a_packs",
+        ] {
+            assert_eq!(run.metrics.counter(name), want.counter(name), "{name}");
+        }
+    }
+
+    #[test]
     fn timing_reconciles_phase_sums_with_end_to_end() {
         // Real runs across shapes and modes must satisfy every invariant of
         // Timing::validate: per-resource busy times fit in the post-init
@@ -1542,12 +1612,17 @@ mod tests {
                 if let Some(plan) = faults.clone() {
                     eng = eng.with_fault_plan(plan);
                 }
-                let (passes, results, recovery) = if topk {
+                let (passes, results, recovery, metrics) = if topk {
                     let r = eng.identity_search_topk(&a, &b, 4).unwrap();
-                    (r.passes, r.matches.is_some(), r.recovery.is_some())
+                    (
+                        r.passes,
+                        r.matches.is_some(),
+                        r.recovery.is_some(),
+                        r.metrics,
+                    )
                 } else {
                     let r = eng.identity_search(&a, &b).unwrap();
-                    (r.passes, r.gamma.is_some(), r.recovery.is_some())
+                    (r.passes, r.gamma.is_some(), r.recovery.is_some(), r.metrics)
                 };
                 assert_eq!(results, mode == ExecMode::Full, "{what}");
                 assert_eq!(recovery, faults.is_some(), "{what}");
@@ -1555,6 +1630,17 @@ mod tests {
                 assert_eq!(trace.events_in_cat("run").count(), 1, "{what}");
                 let samples = |name: &str| trace.counters.iter().filter(|c| c.name == name).count();
                 assert_eq!(samples("sim.profile.kernel_chunk_ns"), passes, "{what}");
+                // The run's metrics hold the same samples, one memo lookup
+                // per comparison kernel, and a host GEMM for each exactly
+                // when the mode is Full.
+                let chunk_ns = metrics.histogram("sim.profile.kernel_chunk_ns").unwrap();
+                assert_eq!(chunk_ns.count(), passes as u64, "{what}");
+                let comparisons = if topk { passes / 2 } else { passes } as u64;
+                let lookups = ["sim.timing_cache.hits", "sim.timing_cache.misses"]
+                    .map(|name| metrics.counter(name).unwrap_or(0));
+                assert_eq!(lookups.iter().sum::<u64>(), comparisons, "{what}");
+                let gemms = (mode == ExecMode::Full).then_some(comparisons);
+                assert_eq!(metrics.counter("cpu.parallel.runs"), gemms, "{what}");
             }
         }
     }

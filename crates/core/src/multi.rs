@@ -23,7 +23,7 @@ use snp_gpu_model::config::Algorithm;
 use snp_gpu_model::peak::peak;
 use snp_gpu_model::DeviceSpec;
 
-use snp_trace::Tracer;
+use snp_trace::{Metrics, Tracer};
 
 use crate::engine::{EngineError, EngineOptions, ExecMode, GpuEngine, RunReport, Timing};
 
@@ -138,6 +138,7 @@ impl MultiGpuEngine {
             kernel_word_ops_per_sec: 0.0,
             verify_report: None,
             recovery: None,
+            metrics: Metrics::new(),
         }
     }
 

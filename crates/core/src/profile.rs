@@ -34,14 +34,6 @@ use crate::autoconf::{compare_op, word_op_kind};
 use crate::engine::{EngineError, EngineOptions, ExecMode, GpuEngine};
 use crate::kernel::{group_geometry, tile_program, KernelPlan};
 
-/// Process-wide profiler metrics (in the `snp-trace` registry).
-pub mod metrics {
-    use snp_trace::LazyHistogram;
-
-    /// Per-chunk kernel durations across engine runs, in virtual ns.
-    pub static KERNEL_CHUNK_NS: LazyHistogram = LazyHistogram::new("sim.profile.kernel_chunk_ns");
-}
-
 /// Maximum tolerated relative divergence between the Eq. 4–7 analytical
 /// prediction and either engine, as `|a − b| / max(a, b)`.
 ///

@@ -19,45 +19,17 @@
 //! This is the workspace's one recovery path: a multi-device run has no
 //! failover of its own (see [`crate::multi`]).
 //!
-//! Every action is counted both in the returned [`RecoverySummary`] and on
-//! process-wide `engine.recovery.*` metrics (snp-trace), and the summary
-//! reconciles against the fault plan's injection stats — the invariant the
-//! property tests in `tests/fault_recovery_properties.rs` pin down: no
-//! injected fault goes unaccounted, and none is silently absorbed into
-//! wrong results.
+//! Every action is counted once, in the returned [`RecoverySummary`], and
+//! the summary reconciles against the fault plan's injection stats — the
+//! invariant the property tests in `tests/fault_recovery_properties.rs` pin
+//! down: no injected fault goes unaccounted, and none is silently absorbed
+//! into wrong results. The run's `engine.recovery.*` metrics are read off
+//! the summary when the run ends; only the distribution of single backoff
+//! delays, `engine.recovery.backoff_delay_ns`, is recorded as each one is
+//! charged.
 
 use snp_faults::FaultStats;
-use snp_trace::{LazyCounter, LazyHistogram};
-
-/// Process-wide recovery counters (snp-trace `LazyCounter`s: one relaxed
-/// atomic add when touched, nothing otherwise).
-pub mod metrics {
-    use super::{LazyCounter, LazyHistogram};
-
-    /// Commands retried after a transient fault.
-    pub static RETRIES: LazyCounter = LazyCounter::new("engine.recovery.retries");
-    /// Virtual nanoseconds spent in retry backoff.
-    pub static BACKOFF_NS: LazyCounter = LazyCounter::new("engine.recovery.backoff_ns");
-    /// Distribution of individual retry backoff delays (the total above is
-    /// this histogram's sum) — exposes whether exponential backoff actually
-    /// escalated or every fault cleared on the first retry.
-    pub static BACKOFF_DELAY_NS: LazyHistogram =
-        LazyHistogram::new("engine.recovery.backoff_delay_ns");
-    /// Corrupted readbacks caught by checksum comparison.
-    pub static CORRUPTION_DETECTED: LazyCounter =
-        LazyCounter::new("engine.recovery.corruption_detected");
-    /// Chunks whose results were checkpointed (checksum-verified).
-    pub static CHECKPOINT_CHUNKS: LazyCounter =
-        LazyCounter::new("engine.recovery.checkpoint_chunks");
-    /// Chunks completed on the CPU after device loss.
-    pub static CPU_FALLBACK_CHUNKS: LazyCounter =
-        LazyCounter::new("engine.recovery.cpu_fallback_chunks");
-    /// Permanent device losses observed.
-    pub static DEVICE_LOSS: LazyCounter = LazyCounter::new("engine.recovery.device_loss");
-    /// Queues quarantined by the circuit breaker.
-    pub static QUEUE_QUARANTINED: LazyCounter =
-        LazyCounter::new("engine.recovery.queue_quarantined");
-}
+use snp_trace::Metrics;
 
 /// Retries per command before a transient fault surfaces (at most
 /// `MAX_RETRIES + 1` attempts); a corrupted readback is re-read as often.
@@ -122,6 +94,33 @@ impl RecoverySummary {
     /// as *clean* otherwise (loadgen outcomes, chaos cells).
     pub fn recovered(&self) -> bool {
         self.retries + self.corruption_detected + self.stalls_absorbed > 0
+    }
+
+    /// Counts the run's recovery on `metrics`, one counter per action the
+    /// summary holds, each only when the run took that action.
+    pub(crate) fn record(&self, metrics: &mut Metrics) {
+        for (name, n) in [
+            ("engine.recovery.retries", self.retries),
+            ("engine.recovery.backoff_ns", self.backoff_ns),
+            (
+                "engine.recovery.corruption_detected",
+                self.corruption_detected,
+            ),
+            (
+                "engine.recovery.checkpoint_chunks",
+                self.verified_chunks as u64,
+            ),
+            (
+                "engine.recovery.cpu_fallback_chunks",
+                self.cpu_fallback_chunks as u64,
+            ),
+            ("engine.recovery.device_loss", u64::from(self.device_lost)),
+            ("engine.recovery.queue_quarantined", self.quarantined_queues),
+        ] {
+            if n > 0 {
+                metrics.add(name, n);
+            }
+        }
     }
 
     /// One-line human rendering for CLI reports.

@@ -17,6 +17,7 @@
 use snp_gpu_model::InstrClass;
 use snp_gpu_sim::host::KernelCost;
 use snp_gpu_sim::macro_engine::Traffic;
+use snp_trace::Metrics;
 
 use crate::engine::Timing;
 use crate::recovery::RecoverySummary;
@@ -46,6 +47,8 @@ pub struct TopKReport {
     pub topk_readback_bytes: u64,
     /// What the recovery layer did (None on the fault-free fast path).
     pub recovery: Option<RecoverySummary>,
+    /// This run's metrics ([`RunReport::metrics`](crate::RunReport::metrics)).
+    pub metrics: Metrics,
 }
 
 /// Merges `candidates` into the per-query top-k lists.

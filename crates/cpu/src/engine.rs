@@ -5,10 +5,9 @@ use snp_bitmat::{BitMatrix, CompareOp, CountMatrix};
 use snp_trace::Tracer;
 
 use crate::blocking::CpuBlocking;
-use crate::gemm::{check_shapes, gamma_blocked, overwrite};
-use crate::parallel::gamma_parallel;
+use crate::gemm::{check_shapes, overwrite};
+use crate::parallel::{gamma_parallel, run_tiles, ParallelStats};
 use crate::symmetric::gamma_self_symmetric;
-use crate::{gemm, parallel};
 
 /// A configured CPU comparison engine.
 ///
@@ -16,9 +15,7 @@ use crate::{gemm, parallel};
 /// [`mixture_analysis`](Self::mixture_analysis) run the blocked GEMM over
 /// every tile of `γ`. [`ld_self`](Self::ld_self) compares a panel with
 /// itself, so it runs the same tiles over the upper triangle only, each
-/// tile also writing its transpose. A [`new`](Self::new) engine runs the
-/// tiles on the rayon pool, a [`sequential`](Self::sequential) one on the
-/// calling thread; the results are bit-identical.
+/// tile also writing its transpose. The tiles run on the rayon pool.
 ///
 /// ```
 /// use snp_cpu::CpuEngine;
@@ -34,7 +31,6 @@ use crate::{gemm, parallel};
 #[derive(Debug, Clone)]
 pub struct CpuEngine {
     blocking: CpuBlocking,
-    parallel: bool,
 }
 
 impl Default for CpuEngine {
@@ -48,17 +44,6 @@ impl CpuEngine {
     pub fn new() -> Self {
         CpuEngine {
             blocking: CpuBlocking::default(),
-            parallel: true,
-        }
-    }
-
-    /// Single-threaded engine (useful for reproducible profiling and as the
-    /// per-core baseline): every entry runs its tiles, one per
-    /// `m_c × n_c` block, on the calling thread.
-    pub fn sequential() -> Self {
-        CpuEngine {
-            blocking: CpuBlocking::default(),
-            parallel: false,
         }
     }
 
@@ -78,25 +63,23 @@ impl CpuEngine {
         &self.blocking
     }
 
-    /// Whether the engine uses the rayon-parallel path.
-    pub fn is_parallel(&self) -> bool {
-        self.parallel
-    }
-
     /// General comparison: `γ[i][j] = Σ_k popc(op(a[i][k], b[j][k]))`, in
     /// a fresh output that the tiles write once, without zero-filling it
     /// first.
     pub fn gamma(&self, a: &BitMatrix<u64>, b: &BitMatrix<u64>, op: CompareOp) -> CountMatrix {
-        if self.parallel {
-            gamma_parallel(a, b, op, &self.blocking)
-        } else {
-            gamma_blocked(a, b, op, &self.blocking)
-        }
+        gamma_parallel(a, b, op, &self.blocking)
     }
 
     /// Like [`gamma`](Self::gamma), but into `c`, a row-major
-    /// `a.rows() × b.rows()` γ whose every cell it overwrites.
-    pub fn gamma_into(&self, a: &BitMatrix<u64>, b: &BitMatrix<u64>, op: CompareOp, c: &mut [u32]) {
+    /// `a.rows() × b.rows()` γ whose every cell it overwrites; returns
+    /// what the parallel schedule ran.
+    pub fn gamma_into(
+        &self,
+        a: &BitMatrix<u64>,
+        b: &BitMatrix<u64>,
+        op: CompareOp,
+        c: &mut [u32],
+    ) -> ParallelStats {
         assert_eq!(
             c.len(),
             a.rows() * b.rows(),
@@ -105,11 +88,7 @@ impl CpuEngine {
         check_shapes(a, b, (a.rows(), b.rows()), &self.blocking);
         // SAFETY: the tiles write only counts into `c`.
         let cells = unsafe { overwrite(c) };
-        if self.parallel {
-            parallel::run_tiles(a, b, op, &self.blocking, cells, &Tracer::disabled());
-        } else {
-            gemm::run_tiles(op, a, b, &self.blocking, cells);
-        }
+        run_tiles(a, b, op, &self.blocking, cells, &Tracer::disabled())
     }
 
     /// Linkage disequilibrium: AND self-comparison of an SNP panel
@@ -122,7 +101,7 @@ impl CpuEngine {
     /// ([`gamma_self_symmetric`]): the SYRK-style saving, identical
     /// results to [`gamma`](Self::gamma) at roughly half the block work.
     pub fn ld_self(&self, panel: &BitMatrix<u64>) -> CountMatrix {
-        gamma_self_symmetric(panel, CompareOp::And, &self.blocking, self.parallel)
+        gamma_self_symmetric(panel, CompareOp::And, &self.blocking)
     }
 
     /// FastID identity search: XOR of queries against a database
@@ -158,6 +137,7 @@ impl CpuEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::gamma_blocked;
     use snp_bitmat::reference_gamma;
 
     fn matrix(rows: usize, cols: usize, salt: usize) -> BitMatrix<u64> {
@@ -168,12 +148,13 @@ mod tests {
     fn engine_paths_agree_with_reference() {
         let a = matrix(30, 300, 0);
         let b = matrix(25, 300, 1);
-        for engine in [CpuEngine::new(), CpuEngine::sequential()] {
-            for op in CompareOp::ALL {
-                let got = engine.gamma(&a, &b, op);
-                let want = reference_gamma(&a, &b, op);
-                assert_eq!(got.first_mismatch(&want), None, "op {op}");
-            }
+        let engine = CpuEngine::new();
+        for op in CompareOp::ALL {
+            let got = engine.gamma(&a, &b, op);
+            let want = reference_gamma(&a, &b, op);
+            assert_eq!(got.first_mismatch(&want), None, "op {op}");
+            let blocked = gamma_blocked(&a, &b, op, engine.blocking());
+            assert_eq!(got.first_mismatch(&blocked), None, "op {op}: blocked");
         }
     }
 
@@ -221,24 +202,20 @@ mod tests {
             BitMatrix::<u64>::zeros(150, 0),
         );
         let zeros = CountMatrix::zeros(100, 150);
-        for engine in [CpuEngine::new(), CpuEngine::sequential()] {
-            let at = format!("parallel={}", engine.is_parallel());
-            for op in CompareOp::ALL {
-                let got = engine.gamma(&a, &b, op);
-                assert_eq!(got.first_mismatch(&zeros), None, "{at}, op {op}");
-                let mut c: Vec<u32> = (0..100 * 150).map(|i| u32::MAX ^ i).collect();
-                engine.gamma_into(&a, &b, op, &mut c);
-                assert_eq!(c, zeros.as_slice(), "{at}, op {op}: gamma_into");
-            }
-            let got = engine.identity_search(&a, &b);
-            assert_eq!(got.first_mismatch(&zeros), None, "{at}");
-            let got = engine.ld_self(&b);
-            assert_eq!(
-                got.first_mismatch(&CountMatrix::zeros(150, 150)),
-                None,
-                "{at}"
-            );
+        let engine = CpuEngine::new();
+        for op in CompareOp::ALL {
+            let got = engine.gamma(&a, &b, op);
+            assert_eq!(got.first_mismatch(&zeros), None, "op {op}");
+            let blocked = gamma_blocked(&a, &b, op, engine.blocking());
+            assert_eq!(blocked.first_mismatch(&zeros), None, "op {op}: blocked");
+            let mut c: Vec<u32> = (0..100 * 150).map(|i| u32::MAX ^ i).collect();
+            engine.gamma_into(&a, &b, op, &mut c);
+            assert_eq!(c, zeros.as_slice(), "op {op}: gamma_into");
         }
+        let got = engine.identity_search(&a, &b);
+        assert_eq!(got.first_mismatch(&zeros), None);
+        let got = engine.ld_self(&b);
+        assert_eq!(got.first_mismatch(&CountMatrix::zeros(150, 150)), None);
     }
 
     #[test]

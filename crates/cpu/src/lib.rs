@@ -41,8 +41,5 @@ pub mod symmetric;
 
 pub use blocking::{CacheParams, CpuBlocking};
 pub use engine::CpuEngine;
-pub use parallel::{
-    gamma_parallel_into_traced, ParallelSchedule, ParallelStats, PARALLEL_A_PACKS_METRIC,
-    PARALLEL_RUNS_METRIC, PARALLEL_TASKS_METRIC,
-};
+pub use parallel::{gamma_parallel_into_traced, ParallelSchedule, ParallelStats};
 pub use symmetric::gamma_self_symmetric;

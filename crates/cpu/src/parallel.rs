@@ -24,21 +24,10 @@ use std::mem::MaybeUninit;
 
 use rayon::prelude::*;
 use snp_bitmat::{BitMatrix, CompareOp, CountMatrix};
-use snp_trace::{LazyCounter, TimeDomain, Tracer};
+use snp_trace::{Metrics, TimeDomain, Tracer};
 
 use crate::blocking::CpuBlocking;
 use crate::gemm::{check_shapes, fresh, overwrite, pack_a, run_tile, tiles};
-
-/// Registry name of the counter of parallel GEMM runs.
-pub const PARALLEL_RUNS_METRIC: &str = "cpu.parallel.runs";
-/// Registry name of the counter of parallel tasks spawned across runs.
-pub const PARALLEL_TASKS_METRIC: &str = "cpu.parallel.tasks";
-/// Registry name of the counter of `Ã` block packs across runs.
-pub const PARALLEL_A_PACKS_METRIC: &str = "cpu.parallel.a_packs";
-
-static RUNS: LazyCounter = LazyCounter::new(PARALLEL_RUNS_METRIC);
-static TASKS: LazyCounter = LazyCounter::new(PARALLEL_TASKS_METRIC);
-static A_PACKS: LazyCounter = LazyCounter::new(PARALLEL_A_PACKS_METRIC);
 
 /// Tiles per worker thread: enough that the dynamic hand-out evens out
 /// tiles of unequal cost.
@@ -63,6 +52,16 @@ pub struct ParallelStats {
     pub a_packs: usize,
 }
 
+impl ParallelStats {
+    /// Counts this run on `metrics`: one `cpu.parallel.runs`, its tasks
+    /// on `cpu.parallel.tasks` and its packs on `cpu.parallel.a_packs`.
+    pub fn record(&self, metrics: &mut Metrics) {
+        metrics.add("cpu.parallel.runs", 1);
+        metrics.add("cpu.parallel.tasks", self.tasks as u64);
+        metrics.add("cpu.parallel.a_packs", self.a_packs as u64);
+    }
+}
+
 /// Parallel version of [`crate::gemm::gamma_blocked_into`]: overwrites
 /// `c` with results bit-identical to the sequential path.
 pub fn gamma_parallel_into(
@@ -85,10 +84,6 @@ pub fn gamma_parallel_into(
 
 /// Like [`gamma_parallel_into`], returning what was run, with per-task
 /// wall-clock spans recorded on `tracer` (a no-op for a disabled tracer).
-/// Every run also bumps the process-wide [`snp_trace::registry`] counters
-/// [`PARALLEL_RUNS_METRIC`], [`PARALLEL_TASKS_METRIC`] and
-/// [`PARALLEL_A_PACKS_METRIC`], which supersede hand-plumbing
-/// [`ParallelStats`] out of call sites for aggregate reporting.
 pub fn gamma_parallel_into_traced(
     a: &BitMatrix<u64>,
     b: &BitMatrix<u64>,
@@ -157,9 +152,6 @@ pub(crate) fn run_tiles(
             ("a_packs", (stats.a_packs as u64).into()),
         ],
     );
-    RUNS.add(1);
-    TASKS.add(stats.tasks as u64);
-    A_PACKS.add(stats.a_packs as u64);
     stats
 }
 

@@ -43,18 +43,14 @@ pub fn op_is_symmetric(op: CompareOp) -> bool {
 /// from its diagonal block on, each tile also writing the transpose of its
 /// columns below the diagonal. Results are identical to the full
 /// [`gamma_parallel`](crate::parallel::gamma_parallel) (tested), at
-/// roughly half the block work for large `m`.
-///
-/// With `parallel`, the tiles run on the rayon pool, at least four per
-/// thread; without, one tile per `m_c × n_c` block runs after another on
-/// the calling thread.
+/// roughly half the block work for large `m`. The tiles run on the rayon
+/// pool, at least four per thread.
 ///
 /// Panics if `op` is not symmetric or `blocking` is invalid.
 pub fn gamma_self_symmetric(
     a: &BitMatrix<u64>,
     op: CompareOp,
     blocking: &CpuBlocking,
-    parallel: bool,
 ) -> CountMatrix {
     assert!(
         op_is_symmetric(op),
@@ -64,15 +60,9 @@ pub fn gamma_self_symmetric(
     check_shapes(a, a, (m, m), blocking);
     let a_packs = pack_a(a, blocking);
     let fill = |c: &mut [MaybeUninit<u32>]| {
-        if parallel {
-            tiles(c, m, blocking, min_tiles(), true)
-                .into_par_iter()
-                .for_each(|mut tile| run_tile(op, &a_packs, a, &mut tile));
-        } else {
-            for mut tile in tiles(c, m, blocking, 1, true) {
-                run_tile(op, &a_packs, a, &mut tile);
-            }
-        }
+        tiles(c, m, blocking, min_tiles(), true)
+            .into_par_iter()
+            .for_each(|mut tile| run_tile(op, &a_packs, a, &mut tile));
     };
     // SAFETY: the tiles' row segments and mirror pieces partition γ, and
     // each tile writes all of its cells.
@@ -105,11 +95,8 @@ mod tests {
             let a = matrix(rows, 300);
             for op in [CompareOp::And, CompareOp::Xor] {
                 let full = gamma_parallel(&a, &a, op, &blocking_small());
-                for parallel in [true, false] {
-                    let sym = gamma_self_symmetric(&a, op, &blocking_small(), parallel);
-                    let at = format!("rows={rows} op={op} parallel={parallel}");
-                    assert_eq!(sym.first_mismatch(&full), None, "{at}");
-                }
+                let sym = gamma_self_symmetric(&a, op, &blocking_small());
+                assert_eq!(sym.first_mismatch(&full), None, "rows={rows} op={op}");
             }
         }
     }
@@ -123,18 +110,15 @@ mod tests {
         for rows in [1usize, 7, 8, 95, 96, 97, 200, 1019] {
             let a = matrix(rows, 200);
             let full = gamma_parallel(&a, &a, CompareOp::And, &blocking);
-            for parallel in [true, false] {
-                let sym = gamma_self_symmetric(&a, CompareOp::And, &blocking, parallel);
-                let at = format!("rows={rows} parallel={parallel}");
-                assert_eq!(sym.first_mismatch(&full), None, "{at}");
-            }
+            let sym = gamma_self_symmetric(&a, CompareOp::And, &blocking);
+            assert_eq!(sym.first_mismatch(&full), None, "rows={rows}");
         }
     }
 
     #[test]
     fn symmetric_matches_reference_with_default_blocking() {
         let a = matrix(90, 777);
-        let sym = gamma_self_symmetric(&a, CompareOp::And, &CpuBlocking::default(), true);
+        let sym = gamma_self_symmetric(&a, CompareOp::And, &CpuBlocking::default());
         let want = reference_gamma_self(&a, CompareOp::And);
         assert_eq!(sym.first_mismatch(&want), None);
     }
@@ -142,7 +126,7 @@ mod tests {
     #[test]
     fn result_is_exactly_symmetric() {
         let a = matrix(64, 256);
-        let c = gamma_self_symmetric(&a, CompareOp::Xor, &blocking_small(), true);
+        let c = gamma_self_symmetric(&a, CompareOp::Xor, &blocking_small());
         for i in 0..64 {
             for j in 0..64 {
                 assert_eq!(c.get(i, j), c.get(j, i));
@@ -154,13 +138,13 @@ mod tests {
     #[should_panic(expected = "not symmetric")]
     fn andnot_rejected() {
         let a = matrix(8, 64);
-        let _ = gamma_self_symmetric(&a, CompareOp::AndNot, &blocking_small(), true);
+        let _ = gamma_self_symmetric(&a, CompareOp::AndNot, &blocking_small());
     }
 
     #[test]
     fn empty_matrix_ok() {
         let a = BitMatrix::<u64>::zeros(0, 0);
-        let c = gamma_self_symmetric(&a, CompareOp::And, &CpuBlocking::default(), true);
+        let c = gamma_self_symmetric(&a, CompareOp::And, &CpuBlocking::default());
         assert_eq!((c.rows(), c.cols()), (0, 0));
     }
 

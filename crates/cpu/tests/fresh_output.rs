@@ -6,13 +6,15 @@
 //! block it hands out through `alloc` with the byte `0xA5` (`alloc_zeroed`
 //! still returns zeros), so a cell that no tile wrote reads `0xA5A5A5A5`,
 //! which no count here reaches, and the comparison with the reference
-//! names it. It is its own test binary because the allocator is
-//! process-wide.
+//! names it. The one-thread loop nest's `gamma_blocked_into` overwrites an
+//! output filled with the same pattern. It is its own test binary because
+//! the allocator is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 
-use snp_bitmat::{reference_gamma, BitMatrix, CompareOp};
+use snp_bitmat::{reference_gamma, BitMatrix, CompareOp, CountMatrix};
 use snp_cpu::blocking::{MR, NR};
+use snp_cpu::gemm::{gamma_blocked, gamma_blocked_into};
 use snp_cpu::{CpuBlocking, CpuEngine};
 
 const POISON: u8 = 0xA5;
@@ -62,14 +64,11 @@ fn matrix(rows: usize, bits: usize, salt: usize) -> BitMatrix<u64> {
     })
 }
 
-/// Every fresh-output entry of `engine` on `m` × `n` rows of `bits` bits,
-/// against the reference.
+/// Every fresh-output entry of `engine`, and the one-thread loop nest at
+/// its blocking, on `m` × `n` rows of `bits` bits, against the reference.
 fn check_every_entry(engine: &CpuEngine, m: usize, n: usize, bits: usize) {
-    let at = format!(
-        "{m} x {n} x {bits} bits, k_c {}, parallel={}",
-        engine.blocking().k_c,
-        engine.is_parallel()
-    );
+    let blocking = engine.blocking();
+    let at = format!("{m} x {n} x {bits} bits, k_c {}", blocking.k_c);
     let (a, b) = (matrix(m, bits, 1), matrix(n, bits, 2));
     for op in CompareOp::ALL {
         let want = reference_gamma(&a, &b, op);
@@ -77,6 +76,20 @@ fn check_every_entry(engine: &CpuEngine, m: usize, n: usize, bits: usize) {
             engine.gamma(&a, &b, op).first_mismatch(&want),
             None,
             "{at}, {op}"
+        );
+        let blocked = gamma_blocked(&a, &b, op, blocking);
+        assert_eq!(
+            blocked.first_mismatch(&want),
+            None,
+            "{at}, {op}, gamma_blocked"
+        );
+        let poisoned = vec![u32::from_ne_bytes([POISON; 4]); m * n];
+        let mut c = CountMatrix::from_vec(m, n, poisoned);
+        gamma_blocked_into(&a, &b, op, blocking, &mut c);
+        assert_eq!(
+            c.first_mismatch(&want),
+            None,
+            "{at}, {op}, gamma_blocked_into"
         );
     }
     let want = reference_gamma(&a, &b, CompareOp::Xor);
@@ -121,11 +134,10 @@ fn fresh_outputs_are_fully_written() {
         (5, 2, 0),
         (2 * 2 * MR + 3, 7 * NR + 1, 0),
     ];
-    for engine in [CpuEngine::new(), CpuEngine::sequential()] {
-        for &(m, n, bits) in &shapes {
-            check_every_entry(&engine, m, n, bits);
-            check_every_entry(&engine.clone().with_blocking(small_blocking()), m, n, bits);
-        }
+    let engine = CpuEngine::new();
+    for &(m, n, bits) in &shapes {
+        check_every_entry(&engine, m, n, bits);
+        check_every_entry(&engine.clone().with_blocking(small_blocking()), m, n, bits);
     }
 }
 
@@ -135,7 +147,5 @@ fn default_blocking_spans_several_row_blocks_and_k_c_blocks() {
     // ragged, and 180 words are two k_c blocks of the default 170.
     let engine = CpuEngine::new();
     assert_eq!((engine.blocking().m_c, engine.blocking().k_c), (96, 170));
-    for engine in [engine, CpuEngine::sequential()] {
-        check_every_entry(&engine, 203, 131, 64 * 180 - 3);
-    }
+    check_every_entry(&engine, 203, 131, 64 * 180 - 3);
 }

@@ -149,10 +149,9 @@ proptest! {
         prop_assert_eq!(got.first_mismatch(&want), None);
     }
 
-    /// `ld_self` on the parallel and the sequential engine equals the
-    /// reference AND self-comparison, and so does XOR through
-    /// `gamma_self_symmetric` on both schedules with tiles that straddle
-    /// the diagonal block's edge. m runs from empty to five row blocks of
+    /// `ld_self` equals the reference AND self-comparison, and so does XOR
+    /// through `gamma_self_symmetric` with tiles that straddle the diagonal
+    /// block's edge. m runs from empty to five row blocks of
     /// m_c = 2·MR: each case takes `blocks · m_c` plus every offset in
     /// {0, 1, NR − 1, NR + 1, m_c − 1}, so m % m_c ∈ {0, 1, m_c − 1} and
     /// m % NR ≠ 0 come up in every case, and `blocks = 0` gives m < NR; k
@@ -175,15 +174,11 @@ proptest! {
             }
             let a = BitMatrix::<u64>::from_fn(m, k_bits, |r, c| mix(r, c) % 5 < 2);
             let want = reference_gamma_self(&a, CompareOp::And);
-            for engine in [CpuEngine::new(), CpuEngine::sequential()] {
-                let got = engine.with_blocking(tiny_blocking()).ld_self(&a);
-                prop_assert_eq!(got.first_mismatch(&want), None, "m {}, k_bits {}", m, k_bits);
-            }
+            let got = CpuEngine::new().with_blocking(tiny_blocking()).ld_self(&a);
+            prop_assert_eq!(got.first_mismatch(&want), None, "m {}, k_bits {}", m, k_bits);
             let want = reference_gamma_self(&a, CompareOp::Xor);
-            for parallel in [true, false] {
-                let got = gamma_self_symmetric(&a, CompareOp::Xor, &straddling, parallel);
-                prop_assert_eq!(got.first_mismatch(&want), None, "XOR, m {}, k_bits {}", m, k_bits);
-            }
+            let got = gamma_self_symmetric(&a, CompareOp::Xor, &straddling);
+            prop_assert_eq!(got.first_mismatch(&want), None, "XOR, m {}, k_bits {}", m, k_bits);
         }
     }
 }

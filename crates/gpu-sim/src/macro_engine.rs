@@ -25,17 +25,11 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use snp_gpu_model::DeviceSpec;
-use snp_trace::LazyCounter;
 
 use crate::isa::{Block, Program};
-
-/// Past this many trips the chain walk stops iterating and extrapolates
-/// linearly from the per-trip steady-state delta (exact once two
-/// consecutive trips advance register availability identically).
-const EXACT_TRIPS: u32 = 4096;
 
 /// Per-pipeline issue cycles one thread group places on each pipeline during
 /// one trip of a block.
@@ -144,11 +138,13 @@ impl CritPath {
 /// * a pipeline serving `c` issue cycles of work is busy ≥ `c` cycles;
 /// * one group issues at most one instruction per cycle.
 ///
+/// The walk steps every trip of every block, so the chain is exact at any
+/// trip count.
+///
 /// Panics if the program issues a class `dev` has no pipeline for (gate on
 /// [`supports_program`] first; the V107 lint owns that diagnostic).
 pub fn critical_path(dev: &DeviceSpec, prog: &Program) -> CritPath {
-    let n_regs = prog.reg_count();
-    let mut avail = vec![0u64; n_regs];
+    let mut avail = vec![0u64; prog.reg_count()];
     let mut chain_end = 0u64;
     let mut per_block = Vec::new();
 
@@ -158,11 +154,7 @@ pub fn critical_path(dev: &DeviceSpec, prog: &Program) -> CritPath {
         }
         let block_start = chain_end;
         let per_trip = issue_cycles_per_trip(dev, block);
-
-        let mut trip = 0u32;
-        let mut prev_state: Option<(Vec<u64>, u64)> = None;
-        let mut prev_delta: Option<(Vec<u64>, u64)> = None;
-        while trip < block.trips {
+        for _ in 0..block.trips {
             for instr in &block.instrs {
                 let start = instr
                     .srcs
@@ -176,29 +168,6 @@ pub fn critical_path(dev: &DeviceSpec, prog: &Program) -> CritPath {
                 }
                 chain_end = chain_end.max(done);
             }
-            trip += 1;
-            if block.trips <= EXACT_TRIPS {
-                continue;
-            }
-            // Steady-state extrapolation for very long loops: once two
-            // consecutive trips advance every register by the same delta,
-            // the remaining trips are that delta repeated.
-            let (pa, pe) = prev_state.take().unwrap_or_else(|| (vec![0; n_regs], 0));
-            let delta: Vec<u64> = avail.iter().zip(&pa).map(|(a, p)| a - p).collect();
-            let delta_end = chain_end - pe;
-            let steady = prev_delta
-                .as_ref()
-                .is_some_and(|(pd, pde)| *pd == delta && *pde == delta_end);
-            if steady || trip == EXACT_TRIPS {
-                let rem = (block.trips - trip) as u64;
-                for (a, d) in avail.iter_mut().zip(&delta) {
-                    *a += d * rem;
-                }
-                chain_end += delta_end * rem;
-                break;
-            }
-            prev_delta = Some((delta, delta_end));
-            prev_state = Some((avail.clone(), chain_end));
         }
 
         per_block.push(BlockPath {
@@ -233,30 +202,32 @@ pub struct TimingCacheStats {
     pub misses: u64,
 }
 
-static TIMING_CACHE: OnceLock<Mutex<HashMap<u64, f64>>> = OnceLock::new();
-
-/// Stable metric name of tile-timing cache hits in the `snp-trace` registry.
-pub const TIMING_CACHE_HITS_METRIC: &str = "sim.timing_cache.hits";
-/// Stable metric name of tile-timing cache misses.
-pub const TIMING_CACHE_MISSES_METRIC: &str = "sim.timing_cache.misses";
-
-// The counters live in the process-wide snp-trace metrics registry under the
-// stable names above; the LazyCounter handles keep the hot path at one
-// relaxed atomic add after first touch.
-static TIMING_HITS: LazyCounter = LazyCounter::new(TIMING_CACHE_HITS_METRIC);
-static TIMING_MISSES: LazyCounter = LazyCounter::new(TIMING_CACHE_MISSES_METRIC);
-
-fn timing_cache() -> &'static Mutex<HashMap<u64, f64>> {
-    TIMING_CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+/// The tile-timing cache: per-job cycles by key, and the process's lookup
+/// totals.
+#[derive(Default)]
+struct TimingCache {
+    cycles: HashMap<u64, f64>,
+    stats: TimingCacheStats,
 }
 
-/// Current hit/miss counters of the tile-timing cache (a typed view of the
-/// `sim.timing_cache.*` registry metrics).
+static TIMING_CACHE: OnceLock<Mutex<TimingCache>> = OnceLock::new();
+
+/// Metric name of a run's tile-timing cache hits.
+pub const TIMING_CACHE_HITS_METRIC: &str = "sim.timing_cache.hits";
+/// Metric name of a run's tile-timing cache misses.
+pub const TIMING_CACHE_MISSES_METRIC: &str = "sim.timing_cache.misses";
+
+fn timing_cache() -> MutexGuard<'static, TimingCache> {
+    TIMING_CACHE
+        .get_or_init(Mutex::default)
+        .lock()
+        .expect("no lookup panics while holding the timing cache")
+}
+
+/// The tile-timing cache's hit/miss totals over every lookup the process
+/// made.
 pub fn timing_cache_stats() -> TimingCacheStats {
-    TimingCacheStats {
-        hits: TIMING_HITS.get(),
-        misses: TIMING_MISSES.get(),
-    }
+    timing_cache().stats
 }
 
 static DEVICE_FPRINTS: OnceLock<Mutex<Vec<(DeviceSpec, u64)>>> = OnceLock::new();
@@ -285,7 +256,9 @@ pub fn device_fingerprint(dev: &DeviceSpec) -> u64 {
 }
 
 /// Looks `key` up in the process-wide timing cache, running `compute` and
-/// inserting on miss.
+/// inserting on miss. Returns the cycles and whether the lookup hit, which
+/// the caller counts for its own run; the process totals
+/// ([`timing_cache_stats`]) count every lookup.
 ///
 /// `compute` must be a pure function of whatever `key` fingerprints — the
 /// caller owns that contract. A caller that can derive `key` without
@@ -294,15 +267,19 @@ pub fn device_fingerprint(dev: &DeviceSpec) -> u64 {
 /// entirely on a hit. The lock is not held across `compute`; a concurrent
 /// duplicate computation is benign because both producers insert the same
 /// value.
-pub fn memoized_core_cycles(key: u64, compute: impl FnOnce() -> f64) -> f64 {
-    if let Some(&cycles) = timing_cache().lock().unwrap().get(&key) {
-        TIMING_HITS.add(1);
-        return cycles;
+pub fn memoized_core_cycles(key: u64, compute: impl FnOnce() -> f64) -> (f64, bool) {
+    {
+        let mut cache = timing_cache();
+        if let Some(&cycles) = cache.cycles.get(&key) {
+            cache.stats.hits += 1;
+            return (cycles, true);
+        }
     }
     let cycles = compute();
-    TIMING_MISSES.add(1);
-    timing_cache().lock().unwrap().insert(key, cycles);
-    cycles
+    let mut cache = timing_cache();
+    cache.stats.misses += 1;
+    cache.cycles.insert(key, cycles);
+    (cycles, false)
 }
 
 /// Global-memory traffic of a launch, for the bandwidth bound.
@@ -455,12 +432,33 @@ mod tests {
         }
     }
 
+    /// The chain of `prog`, walked trip by trip: each instruction's result
+    /// is available `completion_cycles` after its latest source.
+    fn chain_trip_by_trip(dev: &DeviceSpec, prog: &Program) -> u64 {
+        let mut avail = vec![0u64; prog.reg_count()];
+        let mut chain = 0;
+        for block in &prog.blocks {
+            for _ in 0..block.trips {
+                for instr in &block.instrs {
+                    let start = instr.srcs.iter().map(|&s| avail[s as usize]).max();
+                    let done = start.unwrap_or(0)
+                        + dev.completion_cycles(instr.class, instr.conflict_ways);
+                    if let Some(d) = instr.dst {
+                        avail[d as usize] = done;
+                    }
+                    chain = chain.max(done);
+                }
+            }
+        }
+        chain
+    }
+
     #[test]
-    fn long_loop_extrapolation_matches_exact_iteration() {
+    fn long_loop_chain_grows_by_its_per_trip_delta() {
         let dev = devices::gtx_980();
-        // Same body, one trip count below the cap and one far above: the
-        // extrapolated chain must equal the closed form of the exact walk
-        // (per-trip delta 6 from the dependent add).
+        // Same body at 4095, 4096 and 16 384 trips: a long loop's chain is
+        // the short one's plus the per-trip delta (6, from the dependent
+        // add) for every further trip.
         let body = vec![
             Instr::load_shared(1, &[0], 1),
             Instr::arith(InstrClass::Popc, 2, &[1]),
@@ -473,11 +471,39 @@ mod tests {
             )
             .chain_cycles
         };
-        let per_trip = chain(EXACT_TRIPS) - chain(EXACT_TRIPS - 1);
+        let trips = 4096;
+        let per_trip = chain(trips) - chain(trips - 1);
+        assert_eq!(per_trip, 6);
         assert_eq!(
-            chain(EXACT_TRIPS * 4),
-            chain(EXACT_TRIPS) + per_trip * (EXACT_TRIPS as u64 * 3),
+            chain(trips * 4),
+            chain(trips) + per_trip * (trips as u64 * 3)
         );
+    }
+
+    #[test]
+    fn a_late_overtaking_chain_sets_the_length_of_a_long_loop() {
+        // Two independent chains in a 10 000-trip loop: `s` advances 6
+        // cycles a trip (one add) after a 1000-load head start of 28 000
+        // cycles, `f` advances 12 (two adds) from 0. `s` leads for the
+        // first 4666 trips, so every trip early in the loop advances the
+        // registers alike, and `f` leads from trip 4667 on.
+        let dev = devices::gtx_980();
+        let (s, f) = (0, 1);
+        let prog = Program::new(vec![
+            Block::looped(1000, vec![Instr::load_global(s, &[s])]),
+            Block::looped(
+                10_000,
+                vec![
+                    Instr::arith(InstrClass::IntAdd, s, &[s]),
+                    Instr::arith(InstrClass::IntAdd, f, &[f]),
+                    Instr::arith(InstrClass::IntAdd, f, &[f]),
+                ],
+            ),
+        ]);
+        let cp = critical_path(&dev, &prog);
+        assert_eq!(cp.chain_cycles, chain_trip_by_trip(&dev, &prog));
+        assert_eq!(cp.chain_cycles, 12 * 10_000, "the overtaking chain wins");
+        assert_eq!(cp.per_block[1].chain_span, 12 * 10_000 - 28_000);
     }
 
     #[test]
@@ -591,27 +617,11 @@ mod tests {
         let first = memoized_core_cycles(key, || 12_347.0);
         let second = memoized_core_cycles(key, || unreachable!("a hit must not recompute"));
         let after = timing_cache_stats();
-        assert_eq!((first, second), (12_347.0, 12_347.0));
+        assert_eq!((first, second), ((12_347.0, false), (12_347.0, true)));
         assert!(
             after.hits > before.hits,
             "repeat lookup must hit: {before:?} -> {after:?}"
         );
         assert!(after.misses > before.misses);
-    }
-
-    #[test]
-    fn timing_cache_counters_live_in_the_metrics_registry() {
-        let before = snp_trace::registry()
-            .counter(TIMING_CACHE_MISSES_METRIC)
-            .get();
-        let _ = memoized_core_cycles(0x6d69_7373_6573, || 22_961.0);
-        let after = snp_trace::registry()
-            .counter(TIMING_CACHE_MISSES_METRIC)
-            .get();
-        assert!(
-            after > before,
-            "miss must show under the stable metric name"
-        );
-        assert_eq!(timing_cache_stats().misses, after, "typed view agrees");
     }
 }

@@ -40,7 +40,7 @@ use snp_core::{
     MixtureStrategy,
 };
 use snp_gpu_model::DeviceSpec;
-use snp_trace::{merge_into, postmortem, QueryCtx, TimeDomain, Trace, Tracer};
+use snp_trace::{merge_into, postmortem, Metrics, QueryCtx, TimeDomain, Trace, Tracer};
 
 use crate::admission::{
     AdmissionConfig, BrownoutController, CostModel, ShedReason, Tier, TierTransition, TokenBucket,
@@ -52,43 +52,17 @@ use crate::scheduler::{QueuedQuery, Scheduler};
 use crate::slo::{evaluate, percentile, SloOutcome, SloPolicy};
 use crate::workload::{run_query_tier, ServiceReport, Template, WorkloadSet};
 
-/// Registry metrics the generator feeds (`snpgpu metrics` surfaces them).
-pub(crate) mod metrics {
-    use snp_trace::{LazyCounter, LazyHistogram};
-
-    /// Queries replayed.
-    pub static QUERIES: LazyCounter = LazyCounter::new("load.queries");
-    /// Recovery retries observed across all queries.
-    pub static RETRIES: LazyCounter = LazyCounter::new("load.retries");
-    /// End-to-end latency by algorithm.
-    pub static LATENCY_LD: LazyHistogram = LazyHistogram::new("load.latency_ns.ld");
-    /// End-to-end latency by algorithm.
-    pub static LATENCY_FASTID: LazyHistogram = LazyHistogram::new("load.latency_ns.fastid");
-    /// End-to-end latency by algorithm.
-    pub static LATENCY_MIXTURE: LazyHistogram = LazyHistogram::new("load.latency_ns.mixture");
-    /// End-to-end latency by tenant, index-aligned with
-    /// [`TENANTS`](super::TENANTS) (the Prometheus renderer turns the
-    /// `|tenant=` suffix into a real `tenant` label).
-    pub static TENANT_LATENCY: [LazyHistogram; 2] = [
-        LazyHistogram::new("load.tenant.latency_ns|tenant=casework"),
-        LazyHistogram::new("load.tenant.latency_ns|tenant=research"),
-    ];
-    /// Time queries spent waiting for the server.
-    pub static QUEUE_WAIT: LazyHistogram = LazyHistogram::new("load.queue_wait_ns");
-
-    /// The latency histogram for an algorithm slug.
-    pub fn latency_for(slug: &str) -> &'static LazyHistogram {
-        match slug {
-            "ld" => &LATENCY_LD,
-            "fastid" => &LATENCY_FASTID,
-            _ => &LATENCY_MIXTURE,
-        }
-    }
-}
-
 /// Tenant labels, assigned to arrivals round-robin. A label is a tenant:
 /// its token bucket, its latency histogram and its report row go by it.
 pub const TENANTS: [&str; 2] = ["casework", "research"];
+
+/// Each tenant's end-to-end latency histogram, index-aligned with
+/// [`TENANTS`] (the Prometheus renderer turns the `|tenant=` suffix into a
+/// real `tenant` label).
+const TENANT_LATENCY_METRICS: [&str; 2] = [
+    "load.tenant.latency_ns|tenant=casework",
+    "load.tenant.latency_ns|tenant=research",
+];
 
 /// Deterministic fault injection for a load run.
 #[derive(Debug, Clone)]
@@ -363,6 +337,10 @@ pub struct LoadReport {
     /// The first post-mortem trigger: a typed fault, a device loss, a shed
     /// storm or — at end of run — an SLO breach.
     pub postmortem: Option<Postmortem>,
+    /// This run's metrics (DESIGN.md §8.2): the `load.*` families, read
+    /// off the records, and the merged engine metrics of every query whose
+    /// engine run returned a report (`snpgpu metrics` renders them).
+    pub metrics: Metrics,
     /// The `loadgen · queries` track (when recorded).
     stream: Option<Trace>,
     /// Each served query's trace and its start on the stream clock, in
@@ -587,6 +565,8 @@ struct Served {
     digest: Option<u64>,
     /// Whether the device was lost mid-run (the query may still complete).
     device_lost: bool,
+    /// The engine run's metrics, when it returned a report.
+    metrics: Metrics,
     /// The query's own trace, when traced.
     trace: Option<Trace>,
 }
@@ -644,8 +624,10 @@ fn execute(
         },
         digest: served.as_ref().map(|sr| sr.digest),
         device_lost: served
-            .and_then(|sr| sr.recovery)
+            .as_ref()
+            .and_then(|sr| sr.recovery.as_ref())
             .is_some_and(|r| r.device_lost),
+        metrics: served.map(|sr| sr.metrics).unwrap_or_default(),
         trace: tracer.snapshot(),
     }
 }
@@ -670,13 +652,15 @@ fn outcome_of(result: &Result<ServiceReport, EngineError>) -> (u64, u64, Outcome
 }
 
 /// What the run keeps besides its records: the latency anatomies, the
-/// per-query traces on the stream clock, and the first post-mortem trigger.
+/// per-query traces on the stream clock, the first post-mortem trigger and
+/// the served queries' engine metrics.
 struct Observer {
     record_timeline: bool,
     anatomy: bool,
     traces: Vec<(Trace, u64)>,
     anatomies: Vec<QueryAnatomy>,
     postmortem: Option<Postmortem>,
+    metrics: Metrics,
 }
 
 impl Observer {
@@ -687,6 +671,7 @@ impl Observer {
             traces: Vec::new(),
             anatomies: Vec::new(),
             postmortem: None,
+            metrics: Metrics::new(),
         }
     }
 
@@ -714,10 +699,11 @@ impl Observer {
     }
 
     /// Observes a served query: its anatomy, its trace on the stream clock,
-    /// and a post-mortem trigger when it surfaced a typed fault or lost the
-    /// device.
+    /// its engine metrics, and a post-mortem trigger when it surfaced a
+    /// typed fault or lost the device.
     fn served(&mut self, served: Served) -> QueryRecord {
         let r = served.record;
+        self.metrics.merge(&served.metrics);
         if self.anatomy {
             let trace = served.trace.as_ref();
             let anatomy = decompose_query(r.id, r.queue_wait_ns, r.service_ns, r.tier, trace);
@@ -797,7 +783,9 @@ fn report(
     gate: &Gate,
     mut observer: Observer,
 ) -> LoadReport {
-    records.iter().for_each(publish);
+    for r in &records {
+        publish(&mut observer.metrics, r);
+    }
     let stream = cfg.record_timeline.then(|| stream_track(&records));
     records.sort_by_key(|r| r.id);
 
@@ -937,6 +925,7 @@ fn report(
             .anatomy
             .then(|| AnatomyReport::aggregate(&observer.anatomies)),
         postmortem: observer.postmortem,
+        metrics: observer.metrics,
         stream,
         traces: observer.traces,
         flight_capacity: cfg.flight_capacity,
@@ -971,25 +960,34 @@ fn stream_track(records: &[QueryRecord]) -> Trace {
     stream.snapshot().unwrap_or_default()
 }
 
-/// Publishes one resolved query's registry metrics from its record.
-fn publish(r: &QueryRecord) {
-    metrics::QUERIES.add(1);
+/// Records one resolved query's `load.*` metrics from its record.
+fn publish(metrics: &mut Metrics, r: &QueryRecord) {
+    metrics.add("load.queries", 1);
     if r.outcome.is_shed() {
         return;
     }
-    metrics::RETRIES.add(r.retries);
+    metrics.add("load.retries", r.retries);
     // Latency histograms carry an exemplar per hit bucket: the query id,
     // tenant, and its stream-clock offset, so a p99 bucket links straight
     // to the span in the merged timeline that caused it.
+    let by_algorithm = match r.template.slug() {
+        "ld" => "load.latency_ns.ld",
+        "fastid" => "load.latency_ns.fastid",
+        _ => "load.latency_ns.mixture",
+    };
     let tenant = TENANTS.iter().position(|&t| t == r.tenant);
-    for h in [
-        metrics::latency_for(r.template.slug()),
-        &metrics::TENANT_LATENCY[tenant.expect("a listed tenant")],
+    for name in [
+        by_algorithm,
+        TENANT_LATENCY_METRICS[tenant.expect("a listed tenant")],
     ] {
-        h.histogram()
-            .record_with_exemplar(r.latency_ns, r.id, Some(r.tenant), r.start_ns);
+        metrics.histogram_mut(name).record_with_exemplar(
+            r.latency_ns,
+            r.id,
+            Some(r.tenant),
+            r.start_ns,
+        );
     }
-    metrics::QUEUE_WAIT.record(r.queue_wait_ns);
+    metrics.record("load.queue_wait_ns", r.queue_wait_ns);
 }
 
 /// Whether a query counts toward goodput: it completed without failing,

@@ -16,6 +16,7 @@ use snp_popgen::forensic::{
     generate_database, generate_mixtures, generate_queries, DatabaseConfig,
 };
 use snp_popgen::population::{generate_panel, PanelConfig};
+use snp_trace::Metrics;
 
 use crate::admission::Tier;
 
@@ -139,6 +140,9 @@ pub struct ServiceReport {
     /// the same [`WorkloadSet`] must agree — a mismatch against the clean
     /// calibration run is a silent corruption.
     pub digest: u64,
+    /// The engine run's metrics (empty on the CPU-only tier, which runs no
+    /// engine).
+    pub metrics: Metrics,
 }
 
 fn service(
@@ -146,6 +150,7 @@ fn service(
     passes: usize,
     recovery: Option<RecoverySummary>,
     digest: u64,
+    metrics: Metrics,
 ) -> ServiceReport {
     // A serving deployment opens its device once, so one-time runtime
     // initialization is not charged to individual queries: service time is
@@ -155,6 +160,7 @@ fn service(
         passes,
         recovery,
         digest,
+        metrics,
     }
 }
 
@@ -224,6 +230,7 @@ pub fn run_query_tier(
             passes: 1,
             recovery: None,
             digest: 0,
+            metrics: Metrics::new(),
         });
     }
     match template {
@@ -234,6 +241,7 @@ pub fn run_query_tier(
                 r.passes,
                 r.recovery,
                 digest_gamma(&r.gamma),
+                r.metrics,
             ))
         }
         Template::FastId if tier == Tier::ReducedTopK => {
@@ -244,6 +252,7 @@ pub fn run_query_tier(
                 r.passes,
                 r.recovery,
                 digest_matches(&r.matches),
+                r.metrics,
             ))
         }
         Template::FastId => {
@@ -253,6 +262,7 @@ pub fn run_query_tier(
                 r.passes,
                 r.recovery,
                 digest_gamma(&r.gamma),
+                r.metrics,
             ))
         }
         Template::FastIdTopK => {
@@ -267,6 +277,7 @@ pub fn run_query_tier(
                 r.passes,
                 r.recovery,
                 digest_matches(&r.matches),
+                r.metrics,
             ))
         }
         Template::Mixture => {
@@ -276,6 +287,7 @@ pub fn run_query_tier(
                 r.passes,
                 r.recovery,
                 digest_gamma(&r.gamma),
+                r.metrics,
             ))
         }
     }

@@ -8,9 +8,9 @@
 //!   track declares its [`TimeDomain`] and the exporters keep the domains
 //!   separated. A disabled tracer (the default everywhere) turns every
 //!   recording call into a branch-and-return no-op.
-//! * **Metrics** — a process-wide [`registry`] of named
-//!   [`Counter`]s and [`Histogram`]s. Hot paths use [`LazyCounter`] statics
-//!   so an increment costs one relaxed atomic add after first touch.
+//! * **Metrics** — one run's named counters and [`Histogram`]s, a plain
+//!   [`Metrics`] value that the run records through `&mut` and its report
+//!   carries; [`Metrics::merge`] folds several runs into one.
 //!
 //! Exporters: [`chrome::export_chrome_trace`] writes Chrome `trace_event`
 //! JSON (loadable in Perfetto / `chrome://tracing`, with virtual and wall
@@ -40,11 +40,8 @@ pub mod span;
 pub mod summary;
 
 pub use flight::{merge_into, postmortem};
-pub use metrics::{
-    bucket_upper_bound, registry, Counter, Exemplar, Histogram, HistogramSnapshot, LazyCounter,
-    LazyHistogram, MetricValue, MetricsRegistry,
-};
-pub use prometheus::{render_prometheus, render_registry};
+pub use metrics::{bucket_upper_bound, Bucket, Exemplar, Histogram, MetricValue, Metrics};
+pub use prometheus::render_prometheus;
 pub use span::{
     ArgValue, CounterSample, QueryCtx, SpanId, TimeDomain, Trace, TraceEvent, Tracer, TrackId,
     TrackInfo,

@@ -1,29 +1,25 @@
-//! Prometheus text-format exposition of a metrics-registry snapshot.
+//! Prometheus text-format exposition of a run's metrics.
 //!
-//! [`render_prometheus`] renders the whole registry in the Prometheus
+//! [`render_prometheus`] renders a run's [`Metrics`] in the Prometheus
 //! text exposition format (version 0.0.4): counters gain the conventional
 //! `_total` suffix, and histograms expand into cumulative
 //! `_bucket{le="…"}` series (one per non-empty bucket, plus the mandatory
-//! `+Inf`) with `_sum`/`_count`. Dot-separated registry names are
+//! `+Inf`) with `_sum`/`_count`. Dot-separated metric names are
 //! sanitized to the `[a-zA-Z_:][a-zA-Z0-9_:]*` charset Prometheus requires,
 //! so `engine.recovery.retries` exposes as `engine_recovery_retries_total`.
 //!
-//! Registry names may carry labels after a `|`: a name like
+//! Metric names may carry labels after a `|`: a name like
 //! `load.tenant.latency_ns|tenant=casework` renders as the
 //! `load_tenant_latency_ns` family with a `{tenant="casework"}` label set
 //! (composed with `le` on histogram buckets). Same-family labeled series
-//! are adjacent in the registry's sorted snapshot, so the renderer emits
-//! one `# TYPE` line per family, not per series.
-//!
-//! The renderer takes a snapshot slice rather than the live registry so
-//! deterministic snapshots can be golden-file tested; use
-//! [`render_registry`] for the live process state.
+//! are adjacent in the sorted [`Metrics`], so the renderer emits one
+//! `# TYPE` line per family, not per series.
 
 use std::fmt::Write as _;
 
-use crate::metrics::{bucket_upper_bound, registry, HistogramSnapshot, MetricValue};
+use crate::metrics::{bucket_upper_bound, Histogram, MetricValue, Metrics};
 
-/// Sanitizes a dot-separated registry name into a Prometheus metric name.
+/// Sanitizes a dot-separated metric name into a Prometheus metric name.
 pub fn sanitize_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 1);
     for (i, c) in name.chars().enumerate() {
@@ -48,7 +44,7 @@ fn escape_label_value(v: &str) -> String {
         .replace('\n', "\\n")
 }
 
-/// Splits a registry name into its metric family and label set: everything
+/// Splits a metric name into its metric family and label set: everything
 /// after the first `|` is a comma-separated `key=value` list (e.g.
 /// `load.tenant.latency_ns|tenant=casework`). Tokens without `=` are
 /// ignored rather than guessed at.
@@ -75,7 +71,7 @@ fn label_str(labels: &[(String, String)]) -> String {
 }
 
 /// Emits a `# TYPE` header unless it would repeat the one just emitted —
-/// labeled series of the same family are adjacent in the sorted snapshot
+/// labeled series of the same family are adjacent in the sorted metrics
 /// and share a single header.
 fn emit_type(out: &mut String, last: &mut String, name: &str, kind: &str) {
     let line = format!("# TYPE {name} {kind}");
@@ -90,7 +86,7 @@ fn render_histogram(
     last_type: &mut String,
     name: &str,
     labels: &[(String, String)],
-    h: &HistogramSnapshot,
+    h: &Histogram,
 ) {
     emit_type(out, last_type, name, "histogram");
     // Buckets compose the series labels with `le` (conventionally last).
@@ -100,15 +96,12 @@ fn render_histogram(
         label_str(&ls)
     };
     let mut cumulative = 0u64;
-    for (i, &n) in h.buckets.iter().enumerate() {
-        if n == 0 {
-            continue;
-        }
-        cumulative += n;
+    for (i, bucket) in h.buckets() {
+        cumulative += bucket.count;
         // OpenMetrics-style exemplar suffix: `# {labels} value timestamp`,
         // here carrying the query identity and its stream-clock offset so a
         // tail bucket links straight to the flight-recorder span.
-        let exemplar = match h.exemplar_for(i) {
+        let exemplar = match &bucket.exemplar {
             None => String::new(),
             Some(e) => {
                 let tenant = e
@@ -130,21 +123,18 @@ fn render_histogram(
     }
     let _ = writeln!(
         out,
-        "{name}_bucket{} {}",
+        "{name}_bucket{} {cumulative}",
         bucket_labels("+Inf".to_string()),
-        h.count
     );
-    let _ = writeln!(out, "{name}_sum{} {}", label_str(labels), h.sum);
-    let _ = writeln!(out, "{name}_count{} {}", label_str(labels), h.count);
+    let _ = writeln!(out, "{name}_sum{} {}", label_str(labels), h.sum());
+    let _ = writeln!(out, "{name}_count{} {cumulative}", label_str(labels));
 }
 
-/// Renders a registry snapshot (as produced by
-/// [`MetricsRegistry::snapshot`](crate::metrics::MetricsRegistry::snapshot))
-/// in the Prometheus text exposition format.
-pub fn render_prometheus(snapshot: &[(&'static str, MetricValue)]) -> String {
+/// Renders `metrics` in the Prometheus text exposition format.
+pub fn render_prometheus(metrics: &Metrics) -> String {
     let mut out = String::new();
     let mut last_type = String::new();
-    for (raw, value) in snapshot {
+    for (raw, value) in metrics.iter() {
         let (base, labels) = split_labels(raw);
         let name = sanitize_name(base);
         match value {
@@ -165,21 +155,16 @@ pub fn render_prometheus(snapshot: &[(&'static str, MetricValue)]) -> String {
     out
 }
 
-/// [`render_prometheus`] over the live process-wide registry.
-pub fn render_registry() -> String {
-    render_prometheus(&registry().snapshot())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Histogram;
 
-    /// A deterministic synthetic snapshot with every metric kind, including
-    /// labeled per-tenant series (adjacent in sorted order, as in the real
-    /// registry).
-    fn golden_snapshot() -> Vec<(&'static str, MetricValue)> {
-        let h = Histogram::default();
+    /// Deterministic synthetic metrics with every metric kind, including
+    /// labeled per-tenant series (adjacent in sorted order).
+    fn golden_metrics() -> Metrics {
+        let mut m = Metrics::new();
+        m.add("engine.recovery.retries", 42);
+        let h = m.histogram_mut("load.latency_ns.fastid");
         for _ in 0..3 {
             h.record(100); // octave 6, sub 4: upper bound 103
         }
@@ -187,28 +172,14 @@ mod tests {
         // Tail sample with an exemplar: the rendered bucket line links the
         // p99 bucket to query 17 at stream offset 912000.
         h.record_with_exemplar(100_000, 17, Some("casework"), 912_000); // upper bound 106495
-        let t = Histogram::default();
-        t.record(100);
-        vec![
-            ("engine.recovery.retries", MetricValue::Counter(42)),
-            (
-                "load.latency_ns.fastid",
-                MetricValue::Histogram(h.snapshot()),
-            ),
-            (
-                "load.tenant.latency_ns|tenant=casework",
-                MetricValue::Histogram(t.snapshot()),
-            ),
-            (
-                "load.tenant.latency_ns|tenant=research",
-                MetricValue::Histogram(t.snapshot()),
-            ),
-        ]
+        m.record("load.tenant.latency_ns|tenant=casework", 100);
+        m.record("load.tenant.latency_ns|tenant=research", 100);
+        m
     }
 
     #[test]
     fn golden_file_pins_the_exposition_format() {
-        let got = render_prometheus(&golden_snapshot());
+        let got = render_prometheus(&golden_metrics());
         if std::env::var_os("UPDATE_GOLDEN").is_some() {
             std::fs::write(
                 concat!(env!("CARGO_MANIFEST_DIR"), "/testdata/prometheus.golden"),
@@ -226,7 +197,7 @@ mod tests {
 
     #[test]
     fn labeled_series_share_one_type_line_and_compose_le() {
-        let got = render_prometheus(&golden_snapshot());
+        let got = render_prometheus(&golden_metrics());
         assert_eq!(
             got.matches("# TYPE load_tenant_latency_ns histogram")
                 .count(),
@@ -275,7 +246,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_cumulative_and_end_at_inf() {
-        let got = render_prometheus(&golden_snapshot());
+        let got = render_prometheus(&golden_metrics());
         let lines: Vec<&str> = got
             .lines()
             .filter(|l| l.starts_with("load_latency_ns_fastid_bucket"))
@@ -298,23 +269,15 @@ mod tests {
 
     #[test]
     fn exemplars_attach_only_to_their_bucket() {
-        let h = Histogram::default();
+        let mut m = Metrics::new();
+        let h = m.histogram_mut("load.latency_ns.ld");
         h.record(10);
         h.record_with_exemplar(5_000, 3, None, 40);
-        let got =
-            render_prometheus(&[("load.latency_ns.ld", MetricValue::Histogram(h.snapshot()))]);
+        let got = render_prometheus(&m);
         // Only the hit bucket carries the suffix; a missing tenant renders
         // without a tenant label.
         assert_eq!(got.matches(" # {").count(), 1, "{got}");
         assert!(got.contains("} 2 # {query_id=\"3\"} 5000 40\n"), "{got}");
         assert!(!got.contains("tenant="), "{got}");
-    }
-
-    #[test]
-    fn live_registry_renders() {
-        registry().counter("test.prom.live").reset();
-        registry().counter("test.prom.live").add(3);
-        let text = render_registry();
-        assert!(text.contains("test_prom_live_total 3"));
     }
 }

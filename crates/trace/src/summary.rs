@@ -6,7 +6,7 @@
 //! thread parent ids through every call site. A metrics section rendered by
 //! [`render_metrics`] can be appended for a complete run report.
 
-use crate::metrics::{MetricValue, MetricsRegistry};
+use crate::metrics::{MetricValue, Metrics};
 use crate::span::{TimeDomain, Trace, TraceEvent};
 use std::fmt::Write as _;
 
@@ -147,11 +147,11 @@ pub fn render_summary(trace: &Trace) -> String {
     out
 }
 
-/// Renders a registry snapshot as a sorted `name = value` block.
+/// Renders a run's metrics as a sorted `name = value` block.
 /// Histograms render their count, quantile estimates, and mean.
-pub fn render_metrics(registry: &MetricsRegistry) -> String {
+pub fn render_metrics(metrics: &Metrics) -> String {
     let mut out = String::from("metrics:\n");
-    for (name, value) in registry.snapshot() {
+    for (name, value) in metrics.iter() {
         match value {
             MetricValue::Counter(v) => {
                 let _ = writeln!(out, "  {name} = {v}");
@@ -160,7 +160,7 @@ pub fn render_metrics(registry: &MetricsRegistry) -> String {
                 let _ = writeln!(
                     out,
                     "  {name} = count={} p50={} p95={} p99={} p999={} mean={:.1}",
-                    h.count,
+                    h.count(),
                     h.quantile(0.50),
                     h.quantile(0.95),
                     h.quantile(0.99),
@@ -255,11 +255,10 @@ mod tests {
 
     #[test]
     fn metrics_section_lists_sorted_names() {
-        let reg = crate::metrics::registry();
-        reg.counter("test.summary.z").reset();
-        reg.counter("test.summary.a").reset();
-        reg.counter("test.summary.a").add(7);
-        let text = render_metrics(reg);
+        let mut m = Metrics::new();
+        m.add("test.summary.z", 0);
+        m.add("test.summary.a", 7);
+        let text = render_metrics(&m);
         let za = text.find("test.summary.a = 7").unwrap();
         let zz = text.find("test.summary.z = 0").unwrap();
         assert!(za < zz);
@@ -267,14 +266,12 @@ mod tests {
 
     #[test]
     fn metrics_section_renders_histogram_quantiles() {
-        let reg = crate::metrics::registry();
-        let h = reg.histogram("test.summary.histo");
-        h.reset();
+        let mut m = Metrics::new();
         for _ in 0..99 {
-            h.record(600); // octave 9 [512, 1024), sub-bucket 1: [576, 639]
+            m.record("test.summary.histo", 600); // octave 9 [512, 1024), sub-bucket 1: [576, 639]
         }
-        h.record(1_000_000);
-        let text = render_metrics(reg);
+        m.record("test.summary.histo", 1_000_000);
+        let text = render_metrics(&m);
         let line = text
             .lines()
             .find(|l| l.contains("test.summary.histo"))

@@ -2,7 +2,8 @@
 //! fault plan the engine either returns results bit-identical to the
 //! fault-free oracle or a typed `DeviceFault` error — never silently
 //! corrupted data — and the recovery counters reconcile exactly with the
-//! number of injected faults. Deterministic companions pin down the
+//! number of injected faults, as do the run's `engine.recovery.*` metrics
+//! with the summary. Deterministic companions pin down the
 //! checkpoint-resume guarantee (a Full-mode device loss resumes from the
 //! last verified chunk on the CPU, not from chunk zero) and the typed error
 //! chain of a timing-only loss, which has no results to finish on the CPU.
@@ -14,6 +15,7 @@ use snp_repro::core::{
     Match, MixtureStrategy, RecoverySummary, Timing,
 };
 use snp_repro::gpu_model::{devices, DeviceSpec};
+use snp_trace::Metrics;
 
 fn matrix(rows: usize, cols: usize, salt: usize) -> BitMatrix<u64> {
     BitMatrix::from_fn(rows, cols, |r, c| {
@@ -78,17 +80,30 @@ fn run_input(
     a: &BitMatrix<u64>,
     b: &BitMatrix<u64>,
     input: Option<Algorithm>,
-) -> Result<(Output, Option<RecoverySummary>, Timing), EngineError> {
+) -> Result<(Output, Option<RecoverySummary>, Timing, Metrics), EngineError> {
     Ok(match input {
         Some(alg) => {
             let r = engine.compare(a, b, alg)?;
-            (Output::Gamma(r.gamma.unwrap()), r.recovery, r.timing)
+            let gamma = Output::Gamma(r.gamma.unwrap());
+            (gamma, r.recovery, r.timing, r.metrics)
         }
         None => {
             let r = engine.identity_search_topk(a, b, 5)?;
-            (Output::TopK(r.matches.unwrap()), r.recovery, r.timing)
+            let lists = Output::TopK(r.matches.unwrap());
+            (lists, r.recovery, r.timing, r.metrics)
         }
     })
+}
+
+/// The fault profiles the seeded properties draw from.
+fn profiles() -> [FaultProfile; 5] {
+    [
+        FaultProfile::transient(),
+        FaultProfile::corruption(),
+        FaultProfile::stall(),
+        FaultProfile::loss(),
+        FaultProfile::mixed(),
+    ]
 }
 
 #[test]
@@ -253,21 +268,15 @@ proptest! {
         profile_idx in 0usize..5,
         input_idx in 0usize..INPUTS.len(),
     ) {
-        let profile = [
-            FaultProfile::transient(),
-            FaultProfile::corruption(),
-            FaultProfile::stall(),
-            FaultProfile::loss(),
-            FaultProfile::mixed(),
-        ][profile_idx];
+        let profile = profiles()[profile_idx];
         let input = INPUTS[input_idx];
         let a = matrix(6, 256, 19);
         let b = matrix(900, 256, 20);
         let engine = GpuEngine::new(tiny_device()).with_options(full_options());
-        let (want, _, _) = run_input(&engine, &a, &b, input).expect("fault-free run");
+        let (want, _, _, _) = run_input(&engine, &a, &b, input).expect("fault-free run");
         let armed = engine.with_fault_plan(FaultPlan::new(seed, profile));
         match run_input(&armed, &a, &b, input) {
-            Ok((got, rec, _)) => {
+            Ok((got, rec, _, _)) => {
                 prop_assert!(
                     got == want,
                     "silent corruption at seed {} on {}",
@@ -303,8 +312,50 @@ proptest! {
             .with_options(full_options())
             .with_fault_plan(FaultPlan::new(seed, FaultProfile::mixed()));
         let input = if topk { None } else { Some(Algorithm::IdentitySearch) };
-        if let Ok((_, _, timing)) = run_input(&engine, &a, &b, input) {
+        if let Ok((_, _, timing, _)) = run_input(&engine, &a, &b, input) {
             prop_assert!(timing.validate().is_ok(), "{:?}", timing.validate());
+        }
+    }
+
+    /// A faulted run's `engine.recovery.*` metrics say what its summary
+    /// says: each counter equals its field and is present exactly when the
+    /// field is nonzero, and the run records one backoff delay per retry,
+    /// adding up to the summary's backoff.
+    #[test]
+    fn recovery_metrics_equal_the_summary(
+        seed in any::<u64>(),
+        profile_idx in 0usize..5,
+        input_idx in 0usize..INPUTS.len(),
+    ) {
+        let a = matrix(6, 256, 23);
+        let b = matrix(900, 256, 24);
+        let engine = GpuEngine::new(tiny_device())
+            .with_options(full_options())
+            .with_fault_plan(FaultPlan::new(seed, profiles()[profile_idx]));
+        if let Ok((_, rec, _, metrics)) = run_input(&engine, &a, &b, INPUTS[input_idx]) {
+            let rec = rec.expect("recovering path");
+            let counters = [
+                ("engine.recovery.retries", rec.retries),
+                ("engine.recovery.backoff_ns", rec.backoff_ns),
+                ("engine.recovery.corruption_detected", rec.corruption_detected),
+                ("engine.recovery.checkpoint_chunks", rec.verified_chunks as u64),
+                ("engine.recovery.cpu_fallback_chunks", rec.cpu_fallback_chunks as u64),
+                ("engine.recovery.device_loss", u64::from(rec.device_lost)),
+                ("engine.recovery.queue_quarantined", rec.quarantined_queues),
+            ];
+            for (name, n) in counters {
+                prop_assert_eq!(metrics.counter(name), (n > 0).then_some(n), "{}", name);
+            }
+            let delays = metrics.histogram("engine.recovery.backoff_delay_ns");
+            prop_assert_eq!(delays.is_some(), rec.retries > 0);
+            prop_assert_eq!(delays.map_or(0, |h| h.count()), rec.retries);
+            prop_assert_eq!(delays.map_or(0, |h| h.sum()), rec.backoff_ns);
+            let recorded = metrics
+                .iter()
+                .filter(|(name, _)| name.starts_with("engine.recovery."))
+                .count();
+            let present = counters.iter().filter(|(_, n)| *n > 0).count();
+            prop_assert_eq!(recorded, present + usize::from(rec.retries > 0));
         }
     }
 }

@@ -99,3 +99,56 @@ fn seeded_device_loss_dump_names_the_failing_query() {
         "dump spans must carry the failing query's id"
     );
 }
+
+/// A report's metrics without the timing memo's lookups, which depend on
+/// what the process looked up before.
+fn own_metrics(report: &snp_load::LoadReport) -> Vec<(&'static str, snp_trace::MetricValue)> {
+    report
+        .metrics
+        .iter()
+        .filter(|(name, _)| !name.starts_with("sim.timing_cache."))
+        .map(|(name, value)| (name, value.clone()))
+        .collect()
+}
+
+#[test]
+fn concurrent_runs_keep_their_own_metrics() {
+    // Two different configs: a clean run on one device, and a faulted run
+    // under admission on another, whose queries retry and recover.
+    let mut clean = base_cfg();
+    clean.seed = 1;
+    clean.record_timeline = false;
+    let mut faulted = LoadConfig::new(
+        devices::gtx_980(),
+        vec![Template::FastId, Template::Mixture],
+    );
+    faulted.queries = 16;
+    faulted.seed = 7;
+    faulted.admission = snp_load::AdmissionConfig::standard();
+    faulted.fault = Some(FaultSpec {
+        profile_name: "transient".into(),
+        profile: snp_core::FaultProfile::transient(),
+        at_query: None,
+    });
+    let alone = [own_metrics(&run(&clean)), own_metrics(&run(&faulted))];
+    assert_ne!(alone[0], alone[1]);
+    assert!(
+        alone[1]
+            .iter()
+            .any(|(name, _)| *name == "engine.recovery.retries"),
+        "the faulted run retries"
+    );
+    // Both start together and run side by side.
+    let start = std::sync::Barrier::new(2);
+    let together = std::thread::scope(|scope| {
+        let handles = [&clean, &faulted].map(|cfg| {
+            let start = &start;
+            scope.spawn(move || {
+                start.wait();
+                own_metrics(&run(cfg))
+            })
+        });
+        handles.map(|h| h.join().expect("load run"))
+    });
+    assert_eq!(together, alone);
+}
